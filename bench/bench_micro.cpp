@@ -2,8 +2,9 @@
 // LCA/path iteration, load computation, the matching+tracing even split,
 // whole-schedule construction, Hopcroft–Karp concentrator routing, and
 // the cutting-plane decomposition. After the registered benchmarks run,
-// main() times the delivery-cycle engine serial vs parallel and writes the
-// machine-readable BENCH_engine.json consumed by perf tracking.
+// main() times the delivery-cycle engine (serial, and the sharded
+// executor per thread count) and writes the machine-readable
+// BENCH_engine.json consumed by perf tracking.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -190,7 +191,6 @@ BENCHMARK(BM_BalancedDecomposition)->Arg(64)->Arg(256);
 
 void BM_EngineDeliveryCycles(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
-  const bool parallel = state.range(1) != 0;
   ft::FatTreeTopology topo(n);
   const auto caps = ft::CapacityProfile::universal(topo, n / 4);
   ft::Rng gen(9000);
@@ -198,7 +198,6 @@ void BM_EngineDeliveryCycles(benchmark::State& state) {
   const auto paths = ft::fat_tree_path_set(topo, m);
   ft::EngineOptions opts;
   opts.seed = 42;
-  opts.parallel = parallel;
   ft::CycleEngine engine(ft::fat_tree_channel_graph(topo, caps), opts);
   std::uint64_t cycles = 0;
   for (auto _ : state) {
@@ -206,17 +205,13 @@ void BM_EngineDeliveryCycles(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(cycles));
 }
-BENCHMARK(BM_EngineDeliveryCycles)
-    ->Args({1024, 0})
-    ->Args({1024, 1})
-    ->Args({4096, 0})
-    ->Args({4096, 1});
+BENCHMARK(BM_EngineDeliveryCycles)->Arg(1024)->Arg(4096);
 
 // ---------------------------------------------------------------------------
-// BENCH_engine.json: delivery-cycle throughput of the unified engine,
-// serial vs parallel, across tree sizes. Hand-rolled timing (warmup +
-// min-of-N interleaved repetitions) so the output is a small stable JSON
-// file rather than benchmark's full reporter format.
+// BENCH_engine.json: delivery-cycle throughput of the unified engine
+// across tree sizes. Hand-rolled timing (warmup + min-of-N repetitions)
+// so the output is a small stable JSON file rather than benchmark's full
+// reporter format.
 
 struct EngineBenchRow {
   std::uint32_t n = 0;
@@ -231,7 +226,7 @@ struct EngineBenchRow {
 /// scratch to steady state, so the measured repetitions see both the
 /// warmed caches and the amortized allocation behavior.
 constexpr int kEngineWarmupReps = 3;
-/// Timed repetitions per mode; the row keeps the fastest (min-of-N).
+/// Timed repetitions per row; the row keeps the fastest (min-of-N).
 constexpr int kEngineMeasuredReps = 15;
 
 /// Pre-rewrite engine throughput on this host (commit daff695, the
@@ -242,41 +237,30 @@ constexpr struct {
   double cycles_per_sec;
 } kEngineBaseline[] = {
     {"engine_cycles/n=256/serial", 15447.733238243953},
-    {"engine_cycles/n=256/parallel", 14269.406392694065},
     {"engine_cycles/n=1024/serial", 3297.476238513051},
-    {"engine_cycles/n=1024/parallel", 3106.4316037837293},
     {"engine_cycles/n=4096/serial", 571.4370069272451},
-    {"engine_cycles/n=4096/parallel", 592.3839856690466},
     {"engine_cycles/n=16384/serial", 90.02836909660995},
-    {"engine_cycles/n=16384/parallel", 90.81813890189336},
 };
 
-/// Times serial and parallel mode on one workload with interleaved
-/// repetitions (min of kEngineMeasuredReps each), so both modes sample
-/// the same machine noise and the serial/parallel ratio is stable even
-/// on a busy host. Uses the engine's native PathSet entry point; the
-/// message-set-to-CSR conversion happens once, outside the timed region.
-std::pair<EngineBenchRow, EngineBenchRow> time_engine(std::uint32_t n) {
+/// Times the serial engine on one workload (min of kEngineMeasuredReps).
+/// Uses the engine's native PathSet entry point; the message-set-to-CSR
+/// conversion happens once, outside the timed region.
+EngineBenchRow time_engine(std::uint32_t n) {
   ft::FatTreeTopology topo(n);
   const auto caps = ft::CapacityProfile::universal(topo, n / 4);
   ft::Rng gen(9000 + n);
   const auto m = ft::stacked_permutations(n, 4, gen);
   const auto paths = ft::fat_tree_path_set(topo, m);
-  const auto graph = ft::fat_tree_channel_graph(topo, caps);
 
-  ft::EngineOptions serial_opts;
-  serial_opts.seed = 42;
-  ft::EngineOptions parallel_opts = serial_opts;
-  parallel_opts.parallel = true;
-  ft::CycleEngine serial_engine(graph, serial_opts);
-  ft::CycleEngine parallel_engine(graph, parallel_opts);
+  ft::EngineOptions opts;
+  opts.seed = 42;
+  ft::CycleEngine engine(ft::fat_tree_channel_graph(topo, caps), opts);
 
-  EngineBenchRow serial{n, "serial", 0, 1e300, 0.0, 0.0};
-  EngineBenchRow parallel{n, "parallel", 0, 1e300, 0.0, 0.0};
-  std::uint64_t total_cycles[2] = {0, 0};
-  std::uint64_t total_allocs[2] = {0, 0};
-  const auto measure = [&](ft::CycleEngine& engine, EngineBenchRow& row,
-                           int which) {
+  EngineBenchRow row{n, "serial", 0, 1e300, 0.0, 0.0};
+  std::uint64_t total_cycles = 0;
+  std::uint64_t total_allocs = 0;
+  for (int rep = 0; rep < kEngineWarmupReps; ++rep) (void)engine.run(paths);
+  for (int rep = 0; rep < kEngineMeasuredReps; ++rep) {
     const std::uint64_t a0 = heap_alloc_count();
     const auto t0 = std::chrono::steady_clock::now();
     const auto r = engine.run(paths);
@@ -284,32 +268,20 @@ std::pair<EngineBenchRow, EngineBenchRow> time_engine(std::uint32_t n) {
     row.cycles = r.cycles;
     row.seconds =
         std::min(row.seconds, std::chrono::duration<double>(t1 - t0).count());
-    total_cycles[which] += r.cycles;
-    total_allocs[which] += heap_alloc_count() - a0;
-  };
-  for (int rep = 0; rep < kEngineWarmupReps; ++rep) {
-    (void)serial_engine.run(paths);
-    (void)parallel_engine.run(paths);
+    total_cycles += r.cycles;
+    total_allocs += heap_alloc_count() - a0;
   }
-  for (int rep = 0; rep < kEngineMeasuredReps; ++rep) {
-    measure(serial_engine, serial, 0);
-    measure(parallel_engine, parallel, 1);
-  }
-  serial.cycles_per_sec =
-      static_cast<double>(serial.cycles) / serial.seconds;
-  parallel.cycles_per_sec =
-      static_cast<double>(parallel.cycles) / parallel.seconds;
-  serial.allocs_per_cycle = static_cast<double>(total_allocs[0]) /
-                            static_cast<double>(total_cycles[0]);
-  parallel.allocs_per_cycle = static_cast<double>(total_allocs[1]) /
-                              static_cast<double>(total_cycles[1]);
-  return {serial, parallel};
+  row.cycles_per_sec = static_cast<double>(row.cycles) / row.seconds;
+  row.allocs_per_cycle = static_cast<double>(total_allocs) /
+                         static_cast<double>(total_cycles);
+  return row;
 }
 
 /// Telemetry-overhead measurement at n = 2^16: serial engine throughput
 /// bare vs with a default-sampling TelemetryProbe attached (every_k = 1,
-/// latency digests on). Interleaved min-of-N like time_engine; fewer
-/// repetitions because one n = 65536 run is ~0.5 s. The acceptance target
+/// latency digests on). Interleaved min-of-N, so both rows sample the
+/// same machine noise; fewer repetitions than time_engine because one
+/// n = 65536 run is ~0.5 s. The acceptance target
 /// is <= 5% cycles/s regression with telemetry on; the ratio is recorded
 /// here (and compared by scripts/bench_compare.py run to run) rather than
 /// gated, since shared runners are too noisy for a hard in-binary gate.
@@ -356,7 +328,7 @@ std::pair<EngineBenchRow, EngineBenchRow> time_engine_telemetry(
 /// across PRs at every thread count — not just end-to-end cycles/s at
 /// hardware concurrency. The graph is sharded the way route_online would
 /// shard it for `threads` workers (~2 shards per worker), so the row
-/// measures the production executor, parallel spine included.
+/// measures the production executor: pooled up/down bands, serial spine.
 struct ThreadBenchRow {
   std::uint32_t n = 0;
   std::size_t threads = 0;
@@ -416,28 +388,26 @@ void write_engine_bench(const char* path) {
   ft::JsonValue& benchmarks = doc["benchmarks"];
   benchmarks = ft::JsonValue::array();
   for (const std::uint32_t n : {256u, 1024u, 4096u, 16384u}) {
-    const auto [serial, parallel] = time_engine(n);
-    for (const EngineBenchRow& row : {serial, parallel}) {
-      ft::JsonValue entry = ft::JsonValue::object();
-      entry["name"] = "engine_cycles/n=" + std::to_string(row.n) + "/" +
-                      row.mode;
-      entry["n"] = row.n;
-      entry["mode"] = row.mode;
-      entry["cycles"] = row.cycles;
-      entry["seconds"] = row.seconds;
-      entry["cycles_per_sec"] = row.cycles_per_sec;
-      entry["reps"] = kEngineMeasuredReps;
-      entry["warmup_reps"] = kEngineWarmupReps;
-      entry["allocs_per_cycle"] = row.allocs_per_cycle;
-      benchmarks.push_back(std::move(entry));
-      std::cout << "engine n=" << row.n << " " << row.mode << ": "
-                << row.cycles_per_sec << " cycles/sec, "
-                << row.allocs_per_cycle << " allocs/cycle\n";
-    }
+    const EngineBenchRow row = time_engine(n);
+    ft::JsonValue entry = ft::JsonValue::object();
+    entry["name"] = "engine_cycles/n=" + std::to_string(row.n) + "/" +
+                    row.mode;
+    entry["n"] = row.n;
+    entry["mode"] = row.mode;
+    entry["cycles"] = row.cycles;
+    entry["seconds"] = row.seconds;
+    entry["cycles_per_sec"] = row.cycles_per_sec;
+    entry["reps"] = kEngineMeasuredReps;
+    entry["warmup_reps"] = kEngineWarmupReps;
+    entry["allocs_per_cycle"] = row.allocs_per_cycle;
+    benchmarks.push_back(std::move(entry));
+    std::cout << "engine n=" << row.n << " " << row.mode << ": "
+              << row.cycles_per_sec << " cycles/sec, "
+              << row.allocs_per_cycle << " allocs/cycle\n";
   }
   // Thread-scaling rows at {2, 4, hw} threads (deduplicated): the
-  // sharded executor with the parallel spine, phase-timed, so the
-  // spine_serial_fraction trajectory is tracked per thread count.
+  // sharded executor, phase-timed, so the spine_serial_fraction
+  // trajectory is tracked per thread count.
   {
     std::vector<std::size_t> sweep{2, 4};
     const std::size_t hw =

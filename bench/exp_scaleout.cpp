@@ -64,11 +64,9 @@ std::uint64_t fnv1a_u32(const std::vector<std::uint32_t>& v) {
 
 SweepRow run_once(const ft::FatTreeTopology& topo,
                   const ft::CapacityProfile& caps, std::uint32_t n,
-                  bool parallel, std::size_t threads, int reps,
-                  bool parallel_spine = true) {
+                  bool parallel, std::size_t threads, int reps) {
   SweepRow row;
   row.mode = parallel ? "parallel/t=" + std::to_string(threads) : "serial";
-  if (parallel && !parallel_spine) row.mode += "/serial-spine";
   row.threads = parallel ? threads : 0;
   row.seconds = 1e300;
 
@@ -83,7 +81,6 @@ SweepRow run_once(const ft::FatTreeTopology& topo,
     ft::OnlineRouterOptions opts;
     opts.parallel = parallel;
     opts.threads = threads;
-    opts.parallel_spine = parallel_spine;
     opts.time_phases = true;
 
     const auto t0 = std::chrono::steady_clock::now();
@@ -139,7 +136,9 @@ int main(int argc, char** argv) {
     thread_counts.push_back(t);
   }
 
-  const int reps = quick ? 1 : 3;
+  // Min-of-3 timing at both sizes: single-shot rows let one slow run on
+  // a busy host decide the speedup gate.
+  const int reps = 3;
   std::vector<SweepRow> rows;
   {
     auto phase = timers.scope("serial");
@@ -149,20 +148,8 @@ int main(int argc, char** argv) {
     auto phase = timers.scope("parallel/t=" + std::to_string(t));
     rows.push_back(run_once(topo, caps, n, /*parallel=*/true, t, reps));
   }
-  // The Amdahl control: the same max-thread sharded run with the spine
-  // band forced back onto the coordinating thread. Its results must be
-  // bit-identical (it goes through the same gates below); its phase
-  // profile is the serial-spine reference the spine-parallelization gate
-  // compares against.
-  const std::size_t par_idx = rows.size() - 1;
+  const SweepRow& par = rows.back();
   const std::size_t max_t = thread_counts.back();
-  std::size_t spine_ref_idx = 0;
-  if (max_t >= 2) {
-    auto phase = timers.scope("parallel/serial-spine");
-    rows.push_back(run_once(topo, caps, n, /*parallel=*/true, max_t, reps,
-                            /*parallel_spine=*/false));
-    spine_ref_idx = rows.size() - 1;
-  }
 
   const std::uint64_t peak_rss = ft::host_peak_rss_bytes();
   constexpr std::uint64_t kRssGate = 8ull << 30;
@@ -208,44 +195,14 @@ int main(int argc, char** argv) {
   // inherently serial spine band + coordination vs the shard-parallel
   // up/down sweeps.
   {
-    const SweepRow& par = rows[par_idx];
     const double sf = par.phases.serial_fraction();
     std::cout << "amdahl (" << par.mode << "): serial fraction " << sf
               << " (spine " << par.phases.spine_seconds << "s + coord "
               << par.phases.coord_seconds << "s of "
-              << par.phases.total_seconds() << "s; parallel spine "
-              << par.phases.spine_parallel_seconds << "s); speedup ceiling "
+              << par.phases.total_seconds() << "s); speedup ceiling "
               << (sf > 0 ? 1.0 / sf : 0.0) << "x\n";
     report.root()["amdahl"] = ft::phase_profile_json(par.phases);
   }
-
-  // Spine-parallelization gate: with >= 2 worker threads, arbitrating the
-  // spine band on the pool must strictly shrink the measured Amdahl
-  // serial fraction relative to the serial-spine control above — the
-  // whole point of the parallel spine. Skipped on 1-thread hosts, where
-  // both runs degenerate to the same serial executor.
-  std::string spine_gate = "skipped (host has fewer than 2 threads)";
-  if (spine_ref_idx != 0 && hw >= 2) {
-    const double sf_par = rows[par_idx].phases.serial_fraction();
-    const double sf_ser = rows[spine_ref_idx].phases.serial_fraction();
-    report.root()["amdahl_serial_spine"] =
-        ft::phase_profile_json(rows[spine_ref_idx].phases);
-    if (sf_par < sf_ser) {
-      spine_gate = "passed";
-      std::cout << "spine gate: parallel-spine serial fraction " << sf_par
-                << " < serial-spine " << sf_ser << "\n";
-    } else {
-      spine_gate = "FAILED";
-      std::cout << "GATE FAIL: parallel-spine serial fraction " << sf_par
-                << " did not drop below the serial-spine control " << sf_ser
-                << "\n";
-      ok = false;
-    }
-  } else {
-    std::cout << "spine gate: skipped (" << hw
-              << " hardware thread(s); needs >= 2)\n";
-  }
-  report.root()["spine_gate"] = spine_gate;
 
   // Telemetry parity: one serial and one max-thread parallel run observed
   // by the congestion observatory must emit bit-identical streams — the

@@ -72,11 +72,11 @@ void usage() {
       "  --policy X     online scheduler routing discipline: oblivious |\n"
       "                 dmod | rlb | adaptive (default oblivious; see\n"
       "                 DESIGN.md 'Routing disciplines')\n"
-      "  --parallel[=T] online scheduler: resolve contention on a T-thread\n"
-      "                 pool (T=0 or omitted = hardware concurrency);\n"
-      "                 results are identical to serial runs\n"
+      "  --parallel[=T] online scheduler: run the subtree-sharded engine on\n"
+      "                 a T-thread pool (T=0 or omitted = hardware\n"
+      "                 concurrency); results are identical to serial runs\n"
       "  --shard-level=K  subtree shard depth for --parallel (2^K shards;\n"
-      "                 0 = unsharded). Precedence: this flag, then the\n"
+      "                 0 = serial). Precedence: this flag, then the\n"
       "                 FT_SHARD_LEVEL environment variable, then the\n"
       "                 auto heuristic (~2 shards per worker)\n"
       "  --seed S       RNG seed (default 1)\n"
@@ -91,7 +91,8 @@ void usage() {
       "                 into bounded rings, track hottest channels, digest\n"
       "                 delivery latencies, and time the Amdahl phase split\n"
       "  --telemetry-out B  heatmap output base path (default 'telemetry');\n"
-      "                 writes B.csv and B.jsonl per workload\n");
+      "                 writes B.csv and B.jsonl per workload\n"
+      "  -h, --help     print this help and exit\n");
 }
 
 struct Options {
@@ -132,6 +133,7 @@ struct Options {
   bool telemetry = false;
   std::uint32_t telemetry_every = 4;  // TelemetryOptions default
   std::string telemetry_out = "telemetry";
+  bool help = false;
 };
 
 // Checked flag parsing (util/parse.hpp, shared with the ftd daemon and
@@ -176,7 +178,10 @@ bool parse(int argc, char** argv, Options& opt) {
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
-    if (arg == "--n") {
+    if (arg == "--help" || arg == "-h") {
+      opt.help = true;
+      return true;
+    } else if (arg == "--n") {
       if (!parse_u32(next(), opt.n)) return bad();
     } else if (arg == "--w") {
       if (!parse_u64(next(), opt.w)) return bad();
@@ -424,6 +429,10 @@ int main(int argc, char** argv) {
   if (!parse(argc, argv, opt)) {
     usage();
     return 2;
+  }
+  if (opt.help) {
+    usage();
+    return 0;
   }
   if (!ft::is_pow2(opt.n) || opt.n < 2) {
     std::fprintf(stderr, "--n must be a power of two >= 2\n");

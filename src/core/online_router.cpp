@@ -41,11 +41,11 @@ class NonSelfStream final : public MessageStream {
 // FT_SHARD_LEVEL environment variable (experiments sweep it without
 // recompiling), then the heuristic — about two shards per worker. The
 // heuristic used to aim for four when the shard loop was the only
-// load-balancer; with the work-stealing pool rebalancing bands and the
-// spine arbitrated in parallel, extra shards only buy serial overhead —
-// a deeper shard level widens the spine band, and per-shard worklist
-// setup plus the outbox-distribution pass grow with shard count, all on
-// the serial side of the phase profile. Measured on the E17 workload
+// load-balancer; with the work-stealing pool rebalancing bands, extra
+// shards only buy serial overhead — a deeper shard level widens the
+// serial spine band, and per-shard worklist setup plus the
+// outbox-distribution pass grow with shard count, all on the serial
+// side of the phase profile. Measured on the E17 workload
 // (n = 2^18, FT_SHARD_LEVEL sweep): 2^2 -> 2^4 shards roughly triples
 // spine-band time and raises the measured Amdahl serial fraction from
 // ~0.36 to ~0.40 with no up/down-sweep win. Always capped by the
@@ -97,7 +97,6 @@ OnlineRoutingResult route_online_stream(const FatTreeTopology& topo,
   eopts.seed = rng.next();
   eopts.parallel = opts.parallel;
   eopts.threads = opts.threads;
-  eopts.parallel_spine = opts.parallel_spine;
   eopts.retry = opts.retry;
   eopts.fault_plan = opts.fault_plan;
   eopts.time_phases = opts.time_phases;

@@ -76,20 +76,17 @@ struct OnlineRouterOptions {
   /// floor(alpha * c) messages but at least 1 (alpha = 1 models the ideal
   /// concentrator; 3/4 models the partial concentrators of Section IV).
   double alpha = 1.0;
-  /// Resolve contention across independent channels on a thread pool;
-  /// results are identical to the serial mode.
+  /// Run the subtree-sharded executor on a thread pool; results are
+  /// identical to the serial mode.
   bool parallel = false;
   /// Worker threads for parallel mode (0 = hardware concurrency).
   std::size_t threads = 0;
-  /// Sharded executor: resolve heavy spine stages on the thread pool too
-  /// (see EngineOptions::parallel_spine). Results are identical either
-  /// way; off keeps the serial-spine Amdahl reference measurable.
-  bool parallel_spine = true;
   /// Subtree shard depth for the parallel executor. kShardLevelAuto
   /// defers to the FT_SHARD_LEVEL environment variable if set, else to
   /// the pick_shard_level heuristic (~2 shards per worker); any other
-  /// value — 0 means explicitly unsharded — is used as-is, clamped to
-  /// the topology height. Ignored in serial mode.
+  /// value is used as-is, clamped to the topology height. 0 means no
+  /// shard partition, which runs the serial executor. Ignored in serial
+  /// mode.
   std::uint32_t shard_level = kShardLevelAuto;
   /// Optional instrumentation hook (per-cycle counters, channel
   /// utilization; see engine/observer.hpp). Not owned.

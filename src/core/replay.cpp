@@ -71,8 +71,6 @@ ReplayResult replay_schedule(const FatTreeTopology& topo,
                              EngineObserver* observer) {
   EngineOptions eopts;
   eopts.contention = ContentionPolicy::Tally;
-  eopts.parallel = opts.parallel;
-  eopts.threads = opts.threads;
   eopts.fault_plan = opts.fault_plan;
   eopts.retry = opts.retry;
   eopts.time_phases = opts.time_phases;

@@ -20,9 +20,6 @@
 namespace ft {
 
 struct ReplayOptions {
-  /// Resolve channels on a thread pool; identical results to serial mode.
-  bool parallel = false;
-  std::size_t threads = 0;
   /// Optional transient-fault plan (not owned). A down channel rejects
   /// its scheduled messages, which then retry in later cycles — the
   /// replay measures how a precomputed schedule degrades under churn
@@ -32,7 +29,7 @@ struct ReplayOptions {
   /// Per-message retry policy for faulted replays (default: retry every
   /// cycle forever, the classic behavior).
   RetryPolicy retry;
-  /// Time parallel sweeps vs the serial band (ReplayResult::phases).
+  /// Time the stage sweeps vs coordination (ReplayResult::phases).
   bool time_phases = false;
 };
 

@@ -22,9 +22,10 @@ std::uint64_t arbitration_seed(std::uint64_t seed, std::uint32_t cycle,
   return sm.next();
 }
 
-/// Below this many contenders in a stage the arbitration is resolved
-/// inline: waking the pool costs more than the work itself. Stages shrink
-/// as messages deliver, so late cycles drop back to serial automatically.
+/// Below this many worklist entries in a shard band (summed over shards)
+/// the band runs its shards inline: waking the pool costs more than the
+/// work itself. Bands shrink as messages deliver, so late cycles drop
+/// back to inline automatically.
 constexpr std::size_t kMinParallelWork = 4096;
 
 /// Restores ascending pending order before a bucket's lottery. Buckets
@@ -50,9 +51,9 @@ inline void sort_small(std::uint32_t* b, std::size_t n) {
 /// indices — in a bit-per-message scratch and reading the bits back in
 /// order: O(n + span/64) with word-at-a-time constants, against
 /// std::sort's n log n comparison sort. `bits` must be all-zero on entry
-/// and is left all-zero: extraction clears each word it reads. Serial
-/// over-loop only (the scratch is shared, so concurrent arbitration
-/// keeps using sort_small).
+/// and is left all-zero: extraction clears each word it reads. Every
+/// fused_stage caller owns its scratch (the global band's sort_bits_, one
+/// per shard), so concurrent shards never share it.
 inline void sort_by_bitmap(std::uint64_t* bits, std::uint32_t* b,
                            std::uint32_t n) {
   std::uint32_t wmin = 0xffffffffu;
@@ -97,7 +98,7 @@ inline bool wire_selecting(RoutingPolicy pol) {
 
 /// Wire-claim scratch for the wire-selecting disciplines: a flag per wire
 /// plus the claimed-wire list that re-zeroes it. thread_local because
-/// sharded and spine-parallel arbitration run buckets on pool workers.
+/// sharded bands arbitrate buckets on pool workers.
 struct WireClaims {
   std::vector<std::uint8_t> taken;
   std::vector<std::uint32_t> claimed;
@@ -311,14 +312,7 @@ CycleEngine::CycleEngine(ChannelGraph graph, const EngineOptions& opts)
       stage16_[c] = static_cast<std::uint16_t>(graph_.stage[c]);
     }
   }
-  if (opts_.parallel) {
-    pool_ = std::make_unique<ThreadPool>(opts_.threads);
-  }
-  // Subtree sharding is an execution strategy for the lossy/tally cycle
-  // loop only; FIFO mode has its own channel-range parallelism.
-  sharded_ = opts_.parallel && graph_.num_shards > 1 &&
-             opts_.contention != ContentionPolicy::Fifo;
-  if (sharded_) {
+  if (!graph_.shard.empty()) {
     FT_CHECK_MSG(graph_.shard.size() == num_channels,
                  "shard table must cover every channel");
     FT_CHECK_MSG(graph_.spine_stage_lo <= graph_.spine_stage_hi &&
@@ -335,13 +329,22 @@ CycleEngine::CycleEngine(ChannelGraph graph, const EngineOptions& opts)
           // (the fat-tree root's external-interface pair) has no home in
           // the sharded executor. No internal path uses such channels;
           // poisoning the validation table turns any path that tries into
-          // an injection-time abort instead of silent corruption.
+          // an injection-time abort. Keyed on the graph, not the
+          // executor, so serial and sharded runs reject the same paths.
           check_tbl_[c] = 0;
         }
       } else {
         FT_CHECK_MSG(sh < graph_.num_shards, "shard id out of range");
       }
     }
+  }
+  // Subtree sharding is the lossy/tally loop's only parallel executor: a
+  // graph without a shard partition runs serial, with no pool. FIFO mode
+  // has its own channel-range parallelism.
+  const bool fifo = opts_.contention == ContentionPolicy::Fifo;
+  sharded_ = opts_.parallel && graph_.num_shards > 1 && !fifo;
+  if (opts_.parallel && (sharded_ || fifo)) {
+    pool_ = std::make_unique<ThreadPool>(opts_.threads);
   }
   if (opts_.policy == RoutingPolicy::AdaptiveOccupancy) {
     // The congestion-feedback scan walks the telemetry probe's in-budget
@@ -422,194 +425,16 @@ EngineResult CycleEngine::run_batched(
   return run_batched(sets, observer);
 }
 
-/// Lays one stage's contenders out in CSR form: bucket j (channel
-/// stage_touched_[stage][j]) becomes arena_[bucket_off_[j] ..
-/// bucket_off_[j+1]). Contender counts were accumulated when the entries
-/// were forwarded, so this is one offset scan plus one fill sweep.
-void CycleEngine::build_buckets(const std::vector<std::uint64_t>& list,
-                                std::uint32_t stage) {
-  const std::vector<std::uint32_t>& touched = stage_touched_[stage];
-  bucket_off_.resize(touched.size() + 1);
-  std::uint32_t total = 0;
-  for (std::size_t j = 0; j < touched.size(); ++j) {
-    bucket_off_[j] = total;
-    const std::uint32_t c = touched[j];
-    const std::uint32_t count = bucket_pos_[c];
-    bucket_pos_[c] = total;  // becomes the fill cursor for the sweep
-    total += count;
-  }
-  bucket_off_[touched.size()] = total;
-  arena_.resize(total);
-  std::uint32_t* const bp = bucket_pos_.data();
-  std::uint32_t* const ar = arena_.data();
-  for (const std::uint64_t e : list) {
-    ar[bp[entry_chan(e)]++] = entry_msg(e);
-  }
-}
-
-template <typename ChanT>
-void CycleEngine::arbitrate_bucket(const ChanT* chan, std::uint32_t cycle,
-                                   std::uint32_t c, std::size_t bucket) {
-  std::uint32_t* b = arena_.data() + bucket_off_[bucket];
-  const std::size_t size = bucket_off_[bucket + 1] - bucket_off_[bucket];
-  const std::uint64_t limit = active_limit_[c];
-  if (size > limit) {
-    // The pinned arbitration lottery saw contenders in ascending pending
-    // index (the old engine scanned messages in order); worklist
-    // forwarding scrambles that, so restore the exact sequence first.
-    // Under-limit buckets skip this: with no lottery, order is invisible.
-    sort_small(b, size);
-    if (wire_selecting(opts_.policy)) {
-      // Wire-selecting disciplines: the winner count can fall short of
-      // the limit, so it is recorded for the serial merge (disjoint
-      // slots, one per bucket — workers never share).
-      const std::uint32_t w =
-          select_policy_winners(opts_.policy, b, size, limit, opts_.seed,
-                                cycle, c, ce_.data(), chan);
-      bucket_winners_[bucket] = w;
-      for (std::size_t k = 0; k < w; ++k) ++ce_[b[k]];
-      return;
-    }
-    Rng arb(arbitration_seed(opts_.seed, cycle, c));
-    // Truncated Fisher–Yates: the full backward shuffle finalizes the
-    // loser block [limit, size) with its first size-limit draws — every
-    // later draw only permutes the winner block [0, limit) — so stopping
-    // there keeps the kept/killed partition bit-identical while skipping
-    // O(limit) tail work. Losers land in lottery order rather than index
-    // order, which nothing observable depends on (see DESIGN.md, "Engine
-    // hot path").
-    for (std::size_t i = size; i > limit; --i) {
-      const std::size_t j = arb.below(i);
-      std::swap(b[i - 1], b[j]);
-    }
-    // Losers need no write at all: their cursor simply stops here, short
-    // of end, and they sit in the loser block b[limit..size), which the
-    // serial merge in run_stage_parallel never walks. The only state a
-    // worker mutates is its own bucket's slice of the arena and the
-    // packed ce_ words of that bucket's messages — channels of one stage
-    // are disjoint, so workers never share either.
-    for (std::size_t k = 0; k < limit; ++k) ++ce_[b[k]];
-  } else {
-    for (std::size_t k = 0; k < size; ++k) ++ce_[b[k]];
-  }
-}
-
-template <typename ChanT>
-#if defined(__GNUC__) && !defined(__clang__)
-// Same unit-growth inlining rationale as run_stage_serial below: the
-// forward pass pushes one worklist entry per surviving hop.
-__attribute__((flatten))
-#endif
-void CycleEngine::run_stage_parallel(const ChanT* chan, std::uint32_t cycle,
-                                     std::uint32_t stage,
-                                     std::uint64_t& cycle_losses,
-                                     std::uint64_t& cycle_hops) {
-  build_buckets(stage_list_[stage], stage);
-  std::vector<std::uint32_t>& touched = stage_touched_[stage];
-  const std::size_t num_buckets = touched.size();
-  const std::size_t contenders = arena_.size();
-  const RoutingPolicy pol = opts_.policy;
-  const bool wire_sel = wire_selecting(pol);
-  if (wire_sel) bucket_winners_.resize(num_buckets);
-
-  if (num_buckets >= 2) {
-    // Channels of one stage are independent (no path visits two), so
-    // workers own disjoint messages and cursors. Chunks are cut by
-    // contender mass — free off the CSR offsets — so one giant bucket
-    // does not serialize the stage; the pool's work-stealing batch mode
-    // rebalances whatever mass estimation got wrong (a chunk's lottery
-    // cost depends on how many of its buckets are over limit, which the
-    // offsets alone cannot see).
-    const std::size_t workers = std::min(pool_->size() + 1, num_buckets);
-    const std::size_t target =
-        std::max<std::size_t>(1, contenders / (workers * 4));
-    chunk_bounds_.clear();
-    chunk_bounds_.push_back(0);
-    std::size_t mass = 0;
-    for (std::size_t j = 0; j + 1 < num_buckets; ++j) {
-      mass += bucket_off_[j + 1] - bucket_off_[j];
-      if (mass >= target) {
-        chunk_bounds_.push_back(j + 1);
-        mass = 0;
-      }
-    }
-    chunk_bounds_.push_back(num_buckets);
-    const std::size_t num_chunks = chunk_bounds_.size() - 1;
-    pool_->run_tasks(num_chunks, [&](std::size_t t) {
-      for (std::size_t j = chunk_bounds_[t]; j < chunk_bounds_[t + 1]; ++j) {
-        arbitrate_bucket(chan, cycle, touched[j], j);
-      }
-    });
-  } else {
-    for (std::size_t j = 0; j < num_buckets; ++j) {
-      arbitrate_bucket(chan, cycle, touched[j], j);
-    }
-  }
-
-  // Deterministic channel-ordered merge: one serial pass walks the
-  // buckets in worklist (touched) order and, per bucket, its winner
-  // block arena_[off .. off + winners) — the lottery left exactly the
-  // survivors there, so the positional block IS each worker's buffered
-  // outcome and no kill flags are needed. Accounting (occupancy for
-  // telemetry, loss/hop totals) and survivor forwarding both happen
-  // here, on the coordinating thread, in an order independent of which
-  // worker resolved which bucket — that is what keeps traces and
-  // telemetry bit-identical to the serial executor. Strictly increasing
-  // stages along every path guarantee the target worklist has not been
-  // processed yet, so each message is bucketed exactly once per cycle
-  // per hop it wins. Members are hoisted into locals for the same
-  // reason as in run_stage_serial.
-  std::uint32_t* const bp = bucket_pos_.data();
-  const auto* const stg = stage_table<ChanT>();
-  auto* const lst = stage_list_.data();
-  auto* const touch = stage_touched_.data();
-  const std::uint64_t* const ce = ce_.data();
-  const std::uint32_t* const ar = arena_.data();
-  const bool adaptive = pol == RoutingPolicy::AdaptiveOccupancy;
-  for (std::size_t j = 0; j < num_buckets; ++j) {
-    const std::uint32_t c = touched[j];
-    const std::uint32_t off = bucket_off_[j];
-    const std::uint64_t size = bucket_off_[j + 1] - off;
-    const std::uint64_t lim_c = active_limit_[c];
-    std::uint64_t winners = std::min<std::uint64_t>(size, lim_c);
-    if (size > lim_c) {
-      // Over-limit: the wire-selecting winner count was recorded by the
-      // worker; adaptive feedback marks the pressure here, on the serial
-      // merge, exactly where the serial executor would.
-      if (wire_sel) winners = bucket_winners_[j];
-      if (adaptive) over_pressure_[c] = 1;
-    }
-    if (want_carried_) carried_[c] = static_cast<std::uint32_t>(winners);
-    cycle_losses += size - winners;
-    cycle_hops += winners;
-    for (std::uint64_t k = 0; k < winners; ++k) {
-      const std::uint32_t i = ar[off + k];
-      const std::uint64_t v = ce[i];  // cursor already advanced by the lottery
-      if (static_cast<std::uint32_t>(v) < (v >> 32)) {
-        const std::uint32_t nc = chan[static_cast<std::uint32_t>(v)];
-        const std::uint32_t ns = stg[nc];
-        if (bp[nc]++ == 0) touch[ns].push_back(nc);
-        lst[ns].push_back(pack_entry(i, nc));
-      }
-    }
-  }
-  for (const std::uint32_t c : touched) bp[c] = 0;  // sticky zeros
-  touched.clear();
-  stage_list_[stage].clear();
-}
-
-/// The per-shard stage sweep: bucket building, arbitration, accounting
-/// and survivor forwarding fused into two sweeps of one worklist, over
-/// caller-owned scratch (a shard's arena/over/sort bits). Only over-limit
-/// (contended) buckets are materialized in the arena; everyone else
-/// advances and forwards in place during the fill sweep, because an
-/// uncontended channel admits its whole bucket no matter the order. The
-/// outcome is bit-identical to run_stage_serial — which is the same
-/// algorithm with the global-worklist forward rule written inline (see
-/// the aliasing note above it for why the serial hot path does not route
-/// through this function) — because contended buckets still sort to
-/// pending order before the pinned lottery, and worklist order is
-/// unobservable (see the stage_list_ comment).
+/// The stage kernel: bucket building, arbitration, accounting and
+/// survivor forwarding fused into two sweeps of one worklist, over
+/// caller-owned scratch (the global band's arena_/over_/sort_bits_, or a
+/// shard's). Only over-limit (contended) buckets are materialized in the
+/// arena; everyone else advances and forwards in place during the fill
+/// sweep, because an uncontended channel admits its whole bucket no
+/// matter the order. The outcome does not depend on which worklists fed
+/// the stage: contended buckets sort to pending order before the pinned
+/// lottery, and worklist order is unobservable (see the stage_list_
+/// comment).
 template <typename ChanT, typename Forward>
 void CycleEngine::fused_stage(const ChanT* chan, std::uint32_t cycle,
                               std::vector<std::uint64_t>& list,
@@ -669,9 +494,10 @@ void CycleEngine::fused_stage(const ChanT* chan, std::uint32_t cycle,
   for (const OverBucket& ob : over) {
     std::uint32_t* b = ar + ob.off;
     const std::uint64_t limit = lim[ob.chan];
-    // Restore ascending pending order for the pinned lottery, then the
-    // truncated Fisher–Yates finalizes the loser block (see
-    // arbitrate_bucket for the full argument).
+    // The pinned lottery saw contenders in ascending pending index (the
+    // original engine scanned messages in order); worklist forwarding
+    // scrambles that, so restore the exact sequence first. Under-limit
+    // buckets skip this: with no lottery, order is invisible.
     if (ob.count > 64) {
       sort_by_bitmap(bits, b, ob.count);
     } else {
@@ -685,6 +511,13 @@ void CycleEngine::fused_stage(const ChanT* chan, std::uint32_t cycle,
       // Adaptive pressure marks are per-channel; channels of one stage
       // are disjoint across shards, so a worker's write never races.
       if (adaptive) over_pressure_[ob.chan] = 1;
+      // Truncated Fisher–Yates: the full backward shuffle finalizes the
+      // loser block [limit, count) with its first count - limit draws —
+      // every later draw only permutes the winner block [0, limit) — so
+      // stopping there keeps the kept/killed partition bit-identical
+      // while skipping O(limit) tail work. Losers land in lottery order
+      // rather than index order, which nothing observable depends on
+      // (see DESIGN.md, "Engine hot path").
       Rng arb(arbitration_seed(opts_.seed, cycle, ob.chan));
       for (std::size_t i = ob.count; i > limit; --i) {
         const std::size_t j = arb.below(i);
@@ -692,9 +525,8 @@ void CycleEngine::fused_stage(const ChanT* chan, std::uint32_t cycle,
       }
     }
     // Losers need no write: their cursor stops here, short of end, and
-    // everything downstream (compaction, tracing, the parallel merge)
-    // reads the delivered state straight off the packed word
-    // (cursor == end).
+    // everything downstream (compaction, tracing) reads the delivered
+    // state straight off the packed word (cursor == end).
     for (std::size_t k = 0; k < winners; ++k) {
       const std::uint64_t v = ++ce[b[k]];
       if (static_cast<std::uint32_t>(v) < (v >> 32)) {
@@ -711,152 +543,65 @@ void CycleEngine::fused_stage(const ChanT* chan, std::uint32_t cycle,
   list.clear();
 }
 
-/// Deliberate twin of fused_stage with the global-worklist forward rule
-/// written inline. Routing the serial sweep through fused_stage plus a
-/// forward closure re-hoists the same pointers in two scopes, and the
-/// resulting aliasing ambiguity costs ~15% of serial lossy throughput
-/// even with everything force-inlined (measured on the bench_micro
-/// engine sweep). The two copies are kept equivalent by the sharded
-/// parity tests (test_scaleout), which compare this path against the
-/// fused_stage-based executor bit for bit.
+/// One cycle's stage sweep. Every stage runs the fused kernel; the
+/// executors differ only in which worklists a stage reads. The serial
+/// executor runs every stage on the global worklists. The sharded one
+/// splits the stage axis into three bands: shards sweep the up band
+/// [0, spine_lo) on their private worklists in parallel; the coordinating
+/// thread distributes the shards' outboxes, runs the spine band
+/// [spine_lo, spine_hi) on the global worklists and fans its survivors
+/// out to their shards; shards then sweep the down band
+/// [spine_hi, num_stages) in parallel. Bit-identity between the two
+/// follows from channel disjointness: every channel's contender set is
+/// assembled from the same messages, restored to ascending pending order
+/// before its pinned (seed, cycle, channel) lottery, and under-limit
+/// buckets admit everyone regardless of order.
 template <typename ChanT>
 #if defined(__GNUC__) && !defined(__clang__)
-// The sharded-executor instantiations grew this translation unit past
-// GCC's unit-growth inlining budget, at which point the inliner started
-// leaving the push_back fast paths in the sweeps below as out-of-line
-// calls — one call per forwarded hop, ~20% of serial lossy throughput
-// (verified with gprof: tens of millions of vector::push_back
-// invocations that the smaller pre-sharding unit inlined). flatten
-// forces full inlining of this body regardless of the unit budget.
+// Past GCC's unit-growth inlining budget the inliner leaves the
+// push_back fast paths of the forward closures below as out-of-line
+// calls — one call per forwarded hop, ~20% of lossy throughput (verified
+// with gprof). flatten forces full inlining of the sweeps regardless of
+// the unit budget.
 __attribute__((flatten))
 #endif
-void CycleEngine::run_stage_serial(const ChanT* chan, std::uint32_t cycle,
-                                   std::uint32_t stage,
-                                   std::uint64_t& cycle_losses,
-                                   std::uint64_t& cycle_hops) {
-  // bucket_pos_ sentinel for channels that stay under their limit; arena
-  // fill cursors never reach it (PathSet caps hop offsets below 2^32 - 1).
-  constexpr std::uint32_t kUncontended = 0xffffffffu;
-  std::vector<std::uint64_t>& list = stage_list_[stage];
-  std::vector<std::uint32_t>& touched = stage_touched_[stage];
-  // The sweeps below hoist every member array into a local: the worklist
-  // push_backs can allocate, and past any opaque call the compiler must
-  // reload member-reachable pointers — locals stay in registers. None of
-  // the hoisted buffers reallocates during the stage (arena_ is sized
-  // before the sweep; a push to stage s' != stage moves only that inner
-  // vector's storage, not the outer arrays).
-  std::uint32_t* const bp = bucket_pos_.data();
-  const std::uint32_t* const lim = active_limit_;
+void CycleEngine::run_cycle(const ChanT* chan, std::uint32_t cycle,
+                            std::uint64_t& cycle_losses,
+                            std::uint64_t& cycle_hops) {
+  const std::uint32_t num_stages = graph_.num_stages;
   const auto* const stg = stage_table<ChanT>();
-  auto* const lst = stage_list_.data();
-  auto* const touch = stage_touched_.data();
-  over_.clear();
-  std::uint32_t total = 0;
-  for (const std::uint32_t c : touched) {
-    const std::uint32_t count = bp[c];
-    if (count > lim[c]) {
-      over_.push_back({c, total, count});
-      bp[c] = total;  // fill cursor for the sweep below
-      total += count;
-    } else {
-      if (want_carried_) carried_[c] = count;
-      cycle_hops += count;
-      bp[c] = kUncontended;
-    }
-  }
-  arena_.resize(total);
-  std::uint64_t* const ce = ce_.data();
-  std::uint32_t* const ar = arena_.data();
-  for (const std::uint64_t e : list) {
-    const std::uint32_t c = entry_chan(e);
-    const std::uint32_t i = entry_msg(e);
-    const std::uint32_t pos = bp[c];
-    if (pos == kUncontended) {
-      const std::uint64_t v = ++ce[i];
-      if (static_cast<std::uint32_t>(v) < (v >> 32)) {
-        const std::uint32_t nc = chan[static_cast<std::uint32_t>(v)];
-        const std::uint32_t ns = stg[nc];
-        if (bp[nc]++ == 0) touch[ns].push_back(nc);
-        lst[ns].push_back(pack_entry(i, nc));
-      }
-    } else {
-      ar[pos] = i;
-      bp[c] = pos + 1;
-    }
-  }
-  std::uint64_t* const bits = sort_bits_.data();
-  const RoutingPolicy pol = opts_.policy;
-  const bool wire_sel = wire_selecting(pol);
-  const bool adaptive = pol == RoutingPolicy::AdaptiveOccupancy;
-  for (const OverBucket& ob : over_) {
-    std::uint32_t* b = ar + ob.off;
-    const std::uint64_t limit = lim[ob.chan];
-    // Restore ascending pending order for the pinned lottery, then the
-    // truncated Fisher–Yates finalizes the loser block (see
-    // arbitrate_bucket for the full argument).
-    if (ob.count > 64) {
-      sort_by_bitmap(bits, b, ob.count);
-    } else {
-      sort_small(b, ob.count);
-    }
-    std::uint64_t winners = limit;
-    if (wire_sel) {
-      winners = select_policy_winners(pol, b, ob.count, limit, opts_.seed,
-                                      cycle, ob.chan, ce, chan);
-    } else {
-      if (adaptive) over_pressure_[ob.chan] = 1;
-      Rng arb(arbitration_seed(opts_.seed, cycle, ob.chan));
-      for (std::size_t i = ob.count; i > limit; --i) {
-        const std::size_t j = arb.below(i);
-        std::swap(b[i - 1], b[j]);
-      }
-    }
-    // Losers need no write: their cursor stops here, short of end, and
-    // everything downstream (compaction, tracing, the parallel merge)
-    // reads the delivered state straight off the packed word
-    // (cursor == end).
-    for (std::size_t k = 0; k < winners; ++k) {
-      const std::uint64_t v = ++ce[b[k]];
-      if (static_cast<std::uint32_t>(v) < (v >> 32)) {
-        const std::uint32_t nc = chan[static_cast<std::uint32_t>(v)];
-        const std::uint32_t ns = stg[nc];
-        if (bp[nc]++ == 0) touch[ns].push_back(nc);
-        lst[ns].push_back(pack_entry(b[k], nc));
-      }
-    }
-    if (want_carried_) carried_[ob.chan] = static_cast<std::uint32_t>(winners);
-    cycle_hops += winners;
-    cycle_losses += ob.count - winners;
-  }
-  for (const std::uint32_t c : touched) bp[c] = 0;  // sticky zeros
-  touched.clear();
-  list.clear();
-}
 
-/// One cycle's stage sweep, subtree-sharded. Shards run the fused serial
-/// algorithm over their private worklists — the up band [0, spine_lo) and
-/// the down band [spine_hi, num_stages) in parallel, with the serial
-/// coordination steps (outbox distribution, spine arbitration, spine
-/// fan-out) between them. Bit-identity with the serial sweep follows from
-/// channel disjointness: every channel's contender set is assembled from
-/// the same messages, restored to ascending pending order before its
-/// pinned (seed, cycle, channel) lottery, and under-limit buckets admit
-/// everyone regardless of order.
-template <typename ChanT>
-#if defined(__GNUC__) && !defined(__clang__)
-// Same unit-growth inlining rationale as run_stage_serial: the per-shard
-// fused sweeps (always_inline'd fused_stage plus its forward closures)
-// must keep their push_back fast paths inline.
-__attribute__((flatten))
-#endif
-void CycleEngine::run_cycle_sharded(const ChanT* chan, std::uint32_t cycle,
-                                    std::uint64_t& cycle_losses,
-                                    std::uint64_t& cycle_hops) {
+  // The global band: the fused kernel over the engine's own worklists and
+  // scratch, on the coordinating thread. A survivor joins the global list
+  // of its next stage; in the sharded executor, entries that land past
+  // the spine move to their shards in the fan-out below.
+  auto run_global = [&](std::uint32_t s_begin, std::uint32_t s_end) {
+    std::uint32_t* const bp = bucket_pos_.data();
+    auto* const lst = stage_list_.data();
+    auto* const touch = stage_touched_.data();
+    for (std::uint32_t s = s_begin; s < s_end; ++s) {
+      if (lst[s].empty()) continue;
+      fused_stage(chan, cycle, lst[s], touch[s], arena_, over_, sort_bits_,
+                  cycle_losses, cycle_hops,
+                  [&](std::uint32_t i, std::uint32_t nc) {
+                    const std::uint32_t ns = stg[nc];
+                    if (bp[nc]++ == 0) touch[ns].push_back(nc);
+                    lst[ns].push_back(pack_entry(i, nc));
+                  });
+    }
+  };
+
+  if (!sharded_) {
+    PhaseClock::time_point t0;
+    if (time_phases_) t0 = PhaseClock::now();
+    run_global(0, num_stages);
+    if (time_phases_) ph_spine_ += phase_delta(t0, PhaseClock::now());
+    return;
+  }
+
   const std::uint32_t spine_lo = graph_.spine_stage_lo;
   const std::uint32_t spine_hi = graph_.spine_stage_hi;
-  const std::uint32_t num_stages = graph_.num_stages;
   const std::uint32_t* const shard_tbl = graph_.shard.data();
-  const auto* const stg = stage_table<ChanT>();
   const std::size_t num_shards = shards_.size();
 
   // Each shard's bitmap-sort scratch must span every live message index
@@ -867,7 +612,7 @@ void CycleEngine::run_cycle_sharded(const ChanT* chan, std::uint32_t cycle,
     if (st.sort_bits.size() < words) st.sort_bits.resize(words, 0);
   }
 
-  // A shard's stage band: the fused algorithm on its own scratch. The
+  // A shard's stage band: the fused kernel on its own scratch. The
   // forward rule is the shard invariant in code — below the spine a
   // survivor's next channel is always ours; at or above it, anything not
   // ours (spine channels, another shard's down channels) leaves through
@@ -906,7 +651,7 @@ void CycleEngine::run_cycle_sharded(const ChanT* chan, std::uint32_t cycle,
   // Small cycles run the shard loop inline — same structure, same
   // results, no pool wakeup (late cycles shrink below the threshold as
   // messages deliver).
-  const bool pooled = pool_ != nullptr && pool_->size() > 1;
+  const bool pooled = pool_->size() > 1;
   auto dispatch = [&](std::uint32_t s_begin, std::uint32_t s_end) {
     if (pooled && num_shards >= 2 &&
         band_entries(s_begin, s_end) >= kMinParallelWork) {
@@ -921,16 +666,10 @@ void CycleEngine::run_cycle_sharded(const ChanT* chan, std::uint32_t cycle,
   };
 
   // Phase timing splits the sweep at its three natural seams: the two
-  // shard-parallel dispatches and the middle (outbox distribution, spine
-  // arbitration, spine fan-out) between them. Spine stages resolved on
-  // the pool accumulate into ph_spine_par_ inside the middle window and
-  // are subtracted from its serial share below.
+  // shard-parallel dispatches and the serial middle (outbox distribution,
+  // spine band, spine fan-out) between them.
   PhaseClock::time_point pt0, pt1, pt2;
-  double spine_par_before = 0.0;
-  if (time_phases_) {
-    pt0 = PhaseClock::now();
-    spine_par_before = ph_spine_par_;
-  }
+  if (time_phases_) pt0 = PhaseClock::now();
 
   // Up phase: shard-parallel.
   dispatch(0, spine_lo);
@@ -959,29 +698,10 @@ void CycleEngine::run_cycle_sharded(const ChanT* chan, std::uint32_t cycle,
 
   // Spine stages, on the global worklists: the only arbitration that
   // crosses shards. Empty when the shard roots sit directly under the
-  // fat-tree root (shard level 1). Each spine channel's lottery is keyed
-  // by (seed, cycle, channel) alone, so heavy spine stages go to the
-  // pool — workers resolve disjoint buckets, then run_stage_parallel's
-  // channel-ordered merge applies the outcomes deterministically, which
-  // is what keeps results, traces and telemetry bit-identical to the
-  // serial spine (and to the fully serial executor). Light stages stay
-  // on the coordinating thread: below kMinParallelWork the batch wakeup
-  // costs more than the lottery.
-  const bool spine_pooled = pooled && opts_.parallel_spine;
-  for (std::uint32_t s = spine_lo; s < spine_hi; ++s) {
-    if (stage_list_[s].empty()) continue;
-    if (spine_pooled && stage_list_[s].size() >= kMinParallelWork) {
-      if (time_phases_) {
-        const auto st0 = PhaseClock::now();
-        run_stage_parallel(chan, cycle, s, cycle_losses, cycle_hops);
-        ph_spine_par_ += phase_delta(st0, PhaseClock::now());
-      } else {
-        run_stage_parallel(chan, cycle, s, cycle_losses, cycle_hops);
-      }
-    } else {
-      run_stage_serial(chan, cycle, s, cycle_losses, cycle_hops);
-    }
-  }
+  // fat-tree root (shard level 1). The spine stays on the coordinating
+  // thread: arbitrating its buckets on the pool measured no faster than
+  // this serial pass (DESIGN.md, "Measured dead ends").
+  run_global(spine_lo, spine_hi);
 
   // Spine fan-out: survivors the spine forwarded into global down-stage
   // lists move to their owning shards. Their buckets were already counted
@@ -1009,8 +729,7 @@ void CycleEngine::run_cycle_sharded(const ChanT* chan, std::uint32_t cycle,
   if (time_phases_) {
     const auto pt3 = PhaseClock::now();
     ph_up_ += phase_delta(pt0, pt1);
-    ph_spine_ += std::max(
-        0.0, phase_delta(pt1, pt2) - (ph_spine_par_ - spine_par_before));
+    ph_spine_ += phase_delta(pt1, pt2);
     ph_down_ += phase_delta(pt2, pt3);
   }
 
@@ -1070,14 +789,14 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
   const bool lat_on =
       observer != nullptr && observer->wants_latency_samples();
   time_phases_ = opts_.time_phases;
-  ph_up_ = ph_spine_ = ph_spine_par_ = ph_down_ = 0.0;
+  ph_up_ = ph_spine_ = ph_down_ = 0.0;
   double ph_coord = 0.0;
   std::uint32_t next_id = 0;
   const auto* const stg = stage_table<ChanT>();
 
   // Routes one worklist seed (injection or retry rewind) to the owning
   // shard's lists in sharded mode, or the global lists otherwise. The
-  // shard-table read is skipped entirely on the classic path. The global
+  // shard-table read is skipped entirely by the serial executor. The global
   // pointers are captured by value: the outer arrays were sized above and
   // never move again this run, and value captures keep the per-message
   // path in registers across the opaque push_back calls (a reference
@@ -1146,7 +865,7 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
     double sweep_before = 0.0;
     if (time_phases_) {
       cyc_t0 = PhaseClock::now();
-      sweep_before = ph_up_ + ph_spine_ + ph_spine_par_ + ph_down_;
+      sweep_before = ph_up_ + ph_spine_ + ph_down_;
     }
     if (lat_on) lat_samples_.clear();
     // Channel-state (carried) bookkeeping is consulted per cycle so a
@@ -1275,41 +994,12 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
     // A message dies at the first channel whose random cap-subset lottery
     // it loses; stages run in causal order along every path. Worklists
     // were seeded by last cycle's compaction (retries) and this cycle's
-    // injection, both in ascending message order. A stage's contender
-    // count equals its worklist length, so the serial/parallel split is
-    // decided before any bucket is built.
-    const bool pooled = pool_ != nullptr && pool_->size() > 1;
+    // injection, both in ascending message order.
     if (want_carried_) std::fill(carried_.begin(), carried_.end(), 0);
     const ChanT* chan = chan_buf.data();
     std::uint64_t cycle_losses = 0;
     std::uint64_t cycle_hops = 0;
-    if (sharded_) {
-      run_cycle_sharded(chan, cycle, cycle_losses, cycle_hops);
-    } else if (time_phases_) {
-      // Timed twin of the loop below: stages resolved on the pool count
-      // as the parallel band, serial stages as the (spine) serial band.
-      for (std::uint32_t s = 0; s < graph_.num_stages; ++s) {
-        if (stage_list_[s].empty()) continue;
-        const bool par = pooled && stage_list_[s].size() >= kMinParallelWork;
-        const auto st0 = PhaseClock::now();
-        if (par) {
-          run_stage_parallel(chan, cycle, s, cycle_losses, cycle_hops);
-        } else {
-          run_stage_serial(chan, cycle, s, cycle_losses, cycle_hops);
-        }
-        const double dt = phase_delta(st0, PhaseClock::now());
-        (par ? ph_up_ : ph_spine_) += dt;
-      }
-    } else {
-      for (std::uint32_t s = 0; s < graph_.num_stages; ++s) {
-        if (stage_list_[s].empty()) continue;
-        if (pooled && stage_list_[s].size() >= kMinParallelWork) {
-          run_stage_parallel(chan, cycle, s, cycle_losses, cycle_hops);
-        } else {
-          run_stage_serial(chan, cycle, s, cycle_losses, cycle_hops);
-        }
-      }
-    }
+    run_cycle(chan, cycle, cycle_losses, cycle_hops);
 
     // Adaptive occupancy feedback, serial coordination path: fold this
     // cycle's over-pressure marks into the per-channel hot streaks before
@@ -1523,7 +1213,7 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
       // coordination. Clamped at zero against clock jitter.
       const double cyc = phase_delta(cyc_t0, PhaseClock::now());
       const double sweep =
-          (ph_up_ + ph_spine_ + ph_spine_par_ + ph_down_) - sweep_before;
+          (ph_up_ + ph_spine_ + ph_down_) - sweep_before;
       ph_coord += std::max(0.0, cyc - sweep);
     }
 
@@ -1543,7 +1233,6 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
   if (time_phases_) {
     result.phases.up_seconds = ph_up_;
     result.phases.spine_seconds = ph_spine_;
-    result.phases.spine_parallel_seconds = ph_spine_par_;
     result.phases.down_seconds = ph_down_;
     result.phases.coord_seconds = ph_coord;
     result.phases.timed_cycles = result.cycles;

@@ -18,11 +18,14 @@
 //   * Channel model — the ChannelGraph handed to the constructor
 //     (engine/fat_tree_model.hpp, nets/Network, kary/KaryTree adapters).
 //
-// Parallel mode resolves contention across independent channels of one
-// arbitration stage on a persistent thread pool. Results are identical to
-// serial mode: every random arbitration draws from a private stream seeded
-// by (seed, cycle, channel), so no decision depends on thread scheduling,
-// and FIFO arrivals are merged in channel-index order.
+// The lossy and tally modes have one stage kernel (fused_stage) and two
+// executors: serial, and — on graphs that carry a subtree-shard partition
+// — the sharded executor, whose shards sweep the up and down stage bands
+// on a persistent thread pool. FIFO mode resolves channel ranges on the
+// pool. Results are identical to serial mode: every random arbitration
+// draws from a private stream seeded by (seed, cycle, channel), so no
+// decision depends on thread scheduling, and FIFO arrivals are merged in
+// channel-index order.
 #pragma once
 
 #include <cstdint>
@@ -48,9 +51,9 @@ enum class ContentionPolicy : std::uint8_t { RandomSubset, Fifo, Tally };
 /// How a lossy (RandomSubset) channel assigns its wires when contended —
 /// the routing-discipline seam. Every policy resolves an over-limit
 /// bucket from the same sorted contender list and the same per-(seed,
-/// cycle, channel) stream, so serial, sharded-parallel and parallel-spine
-/// execution stay bit-identical for all of them. Uncontended channels
-/// admit everyone under every policy.
+/// cycle, channel) stream, so serial and sharded execution stay
+/// bit-identical for all of them. Uncontended channels admit everyone
+/// under every policy.
 enum class RoutingPolicy : std::uint8_t {
   /// The paper's oblivious lottery (Section II): a uniformly random
   /// cap-subset of the contenders survives. Byte-identical to the
@@ -93,20 +96,13 @@ struct EngineOptions {
   std::uint32_t max_cycles = 0;
   /// Seed for RandomSubset arbitration streams.
   std::uint64_t seed = 0;
-  /// Resolve independent channels of a stage on a thread pool. Identical
-  /// results to serial mode at any thread count.
+  /// Run on a thread pool: the sharded executor when the graph carries a
+  /// shard partition (lossy/tally), channel ranges in FIFO mode. A
+  /// lossy/tally graph without a partition runs serial, with no pool.
+  /// Identical results to serial mode at any thread count.
   bool parallel = false;
   /// Worker threads for parallel mode (0 = hardware concurrency).
   std::size_t threads = 0;
-  /// Sharded executor only: resolve heavy spine stages on the thread pool
-  /// instead of serially on the coordinating thread (per-channel
-  /// arbitration is keyed by (seed, cycle, channel), so spine channels
-  /// are independent; a channel-ordered serial merge keeps accounting,
-  /// traces and telemetry bit-identical — see DESIGN.md, "Spine
-  /// parallelization"). On by default; exists as a switch so the Amdahl
-  /// cost of a serial spine stays measurable (exp_scaleout compares
-  /// both).
-  bool parallel_spine = true;
   /// Per-message retry policy (lossy/tally modes; FIFO rounds have no
   /// losses to retry, so it is ignored there). Off by default.
   RetryPolicy retry;
@@ -115,10 +111,11 @@ struct EngineOptions {
   /// outlive every run. nullptr or an empty plan costs nothing.
   const FaultPlan* fault_plan = nullptr;
   /// Wall-clock phase timing (EngineResult::phases): splits each cycle
-  /// into the parallel up/down sweeps, the serial spine band, and the
-  /// serial coordination remainder — the measured Amdahl decomposition of
-  /// the sharded executor. Timing never changes simulation results; it is
-  /// off by default because steady_clock reads are not free at small n.
+  /// into the parallel up/down sweeps, the serial spine band (every stage,
+  /// in the serial executor), and the serial coordination remainder — the
+  /// measured Amdahl decomposition of the sharded executor. Timing never
+  /// changes simulation results; it is off by default because
+  /// steady_clock reads are not free at small n.
   bool time_phases = false;
 };
 
@@ -203,28 +200,24 @@ class CycleEngine {
                                   EngineObserver* observer = nullptr);
 
  private:
-  /// One contended (over-limit) bucket in the serial fused stage: channel
-  /// plus its [off, off + count) slice of arena_.
+  /// One contended (over-limit) bucket in fused_stage: channel plus its
+  /// [off, off + count) slice of the arena.
   struct OverBucket {
     std::uint32_t chan;
     std::uint32_t off;
     std::uint32_t count;
   };
 
-  /// Base pointer of the stage lookup table for the given hop width
-  /// (stage16_ on the narrow path, the graph's table on the wide one).
-  /// Hot loops hoist it into a local so worklist reallocations never
-  /// force a reload.
-  /// Per-shard execution state for the subtree-sharded parallel mode: a
-  /// shard owns the worklists, arena and sort scratch of every channel the
-  /// graph's shard table assigns to it, so the up- and down-phase sweeps
-  /// of one cycle run shard-parallel with no shared mutable state. The
-  /// outbox collects survivors whose next channel leaves the shard (spine
-  /// channels or another shard's down channels); the coordinating thread
-  /// distributes it between phases. Cache-line aligned: neighbouring
-  /// shards' worklist headers and loss/hop counters are written by
-  /// different workers every cycle, and letting them share a line costs
-  /// real coherence traffic at high shard counts.
+  /// Per-shard execution state for the sharded executor: a shard owns the
+  /// worklists, arena and sort scratch of every channel the graph's shard
+  /// table assigns to it, so the up- and down-phase sweeps of one cycle
+  /// run shard-parallel with no shared mutable state. The outbox collects
+  /// survivors whose next channel leaves the shard (spine channels or
+  /// another shard's down channels); the coordinating thread distributes
+  /// it between phases. Cache-line aligned: neighbouring shards' worklist
+  /// headers and loss/hop counters are written by different workers every
+  /// cycle, and letting them share a line costs real coherence traffic at
+  /// high shard counts.
   struct alignas(64) ShardState {
     std::vector<std::vector<std::uint64_t>> stage_list;
     std::vector<std::vector<std::uint32_t>> stage_touched;
@@ -236,54 +229,40 @@ class CycleEngine {
     std::uint64_t hops = 0;
   };
 
+  /// Base pointer of the stage lookup table for the given hop width
+  /// (stage16_ on the narrow path, the graph's table on the wide one).
+  /// Hot loops hoist it into a local so worklist reallocations never
+  /// force a reload.
   template <typename ChanT>
   const auto* stage_table() const;
-  void build_buckets(const std::vector<std::uint64_t>& list,
-                     std::uint32_t stage);
-  template <typename ChanT>
-  void arbitrate_bucket(const ChanT* chan, std::uint32_t cycle,
-                        std::uint32_t channel, std::size_t bucket);
-  template <typename ChanT>
-  void run_stage_parallel(const ChanT* chan, std::uint32_t cycle,
-                          std::uint32_t stage, std::uint64_t& cycle_losses,
-                          std::uint64_t& cycle_hops);
-  /// The fused stage algorithm (bucket counting, arbitration, accounting,
-  /// survivor forwarding in two sweeps) over caller-owned scratch — the
-  /// sharded executor's per-shard stage sweep. run_stage_serial is the
-  /// same algorithm with the global forward rule written inline; see the
-  /// comment above it for why the serial hot path keeps its own copy.
-  /// `forward` is invoked as forward(msg, next_channel) for every
-  /// surviving message with hops left and routes it to its next worklist.
-  /// Must inline into its caller: the forward closures capture
-  /// caller-local hoisted pointers by reference, and an out-of-line
-  /// instantiation reads them through the closure on every inner-loop
-  /// iteration (measured ~25% of lossy throughput when the compiler
-  /// declined on size alone).
+  /// The stage kernel (bucket counting, arbitration, accounting, survivor
+  /// forwarding in two sweeps) over caller-owned worklists and scratch —
+  /// the global band's or a shard's. `forward` is invoked as
+  /// forward(msg, next_channel) for every surviving message with hops
+  /// left and routes it to its next worklist. Must inline into its
+  /// caller: the forward closures capture caller-local hoisted pointers
+  /// by reference, and an out-of-line instantiation reads them through
+  /// the closure on every inner-loop iteration (measured ~25% of lossy
+  /// throughput when the compiler declined on size alone).
   template <typename ChanT, typename Forward>
 #if defined(__GNUC__) || defined(__clang__)
   __attribute__((always_inline))
 #endif
-  inline void
-  fused_stage(const ChanT* chan, std::uint32_t cycle,
-                   std::vector<std::uint64_t>& list,
-                   std::vector<std::uint32_t>& touched,
-                   std::vector<std::uint32_t>& arena,
-                   std::vector<OverBucket>& over,
-                   std::vector<std::uint64_t>& sort_bits,
-                   std::uint64_t& cycle_losses, std::uint64_t& cycle_hops,
-                   Forward&& forward);
+  inline void fused_stage(const ChanT* chan, std::uint32_t cycle,
+                          std::vector<std::uint64_t>& list,
+                          std::vector<std::uint32_t>& touched,
+                          std::vector<std::uint32_t>& arena,
+                          std::vector<OverBucket>& over,
+                          std::vector<std::uint64_t>& sort_bits,
+                          std::uint64_t& cycle_losses,
+                          std::uint64_t& cycle_hops, Forward&& forward);
+  /// One full cycle's stage sweep: every stage on the global worklists
+  /// (serial), or parallel shard up phases, the serial outbox
+  /// distribution + spine band, parallel shard down phases and a
+  /// per-shard counter reduction (sharded; see DESIGN.md, "Scale-out").
   template <typename ChanT>
-  void run_stage_serial(const ChanT* chan, std::uint32_t cycle,
-                        std::uint32_t stage, std::uint64_t& cycle_losses,
-                        std::uint64_t& cycle_hops);
-  /// One full cycle's stage sweep in subtree-sharded mode: parallel shard
-  /// up phases, serial outbox distribution + spine stages, parallel shard
-  /// down phases, then a per-shard counter reduction (see DESIGN.md,
-  /// "Scale-out").
-  template <typename ChanT>
-  void run_cycle_sharded(const ChanT* chan, std::uint32_t cycle,
-                         std::uint64_t& cycle_losses,
-                         std::uint64_t& cycle_hops);
+  void run_cycle(const ChanT* chan, std::uint32_t cycle,
+                 std::uint64_t& cycle_losses, std::uint64_t& cycle_hops);
   EngineResult run_lossy(BatchFeed& feed, EngineObserver* observer);
   template <typename ChanT>
   EngineResult run_lossy_t(std::vector<ChanT>& chan_buf, BatchFeed& feed,
@@ -294,9 +273,9 @@ class CycleEngine {
   EngineOptions opts_;
   std::unique_ptr<ThreadPool> pool_;  ///< live for the engine's lifetime
 
-  /// Subtree-sharded parallel mode: engaged when the graph carries a
-  /// shard partition, the engine is parallel and the policy is lossy or
-  /// tally. Serial and sharded runs are bit-identical — every channel's
+  /// The sharded executor: engaged when the graph carries a shard
+  /// partition, the engine is parallel and the policy is lossy or tally.
+  /// Serial and sharded runs are bit-identical — every channel's
   /// contender set and pinned (seed, cycle, channel) lottery are the same
   /// — so this is purely an execution strategy, not a model change.
   bool sharded_ = false;
@@ -331,7 +310,9 @@ class CycleEngine {
   std::vector<std::uint16_t> stage16_;   ///< narrow copy of graph_.stage
 
   /// Path validation table: stage + 1 for a usable channel, 0 for an
-  /// unknown one (zero capacity). Injection validates each hop with one
+  /// unknown one (zero capacity, or outside both the shard partition and
+  /// the spine band of a partitioned graph). Injection validates each hop
+  /// with one
   /// 32-bit lookup instead of ChannelGraph::check_path's two (capacity,
   /// then stage); the checks are equivalent because stage + 1 is strictly
   /// increasing exactly when stage is.
@@ -371,24 +352,16 @@ class CycleEngine {
   // c's contenders, then a fill cursor or under-limit sentinel during the
   // stage's sweep, and is reset to zero (sticky) when the stage ends.
   // stage_touched_[s] lists the distinct channels of stage s with a
-  // nonzero count. The parallel path additionally lays every bucket out
-  // in CSR form: bucket j (channel stage_touched_[s][j]) occupies
-  // arena_[bucket_off_[j] .. bucket_off_[j+1]).
+  // nonzero count. Contended buckets occupy [off, off + count) slices of
+  // the global band's arena_ (over_ lists them).
   std::vector<std::vector<std::uint32_t>> stage_touched_;
-  std::vector<std::uint32_t> bucket_off_;
   std::vector<std::uint32_t> bucket_pos_;
   std::vector<std::uint32_t> arena_;
-  std::vector<OverBucket> over_;           ///< serial: contended buckets only
-  std::vector<std::size_t> chunk_bounds_;  ///< parallel work partition
-  /// Wire-selecting policies (Dmod, RandomLoadBalanced) can leave wires
-  /// idle, so a contended bucket's winner count is no longer min(size,
-  /// limit). Workers record it here (disjoint slots, one per bucket) and
-  /// run_stage_parallel's serial merge reads it back; unused — never
-  /// resized — under ObliviousRandom and AdaptiveOccupancy.
-  std::vector<std::uint32_t> bucket_winners_;
+  std::vector<OverBucket> over_;
   /// AdaptiveOccupancy state. over_pressure_[c] is set (by whichever
-  /// executor arbitrated channel c — channels of one stage are disjoint,
-  /// so writes never race) when c's bucket ran over limit this cycle;
+  /// shard or band arbitrated channel c — channels of one stage are
+  /// disjoint, so writes never race) when c's bucket ran over limit this
+  /// cycle;
   /// the serial end-of-cycle scan folds it into hot_streak_[c]
   /// (consecutive over-pressure cycles, reset on a calm one) and clears
   /// it. The scan walks adaptive_scan_: the telemetry probe's in-budget
@@ -400,9 +373,9 @@ class CycleEngine {
   std::vector<std::uint32_t> over_pressure_;
   std::vector<std::uint32_t> hot_streak_;
   std::vector<std::uint32_t> adaptive_scan_;
-  /// Bit-per-pending-message scratch for the serial over-loop's bitmap
-  /// sort of large contended buckets (engine.cpp sort_by_bitmap). Kept
-  /// all-zero between uses: extraction clears each word it reads.
+  /// Bit-per-pending-message scratch for the global band's bitmap sort of
+  /// large contended buckets (engine.cpp sort_by_bitmap). Kept all-zero
+  /// between uses: extraction clears each word it reads.
   std::vector<std::uint64_t> sort_bits_;
 
   /// carried_ is only observable through an observer's CycleSnapshot;
@@ -425,7 +398,6 @@ class CycleEngine {
   bool time_phases_ = false;
   double ph_up_ = 0.0;
   double ph_spine_ = 0.0;
-  double ph_spine_par_ = 0.0;  ///< spine stages resolved on the pool
   double ph_down_ = 0.0;
 };
 

@@ -9,17 +9,18 @@ namespace ft {
 
 /// Wall-clock decomposition of a timed run (EngineOptions::time_phases)
 /// into its parallelizable and inherently serial parts. In the sharded
-/// executor `up`/`down` cover the shard-parallel sweeps, `spine` the
-/// serial part of the spine band between them and `spine_parallel` the
-/// spine stages resolved on the thread pool (EngineOptions::
-/// parallel_spine); in the non-sharded loop, stages resolved on the
-/// thread pool count as `up` and serial stages as `spine`; FIFO rounds
-/// count pooled range processing as `up`. `coord` is everything else in
-/// the cycle loop — injection, compaction, fault bookkeeping, observer
-/// callbacks — which is serial in every mode.
+/// executor `up`/`down` cover the shard-parallel sweeps and `spine` the
+/// serial band between them (outbox distribution, spine stages, fan-out);
+/// the serial executor counts its whole stage sweep as `spine`; FIFO
+/// rounds count pooled range processing as `up` and a single-range sweep
+/// as `spine`. `coord` is everything else in the cycle loop — injection,
+/// compaction, fault bookkeeping, observer callbacks — which is serial in
+/// every mode.
 struct EnginePhaseProfile {
   double up_seconds = 0.0;
   double spine_seconds = 0.0;
+  /// Always 0: no executor runs spine stages on the pool. Kept so the
+  /// ft.run_report/2 `amdahl` section and its readers keep their shape.
   double spine_parallel_seconds = 0.0;
   double down_seconds = 0.0;
   double coord_seconds = 0.0;

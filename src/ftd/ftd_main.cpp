@@ -40,13 +40,15 @@ void usage() {
       "  --client-quota Q  max in-flight jobs per connection (default 1024)\n"
       "  --max-frame B     max request frame bytes (default 1 MiB)\n"
       "  --port-file PATH  write the bound port to PATH after listening\n"
-      "  --quiet           suppress the startup/drain banner\n");
+      "  --quiet           suppress the startup/drain banner\n"
+      "  --help            print this help and exit\n");
 }
 
 struct Options {
   ft::ftd::ServerOptions server;
   std::string port_file;
   bool quiet = false;
+  bool help = false;
 };
 
 bool parse(int argc, char** argv, Options& opt) {
@@ -62,7 +64,10 @@ bool parse(int argc, char** argv, Options& opt) {
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
-    if (arg == "--port") {
+    if (arg == "--help") {
+      opt.help = true;
+      return true;
+    } else if (arg == "--port") {
       if (!ft::parse_u16(next(), opt.server.port)) return bad();
     } else if (arg == "--workers") {
       if (!ft::parse_size(next(), opt.server.workers)) return bad();
@@ -102,6 +107,10 @@ int main(int argc, char** argv) {
   if (!parse(argc, argv, opt)) {
     usage();
     return 2;
+  }
+  if (opt.help) {
+    usage();
+    return 0;
   }
 
   ft::ftd::Server server(opt.server);

@@ -3,17 +3,17 @@
 //  * submit()/wait_idle(): a classic mutex-protected task queue for
 //    coarse fire-and-forget work (experiment sweep cells, tests).
 //  * run_tasks(): a persistent work-stealing batch mode for the
-//    delivery-cycle engine, which dispatches one batch per arbitration
-//    stage — thousands of batches per second. Each batch is published
+//    delivery-cycle engine, which dispatches one batch per shard band or
+//    FIFO round — thousands of batches per second. Each batch is published
 //    by bumping an epoch counter; parked workers wake, claim chunks of
 //    the index range from per-slot atomic cursors, and steal from other
 //    slots when their own runs dry. No per-task lock acquisition and no
 //    per-batch thread creation.
 //
 // Simulators themselves stay deterministic: the engine only hands the
-// pool work whose results are order-independent (per-channel arbitration
-// keyed by (seed, cycle, channel) streams), so results are identical at
-// any thread count.
+// pool work whose results are order-independent (disjoint shards whose
+// per-channel arbitration is keyed by (seed, cycle, channel) streams),
+// so results are identical at any thread count.
 #pragma once
 
 #include <atomic>

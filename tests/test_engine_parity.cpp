@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 
 #include "core/offline_scheduler.hpp"
 #include "core/online_router.hpp"
@@ -18,6 +19,7 @@
 #include "nets/routing.hpp"
 #include "nets/store_forward.hpp"
 #include "obs/metrics.hpp"
+#include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 
 namespace ft {
@@ -32,6 +34,18 @@ OnlineRoutingResult run_online(const FatTreeTopology& t,
   opts.alpha = alpha;
   opts.parallel = parallel;
   return route_online(t, caps, m, rng, opts);
+}
+
+std::uint64_t event_fingerprint(const TraceSink& trace) {
+  std::uint64_t h = 14695981039346656037ull;  // FNV-1a over events
+  const auto mix = [&h](std::uint64_t v) { h = (h ^ v) * 1099511628211ull; };
+  for (const MessageEvent& e : trace.message_events()) {
+    mix(static_cast<std::uint64_t>(e.kind));
+    mix(e.message);
+    mix(e.cycle);
+    mix(e.channel);
+  }
+  return h;
 }
 
 TEST(EngineParity, OnlineSerialEqualsParallel) {
@@ -119,17 +133,13 @@ TEST(EngineParity, ReplayReproducesSchedule) {
   const auto schedule = schedule_offline(t, caps, m);
   ASSERT_TRUE(verify_schedule(t, caps, m, schedule));
 
-  for (const bool parallel : {false, true}) {
-    ReplayOptions opts;
-    opts.parallel = parallel;
-    const auto replay = replay_schedule(t, caps, schedule, opts);
-    EXPECT_EQ(replay.cycles, schedule.num_cycles());
-    EXPECT_EQ(replay.delivered, schedule.total_messages());
-    EXPECT_EQ(replay.capacity_violations, 0u);
-    ASSERT_EQ(replay.delivered_per_cycle.size(), schedule.num_cycles());
-    for (std::size_t i = 0; i < schedule.num_cycles(); ++i) {
-      EXPECT_EQ(replay.delivered_per_cycle[i], schedule.cycles[i].size());
-    }
+  const auto replay = replay_schedule(t, caps, schedule);
+  EXPECT_EQ(replay.cycles, schedule.num_cycles());
+  EXPECT_EQ(replay.delivered, schedule.total_messages());
+  EXPECT_EQ(replay.capacity_violations, 0u);
+  ASSERT_EQ(replay.delivered_per_cycle.size(), schedule.num_cycles());
+  for (std::size_t i = 0; i < schedule.num_cycles(); ++i) {
+    EXPECT_EQ(replay.delivered_per_cycle[i], schedule.cycles[i].size());
   }
 }
 
@@ -296,10 +306,10 @@ TEST(EngineParity, TransientFaultsSerialEqualsParallel) {
 }
 
 // Every routing discipline in the zoo must preserve the engine's
-// serial ≡ parallel contract across all executors: unsharded parallel,
-// subtree-sharded with the parallel spine, and sharded with the serial
-// spine must all reproduce the serial run bit for bit — counters and the
-// full traced event stream. The wire-selecting policies (dmod, rlb) pick
+// serial ≡ parallel contract: a parallel run without a shard partition
+// (which runs the serial executor) and the subtree-sharded executor must
+// both reproduce the serial run bit for bit — counters and the full
+// traced event stream. The wire-selecting policies (dmod, rlb) pick
 // winners by pending index and hashed wire claims, the adaptive policy
 // folds its occupancy feedback on the coordinating thread only; none of
 // it may depend on thread count.
@@ -319,13 +329,11 @@ TEST(EngineParity, RoutingPoliciesSerialEqualsParallel) {
     const char* name;
     bool parallel;
     std::uint32_t shard_level;
-    bool parallel_spine;
   };
   const Executor executors[] = {
-      {"serial", false, kShardLevelAuto, true},
-      {"parallel-unsharded", true, 0, true},
-      {"parallel-sharded", true, kShardLevelAuto, true},
-      {"parallel-serial-spine", true, kShardLevelAuto, false},
+      {"serial", false, kShardLevelAuto},
+      {"parallel-unsharded", true, 0},
+      {"parallel-sharded", true, kShardLevelAuto},
   };
 
   for (const RoutingPolicy pol :
@@ -341,7 +349,6 @@ TEST(EngineParity, RoutingPoliciesSerialEqualsParallel) {
       opts.policy = pol;
       opts.parallel = ex.parallel;
       opts.shard_level = ex.shard_level;
-      opts.parallel_spine = ex.parallel_spine;
       opts.observer = &trace;
       results.push_back(route_online(t, caps, m, rng, opts));
       streams.push_back(trace.message_events());
@@ -372,6 +379,97 @@ TEST(EngineParity, RoutingPoliciesSerialEqualsParallel) {
           << executors[e].name << " policy " << static_cast<int>(pol);
       EXPECT_EQ(streams[0], streams[e])
           << executors[e].name << " policy " << static_cast<int>(pol);
+    }
+  }
+}
+
+// The sharded executor on a workload big enough to dispatch its thread
+// pool: the first cycles' up and down bands hold more than
+// kMinParallelWork (4096) worklist entries, so shards really run on four
+// threads. Every policy, with and without channel flaps (default retry,
+// so AdaptiveOccupancy parks through its own feedback rather than a
+// backoff schedule that would mask it), must match the serial run in
+// every EngineResult field, the per-cycle deliveries, the traced event
+// stream and the telemetry stream.
+TEST(EngineParity, PooledShardsMatchSerialForEveryPolicy) {
+  const std::uint32_t n = 4096;
+  FatTreeTopology t(n);
+  const auto caps = CapacityProfile::universal(t, n / 8);
+  Rng gen(121);
+  const PathSet paths = fat_tree_path_set(t, stacked_permutations(n, 2, gen));
+  const std::size_t routed = paths.size();
+
+  FaultPlan flaps(122);
+  flaps.set_flaps({0.01, 0.3});
+  const FaultPlan* fault_cases[] = {nullptr, &flaps};
+
+  struct Run {
+    EngineResult result;
+    std::uint64_t trace_fp = 0;
+    std::uint64_t telemetry_fp = 0;
+  };
+  const auto run = [&](const EngineOptions& opts, std::uint32_t shard_level) {
+    TraceSink trace;
+    TelemetryProbe probe;
+    ObserverFanout fanout;
+    fanout.add(&trace);
+    fanout.add(&probe);
+    CycleEngine engine(fat_tree_channel_graph(t, caps, shard_level), opts);
+    Run r;
+    r.result = engine.run(paths, &fanout);
+    r.trace_fp = event_fingerprint(trace);
+    r.telemetry_fp = probe.fingerprint();
+    return r;
+  };
+
+  for (const RoutingPolicy pol :
+       {RoutingPolicy::ObliviousRandom, RoutingPolicy::DeterministicDmod,
+        RoutingPolicy::RandomLoadBalanced,
+        RoutingPolicy::AdaptiveOccupancy}) {
+    for (const FaultPlan* fp : fault_cases) {
+      EngineOptions opts;
+      opts.seed = 123;
+      opts.policy = pol;
+      opts.fault_plan = fp;
+      const Run s = run(opts, 0);
+      const std::string label = "policy " +
+                                std::to_string(static_cast<int>(pol)) +
+                                (fp != nullptr ? " flaps" : " fault-free");
+      EXPECT_FALSE(s.result.gave_up) << label;
+      EXPECT_EQ(s.result.delivered + s.result.messages_given_up, routed)
+          << label;
+      EXPECT_GT(s.result.total_losses, 0u) << label;
+      if (fp != nullptr) {
+        EXPECT_GT(s.result.fault_down_events, 0u) << label;
+      }
+
+      opts.parallel = true;
+      opts.threads = 4;
+      for (const std::uint32_t shard_level : {2u, 3u}) {
+        const Run p = run(opts, shard_level);
+        const std::string at = label + " shard_level " +
+                               std::to_string(shard_level);
+        const EngineResult& a = s.result;
+        const EngineResult& b = p.result;
+        EXPECT_EQ(a.cycles, b.cycles) << at;
+        EXPECT_EQ(a.gave_up, b.gave_up) << at;
+        EXPECT_EQ(a.delivered, b.delivered) << at;
+        EXPECT_EQ(a.total_attempts, b.total_attempts) << at;
+        EXPECT_EQ(a.total_losses, b.total_losses) << at;
+        EXPECT_EQ(a.total_hops, b.total_hops) << at;
+        EXPECT_EQ(a.latency_sum, b.latency_sum) << at;
+        EXPECT_EQ(a.max_queue, b.max_queue) << at;
+        EXPECT_EQ(a.messages_given_up, b.messages_given_up) << at;
+        EXPECT_EQ(a.total_backoffs, b.total_backoffs) << at;
+        EXPECT_EQ(a.fault_down_events, b.fault_down_events) << at;
+        EXPECT_EQ(a.fault_up_events, b.fault_up_events) << at;
+        EXPECT_EQ(a.subtree_kill_events, b.subtree_kill_events) << at;
+        EXPECT_EQ(a.degraded_channel_cycles, b.degraded_channel_cycles)
+            << at;
+        EXPECT_EQ(a.delivered_per_cycle, b.delivered_per_cycle) << at;
+        EXPECT_EQ(s.trace_fp, p.trace_fp) << at;
+        EXPECT_EQ(s.telemetry_fp, p.telemetry_fp) << at;
+      }
     }
   }
 }
@@ -419,18 +517,7 @@ TEST(EngineParity, SubtreeKillGoldenTimelines) {
       opts.retry.exponential_backoff = true;
       opts.observer = &trace;
       results.push_back(route_online(t, caps, m, rng, opts));
-
-      std::uint64_t h = 14695981039346656037ull;  // FNV-1a over events
-      const auto mix = [&h](std::uint64_t v) {
-        h = (h ^ v) * 1099511628211ull;
-      };
-      for (const MessageEvent& e : trace.message_events()) {
-        mix(static_cast<std::uint64_t>(e.kind));
-        mix(e.message);
-        mix(e.cycle);
-        mix(e.channel);
-      }
-      prints.push_back(h);
+      prints.push_back(event_fingerprint(trace));
     }
     const auto& s = results[0];
     const auto& p = results[1];

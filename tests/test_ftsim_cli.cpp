@@ -30,6 +30,8 @@ constexpr const char* kGoodBase =
 
 TEST(FtsimCli, WellFormedInvocationsExitZero) {
   EXPECT_EQ(run_ftsim(kGoodBase), 0);
+  EXPECT_EQ(run_ftsim("--help"), 0);
+  EXPECT_EQ(run_ftsim("-h"), 0);
   EXPECT_EQ(run_ftsim(std::string(kGoodBase) +
                       " --scheduler online --policy adaptive"),
             0);

@@ -336,6 +336,30 @@ TEST(ScaleoutDeathTest, CheckedNarrowingAbortsPastU32) {
                "counter overflows 32 bits");
 }
 
+// The fat-tree root's external-interface channels belong to neither a
+// shard nor the spine band of a partitioned graph, so no internal path
+// uses them. Validation is keyed on the graph: the serial and the sharded
+// executor both reject such a path at injection, with the same message.
+TEST(ScaleoutDeathTest, RootExternalChannelIsRejectedByEveryExecutor) {
+  FatTreeTopology topo(64);
+  const auto caps = CapacityProfile::universal(topo, 16);
+  const auto root_up = static_cast<std::uint32_t>(
+      channel_index(ChannelId{1, Direction::Up}));
+  const std::vector<EnginePath> paths = {{root_up}};
+  for (const bool parallel : {false, true}) {
+    EngineOptions opts;
+    opts.parallel = parallel;
+    opts.threads = 2;
+    EXPECT_DEATH(
+        {
+          CycleEngine engine(fat_tree_channel_graph(topo, caps, 2), opts);
+          engine.run(paths);
+        },
+        "path uses an unknown channel")
+        << "parallel " << parallel;
+  }
+}
+
 // --- Subtree sharding -----------------------------------------------------
 
 // The sharded parallel executor is purely an execution strategy: for
@@ -445,14 +469,13 @@ TEST(Scaleout, StreamedShardedMatchesMaterializedSerial) {
   expect_same_result(serial, streamed, "streamed sharded");
 }
 
-// --- Parallel spine -------------------------------------------------------
+// --- Pooled shards ---------------------------------------------------------
 
-// The parallel-spine arbitration path is pinned bit-identical to the
-// serial engine at every shard depth, with the spine pooled and not.
-// threads is forced to 4 so the pool genuinely dispatches even on
-// single-core hosts (results are thread-count-invariant by construction;
-// this test exists to prove it).
-TEST(Scaleout, ParallelSpineMatchesSerialAtEveryShardLevel) {
+// The sharded executor on a four-thread pool is pinned bit-identical to
+// the serial engine at every shard depth. threads is forced to 4 so the
+// pool exists even on single-core hosts (results are thread-count-
+// invariant by construction; this test exists to prove it).
+TEST(Scaleout, FourThreadShardsMatchSerialAtEveryShardLevel) {
   const std::uint32_t n = 128;
   FatTreeTopology topo(n);
   const auto caps = CapacityProfile::universal(topo, 32);
@@ -477,29 +500,25 @@ TEST(Scaleout, ParallelSpineMatchesSerialAtEveryShardLevel) {
     EXPECT_FALSE(serial.gave_up) << w.name;
 
     for (const std::uint32_t shard_level : {1u, 2u, 3u}) {
-      for (const bool parallel_spine : {false, true}) {
-        EngineOptions opts;
-        opts.seed = 808;
-        opts.parallel = true;
-        opts.threads = 4;
-        opts.parallel_spine = parallel_spine;
-        CycleEngine engine(fat_tree_channel_graph(topo, caps, shard_level),
-                           opts);
-        TraceSink trace;
-        const EngineResult got = engine.run(paths, &trace);
-        expect_same_result(serial, got, w.name);
-        EXPECT_EQ(event_fingerprint(serial_trace), event_fingerprint(trace))
-            << w.name << " shard_level " << shard_level << " parallel_spine "
-            << parallel_spine;
-      }
+      EngineOptions opts;
+      opts.seed = 808;
+      opts.parallel = true;
+      opts.threads = 4;
+      CycleEngine engine(fat_tree_channel_graph(topo, caps, shard_level),
+                         opts);
+      TraceSink trace;
+      const EngineResult got = engine.run(paths, &trace);
+      expect_same_result(serial, got, w.name);
+      EXPECT_EQ(event_fingerprint(serial_trace), event_fingerprint(trace))
+          << w.name << " shard_level " << shard_level;
     }
   }
 }
 
 // Same pinning through the observability plane: the telemetry probe rides
 // the serial coordination path, so its order-sensitive fingerprint must
-// be identical whether the spine is arbitrated serially or on the pool.
-TEST(Scaleout, ParallelSpineKeepsTelemetryFingerprint) {
+// be identical at every shard depth.
+TEST(Scaleout, FourThreadShardsKeepTelemetryFingerprint) {
   const std::uint32_t n = 128;
   FatTreeTopology topo(n);
   const auto caps = CapacityProfile::universal(topo, 32);
@@ -520,29 +539,23 @@ TEST(Scaleout, ParallelSpineKeepsTelemetryFingerprint) {
   }
 
   for (const std::uint32_t shard_level : {1u, 2u, 3u}) {
-    for (const bool parallel_spine : {false, true}) {
-      EngineOptions opts;
-      opts.seed = 909;
-      opts.parallel = true;
-      opts.threads = 4;
-      opts.parallel_spine = parallel_spine;
-      TelemetryOptions topts;
-      topts.every_k = 2;
-      TelemetryProbe probe(topts);
-      CycleEngine engine(fat_tree_channel_graph(topo, caps, shard_level),
-                         opts);
-      engine.run(paths, &probe);
-      EXPECT_EQ(fp_serial, probe.fingerprint())
-          << "shard_level " << shard_level << " parallel_spine "
-          << parallel_spine;
-    }
+    EngineOptions opts;
+    opts.seed = 909;
+    opts.parallel = true;
+    opts.threads = 4;
+    TelemetryOptions topts;
+    topts.every_k = 2;
+    TelemetryProbe probe(topts);
+    CycleEngine engine(fat_tree_channel_graph(topo, caps, shard_level), opts);
+    engine.run(paths, &probe);
+    EXPECT_EQ(fp_serial, probe.fingerprint()) << "shard_level " << shard_level;
   }
 }
 
 // Fault plans, kill domains, retries and backoff all interleave with the
-// pooled spine; every counter and the traced stream stay pinned to the
-// serial run, with and without the spine parallelized.
-TEST(Scaleout, ParallelSpineMatchesSerialUnderFaultsAndRetries) {
+// four-thread sharded executor; every counter and the traced stream stay
+// pinned to the serial run.
+TEST(Scaleout, FourThreadShardsMatchSerialUnderFaultsAndRetries) {
   const std::uint32_t n = 64;
   FatTreeTopology topo(n);
   const auto caps = CapacityProfile::universal(topo, 16);
@@ -572,24 +585,20 @@ TEST(Scaleout, ParallelSpineMatchesSerialUnderFaultsAndRetries) {
       TraceSink serial_trace;
       const EngineResult serial = serial_engine.run(paths, &serial_trace);
 
-      for (const bool parallel_spine : {false, true}) {
-        EngineOptions opts = serial_opts;
-        opts.parallel = true;
-        opts.threads = 4;
-        opts.parallel_spine = parallel_spine;
-        CycleEngine engine(fat_tree_channel_graph(topo, caps, 2), opts);
-        TraceSink trace;
-        const EngineResult got = engine.run(paths, &trace);
-        expect_same_result(serial, got, "faulted parallel-spine run");
-        EXPECT_EQ(serial.fault_down_events, got.fault_down_events);
-        EXPECT_EQ(serial.fault_up_events, got.fault_up_events);
-        EXPECT_EQ(serial.subtree_kill_events, got.subtree_kill_events);
-        EXPECT_EQ(serial.degraded_channel_cycles, got.degraded_channel_cycles);
-        EXPECT_EQ(event_fingerprint(serial_trace), event_fingerprint(trace))
-            << "faults " << (fp != nullptr) << " backoff "
-            << retry.exponential_backoff << " parallel_spine "
-            << parallel_spine;
-      }
+      EngineOptions opts = serial_opts;
+      opts.parallel = true;
+      opts.threads = 4;
+      CycleEngine engine(fat_tree_channel_graph(topo, caps, 2), opts);
+      TraceSink trace;
+      const EngineResult got = engine.run(paths, &trace);
+      expect_same_result(serial, got, "faulted four-thread sharded run");
+      EXPECT_EQ(serial.fault_down_events, got.fault_down_events);
+      EXPECT_EQ(serial.fault_up_events, got.fault_up_events);
+      EXPECT_EQ(serial.subtree_kill_events, got.subtree_kill_events);
+      EXPECT_EQ(serial.degraded_channel_cycles, got.degraded_channel_cycles);
+      EXPECT_EQ(event_fingerprint(serial_trace), event_fingerprint(trace))
+          << "faults " << (fp != nullptr) << " backoff "
+          << retry.exponential_backoff;
     }
   }
 }
