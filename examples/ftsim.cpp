@@ -76,9 +76,8 @@ void usage() {
       "                 a T-thread pool (T=0 or omitted = hardware\n"
       "                 concurrency); results are identical to serial runs\n"
       "  --shard-level=K  subtree shard depth for --parallel (2^K shards;\n"
-      "                 0 = serial). Precedence: this flag, then the\n"
-      "                 FT_SHARD_LEVEL environment variable, then the\n"
-      "                 auto heuristic (~2 shards per worker)\n"
+      "                 0 = serial). Without it, an auto heuristic picks\n"
+      "                 ~2 shards per worker\n"
       "  --seed S       RNG seed (default 1)\n"
       "  --csv          emit CSV instead of an aligned table\n"
       "  --trace F      write Chrome trace JSON (chrome://tracing, Perfetto)\n"

@@ -1,7 +1,6 @@
 #include "core/online_router.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <thread>
 
 #include "core/load.hpp"
@@ -36,35 +35,23 @@ class NonSelfStream final : public MessageStream {
   std::uint32_t self_ = 0;
 };
 
-// Shard depth for the engine's subtree-sharded parallel mode. Precedence:
-// an explicit OnlineRouterOptions::shard_level wins, then the
-// FT_SHARD_LEVEL environment variable (experiments sweep it without
-// recompiling), then the heuristic — about two shards per worker. The
-// heuristic used to aim for four when the shard loop was the only
-// load-balancer; with the work-stealing pool rebalancing bands, extra
-// shards only buy serial overhead — a deeper shard level widens the
-// serial spine band, and per-shard worklist setup plus the
-// outbox-distribution pass grow with shard count, all on the serial
-// side of the phase profile. Measured on the E17 workload
-// (n = 2^18, FT_SHARD_LEVEL sweep): 2^2 -> 2^4 shards roughly triples
-// spine-band time and raises the measured Amdahl serial fraction from
-// ~0.36 to ~0.40 with no up/down-sweep win. Always capped by the
-// topology: the spine must stay above the leaves.
+// Shard depth for the engine's subtree-sharded parallel mode. An explicit
+// OnlineRouterOptions::shard_level (ftsim --shard-level) wins; otherwise
+// the heuristic picks about two shards per worker, not more: the
+// work-stealing pool already rebalances bands, so extra shards only buy
+// serial overhead — a deeper shard level widens the serial spine band,
+// and per-shard worklist setup plus the outbox-distribution pass grow
+// with shard count, all on the serial side of the phase profile.
+// Measured on the E17 workload (n = 2^18, shard-level sweep): 2^2 -> 2^4
+// shards roughly triples spine-band time and raises the measured Amdahl
+// serial fraction from ~0.36 to ~0.40 with no up/down-sweep win. Always
+// capped by the topology: the spine must stay above the leaves.
 std::uint32_t pick_shard_level(const FatTreeTopology& topo,
                                const OnlineRouterOptions& opts) {
   if (!opts.parallel || topo.height() < 2) return 0;
   const std::uint32_t cap = topo.height() - 1;
   if (opts.shard_level != kShardLevelAuto) {
     return std::min(opts.shard_level, cap);
-  }
-  if (const char* env = std::getenv("FT_SHARD_LEVEL")) {
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0') {
-      return std::min(static_cast<std::uint32_t>(
-                          std::min<unsigned long>(v, 0xfffffffful)),
-                      cap);
-    }
   }
   std::size_t workers = opts.threads;
   if (workers == 0) {

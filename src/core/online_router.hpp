@@ -57,8 +57,8 @@ struct OnlineRoutingResult {
   std::vector<std::uint32_t> delivered_per_cycle;
 };
 
-/// Sentinel for OnlineRouterOptions::shard_level: defer to FT_SHARD_LEVEL
-/// or the measured heuristic.
+/// Sentinel for OnlineRouterOptions::shard_level: defer to the measured
+/// heuristic.
 inline constexpr std::uint32_t kShardLevelAuto = 0xffffffffu;
 
 struct OnlineRouterOptions {
@@ -82,11 +82,10 @@ struct OnlineRouterOptions {
   /// Worker threads for parallel mode (0 = hardware concurrency).
   std::size_t threads = 0;
   /// Subtree shard depth for the parallel executor. kShardLevelAuto
-  /// defers to the FT_SHARD_LEVEL environment variable if set, else to
-  /// the pick_shard_level heuristic (~2 shards per worker); any other
-  /// value is used as-is, clamped to the topology height. 0 means no
-  /// shard partition, which runs the serial executor. Ignored in serial
-  /// mode.
+  /// defers to the pick_shard_level heuristic (~2 shards per worker); any
+  /// other value is used as-is, clamped to the topology height. 0 means
+  /// no shard partition, which runs the serial executor. Ignored in
+  /// serial mode.
   std::uint32_t shard_level = kShardLevelAuto;
   /// Optional instrumentation hook (per-cycle counters, channel
   /// utilization; see engine/observer.hpp). Not owned.

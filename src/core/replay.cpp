@@ -2,39 +2,27 @@
 
 #include "engine/engine.hpp"
 #include "engine/fat_tree_model.hpp"
+#include "engine/observer_fanout.hpp"
 
 namespace ft {
 namespace {
 
-/// Counts channel-cycles whose tallied load exceeds the wire budget and
-/// forwards every snapshot to the caller's observer.
+/// Counts channel-cycles whose tallied load exceeds the wire budget.
 class ViolationCounter final : public EngineObserver {
  public:
-  explicit ViolationCounter(EngineObserver* next) : next_(next) {}
-
   void on_cycle(const CycleSnapshot& s) override {
-    if (s.graph != nullptr && s.carried != nullptr) {
-      const ChannelGraph& g = *s.graph;
-      for (std::size_t c = 0; c < g.num_channels(); ++c) {
-        if (g.capacity[c] != 0 && (*s.carried)[c] > g.capacity[c]) {
-          ++violations_;
-        }
+    if (s.graph == nullptr || s.carried == nullptr) return;
+    const ChannelGraph& g = *s.graph;
+    for (std::size_t c = 0; c < g.num_channels(); ++c) {
+      if (g.capacity[c] != 0 && (*s.carried)[c] > g.capacity[c]) {
+        ++violations_;
       }
     }
-    if (next_ != nullptr) next_->on_cycle(s);
-  }
-
-  bool wants_message_events() const override {
-    return next_ != nullptr && next_->wants_message_events();
-  }
-  void on_message_event(const MessageEvent& e) override {
-    next_->on_message_event(e);
   }
 
   std::uint64_t violations() const { return violations_; }
 
  private:
-  EngineObserver* next_;
   std::uint64_t violations_ = 0;
 };
 
@@ -82,9 +70,12 @@ ReplayResult replay_schedule(const FatTreeTopology& topo,
   }
 
   CycleEngine engine(fat_tree_channel_graph(topo, caps), eopts);
-  ViolationCounter counter(observer);
+  ViolationCounter counter;
+  ObserverFanout fanout;
+  fanout.add(&counter);
+  fanout.add(observer);
   ScheduleBatchSource source(topo, schedule);
-  const EngineResult er = engine.run_batched_stream(source, &counter);
+  const EngineResult er = engine.run_batched_stream(source, &fanout);
 
   ReplayResult result;
   result.cycles = er.cycles;

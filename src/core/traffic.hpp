@@ -11,8 +11,6 @@
 #include <vector>
 
 #include "core/message.hpp"
-#include "util/bits.hpp"
-#include "util/check.hpp"
 #include "util/prng.hpp"
 
 namespace ft {
@@ -76,10 +74,9 @@ MessageSet bisection_flood_traffic(std::uint32_t n, std::uint32_t count,
                                    Rng& rng);
 
 // ---------------------------------------------------------------------------
-// Adversarial traffic (the routing-race zoo, bench/exp_routing_race).
-// Each generator below has a streamed twin further down that consumes an
-// identical draw sequence, so materialized and streamed runs agree
-// element for element (pinned in test_traffic).
+// Adversarial traffic (the routing-race zoo, bench/exp_routing_race),
+// materialized only: the one streamed workload is RandomPermutationStream
+// below.
 
 /// Incast: `count` messages aimed at one sink, each from a uniform random
 /// non-sink source. count > n keeps the sink's down channel saturated
@@ -152,48 +149,6 @@ class MessageSetStream final : public MessageStream {
   std::size_t next_ = 0;
 };
 
-/// Closed-form permutation stream: destination is a pure function of the
-/// source, so the whole workload is O(1) state at any n. The formulas
-/// match the materialized generators above element for element.
-class FormulaStream final : public MessageStream {
- public:
-  using Fn = Leaf (*)(std::uint32_t n, Leaf p);
-
-  FormulaStream(std::uint32_t n, Fn fn) : n_(n), fn_(fn) {}
-
-  bool next(Message& out) override {
-    if (p_ >= n_) return false;
-    out = {p_, fn_(n_, p_)};
-    ++p_;
-    return true;
-  }
-
- private:
-  std::uint32_t n_;
-  Fn fn_;
-  Leaf p_ = 0;
-};
-
-/// Destination formulas for FormulaStream, mirroring the materialized
-/// generators of the same name.
-inline Leaf bit_reversal_dest(std::uint32_t n, Leaf p) {
-  return static_cast<Leaf>(reverse_bits(p, floor_log2(n)));
-}
-inline Leaf complement_dest(std::uint32_t n, Leaf p) { return (n - 1) ^ p; }
-inline Leaf tornado_dest(std::uint32_t n, Leaf p) {
-  return (p + n / 2 - 1) % n;
-}
-inline Leaf shuffle_dest(std::uint32_t n, Leaf p) {
-  const std::uint32_t bits = floor_log2(n);
-  return ((p << 1) | (p >> (bits - 1))) & (n - 1);
-}
-inline Leaf transpose_dest(std::uint32_t n, Leaf p) {
-  const std::uint32_t bits = floor_log2(n);
-  const std::uint32_t half = bits / 2;
-  const std::uint32_t lo = p & ((1u << half) - 1);
-  return (lo << (bits - half)) | (p >> half);
-}
-
 /// Random permutation in streaming form: only the 4n-byte destination
 /// table is materialized (the λ ≈ 1 workload of the scale-out benchmark).
 /// Consumes the same rng.permutation(n) draw as
@@ -214,171 +169,6 @@ class RandomPermutationStream final : public MessageStream {
  private:
   std::vector<std::uint32_t> perm_;
   Leaf p_ = 0;
-};
-
-/// `count` messages with independently uniform endpoints, O(1) state. The
-/// Rng is taken by value: the stream owns its draw sequence, so reruns
-/// from the same seed are identical.
-class UniformRandomStream final : public MessageStream {
- public:
-  UniformRandomStream(std::uint32_t n, std::uint64_t count, Rng rng)
-      : n_(n), count_(count), rng_(rng) {
-    FT_CHECK(n > 0);
-  }
-
-  bool next(Message& out) override {
-    if (i_ >= count_) return false;
-    const auto src = static_cast<Leaf>(rng_.below(n_));
-    const auto dst = static_cast<Leaf>(rng_.below(n_));
-    out = {src, dst};
-    ++i_;
-    return true;
-  }
-
- private:
-  std::uint32_t n_;
-  std::uint64_t count_;
-  Rng rng_;
-  std::uint64_t i_ = 0;
-};
-
-/// Streamed twin of incast_traffic: same draw sequence, O(1) state. The
-/// Rng is taken by value (the stream owns its draw sequence), as for
-/// every stream below.
-class IncastStream final : public MessageStream {
- public:
-  IncastStream(std::uint32_t n, std::uint64_t count, Leaf sink, Rng rng)
-      : n_(n), count_(count), sink_(sink), rng_(rng) {
-    FT_CHECK(n >= 2 && sink < n);
-  }
-
-  bool next(Message& out) override {
-    if (i_ >= count_) return false;
-    auto src = static_cast<Leaf>(rng_.below(n_ - 1));
-    if (src >= sink_) ++src;  // skip the sink: sources are non-sink leaves
-    out = {src, sink_};
-    ++i_;
-    return true;
-  }
-
- private:
-  std::uint32_t n_;
-  std::uint64_t count_;
-  Leaf sink_;
-  Rng rng_;
-  std::uint64_t i_ = 0;
-};
-
-/// Streamed twin of elephant_mice_traffic: flow endpoints are drawn
-/// lazily when each elephant flow starts, in the materialized draw order.
-class ElephantMiceStream final : public MessageStream {
- public:
-  ElephantMiceStream(std::uint32_t n, std::uint32_t elephants,
-                     std::uint32_t elephant_size, std::uint64_t mice, Rng rng)
-      : n_(n),
-        elephants_(elephants),
-        elephant_size_(elephant_size),
-        mice_(mice),
-        rng_(rng) {
-    FT_CHECK(n >= 2);
-  }
-
-  bool next(Message& out) override {
-    if (flow_ < elephants_) {
-      if (in_flow_ == 0) {
-        src_ = static_cast<Leaf>(rng_.below(n_));
-        dst_ = static_cast<Leaf>(rng_.below(n_ - 1));
-        if (dst_ >= src_) ++dst_;  // elephants never send to themselves
-      }
-      out = {src_, dst_};
-      if (++in_flow_ >= elephant_size_) {
-        in_flow_ = 0;
-        ++flow_;
-      }
-      return true;
-    }
-    if (mouse_ >= mice_) return false;
-    out = {static_cast<Leaf>(rng_.below(n_)),
-           static_cast<Leaf>(rng_.below(n_))};
-    ++mouse_;
-    return true;
-  }
-
- private:
-  std::uint32_t n_;
-  std::uint32_t elephants_;
-  std::uint32_t elephant_size_;
-  std::uint64_t mice_;
-  Rng rng_;
-  std::uint32_t flow_ = 0;
-  std::uint32_t in_flow_ = 0;
-  Leaf src_ = 0;
-  Leaf dst_ = 0;
-  std::uint64_t mouse_ = 0;
-};
-
-/// Streamed twin of adversarial_residue_traffic: the residue is drawn at
-/// construction (the materialized generator's first draw), destinations
-/// per message after it.
-class AdversarialResidueStream final : public MessageStream {
- public:
-  AdversarialResidueStream(std::uint32_t n, std::uint32_t modulus, Rng rng)
-      : n_(n), modulus_(modulus), rng_(rng) {
-    FT_CHECK(modulus >= 1 && modulus <= n);
-    r_ = static_cast<Leaf>(rng_.below(modulus_));
-  }
-
-  bool next(Message& out) override {
-    if (p_ >= n_) return false;
-    const auto dst =
-        static_cast<Leaf>(r_ + modulus_ * rng_.below(n_ / modulus_));
-    out = {p_, dst};
-    ++p_;
-    return true;
-  }
-
- private:
-  std::uint32_t n_;
-  std::uint32_t modulus_;
-  Rng rng_;
-  Leaf r_ = 0;
-  Leaf p_ = 0;
-};
-
-/// Streamed twin of persistent_hotspot_traffic: the incast phase first,
-/// then the uniform background phase, one draw sequence throughout.
-class PersistentHotspotStream final : public MessageStream {
- public:
-  PersistentHotspotStream(std::uint32_t n, Leaf hot, std::uint64_t hot_count,
-                          std::uint64_t background, Rng rng)
-      : n_(n), hot_(hot), hot_count_(hot_count), background_(background),
-        rng_(rng) {
-    FT_CHECK(n >= 2 && hot < n);
-  }
-
-  bool next(Message& out) override {
-    if (i_ < hot_count_) {
-      auto src = static_cast<Leaf>(rng_.below(n_ - 1));
-      if (src >= hot_) ++src;
-      out = {src, hot_};
-      ++i_;
-      return true;
-    }
-    if (bg_ >= background_) return false;
-    out = {static_cast<Leaf>(rng_.below(n_)),
-           static_cast<Leaf>(rng_.below(n_))};
-    ++bg_;
-    return true;
-  }
-
- private:
-  std::uint32_t n_;
-  Leaf hot_;
-  std::uint64_t hot_count_;
-  std::uint64_t background_;
-  Rng rng_;
-  std::uint64_t i_ = 0;
-  std::uint64_t bg_ = 0;
 };
 
 }  // namespace ft

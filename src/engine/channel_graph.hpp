@@ -160,29 +160,6 @@ struct ChannelGraph {
     g.num_levels = 1;
     return g;
   }
-
-  /// Debug validation of one path against this graph: known channels in
-  /// strictly increasing stage order. The strict increase is also the
-  /// worklist invariant the engine's hot loop relies on — a message's next
-  /// channel always lies in a later stage, so each message is bucketed
-  /// exactly once per cycle.
-  void check_path(const std::uint32_t* first, const std::uint32_t* last) const {
-    std::uint32_t prev_stage = 0;
-    bool head = true;
-    for (const std::uint32_t* p = first; p != last; ++p) {
-      const std::uint32_t c = *p;
-      FT_CHECK_MSG(c < num_channels() && capacity[c] > 0,
-                   "path uses an unknown channel");
-      FT_CHECK_MSG(head || stage[c] > prev_stage,
-                   "path stages must strictly increase");
-      prev_stage = stage[c];
-      head = false;
-    }
-  }
-
-  void check_path(const EnginePath& path) const {
-    check_path(path.data(), path.data() + path.size());
-  }
 };
 
 }  // namespace ft

@@ -928,7 +928,7 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
       for (std::size_t p = 0; p < batch.size(); ++p) {
         const std::uint32_t off = batch.offset(p);
         const std::uint32_t len = batch.length(p);
-        // Equivalent to graph_.check_path, one table lookup per hop.
+        // Known channels in strictly increasing stage order (check_tbl_).
         std::uint32_t prev = 0;
         for (std::uint32_t h = off; h < off + len; ++h) {
           const std::uint32_t c = chans[h];

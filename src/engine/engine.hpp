@@ -312,10 +312,10 @@ class CycleEngine {
   /// Path validation table: stage + 1 for a usable channel, 0 for an
   /// unknown one (zero capacity, or outside both the shard partition and
   /// the spine band of a partitioned graph). Injection validates each hop
-  /// with one
-  /// 32-bit lookup instead of ChannelGraph::check_path's two (capacity,
-  /// then stage); the checks are equivalent because stage + 1 is strictly
-  /// increasing exactly when stage is.
+  /// with one 32-bit lookup: the channel is known, and its stage + 1
+  /// exceeds the previous hop's, which holds exactly when the stages
+  /// strictly increase — the worklist invariant that buckets each message
+  /// once per cycle.
   std::vector<std::uint32_t> check_tbl_;
 
   // All per-run/per-cycle scratch below is a member so repeated run()

@@ -10,8 +10,9 @@
 // thread count, and the engine skips all event bookkeeping when no
 // observer asks for them — tracing is zero-cost when disabled.
 //
-// Ready-made observers (EngineMetrics, TraceSink, ObserverFanout) live in
-// the observability layer, src/obs/.
+// Ready-made observers (EngineMetrics, TelemetryProbe, TraceSink) live in
+// the observability layer, src/obs/; ObserverFanout, which rides several
+// of them on one run, is in engine/observer_fanout.hpp.
 #pragma once
 
 #include <cstdint>

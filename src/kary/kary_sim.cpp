@@ -19,7 +19,6 @@ KarySimResult simulate_kary_permutation(const KaryTree& tree,
   eopts.parallel = opts.parallel;
   eopts.threads = opts.threads;
   eopts.fault_plan = opts.fault_plan;
-  eopts.time_phases = opts.time_phases;
 
   CycleEngine engine(kary_channel_graph(tree), eopts);
   // Routes are generated as the engine ingests them; the tracker and
@@ -34,7 +33,6 @@ KarySimResult simulate_kary_permutation(const KaryTree& tree,
   result.fault_down_events = er.fault_down_events;
   result.fault_up_events = er.fault_up_events;
   result.subtree_kill_events = er.subtree_kill_events;
-  result.phases = er.phases;
   return result;
 }
 

@@ -12,7 +12,6 @@
 
 #include "engine/fault_plan.hpp"
 #include "engine/observer.hpp"
-#include "engine/phase_profile.hpp"
 #include "kary/kary_routing.hpp"
 
 namespace ft {
@@ -27,9 +26,6 @@ struct KarySimResult {
   std::uint64_t fault_down_events = 0;  ///< link down transitions
   std::uint64_t fault_up_events = 0;    ///< link repair transitions
   std::uint64_t subtree_kill_events = 0;  ///< correlated domain strikes
-  /// Wall-clock Amdahl decomposition; all-zero unless
-  /// KarySimOptions::time_phases was set.
-  EnginePhaseProfile phases;
 };
 
 struct KarySimOptions {
@@ -41,8 +37,6 @@ struct KarySimOptions {
   /// Optional transient-fault plan (not owned): a down link forwards
   /// nothing that round, its queue waits.
   const FaultPlan* fault_plan = nullptr;
-  /// Time pooled forwarding vs the serial band (KarySimResult::phases).
-  bool time_phases = false;
 };
 
 /// Routes the permutation under `policy` and simulates delivery.

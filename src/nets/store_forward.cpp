@@ -16,7 +16,6 @@ StoreForwardResult simulate_store_forward_stream(
   eopts.threads = opts.threads;
   eopts.fault_plan = opts.fault_plan;
   eopts.max_cycles = opts.max_rounds;
-  eopts.time_phases = opts.time_phases;
 
   CycleEngine engine(network_channel_graph(net), eopts);
   const EngineResult er = engine.run_stream(routes, opts.observer);
@@ -30,7 +29,6 @@ StoreForwardResult simulate_store_forward_stream(
   result.fault_down_events = er.fault_down_events;
   result.fault_up_events = er.fault_up_events;
   result.subtree_kill_events = er.subtree_kill_events;
-  result.phases = er.phases;
   result.mean_latency = num_routes == 0
                             ? 0.0
                             : er.latency_sum /

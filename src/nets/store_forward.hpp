@@ -14,7 +14,6 @@
 #include "engine/fault_plan.hpp"
 #include "engine/message_source.hpp"
 #include "engine/observer.hpp"
-#include "engine/phase_profile.hpp"
 #include "nets/network.hpp"
 #include "nets/routing.hpp"
 
@@ -31,9 +30,6 @@ struct StoreForwardResult {
   std::uint64_t fault_down_events = 0;  ///< link down transitions
   std::uint64_t fault_up_events = 0;    ///< link repair transitions
   std::uint64_t subtree_kill_events = 0;  ///< correlated domain strikes
-  /// Wall-clock Amdahl decomposition; all-zero unless
-  /// StoreForwardOptions::time_phases was set.
-  EnginePhaseProfile phases;
 };
 
 struct StoreForwardOptions {
@@ -48,9 +44,6 @@ struct StoreForwardOptions {
   const FaultPlan* fault_plan = nullptr;
   /// Abort after this many rounds (0 = run to completion).
   std::uint32_t max_rounds = 0;
-  /// Time pooled range processing vs the serial band
-  /// (StoreForwardResult::phases).
-  bool time_phases = false;
 };
 
 /// Simulates messages with precomputed routes. Messages with empty routes

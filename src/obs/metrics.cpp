@@ -1,129 +1,26 @@
 #include "obs/metrics.hpp"
 
-#include <cmath>
+#include <algorithm>
+
+#include "util/check.hpp"
 
 namespace ft {
-namespace {
 
-template <typename T>
-T* find_named(std::vector<std::pair<std::string, std::unique_ptr<T>>>& v,
-              std::string_view name) {
-  for (auto& [k, p] : v) {
-    if (k == name) return p.get();
-  }
-  return nullptr;
-}
-
-template <typename T>
-const T* find_named(
-    const std::vector<std::pair<std::string, std::unique_ptr<T>>>& v,
-    std::string_view name) {
-  for (const auto& [k, p] : v) {
-    if (k == name) return p.get();
-  }
-  return nullptr;
-}
-
-}  // namespace
-
-Counter& MetricsRegistry::counter(std::string_view name) {
-  if (Counter* c = find_named(counters_, name)) return *c;
-  counters_.emplace_back(std::string(name), std::make_unique<Counter>());
-  return *counters_.back().second;
-}
-
-Gauge& MetricsRegistry::gauge(std::string_view name) {
-  if (Gauge* g = find_named(gauges_, name)) return *g;
-  gauges_.emplace_back(std::string(name), std::make_unique<Gauge>());
-  return *gauges_.back().second;
-}
-
-Histogram& MetricsRegistry::histogram(std::string_view name, double lo,
-                                      double hi, std::size_t bins) {
-  if (Histogram* h = find_named(histograms_, name)) {
-    FT_CHECK_MSG(h->lo() == lo && h->hi() == hi && h->num_bins() == bins,
-                 "histogram re-registered with a different shape");
-    return *h;
-  }
-  histograms_.emplace_back(std::string(name),
-                           std::make_unique<Histogram>(lo, hi, bins));
-  return *histograms_.back().second;
-}
-
-const Counter* MetricsRegistry::find_counter(std::string_view name) const {
-  return find_named(counters_, name);
-}
-const Gauge* MetricsRegistry::find_gauge(std::string_view name) const {
-  return find_named(gauges_, name);
-}
-const Histogram* MetricsRegistry::find_histogram(std::string_view name) const {
-  return find_named(histograms_, name);
-}
-
-void MetricsRegistry::reset() {
-  for (auto& [k, c] : counters_) c->reset();
-  for (auto& [k, g] : gauges_) g->reset();
-  for (auto& [k, h] : histograms_) h->reset();
-}
-
-JsonValue MetricsRegistry::to_json() const {
-  JsonValue out = JsonValue::object();
-  if (!counters_.empty()) {
-    JsonValue& c = out["counters"];
-    for (const auto& [k, v] : counters_) c[k] = v->value();
-  }
-  if (!gauges_.empty()) {
-    JsonValue& g = out["gauges"];
-    for (const auto& [k, v] : gauges_) g[k] = v->value();
-  }
-  if (!histograms_.empty()) {
-    JsonValue& hs = out["histograms"];
-    for (const auto& [k, v] : histograms_) {
-      JsonValue& h = hs[k];
-      h["lo"] = v->lo();
-      h["hi"] = v->hi();
-      JsonValue& bins = h["bins"];
-      bins = JsonValue::array();
-      for (std::size_t i = 0; i < v->num_bins(); ++i) {
-        bins.push_back(v->bin_count(i));
-      }
-      h["underflow"] = v->underflow();
-      h["overflow"] = v->overflow();
-    }
-  }
-  return out;
-}
-
-EngineMetrics::EngineMetrics()
-    : attempts_(&registry_.counter("engine.attempts")),
-      losses_(&registry_.counter("engine.losses")),
-      delivered_(&registry_.counter("engine.delivered")),
-      fault_down_(&registry_.counter("engine.fault_down_events")),
-      fault_up_(&registry_.counter("engine.fault_up_events")),
-      subtree_kills_(&registry_.counter("engine.subtree_kill_events")),
-      backoffs_(&registry_.counter("engine.backoffs")),
-      gave_up_(&registry_.counter("engine.messages_given_up")),
-      degraded_(&registry_.counter("engine.degraded_channel_cycles")),
-      peak_queue_(&registry_.gauge("engine.peak_queue_depth")),
-      peak_down_(&registry_.gauge("engine.peak_channels_down")),
-      util_hist_(&registry_.histogram("engine.channel_utilization", 0.0, 1.0,
-                                      kHistogramBins)) {}
+EngineMetrics::EngineMetrics() : util_hist_(0.0, 1.0, kHistogramBins) {}
 
 void EngineMetrics::on_cycle(const CycleSnapshot& s) {
-  attempts_per_cycle.push_back(s.attempts);
-  losses_per_cycle.push_back(s.losses);
   delivered_per_cycle.push_back(s.delivered);
-  attempts_->add(s.attempts);
-  losses_->add(s.losses);
-  delivered_->add(s.delivered);
-  fault_down_->add(s.faults_down);
-  fault_up_->add(s.faults_up);
-  subtree_kills_->add(s.subtree_kills);
-  backoffs_->add(s.backoffs);
-  gave_up_->add(s.gave_up);
-  degraded_->add(s.degraded_channels);
-  if (s.peak_queue > peak_queue_->value()) peak_queue_->set(s.peak_queue);
-  if (s.channels_down > peak_down_->value()) peak_down_->set(s.channels_down);
+  attempts_ += s.attempts;
+  losses_ += s.losses;
+  delivered_ += s.delivered;
+  fault_down_ += s.faults_down;
+  fault_up_ += s.faults_up;
+  subtree_kills_ += s.subtree_kills;
+  backoffs_ += s.backoffs;
+  gave_up_ += s.gave_up;
+  degraded_ += s.degraded_channels;
+  peak_queue_ = std::max(peak_queue_, s.peak_queue);
+  peak_down_ = std::max(peak_down_, s.channels_down);
   if (s.graph == nullptr || s.carried == nullptr) return;
 
   const ChannelGraph& g = *s.graph;
@@ -151,30 +48,18 @@ void EngineMetrics::on_cycle(const CycleSnapshot& s) {
     const std::uint32_t carried = (*s.carried)[c];
     carried_by_level_[g.level[c]] += carried;
     capacity_by_level_[g.level[c]] += g.capacity[c];
-    util_hist_->observe(static_cast<double>(carried) /
-                        static_cast<double>(g.capacity[c]));
+    util_hist_.observe(static_cast<double>(carried) /
+                       static_cast<double>(g.capacity[c]));
   }
 }
 
-void EngineMetrics::reset() {
-  registry_.reset();
-  attempts_per_cycle.clear();
-  losses_per_cycle.clear();
-  delivered_per_cycle.clear();
-  carried_by_level_.clear();
-  capacity_by_level_.clear();
-  usable_channels_ = 0;
-  graph_channels_ = 0;
-  graph_levels_ = 0;
-  graph_seen_ = false;
-}
+void EngineMetrics::reset() { *this = EngineMetrics(); }
 
 double EngineMetrics::availability() const {
   const std::uint64_t denom =
       usable_channels_ * static_cast<std::uint64_t>(cycles());
   if (denom == 0) return 1.0;
-  return 1.0 - static_cast<double>(degraded_->value()) /
-                   static_cast<double>(denom);
+  return 1.0 - static_cast<double>(degraded_) / static_cast<double>(denom);
 }
 
 double EngineMetrics::level_utilization(std::uint32_t level) const {
@@ -186,7 +71,32 @@ double EngineMetrics::level_utilization(std::uint32_t level) const {
 }
 
 JsonValue EngineMetrics::to_json() const {
-  JsonValue out = registry_.to_json();
+  JsonValue out = JsonValue::object();
+  JsonValue& c = out["counters"];
+  c["engine.attempts"] = attempts_;
+  c["engine.losses"] = losses_;
+  c["engine.delivered"] = delivered_;
+  c["engine.fault_down_events"] = fault_down_;
+  c["engine.fault_up_events"] = fault_up_;
+  c["engine.subtree_kill_events"] = subtree_kills_;
+  c["engine.backoffs"] = backoffs_;
+  c["engine.messages_given_up"] = gave_up_;
+  c["engine.degraded_channel_cycles"] = degraded_;
+  // Gauges are written as doubles, the report's encoding for them (a
+  // peak of 100000 prints as 1e+05); test_obs pins the bytes.
+  JsonValue& g = out["gauges"];
+  g["engine.peak_queue_depth"] = static_cast<double>(peak_queue_);
+  g["engine.peak_channels_down"] = static_cast<double>(peak_down_);
+  JsonValue& h = out["histograms"]["engine.channel_utilization"];
+  h["lo"] = util_hist_.lo();
+  h["hi"] = util_hist_.hi();
+  JsonValue& bins = h["bins"];
+  bins = JsonValue::array();
+  for (std::size_t i = 0; i < util_hist_.num_bins(); ++i) {
+    bins.push_back(util_hist_.bin_count(i));
+  }
+  h["underflow"] = util_hist_.underflow();
+  h["overflow"] = util_hist_.overflow();
   out["cycles"] = cycles();
   out["loss_rate"] = loss_rate();
   out["availability"] = availability();

@@ -1,84 +1,26 @@
-// Metrics registry for the observability layer: named counters, gauges,
-// and fixed-bin histograms with uniform JSON export. EngineMetrics — the
-// ready-made CycleEngine observer shared by all four simulator frontends
-// (route_online, replay_schedule, simulate_store_forward,
-// simulate_kary_permutation) — is built on the registry, and ObserverFanout
-// lets several observers (metrics + trace sink) ride one engine run.
+// EngineMetrics: the ready-made CycleEngine observer shared by all four
+// simulator frontends (route_online, replay_schedule,
+// simulate_store_forward, simulate_kary_permutation). ObserverFanout
+// (engine/observer_fanout.hpp, included here for this header's users)
+// lets it ride one engine run beside other observers.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "engine/observer.hpp"
+#include "engine/observer_fanout.hpp"
 #include "obs/json.hpp"
-#include "util/check.hpp"
 #include "util/stats.hpp"
 
 namespace ft {
 
-class Counter {
- public:
-  void add(std::uint64_t delta = 1) { value_ += delta; }
-  std::uint64_t value() const { return value_; }
-  void reset() { value_ = 0; }
-
- private:
-  std::uint64_t value_ = 0;
-};
-
-class Gauge {
- public:
-  void set(double v) { value_ = v; }
-  double value() const { return value_; }
-  void reset() { value_ = 0.0; }
-
- private:
-  double value_ = 0.0;
-};
-
-// Histogram (closed top bin, explicit underflow/overflow) lives in
-// util/stats.hpp — the registry reuses it for named instruments.
-
-/// Named instruments with get-or-create semantics and deterministic
-/// (insertion-order) JSON export. Handles returned by counter()/gauge()/
-/// histogram() stay valid for the registry's lifetime.
-class MetricsRegistry {
- public:
-  Counter& counter(std::string_view name);
-  Gauge& gauge(std::string_view name);
-  /// Re-requesting an existing histogram asserts the same shape.
-  Histogram& histogram(std::string_view name, double lo, double hi,
-                       std::size_t bins);
-
-  const Counter* find_counter(std::string_view name) const;
-  const Gauge* find_gauge(std::string_view name) const;
-  const Histogram* find_histogram(std::string_view name) const;
-
-  /// Zeroes every instrument but keeps registrations (and handles) alive.
-  void reset();
-
-  /// {"counters": {...}, "gauges": {...}, "histograms": {name: {lo, hi,
-  ///  bins: [...], underflow, overflow}}} — empty sections omitted.
-  JsonValue to_json() const;
-
- private:
-  // Deques would also work; unique_ptr keeps handles stable under growth.
-  template <typename T>
-  using Named = std::vector<std::pair<std::string, std::unique_ptr<T>>>;
-  Named<Counter> counters_;
-  Named<Gauge> gauges_;
-  Named<Histogram> histograms_;
-};
-
-/// Ready-made observer: per-cycle and per-level counters plus a channel
-/// utilization histogram — the instrumentation consumed by the bench/
-/// experiments and RunReports. Reusable across runs over the *same*
-/// topology shape via plain aggregation; observing a graph of a different
-/// shape without reset() is a checked error (it used to silently blend
-/// per-level tallies of different topologies).
+/// Ready-made observer: run totals, peak gauges, per-level utilization
+/// and a channel utilization histogram — the instrumentation consumed by
+/// the bench/ experiments and RunReports. Reusable across runs over the
+/// *same* topology shape via plain aggregation; observing a graph of a
+/// different shape without reset() is a checked error, not a silent blend
+/// of per-level tallies of different topologies.
 class EngineMetrics final : public EngineObserver {
  public:
   static constexpr std::size_t kHistogramBins = 10;
@@ -92,31 +34,24 @@ class EngineMetrics final : public EngineObserver {
   std::uint32_t cycles() const {
     return static_cast<std::uint32_t>(delivered_per_cycle.size());
   }
-  std::uint64_t total_attempts() const { return attempts_->value(); }
-  std::uint64_t total_losses() const { return losses_->value(); }
-  std::uint64_t total_delivered() const { return delivered_->value(); }
+  std::uint64_t total_attempts() const { return attempts_; }
+  std::uint64_t total_losses() const { return losses_; }
+  std::uint64_t total_delivered() const { return delivered_; }
   double loss_rate() const {
-    const std::uint64_t a = total_attempts();
-    return a == 0 ? 0.0
-                  : static_cast<double>(total_losses()) /
-                        static_cast<double>(a);
+    return attempts_ == 0 ? 0.0
+                          : static_cast<double>(losses_) /
+                                static_cast<double>(attempts_);
   }
-  std::uint32_t peak_queue_depth() const {
-    return static_cast<std::uint32_t>(peak_queue_->value());
-  }
+  std::uint32_t peak_queue_depth() const { return peak_queue_; }
 
   // Fault / retry lifecycle (all zero on fault-free runs).
-  std::uint64_t fault_down_events() const { return fault_down_->value(); }
-  std::uint64_t fault_up_events() const { return fault_up_->value(); }
-  std::uint64_t subtree_kill_events() const { return subtree_kills_->value(); }
-  std::uint64_t total_backoffs() const { return backoffs_->value(); }
-  std::uint64_t messages_given_up() const { return gave_up_->value(); }
-  std::uint64_t degraded_channel_cycles() const {
-    return degraded_->value();
-  }
-  std::uint32_t peak_channels_down() const {
-    return static_cast<std::uint32_t>(peak_down_->value());
-  }
+  std::uint64_t fault_down_events() const { return fault_down_; }
+  std::uint64_t fault_up_events() const { return fault_up_; }
+  std::uint64_t subtree_kill_events() const { return subtree_kills_; }
+  std::uint64_t total_backoffs() const { return backoffs_; }
+  std::uint64_t messages_given_up() const { return gave_up_; }
+  std::uint64_t degraded_channel_cycles() const { return degraded_; }
+  std::uint32_t peak_channels_down() const { return peak_down_; }
   /// Fraction of usable channel-cycles at full capacity: 1 −
   /// degraded_channel_cycles / (usable channels × cycles). 1.0 for
   /// fault-free or empty runs.
@@ -130,34 +65,28 @@ class EngineMetrics final : public EngineObserver {
 
   /// Per-channel-per-cycle utilization histogram over [0, 1]; overloaded
   /// channel-cycles (carried > capacity) land in overflow().
-  const Histogram& utilization_histogram() const { return *util_hist_; }
+  const Histogram& utilization_histogram() const { return util_hist_; }
 
-  MetricsRegistry& registry() { return registry_; }
-  const MetricsRegistry& registry() const { return registry_; }
-
-  /// Registry instruments plus the per-level utilization profile — the
-  /// "engine" section of a RunReport.
+  /// Counters, gauges and the utilization histogram plus the per-level
+  /// utilization profile — the "engine" section of a RunReport.
   JsonValue to_json() const;
 
-  // Per-cycle counters, index = cycle - 1.
-  std::vector<std::uint64_t> attempts_per_cycle;
-  std::vector<std::uint64_t> losses_per_cycle;
+  /// Messages delivered per cycle, index = cycle - 1.
   std::vector<std::uint32_t> delivered_per_cycle;
 
  private:
-  MetricsRegistry registry_;
-  Counter* attempts_;
-  Counter* losses_;
-  Counter* delivered_;
-  Counter* fault_down_;
-  Counter* fault_up_;
-  Counter* subtree_kills_;
-  Counter* backoffs_;
-  Counter* gave_up_;
-  Counter* degraded_;
-  Gauge* peak_queue_;
-  Gauge* peak_down_;
-  Histogram* util_hist_;
+  std::uint64_t attempts_ = 0;
+  std::uint64_t losses_ = 0;
+  std::uint64_t delivered_ = 0;
+  std::uint64_t fault_down_ = 0;
+  std::uint64_t fault_up_ = 0;
+  std::uint64_t subtree_kills_ = 0;
+  std::uint64_t backoffs_ = 0;
+  std::uint64_t gave_up_ = 0;
+  std::uint64_t degraded_ = 0;
+  std::uint32_t peak_queue_ = 0;
+  std::uint32_t peak_down_ = 0;
+  Histogram util_hist_;
   /// Channels with nonzero capacity in the observed graph — the
   /// availability denominator per cycle.
   std::uint64_t usable_channels_ = 0;
@@ -169,47 +98,6 @@ class EngineMetrics final : public EngineObserver {
   std::size_t graph_channels_ = 0;
   std::uint32_t graph_levels_ = 0;
   bool graph_seen_ = false;
-};
-
-/// Fans one engine run out to several observers (e.g. EngineMetrics plus
-/// a TraceSink). Message events are forwarded only to targets that want
-/// them.
-class ObserverFanout final : public EngineObserver {
- public:
-  /// nullptr targets are ignored, so optional observers chain cleanly.
-  void add(EngineObserver* target) {
-    if (target != nullptr) targets_.push_back(target);
-  }
-
-  void on_cycle(const CycleSnapshot& s) override {
-    for (EngineObserver* t : targets_) t->on_cycle(s);
-  }
-  bool wants_message_events() const override {
-    for (const EngineObserver* t : targets_) {
-      if (t->wants_message_events()) return true;
-    }
-    return false;
-  }
-  void on_message_event(const MessageEvent& e) override {
-    for (EngineObserver* t : targets_) {
-      if (t->wants_message_events()) t->on_message_event(e);
-    }
-  }
-  bool wants_channel_state(std::uint32_t cycle) const override {
-    for (const EngineObserver* t : targets_) {
-      if (t->wants_channel_state(cycle)) return true;
-    }
-    return false;
-  }
-  bool wants_latency_samples() const override {
-    for (const EngineObserver* t : targets_) {
-      if (t->wants_latency_samples()) return true;
-    }
-    return false;
-  }
-
- private:
-  std::vector<EngineObserver*> targets_;
 };
 
 }  // namespace ft

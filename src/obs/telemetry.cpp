@@ -242,21 +242,9 @@ void QuantileDigest::clear() {
 // ---------------------------------------------------------------------------
 // TelemetryProbe
 
-namespace {
-TelemetryOptions sanitize(TelemetryOptions o) {
-  o.every_k = std::max(1u, o.every_k);
-  o.ring_capacity = std::max<std::size_t>(2, o.ring_capacity);
-  o.top_k = std::max<std::size_t>(1, o.top_k);
-  return o;
+TelemetryProbe::TelemetryProbe(TelemetryOptions opts) : opts_(opts) {
+  opts_.every_k = std::max(1u, opts_.every_k);
 }
-}  // namespace
-
-TelemetryProbe::TelemetryProbe(TelemetryOptions opts)
-    : opts_(sanitize(opts)), sketch_(opts_.top_k),
-      attempts_(opts_.ring_capacity), losses_(opts_.ring_capacity),
-      delivered_(opts_.ring_capacity), backoffs_(opts_.ring_capacity),
-      gave_up_(opts_.ring_capacity), pending_(opts_.ring_capacity),
-      channels_down_(opts_.ring_capacity) {}
 
 bool TelemetryProbe::wants_channel_state(std::uint32_t cycle) const {
   return opts_.every_k <= 1 || (cycle - 1) % opts_.every_k == 0;
@@ -291,7 +279,7 @@ void TelemetryProbe::on_cycle(const CycleSnapshot& s) {
   win_.channels_down += s.channels_down;
   if (win_.cycles >= opts_.every_k) flush_window();
 
-  if (opts_.latency && s.latencies != nullptr) {
+  if (s.latencies != nullptr) {
     for (const LatencySample& l : *s.latencies) {
       latency_.add(l.latency);
       // The lossy engine's ideal is always 1 (one contention-free cycle);
@@ -323,7 +311,7 @@ void TelemetryProbe::on_cycle(const CycleSnapshot& s) {
     graph_seen_ = true;
     graph_channels_ = g.num_channels();
     graph_levels_ = g.num_levels;
-    level_carried_.assign(g.num_levels, TelemetryRing(opts_.ring_capacity));
+    level_carried_.assign(g.num_levels, TelemetryRing());
     level_capacity_.assign(g.num_levels, 0);
     scan_ = build_channel_scan(g);
     for (const ChannelScanEntry& e : scan_) {
@@ -419,9 +407,9 @@ JsonValue TelemetryProbe::to_json() {
   JsonValue out = JsonValue::object();
   JsonValue& cfg = out["config"];
   cfg["every_k"] = opts_.every_k;
-  cfg["ring_capacity"] = static_cast<std::uint64_t>(opts_.ring_capacity);
-  cfg["top_k"] = static_cast<std::uint64_t>(opts_.top_k);
-  cfg["latency"] = opts_.latency;
+  cfg["ring_capacity"] = static_cast<std::uint64_t>(attempts_.capacity());
+  cfg["top_k"] = static_cast<std::uint64_t>(sketch_.capacity());
+  cfg["latency"] = true;
   out["cycles"] = cycles_seen_;
   out["fingerprint_hex"] = [this] {
     char buf[17];
@@ -476,10 +464,8 @@ JsonValue TelemetryProbe::to_json() {
     tops.push_back(std::move(t));
   }
 
-  if (opts_.latency) {
-    out["latency"] = digest_json(latency_, 1.0);
-    out["stretch"] = digest_json(stretch_, 1e-3);
-  }
+  out["latency"] = digest_json(latency_, 1.0);
+  out["stretch"] = digest_json(stretch_, 1e-3);
   return out;
 }
 
@@ -542,7 +528,7 @@ void TelemetryProbe::write_heatmap_jsonl(std::ostream& os) {
     }
     write_line(line);
   }
-  if (opts_.latency) {
+  {
     JsonValue line = JsonValue::object();
     line["type"] = "latency";
     line["latency"] = digest_json(latency_, 1.0);

@@ -169,25 +169,20 @@ struct TelemetryOptions {
   /// (see BENCH_engine.json's telemetry_overhead section). Use 1 for
   /// full-resolution analysis runs.
   std::uint32_t every_k = 4;
-  /// Committed samples per series ring (2x-downsampled beyond this).
-  std::size_t ring_capacity = 256;
-  /// Tracked hottest channels.
-  std::size_t top_k = 16;
-  /// Collect per-delivery latency/stretch digests (engine-side sampling
-  /// is skipped entirely when false).
-  bool latency = true;
 };
 
 /// The observer. Attach to any engine run (alone or in an
 /// ObserverFanout); export with to_json() / write_heatmap_csv() /
-/// write_heatmap_jsonl() / write_chrome_trace() after the run.
+/// write_heatmap_jsonl() / write_chrome_trace() after the run. Series
+/// rings hold TelemetryRing's default 256 samples, the sketch tracks the
+/// 16 hottest channels, and latency/stretch digests are always collected.
 class TelemetryProbe final : public EngineObserver {
  public:
   explicit TelemetryProbe(TelemetryOptions opts = {});
 
   void on_cycle(const CycleSnapshot& s) override;
   bool wants_channel_state(std::uint32_t cycle) const override;
-  bool wants_latency_samples() const override { return opts_.latency; }
+  bool wants_latency_samples() const override { return true; }
 
   const TelemetryOptions& options() const { return opts_; }
   std::uint64_t cycles_seen() const { return cycles_seen_; }

@@ -40,11 +40,10 @@ struct TraceCycleRecord {
 };
 
 struct TraceOptions {
-  /// Record per-message lifecycle events (the expensive part: one event
-  /// per message per cycle in lossy mode). Cycle records are always kept.
-  bool message_events = true;
-  /// Cap on recorded message events; 0 = unbounded. Excess events are
-  /// dropped and counted so a truncated trace is detectable.
+  /// Cap on recorded message events (the expensive part: one event per
+  /// message per cycle in lossy mode); 0 = unbounded. Excess events are
+  /// dropped and counted so a truncated trace is detectable. Cycle
+  /// records are always kept.
   std::size_t max_events = 0;
 };
 
@@ -53,7 +52,7 @@ class TraceSink final : public EngineObserver {
   explicit TraceSink(TraceOptions opts = {}) : opts_(opts) {}
 
   void on_cycle(const CycleSnapshot& s) override;
-  bool wants_message_events() const override { return opts_.message_events; }
+  bool wants_message_events() const override { return true; }
   void on_message_event(const MessageEvent& e) override;
 
   const std::vector<MessageEvent>& message_events() const { return events_; }

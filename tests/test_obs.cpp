@@ -1,5 +1,5 @@
-// Observability-layer tests: histogram edge semantics, the metrics
-// registry, the JSON model round trip, EngineMetrics' reuse guard, trace
+// Observability-layer tests: histogram edge semantics, the JSON model
+// round trip, EngineMetrics' reuse guard and pinned report bytes, trace
 // export validity (JSONL and Chrome trace_event), and the RunReport
 // schema round trip.
 #include <gtest/gtest.h>
@@ -11,9 +11,14 @@
 
 #include "core/online_router.hpp"
 #include "core/traffic.hpp"
+#include "engine/fault_plan.hpp"
+#include "nets/builders.hpp"
+#include "nets/routing.hpp"
+#include "nets/store_forward.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
+#include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 
 namespace ft {
@@ -46,40 +51,6 @@ TEST(Histogram, BinBoundaries) {
   h.reset();
   EXPECT_EQ(h.total(), 0u);
   EXPECT_EQ(h.overflow(), 0u);
-}
-
-TEST(MetricsRegistry, GetOrCreateAndReset) {
-  MetricsRegistry reg;
-  Counter& c = reg.counter("attempts");
-  c.add(3);
-  EXPECT_EQ(&reg.counter("attempts"), &c);  // same handle on re-request
-  EXPECT_EQ(reg.counter("attempts").value(), 3u);
-
-  Gauge& g = reg.gauge("depth");
-  g.set(7.5);
-  Histogram& h = reg.histogram("util", 0.0, 1.0, 4);
-  h.observe(0.5);
-  EXPECT_EQ(&reg.histogram("util", 0.0, 1.0, 4), &h);
-
-  EXPECT_NE(reg.find_counter("attempts"), nullptr);
-  EXPECT_EQ(reg.find_counter("missing"), nullptr);
-
-  reg.reset();
-  EXPECT_EQ(c.value(), 0u);  // handles stay valid, values zeroed
-  EXPECT_DOUBLE_EQ(g.value(), 0.0);
-  EXPECT_EQ(h.total(), 0u);
-
-  c.add(1);
-  const JsonValue j = reg.to_json();
-  const JsonValue* counters = j.find("counters");
-  ASSERT_NE(counters, nullptr);
-  const JsonValue* attempts = counters->find("attempts");
-  ASSERT_NE(attempts, nullptr);
-  EXPECT_EQ(attempts->as_uint(), 1u);
-  const JsonValue* hist = j.find("histograms");
-  ASSERT_NE(hist, nullptr);
-  ASSERT_NE(hist->find("util"), nullptr);
-  EXPECT_EQ(hist->find("util")->find("bins")->size(), 4u);
 }
 
 TEST(Json, RoundTrip) {
@@ -247,7 +218,7 @@ TEST(TraceSink, GiveUpEventsCoverUndelivered) {
 }
 
 TEST(TraceSink, MaxEventsCapCountsDrops) {
-  TraceSink trace(TraceOptions{true, 16});
+  TraceSink trace(TraceOptions{.max_events = 16});
   observed_route(64, &trace);
   EXPECT_EQ(trace.message_events().size(), 16u);
   EXPECT_GT(trace.dropped_events(), 0u);
@@ -284,6 +255,79 @@ TEST(RunReport, RoundTripThroughFile) {
   ASSERT_NE(parsed->find("git_sha"), nullptr);
   ASSERT_NE(parsed->find("timestamp"), nullptr);
   ASSERT_NE(parsed->find("host"), nullptr);
+}
+
+// Byte pins for the EngineMetrics report section and the telemetry
+// config block. Channel flaps plus exponential backoff make the fault,
+// backoff and peak-channels-down fields nonzero, so any rewrite of either
+// type that moves a byte of their reports fails here.
+TEST(EngineMetrics, ReportBytesPinnedUnderFlapsAndBackoff) {
+  const std::uint32_t n = 64;
+  FatTreeTopology t(n);
+  const auto caps = CapacityProfile::universal(t, n / 4);
+  Rng gen(5);
+  const auto m = stacked_permutations(n, 2, gen);
+  FaultPlan plan(7);
+  plan.set_flaps({0.01, 0.3});
+  EngineMetrics metrics;
+  TelemetryProbe probe;
+  ObserverFanout fanout;
+  fanout.add(&metrics);
+  fanout.add(&probe);
+  OnlineRouterOptions opts;
+  opts.observer = &fanout;
+  opts.fault_plan = &plan;
+  opts.retry.exponential_backoff = true;
+  Rng rng(6);
+  const auto r = route_online(t, caps, m, rng, opts);
+  ASSERT_FALSE(r.gave_up);
+  EXPECT_GT(metrics.fault_down_events(), 0u);
+  EXPECT_GT(metrics.fault_up_events(), 0u);
+  EXPECT_GT(metrics.total_backoffs(), 0u);
+  EXPECT_GT(metrics.degraded_channel_cycles(), 0u);
+  EXPECT_GT(metrics.peak_channels_down(), 0u);
+
+  EXPECT_EQ(metrics.to_json().dump(0),
+            R"({"counters":{"engine.attempts":422,"engine.losses":299,)"
+            R"("engine.delivered":123,"engine.fault_down_events":314,)"
+            R"("engine.fault_up_events":308,"engine.subtree_kill_events":0,)"
+            R"("engine.backoffs":201,"engine.messages_given_up":0,)"
+            R"("engine.degraded_channel_cycles":1018},)"
+            R"("gauges":{"engine.peak_queue_depth":0,)"
+            R"("engine.peak_channels_down":15},)"
+            R"("histograms":{"engine.channel_utilization":{"lo":0,"hi":1,)"
+            R"("bins":[31230,11,32,70,5,170,42,26,16,654],)"
+            R"("underflow":0,"overflow":0}},)"
+            R"("cycles":128,"loss_rate":0.7085308056872038,)"
+            R"("availability":0.9686884842519685,)"
+            R"("level_utilization":[0,0.031427556818181816,)"
+            R"(0.03724888392857143,0.0362548828125,0.028238932291666668,)"
+            R"(0.02410888671875,0.0240478515625]})");
+  EXPECT_EQ(probe.to_json().find("config")->dump(0),
+            R"({"every_k":4,"ring_capacity":256,"top_k":16,"latency":true})");
+
+  // Lossy runs leave the queue gauge at 0; a FIFO run pins it too.
+  const auto net = build_hypercube(5);
+  Rng traffic(41);
+  const auto routes =
+      route_all_bfs(net, random_permutation_traffic(32, traffic));
+  EngineMetrics fifo;
+  StoreForwardOptions sf;
+  sf.observer = &fifo;
+  simulate_store_forward(net, routes, sf);
+  EXPECT_GT(fifo.peak_queue_depth(), 0u);
+  EXPECT_EQ(fifo.to_json().dump(0),
+            R"({"counters":{"engine.attempts":76,"engine.losses":0,)"
+            R"("engine.delivered":31,"engine.fault_down_events":0,)"
+            R"("engine.fault_up_events":0,"engine.subtree_kill_events":0,)"
+            R"("engine.backoffs":0,"engine.messages_given_up":0,)"
+            R"("engine.degraded_channel_cycles":0},)"
+            R"("gauges":{"engine.peak_queue_depth":1,)"
+            R"("engine.peak_channels_down":0},)"
+            R"("histograms":{"engine.channel_utilization":{"lo":0,"hi":1,)"
+            R"("bins":[724,0,0,0,0,0,0,0,0,76],"underflow":0,"overflow":0}},)"
+            R"("cycles":5,"loss_rate":0,"availability":1,)"
+            R"("level_utilization":[0.095]})");
 }
 
 TEST(ObserverFanout, ForwardsSelectively) {

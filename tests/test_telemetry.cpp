@@ -14,7 +14,9 @@
 #include <string>
 
 #include "core/capacity.hpp"
+#include "core/offline_scheduler.hpp"
 #include "core/online_router.hpp"
+#include "core/replay.hpp"
 #include "core/topology.hpp"
 #include "core/traffic.hpp"
 #include "engine/engine.hpp"
@@ -397,25 +399,24 @@ TEST(Telemetry, LatencyDigestFifoStretch) {
   EXPECT_EQ(r.rounds, probe.cycles_seen());
 }
 
-// Latency collection can be disabled; the engine then skips per-delivery
-// sampling entirely and the digests stay empty.
-TEST(Telemetry, LatencyOptOut) {
-  const std::uint32_t n = 32;
+// Offline replay passes the engine's per-delivery latency samples through
+// to the caller's observer: every replayed message lands in the digests.
+TEST(Telemetry, ReplayFeedsLatencyDigest) {
+  const std::uint32_t n = 64;
   FatTreeTopology topo(n);
-  const auto caps = CapacityProfile::universal(topo, 8);
-  Rng gen(43);
-  const auto m = random_permutation_traffic(n, gen);
+  const auto caps = CapacityProfile::universal(topo, n / 4);
+  const auto m = transpose_traffic(n);
+  const Schedule schedule = schedule_offline(topo, caps, m);
 
-  TelemetryOptions topts;
-  topts.latency = false;
-  TelemetryProbe probe(topts);
-  Rng rng(44);
-  OnlineRouterOptions opts;
-  opts.observer = &probe;
-  const auto r = route_online(topo, caps, m, rng, opts);
-  EXPECT_FALSE(r.gave_up);
-  EXPECT_EQ(probe.latency_digest().count(), 0u);
-  EXPECT_EQ(probe.stretch_digest().count(), 0u);
+  TelemetryProbe probe;
+  const ReplayResult r = replay_schedule(topo, caps, schedule, {}, &probe);
+  probe.finalize();
+
+  EXPECT_EQ(r.delivered, m.size());
+  EXPECT_EQ(probe.latency_digest().count(), r.delivered);
+  EXPECT_EQ(probe.stretch_digest().count(), r.delivered);
+  // A valid schedule delivers every message in its own cycle.
+  EXPECT_EQ(probe.latency_digest().max(), 1u);
 }
 
 // --- Phase profiling ------------------------------------------------------

@@ -162,14 +162,6 @@ TEST(Traffic, BisectionFloodTargetsRightHalf) {
 
 // ---- The adversarial zoo (routing-race workloads, see E18) ----------
 
-// Drains a stream into a MessageSet.
-MessageSet drain(MessageStream& s) {
-  MessageSet out;
-  Message msg;
-  while (s.next(msg)) out.push_back(msg);
-  return out;
-}
-
 TEST(Traffic, IncastTargetsOneSinkFromOthers) {
   const std::uint32_t n = 64;
   const Leaf sink = 17;
@@ -238,38 +230,6 @@ TEST(Traffic, PersistentHotspotPhasesAndRanges) {
   for (std::size_t i = 40; i < m.size(); ++i) {
     EXPECT_LT(m[i].src, n);
     EXPECT_LT(m[i].dst, n);
-  }
-}
-
-TEST(Traffic, StreamedTwinsMatchMaterializedGenerators) {
-  // Same seed, same draw sequence: the O(1)-state streams must reproduce
-  // their materialized twins message for message (the scale-out contract;
-  // route_online_stream on a stream is then bit-identical to route_online
-  // on the set).
-  const std::uint32_t n = 64;
-  {
-    Rng a(61), b(61);
-    const auto m = incast_traffic(n, 200, 9, a);
-    IncastStream s(n, 200, 9, b);
-    EXPECT_EQ(drain(s), m);
-  }
-  {
-    Rng a(62), b(62);
-    const auto m = elephant_mice_traffic(n, 4, 16, 100, a);
-    ElephantMiceStream s(n, 4, 16, 100, b);
-    EXPECT_EQ(drain(s), m);
-  }
-  {
-    Rng a(63), b(63);
-    const auto m = adversarial_residue_traffic(n, 8, a);
-    AdversarialResidueStream s(n, 8, b);
-    EXPECT_EQ(drain(s), m);
-  }
-  {
-    Rng a(64), b(64);
-    const auto m = persistent_hotspot_traffic(n, 5, 30, 150, a);
-    PersistentHotspotStream s(n, 5, 30, 150, b);
-    EXPECT_EQ(drain(s), m);
   }
 }
 
