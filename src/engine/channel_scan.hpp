@@ -1,10 +1,10 @@
-// The in-budget channel scan list: the compact (channel, level) index of
-// every live, wire-budgeted channel of a ChannelGraph. Built once per
-// graph and walked once per cycle (or per sampled cycle) by everything
-// that aggregates per-channel state — the telemetry probe's occupancy
-// scans and the engine's adaptive-occupancy hot-streak pass share this
-// one definition so "the channels the probe watches" and "the channels
-// congestion feedback acts on" can never drift apart.
+// The in-budget channel scan: which channels of a ChannelGraph count as
+// live, wire-budgeted capacity. The telemetry probe walks the compact
+// (channel, level) list built here once per graph; the engine's
+// adaptive-occupancy feedback asks the same predicate about each channel
+// it would throttle. Both share this one definition so "the channels the
+// probe watches" and "the channels congestion feedback acts on" can never
+// drift apart.
 #pragma once
 
 #include <cstdint>
@@ -19,16 +19,20 @@ struct ChannelScanEntry {
   std::uint32_t level;
 };
 
-/// Every channel with nonzero capacity that counts against the wire
-/// budget, ascending channel order. Channels excluded here are exactly
-/// the ones the telemetry probe never aggregates (external interfaces,
-/// padding); the adaptive policy leaves their hot streaks at zero, so it
-/// never throttles on them either.
+/// True for a channel with nonzero capacity that counts against the wire
+/// budget. Channels excluded here are exactly the ones the telemetry probe
+/// never aggregates (external interfaces, padding), and the adaptive
+/// policy never throttles on them either.
+inline bool in_scan(const ChannelGraph& g, std::size_t c) {
+  return g.capacity[c] != 0 && g.in_wire_budget[c] != 0;
+}
+
+/// Every in_scan channel, ascending channel order.
 inline std::vector<ChannelScanEntry> build_channel_scan(
     const ChannelGraph& g) {
   std::vector<ChannelScanEntry> scan;
   for (std::size_t c = 0; c < g.num_channels(); ++c) {
-    if (g.capacity[c] == 0 || !g.in_wire_budget[c]) continue;
+    if (!in_scan(g, c)) continue;
     scan.push_back({static_cast<std::uint32_t>(c), g.level[c]});
   }
   return scan;

@@ -346,14 +346,6 @@ CycleEngine::CycleEngine(ChannelGraph graph, const EngineOptions& opts)
   if (opts_.parallel && (sharded_ || fifo)) {
     pool_ = std::make_unique<ThreadPool>(opts_.threads);
   }
-  if (opts_.policy == RoutingPolicy::AdaptiveOccupancy) {
-    // The congestion-feedback scan walks the telemetry probe's in-budget
-    // channel list (engine/channel_scan.hpp), built once per engine; the
-    // hot-streak pass only needs the channel indices.
-    for (const ChannelScanEntry& e : build_channel_scan(graph_)) {
-      adaptive_scan_.push_back(e.channel);
-    }
-  }
 }
 
 template <typename ChanT>
@@ -508,9 +500,13 @@ void CycleEngine::fused_stage(const ChanT* chan, std::uint32_t cycle,
       winners = select_policy_winners(pol, b, ob.count, limit, opts_.seed,
                                       cycle, ob.chan, ce, chan);
     } else {
-      // Adaptive pressure marks are per-channel; channels of one stage
-      // are disjoint across shards, so a worker's write never races.
-      if (adaptive) over_pressure_[ob.chan] = 1;
+      // Adaptive run stamps are per-channel; channels of one stage are
+      // disjoint across shards, so a worker's write never races.
+      if (adaptive) {
+        std::uint32_t& last = hot_last_[ob.chan];
+        if (last + 1 != cycle) hot_start_[ob.chan] = cycle;
+        last = cycle;
+      }
       // Truncated Fisher–Yates: the full backward shuffle finalizes the
       // loser block [limit, count) with its first count - limit draws —
       // every later draw only permutes the winner block [0, limit) — so
@@ -754,8 +750,8 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
                                       EngineObserver* observer) {
   EngineResult result;
   const std::size_t num_channels = graph_.num_channels();
-  want_carried_ = observer != nullptr;
-  carried_.assign(num_channels, 0);
+  // Every observed cycle zero-fills carried_ before the sweeps write it.
+  if (observer != nullptr) carried_.resize(num_channels);
   bucket_pos_.assign(num_channels, 0);
   stage_list_.resize(graph_.num_stages);
   for (auto& list : stage_list_) list.clear();
@@ -841,8 +837,8 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
       opts_.contention == ContentionPolicy::RandomSubset;
   const bool retry_on = retry.enabled() || adaptive_on;
   if (adaptive_on) {
-    over_pressure_.assign(num_channels, 0);
-    hot_streak_.assign(num_channels, 0);
+    hot_last_.assign(num_channels, 0);
+    hot_start_.assign(num_channels, 1);
   }
   std::unique_ptr<FaultState> faults;
   if (opts_.fault_plan != nullptr && !opts_.fault_plan->empty()) {
@@ -1001,23 +997,6 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
     std::uint64_t cycle_hops = 0;
     run_cycle(chan, cycle, cycle_losses, cycle_hops);
 
-    // Adaptive occupancy feedback, serial coordination path: fold this
-    // cycle's over-pressure marks into the per-channel hot streaks before
-    // the compaction below decides parking. The scan list is the
-    // telemetry probe's in-budget channel set, so feedback acts on
-    // exactly the channels the observatory watches; every executor wrote
-    // the same pressure marks (a channel is over limit or it is not), so
-    // the streaks — and every parking decision downstream — are
-    // executor-invariant.
-    if (adaptive_on) {
-      std::uint32_t* const hs = hot_streak_.data();
-      std::uint32_t* const op = over_pressure_.data();
-      for (const std::uint32_t c : adaptive_scan_) {
-        hs[c] = op[c] != 0 ? hs[c] + 1 : 0;
-        op[c] = 0;
-      }
-    }
-
     // Survivors are delivered; the rest retry next cycle. A loser's
     // cursor stops at the channel whose lottery it lost, which is the
     // Loss event's channel.
@@ -1104,9 +1083,15 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
                 // desynchronize — the pending index staggers retries
                 // across a window that widens with the streak, so the
                 // channel stays fed (about one waker per cycle) while
-                // upstream contention drops.
+                // upstream contention drops. The streak is the loss
+                // channel's run of over-limit cycles if that run reaches
+                // this cycle, and counts only on the channels the
+                // telemetry probe watches (engine/channel_scan.hpp).
+                const std::uint32_t c = chan[static_cast<std::uint32_t>(v)];
                 const std::uint32_t streak =
-                    hot_streak_[chan[static_cast<std::uint32_t>(v)]];
+                    hot_last_[c] == cycle && in_scan(graph_, c)
+                        ? cycle - hot_start_[c] + 1
+                        : 0;
                 if (streak >= kAdaptiveHotStreak) {
                   const std::uint32_t window =
                       std::min(streak, kAdaptiveMaxDelay);

@@ -70,12 +70,12 @@ enum class RoutingPolicy : std::uint8_t {
   /// concentrator, so a few wires idle under heavy contention.
   RandomLoadBalanced,
   /// Oblivious winner selection plus congestion feedback (Rocher-Gonzalez
-  /// et al., arXiv:2502.00597): per-channel queue-occupancy pressure is
-  /// folded into a hot-streak counter on the serial coordination path
-  /// (reusing the telemetry probe's channel-scan list), and losers at a
-  /// persistently hot channel desynchronize their retries over a widening
-  /// window. Engages the retry machinery; see DESIGN.md, "Routing
-  /// disciplines".
+  /// et al., arXiv:2502.00597): each contended bucket stamps its channel's
+  /// run of consecutive over-limit cycles at arbitration, and losers at a
+  /// channel that has been over its limit for long enough — and that the
+  /// telemetry probe's channel scan counts — desynchronize their retries
+  /// over a widening window. Engages the retry machinery; see DESIGN.md,
+  /// "Routing disciplines".
   AdaptiveOccupancy,
 };
 
@@ -358,21 +358,16 @@ class CycleEngine {
   std::vector<std::uint32_t> bucket_pos_;
   std::vector<std::uint32_t> arena_;
   std::vector<OverBucket> over_;
-  /// AdaptiveOccupancy state. over_pressure_[c] is set (by whichever
-  /// shard or band arbitrated channel c — channels of one stage are
-  /// disjoint, so writes never race) when c's bucket ran over limit this
-  /// cycle;
-  /// the serial end-of-cycle scan folds it into hot_streak_[c]
-  /// (consecutive over-pressure cycles, reset on a calm one) and clears
-  /// it. The scan walks adaptive_scan_: the telemetry probe's in-budget
-  /// channel list (engine/channel_scan.hpp), built once per engine.
-  /// Parking decisions read hot_streak_ only, on the serial compaction
-  /// path — occupancy feedback never crosses a thread boundary, which is
-  /// what keeps the adaptive policy's parity argument identical to the
-  /// oblivious one's.
-  std::vector<std::uint32_t> over_pressure_;
-  std::vector<std::uint32_t> hot_streak_;
-  std::vector<std::uint32_t> adaptive_scan_;
+  /// AdaptiveOccupancy state, reset per run: hot_last_[c] is the last
+  /// cycle in which channel c's bucket ran over its limit, hot_start_[c]
+  /// the first cycle of that unbroken run. Both are written by whichever
+  /// shard or band arbitrated c — a stage's channels belong to one shard
+  /// or to the spine, so writes never race — and read on the serial
+  /// compaction path after the sweep joins, so every executor sees the
+  /// same streaks. hot_start_ starts at 1: the first possible run begins
+  /// at cycle 1, not at the never-run cycle 0 that hot_last_ starts at.
+  std::vector<std::uint32_t> hot_last_;
+  std::vector<std::uint32_t> hot_start_;
   /// Bit-per-pending-message scratch for the global band's bitmap sort of
   /// large contended buckets (engine.cpp sort_by_bitmap). Kept all-zero
   /// between uses: extraction clears each word it reads.
@@ -381,7 +376,8 @@ class CycleEngine {
   /// carried_ is only observable through an observer's CycleSnapshot;
   /// without one — or on cycles the observer declines via
   /// wants_channel_state() — the lossy stage loops skip the per-channel
-  /// occupancy writes (and the per-cycle clear) entirely.
+  /// occupancy writes (and the per-cycle clear) entirely, and a lossy run
+  /// without an observer does not even size it.
   bool want_carried_ = true;
   std::vector<std::uint32_t> carried_;  ///< per-channel, current cycle
 

@@ -2,9 +2,11 @@
 // per-seed EngineResult values (cycles, delivered, losses, attempts, hop
 // counts, and an FNV-1a hash of delivered_per_cycle) pinned for a handful
 // of (topology, policy, seed) configurations. The constants below were
-// recorded from the pre-worklist engine (commit ebad4b0), so any engine
-// refactor that claims to be bit-identical — not merely
-// distribution-preserving — must keep every one of these green.
+// recorded from the pre-worklist engine (commit ebad4b0; the
+// routing-policy rows from the engine that still folded adaptive hot
+// streaks once per cycle), so any engine refactor that claims to be
+// bit-identical — not merely distribution-preserving — must keep every
+// one of these green.
 //
 // To re-record after an *intentional* behavior change, run this binary
 // with FT_GOLDEN_PRINT=1 and paste the printed rows over the tables.
@@ -13,6 +15,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "core/capacity.hpp"
@@ -176,6 +179,101 @@ TEST(EngineGolden, OnlineRouting) {
       std::accumulate(r.delivered_per_cycle.begin(),
                       r.delivered_per_cycle.end(), std::uint64_t{0});
   EXPECT_EQ(delivered, m.size());
+}
+
+// ---------------------------------------------------------------------------
+// The routing-policy seam: the three non-default disciplines on a
+// persistent hotspot. The serial and the sharded executor must both land
+// on the row, so a change that moves both together still shows.
+
+struct PolicyGolden {
+  RoutingPolicy policy;
+  const char* label;
+  std::uint64_t cycles;
+  std::uint64_t attempts;
+  std::uint64_t losses;
+  std::uint64_t backoffs;
+  std::uint64_t dpc_hash;
+};
+
+constexpr PolicyGolden kPolicyGolden[] = {
+    {RoutingPolicy::DeterministicDmod, "dmod", 162, 340155, 335932, 0,
+     17442982182293381263ULL},
+    {RoutingPolicy::RandomLoadBalanced, "rlb", 163, 397951, 393728, 0,
+     6833353631778256309ULL},
+    {RoutingPolicy::AdaptiveOccupancy, "adaptive", 139, 48212, 43989, 18221,
+     3418642282142993863ULL},
+};
+
+TEST(EngineGolden, RoutingPolicies) {
+  const std::uint32_t n = 1024;
+  FatTreeTopology t(n);
+  const auto caps = CapacityProfile::universal(t, n / 16);
+  Rng gen(31);
+  const auto m = persistent_hotspot_traffic(n, n / 3, n / 8, 4 * n, gen);
+
+  for (const PolicyGolden& g : kPolicyGolden) {
+    for (const bool parallel : {false, true}) {
+      OnlineRouterOptions opts;
+      opts.policy = g.policy;
+      opts.parallel = parallel;
+      opts.threads = 4;
+      Rng rng(32);
+      const auto r = route_online(t, caps, m, rng, opts);
+      const std::string at =
+          std::string(g.label) + (parallel ? " sharded" : " serial");
+      if (print_mode()) {
+        std::cout << "GOLDEN policy " << at << " {" << r.delivery_cycles
+                  << ", " << r.total_attempts << ", " << r.total_losses
+                  << ", " << r.total_backoffs << ", "
+                  << fnv1a(r.delivered_per_cycle) << "ULL},\n";
+        continue;
+      }
+      EXPECT_FALSE(r.gave_up) << at;
+      EXPECT_EQ(r.delivery_cycles, g.cycles) << at;
+      EXPECT_EQ(r.total_attempts, g.attempts) << at;
+      EXPECT_EQ(r.total_losses, g.losses) << at;
+      EXPECT_EQ(r.total_backoffs, g.backoffs) << at;
+      EXPECT_EQ(fnv1a(r.delivered_per_cycle), g.dpc_hash) << at;
+    }
+  }
+}
+
+// Congestion feedback never acts on a channel outside the wire budget
+// (engine/channel_scan.hpp): 64 messages contend for one single-wire
+// channel, and only the in-budget variant parks its losers.
+TEST(EngineGolden, AdaptiveIgnoresOutOfBudgetChannels) {
+  struct Case {
+    std::uint8_t in_budget;
+    std::uint64_t cycles;
+    std::uint64_t attempts;
+    std::uint64_t losses;
+    std::uint64_t backoffs;
+  };
+  const Case cases[] = {{0, 64, 2080, 2016, 0}, {1, 84, 1442, 1378, 650}};
+  const std::vector<EnginePath> paths(64, EnginePath{0});
+  for (const Case& c : cases) {
+    ChannelGraph graph = ChannelGraph::flat({1});
+    graph.in_wire_budget[0] = c.in_budget;
+    EngineOptions opts;
+    opts.policy = RoutingPolicy::AdaptiveOccupancy;
+    opts.seed = 5;
+    CycleEngine engine(std::move(graph), opts);
+    const EngineResult r = engine.run(paths);
+    const std::string at = "in_wire_budget=" + std::to_string(c.in_budget);
+    if (print_mode()) {
+      std::cout << "GOLDEN out-of-budget " << at << " {" << r.cycles << ", "
+                << r.total_attempts << ", " << r.total_losses << ", "
+                << r.total_backoffs << "}\n";
+      continue;
+    }
+    EXPECT_FALSE(r.gave_up) << at;
+    EXPECT_EQ(r.delivered, paths.size()) << at;
+    EXPECT_EQ(r.cycles, c.cycles) << at;
+    EXPECT_EQ(r.total_attempts, c.attempts) << at;
+    EXPECT_EQ(r.total_losses, c.losses) << at;
+    EXPECT_EQ(r.total_backoffs, c.backoffs) << at;
+  }
 }
 
 // ---------------------------------------------------------------------------
