@@ -86,7 +86,7 @@ int main() {
         if (wl.name == name) m = wl.messages;
       }
       const auto s = ft::schedule_offline(topo, caps, m);
-      per.push_back(ft::per_level_utilization(topo, caps, s));
+      per.push_back(ft::analyze_schedule(topo, caps, s).level_utilization);
 
       ft::JsonValue& run =
           report.add_run(std::string("per_level/") + name + "/w=64");

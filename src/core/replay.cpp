@@ -11,12 +11,9 @@ namespace {
 class ViolationCounter final : public EngineObserver {
  public:
   void on_cycle(const CycleSnapshot& s) override {
-    if (s.graph == nullptr || s.carried == nullptr) return;
-    const ChannelGraph& g = *s.graph;
-    for (std::size_t c = 0; c < g.num_channels(); ++c) {
-      if (g.capacity[c] != 0 && (*s.carried)[c] > g.capacity[c]) {
-        ++violations_;
-      }
+    if (s.graph == nullptr || s.loads == nullptr) return;
+    for (const ChannelLoad& l : *s.loads) {
+      if (l.carried > s.graph->capacity[l.channel]) ++violations_;
     }
   }
 

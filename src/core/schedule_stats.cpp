@@ -3,47 +3,40 @@
 #include <algorithm>
 
 #include "core/replay.hpp"
-#include "engine/fat_tree_model.hpp"
 #include "util/check.hpp"
 
 namespace ft {
 
 namespace {
 
-/// Per-cycle wire-slot usage accumulated from the engine's replay
-/// occupancy counters. Usable slots are the wire-budget channels (node 1's
-/// external interface is excluded by the channel graph); carried load is
-/// clamped to capacity so an over-full cycle cannot exceed 100%.
+/// Per-cycle wire-slot usage accumulated from the replay's channel state.
+/// Usable slots are the in-budget channels (node 1's external interface
+/// is excluded by the channel graph); carried load is clamped to capacity
+/// so an over-full cycle cannot exceed 100%.
 class UtilizationObserver final : public EngineObserver {
  public:
   void on_cycle(const CycleSnapshot& s) override {
     const ChannelGraph& g = *s.graph;
+    if (avail_by_level.empty()) {
+      avail_by_level = g.budget_capacity_by_level();
+      used_by_level.assign(g.num_levels, 0);
+    }
     std::uint64_t used = 0;
-    for (std::size_t c = 0; c < g.num_channels(); ++c) {
-      if (g.capacity[c] == 0 || !g.in_wire_budget[c]) continue;
-      const auto u = std::min<std::uint64_t>((*s.carried)[c], g.capacity[c]);
+    for (const ChannelLoad& l : *s.loads) {
+      if (!g.in_budget(l.channel)) continue;
+      const auto u =
+          std::min<std::uint64_t>(l.carried, g.capacity[l.channel]);
       used += u;
-      if (used_by_level.size() < g.num_levels) {
-        used_by_level.resize(g.num_levels, 0);
-      }
-      used_by_level[g.level[c]] += u;
+      used_by_level[g.level[l.channel]] += u;
     }
     used_per_cycle.push_back(used);
   }
 
   std::vector<std::uint64_t> used_per_cycle;
   std::vector<std::uint64_t> used_by_level;
+  /// Wire slots available per cycle at each level.
+  std::vector<std::uint64_t> avail_by_level;
 };
-
-/// Wire slots available per cycle at one level / over all levels.
-std::vector<std::uint64_t> avail_by_level(const ChannelGraph& g) {
-  std::vector<std::uint64_t> avail(g.num_levels, 0);
-  for (std::size_t c = 0; c < g.num_channels(); ++c) {
-    if (g.capacity[c] == 0 || !g.in_wire_budget[c]) continue;
-    avail[g.level[c]] += g.capacity[c];
-  }
-  return avail;
-}
 
 }  // namespace
 
@@ -53,23 +46,19 @@ ScheduleStats analyze_schedule(const FatTreeTopology& topo,
   ScheduleStats stats;
   stats.cycles = schedule.num_cycles();
   stats.messages = schedule.total_messages();
+  stats.level_utilization.assign(topo.height() + 1, 0.0);
   if (stats.cycles == 0) return stats;
 
   UtilizationObserver obs;
   const ReplayResult replay = replay_schedule(topo, caps, schedule, {}, &obs);
   FT_CHECK(replay.cycles == stats.cycles);
 
-  const ChannelGraph graph = fat_tree_channel_graph(topo, caps);
-  const std::vector<std::uint64_t> avail_lvl = avail_by_level(graph);
   std::uint64_t avail = 0;
-  for (const auto a : avail_lvl) avail += a;
-  const std::uint64_t root_avail =
-      avail_lvl.size() > 1 ? avail_lvl[1] : 0;
+  for (const auto a : obs.avail_by_level) avail += a;
 
   double sum_util = 0.0;
   double max_util = 0.0;
   double min_util = 2.0;
-  std::uint64_t root_used = 0;
   for (std::size_t i = 0; i < stats.cycles; ++i) {
     const double util = avail ? static_cast<double>(obs.used_per_cycle[i]) /
                                     static_cast<double>(avail)
@@ -78,42 +67,22 @@ ScheduleStats analyze_schedule(const FatTreeTopology& topo,
     max_util = std::max(max_util, util);
     if (!schedule.cycles[i].empty()) min_util = std::min(min_util, util);
   }
-  if (obs.used_by_level.size() > 1) root_used = obs.used_by_level[1];
+  for (std::size_t k = 0; k < stats.level_utilization.size(); ++k) {
+    const std::uint64_t level_avail =
+        obs.avail_by_level[k] * static_cast<std::uint64_t>(stats.cycles);
+    stats.level_utilization[k] =
+        level_avail ? static_cast<double>(obs.used_by_level[k]) /
+                          static_cast<double>(level_avail)
+                    : 0.0;
+  }
 
   stats.mean_utilization = sum_util / static_cast<double>(stats.cycles);
   stats.max_cycle_utilization = max_util;
   stats.min_cycle_utilization = min_util > 1.5 ? 0.0 : min_util;
-  stats.root_utilization =
-      root_avail ? static_cast<double>(root_used) /
-                       (static_cast<double>(root_avail) *
-                        static_cast<double>(stats.cycles))
-                 : 0.0;
+  stats.root_utilization = stats.level_utilization[1];
   stats.throughput = static_cast<double>(stats.messages) /
                      static_cast<double>(stats.cycles);
   return stats;
-}
-
-std::vector<double> per_level_utilization(const FatTreeTopology& topo,
-                                          const CapacityProfile& caps,
-                                          const Schedule& schedule) {
-  const std::uint32_t L = topo.height();
-  std::vector<double> util(L + 1, 0.0);
-  if (schedule.num_cycles() == 0) return util;
-
-  UtilizationObserver obs;
-  replay_schedule(topo, caps, schedule, {}, &obs);
-
-  const std::vector<std::uint64_t> avail_lvl =
-      avail_by_level(fat_tree_channel_graph(topo, caps));
-  obs.used_by_level.resize(L + 1, 0);
-  for (std::uint32_t k = 0; k <= L; ++k) {
-    const std::uint64_t avail =
-        avail_lvl[k] * static_cast<std::uint64_t>(schedule.num_cycles());
-    util[k] = avail ? static_cast<double>(obs.used_by_level[k]) /
-                          static_cast<double>(avail)
-                    : 0.0;
-  }
-  return util;
 }
 
 }  // namespace ft

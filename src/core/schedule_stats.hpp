@@ -23,8 +23,13 @@ struct ScheduleStats {
   double max_cycle_utilization = 0.0;
   double min_cycle_utilization = 0.0;
   /// Mean utilization of the level-1 channels (the expensive top trunks;
-  /// the external-interface channel above the root is excluded).
+  /// the external-interface channel above the root is excluded):
+  /// level_utilization[1].
   double root_utilization = 0.0;
+  /// Per-level mean utilization across all cycles (index = channel level;
+  /// level 0 — the external interface — is always 0 for internal
+  /// traffic). Height + 1 entries, all 0 for an empty schedule.
+  std::vector<double> level_utilization;
   /// Mean messages per cycle.
   double throughput = 0.0;
 };
@@ -36,11 +41,5 @@ struct ScheduleStats {
 ScheduleStats analyze_schedule(const FatTreeTopology& topo,
                                const CapacityProfile& caps,
                                const Schedule& schedule);
-
-/// Per-level mean utilization across all cycles (index = channel level;
-/// level 0 — the external interface — is always 0 for internal traffic).
-std::vector<double> per_level_utilization(const FatTreeTopology& topo,
-                                          const CapacityProfile& caps,
-                                          const Schedule& schedule);
 
 }  // namespace ft

@@ -118,12 +118,12 @@ struct ChannelGraph {
   std::vector<std::uint32_t> stage;
 
   /// Instrumentation tag of each channel (fat-tree level; 0 for flat
-  /// graphs). Per-level counters in EngineMetrics aggregate over this.
+  /// graphs). Per-level utilization observers aggregate over this.
   std::vector<std::uint32_t> level;
 
-  /// Channels that count toward utilization denominators. The fat-tree
-  /// model excludes the root's external-interface channel, which internal
-  /// traffic can never use.
+  /// Channels that count toward utilization denominators (see
+  /// in_budget()). The fat-tree model excludes the root's
+  /// external-interface channel, which internal traffic can never use.
   std::vector<std::uint8_t> in_wire_budget;
 
   std::uint32_t num_stages = 1;
@@ -146,6 +146,31 @@ struct ChannelGraph {
   static constexpr std::uint32_t kNoShard = 0xffffffffu;
 
   std::size_t num_channels() const { return capacity.size(); }
+
+  /// True for a channel that counts against the wire budget: it exists
+  /// and is tagged in_wire_budget. Utilization observers aggregate
+  /// exactly these channels, and the adaptive policy throttles only on
+  /// them; one predicate keeps the two sets from drifting apart.
+  bool in_budget(std::size_t c) const {
+    return capacity[c] != 0 && in_wire_budget[c] != 0;
+  }
+
+  /// Number of in-budget channels.
+  std::size_t num_budget_channels() const {
+    std::size_t count = 0;
+    for (std::size_t c = 0; c < num_channels(); ++c) count += in_budget(c);
+    return count;
+  }
+
+  /// Summed capacity of the in-budget channels at each level tag: the
+  /// per-cycle denominators of per-level utilization.
+  std::vector<std::uint64_t> budget_capacity_by_level() const {
+    std::vector<std::uint64_t> cap(num_levels, 0);
+    for (std::size_t c = 0; c < num_channels(); ++c) {
+      if (in_budget(c)) cap[level[c]] += capacity[c];
+    }
+    return cap;
+  }
 
   /// Uniform-metadata constructor for flat link graphs (Network, k-ary):
   /// one stage, one level, every channel in the wire budget.

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <memory>
 
-#include "engine/channel_scan.hpp"
 #include "engine/chunked_ring.hpp"
 #include "util/check.hpp"
 #include "util/prng.hpp"
@@ -434,6 +433,7 @@ void CycleEngine::fused_stage(const ChanT* chan, std::uint32_t cycle,
                               std::vector<std::uint32_t>& arena,
                               std::vector<OverBucket>& over,
                               std::vector<std::uint64_t>& sort_bits,
+                              std::vector<ChannelLoad>& loads,
                               std::uint64_t& cycle_losses,
                               std::uint64_t& cycle_hops, Forward&& forward) {
   // bucket_pos_ sentinel for channels that stay under their limit; arena
@@ -456,7 +456,7 @@ void CycleEngine::fused_stage(const ChanT* chan, std::uint32_t cycle,
       bp[c] = total;  // fill cursor for the sweep below
       total += count;
     } else {
-      if (want_carried_) carried_[c] = count;
+      if (want_loads_) loads.push_back({c, count});
       cycle_hops += count;
       bp[c] = kUncontended;
     }
@@ -530,7 +530,9 @@ void CycleEngine::fused_stage(const ChanT* chan, std::uint32_t cycle,
                           chan[static_cast<std::uint32_t>(v)]));
       }
     }
-    if (want_carried_) carried_[ob.chan] = static_cast<std::uint32_t>(winners);
+    if (want_loads_) {
+      loads.push_back({ob.chan, static_cast<std::uint32_t>(winners)});
+    }
     cycle_hops += winners;
     cycle_losses += ob.count - winners;
   }
@@ -578,7 +580,7 @@ void CycleEngine::run_cycle(const ChanT* chan, std::uint32_t cycle,
     for (std::uint32_t s = s_begin; s < s_end; ++s) {
       if (lst[s].empty()) continue;
       fused_stage(chan, cycle, lst[s], touch[s], arena_, over_, sort_bits_,
-                  cycle_losses, cycle_hops,
+                  loads_, cycle_losses, cycle_hops,
                   [&](std::uint32_t i, std::uint32_t nc) {
                     const std::uint32_t ns = stg[nc];
                     if (bp[nc]++ == 0) touch[ns].push_back(nc);
@@ -621,7 +623,7 @@ void CycleEngine::run_cycle(const ChanT* chan, std::uint32_t cycle,
     for (std::uint32_t s = s_begin; s < s_end; ++s) {
       if (lst[s].empty()) continue;
       fused_stage(chan, cycle, lst[s], touch[s], st.arena, st.over,
-                  st.sort_bits, st.losses, st.hops,
+                  st.sort_bits, st.loads, st.losses, st.hops,
                   [&](std::uint32_t i, std::uint32_t nc) {
                     const std::uint32_t ns = stg[nc];
                     if (ns < spine_lo || shard_tbl[nc] == my_shard) {
@@ -729,11 +731,15 @@ void CycleEngine::run_cycle(const ChanT* chan, std::uint32_t cycle,
     ph_down_ += phase_delta(pt2, pt3);
   }
 
+  // Counter reduction, and the shards' channel state joins the global
+  // list (empty on cycles without channel state).
   for (ShardState& st : shards_) {
     cycle_losses += st.losses;
     cycle_hops += st.hops;
     st.losses = 0;
     st.hops = 0;
+    loads_.insert(loads_.end(), st.loads.begin(), st.loads.end());
+    st.loads.clear();
   }
 }
 
@@ -750,8 +756,6 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
                                       EngineObserver* observer) {
   EngineResult result;
   const std::size_t num_channels = graph_.num_channels();
-  // Every observed cycle zero-fills carried_ before the sweeps write it.
-  if (observer != nullptr) carried_.resize(num_channels);
   bucket_pos_.assign(num_channels, 0);
   stage_list_.resize(graph_.num_stages);
   for (auto& list : stage_list_) list.clear();
@@ -765,6 +769,7 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
       st.stage_touched.resize(graph_.num_stages);
       for (auto& t : st.stage_touched) t.clear();
       st.outbox.clear();
+      st.loads.clear();
       st.losses = 0;
       st.hops = 0;
     }
@@ -864,10 +869,10 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
       sweep_before = ph_up_ + ph_spine_ + ph_down_;
     }
     if (lat_on) lat_samples_.clear();
-    // Channel-state (carried) bookkeeping is consulted per cycle so a
-    // sampling observer only pays the O(channels) occupancy cost on the
-    // cycles it keeps.
-    want_carried_ = observer != nullptr && observer->wants_channel_state(cycle);
+    // Channel state is consulted per cycle so a sampling observer only
+    // pays for it on the cycles it keeps.
+    want_loads_ = observer != nullptr && observer->wants_channel_state(cycle);
+    loads_.clear();
     std::uint32_t delivered_now = 0;
     std::uint32_t backoffs_now = 0;
     std::uint32_t gave_up_now = 0;
@@ -991,7 +996,6 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
     // it loses; stages run in causal order along every path. Worklists
     // were seeded by last cycle's compaction (retries) and this cycle's
     // injection, both in ascending message order.
-    if (want_carried_) std::fill(carried_.begin(), carried_.end(), 0);
     const ChanT* chan = chan_buf.data();
     std::uint64_t cycle_losses = 0;
     std::uint64_t cycle_hops = 0;
@@ -1085,11 +1089,11 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
                 // channel stays fed (about one waker per cycle) while
                 // upstream contention drops. The streak is the loss
                 // channel's run of over-limit cycles if that run reaches
-                // this cycle, and counts only on the channels the
-                // telemetry probe watches (engine/channel_scan.hpp).
+                // this cycle, and counts only on the in-budget channels
+                // the utilization observers watch.
                 const std::uint32_t c = chan[static_cast<std::uint32_t>(v)];
                 const std::uint32_t streak =
-                    hot_last_[c] == cycle && in_scan(graph_, c)
+                    hot_last_[c] == cycle && graph_.in_budget(c)
                         ? cycle - hot_start_[c] + 1
                         : 0;
                 if (streak >= kAdaptiveHotStreak) {
@@ -1186,7 +1190,7 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
       }
       snap.backoffs = backoffs_now;
       snap.gave_up = gave_up_now;
-      snap.carried = want_carried_ ? &carried_ : nullptr;
+      snap.loads = want_loads_ ? &loads_ : nullptr;
       snap.latencies = lat_on ? &lat_samples_ : nullptr;
       snap.graph = &graph_;
       observer->on_cycle(snap);
@@ -1235,7 +1239,6 @@ EngineResult CycleEngine::run_fifo(const PathSet& paths,
   // Absolute cursor of each message within the CSR buffer; message i is
   // delivered when its cursor reaches offs[i + 1].
   std::vector<std::uint32_t> pos(paths.size());
-  carried_.assign(num_channels, 0);
 
   const bool trace = observer != nullptr && observer->wants_message_events();
   const bool lat_on =
@@ -1280,13 +1283,15 @@ EngineResult CycleEngine::run_fifo(const PathSet& paths,
   // arrivals are buffered so a message moves at most one hop per round.
   // When tracing, each range logs its Hop/Deliver events; the serial
   // merge below replays them in range (= ascending channel) order, so the
-  // event stream is identical at any thread count. Cache-line aligned:
+  // event stream is identical at any thread count. Channel state is
+  // logged and merged the same way. Cache-line aligned:
   // each range's scalars are rewritten by its worker every round, and
   // adjacent elements of `outs` would otherwise share lines.
   struct alignas(64) RangeOut {
     std::vector<std::pair<std::uint32_t, std::uint32_t>> arrivals;
     std::vector<MessageEvent> events;
     std::vector<LatencySample> lat;
+    std::vector<ChannelLoad> loads;
     double latency_sum = 0.0;
     std::uint32_t finished = 0;
     std::uint64_t forwards = 0;
@@ -1309,6 +1314,7 @@ EngineResult CycleEngine::run_fifo(const PathSet& paths,
     out.arrivals.clear();
     out.events.clear();
     out.lat.clear();
+    out.loads.clear();
     out.latency_sum = 0.0;
     out.finished = 0;
     out.forwards = 0;
@@ -1344,7 +1350,9 @@ EngineResult CycleEngine::run_fifo(const PathSet& paths,
           out.arrivals.emplace_back(chans[pos[msg]], msg);
         }
       }
-      carried_[lid] = forwarded;
+      if (want_loads_ && forwarded > 0) {
+        out.loads.push_back({static_cast<std::uint32_t>(lid), forwarded});
+      }
       out.max_queue = std::max(out.max_queue,
                                static_cast<std::uint32_t>(q.size()));
     }
@@ -1361,6 +1369,8 @@ EngineResult CycleEngine::run_fifo(const PathSet& paths,
       sweep_before = ph_up_ + ph_spine_;
     }
     if (lat_on) lat_samples_.clear();
+    want_loads_ = observer != nullptr && observer->wants_channel_state(round);
+    loads_.clear();
     const FaultState::CycleFaults* cf = nullptr;
     if (faults) {
       cf = &faults->begin_cycle(round, limit_);
@@ -1418,6 +1428,7 @@ EngineResult CycleEngine::run_fifo(const PathSet& paths,
         lat_samples_.insert(lat_samples_.end(), out.lat.begin(),
                             out.lat.end());
       }
+      loads_.insert(loads_.end(), out.loads.begin(), out.loads.end());
       if (trace) {
         for (const MessageEvent& e : out.events) {
           observer->on_message_event(e);
@@ -1451,11 +1462,7 @@ EngineResult CycleEngine::run_fifo(const PathSet& paths,
         snap.channels_down = cf->channels_down;
         snap.degraded_channels = cf->degraded_channels;
       }
-      // FIFO rounds track carried as part of the forwarding loop either
-      // way; the per-cycle opt-in only decides whether the observer sees
-      // it, keeping the snapshot contract uniform across modes.
-      snap.carried =
-          observer->wants_channel_state(round) ? &carried_ : nullptr;
+      snap.loads = want_loads_ ? &loads_ : nullptr;
       snap.latencies = lat_on ? &lat_samples_ : nullptr;
       snap.graph = &graph_;
       observer->on_cycle(snap);

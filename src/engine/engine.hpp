@@ -72,10 +72,10 @@ enum class RoutingPolicy : std::uint8_t {
   /// Oblivious winner selection plus congestion feedback (Rocher-Gonzalez
   /// et al., arXiv:2502.00597): each contended bucket stamps its channel's
   /// run of consecutive over-limit cycles at arbitration, and losers at a
-  /// channel that has been over its limit for long enough — and that the
-  /// telemetry probe's channel scan counts — desynchronize their retries
-  /// over a widening window. Engages the retry machinery; see DESIGN.md,
-  /// "Routing disciplines".
+  /// channel that has been over its limit for long enough — and that
+  /// counts against the wire budget (ChannelGraph::in_budget) —
+  /// desynchronize their retries over a widening window. Engages the
+  /// retry machinery; see DESIGN.md, "Routing disciplines".
   AdaptiveOccupancy,
 };
 
@@ -214,10 +214,11 @@ class CycleEngine {
   /// run shard-parallel with no shared mutable state. The outbox collects
   /// survivors whose next channel leaves the shard (spine channels or
   /// another shard's down channels); the coordinating thread distributes
-  /// it between phases. Cache-line aligned: neighbouring shards' worklist
-  /// headers and loss/hop counters are written by different workers every
-  /// cycle, and letting them share a line costs real coherence traffic at
-  /// high shard counts.
+  /// it between phases, and appends the shard's channel-state list to
+  /// loads_ after the down phase. Cache-line aligned: neighbouring shards'
+  /// worklist headers and loss/hop counters are written by different
+  /// workers every cycle, and letting them share a line costs real
+  /// coherence traffic at high shard counts.
   struct alignas(64) ShardState {
     std::vector<std::vector<std::uint64_t>> stage_list;
     std::vector<std::vector<std::uint32_t>> stage_touched;
@@ -225,6 +226,7 @@ class CycleEngine {
     std::vector<OverBucket> over;
     std::vector<std::uint64_t> sort_bits;
     std::vector<std::uint64_t> outbox;  ///< packed (msg << 32) | channel
+    std::vector<ChannelLoad> loads;     ///< this cycle's arbitrated channels
     std::uint64_t losses = 0;
     std::uint64_t hops = 0;
   };
@@ -237,7 +239,9 @@ class CycleEngine {
   const auto* stage_table() const;
   /// The stage kernel (bucket counting, arbitration, accounting, survivor
   /// forwarding in two sweeps) over caller-owned worklists and scratch —
-  /// the global band's or a shard's. `forward` is invoked as
+  /// the global band's or a shard's. On cycles with channel state
+  /// (want_loads_) it appends each arbitrated channel to `loads`.
+  /// `forward` is invoked as
   /// forward(msg, next_channel) for every surviving message with hops
   /// left and routes it to its next worklist. Must inline into its
   /// caller: the forward closures capture caller-local hoisted pointers
@@ -254,6 +258,7 @@ class CycleEngine {
                           std::vector<std::uint32_t>& arena,
                           std::vector<OverBucket>& over,
                           std::vector<std::uint64_t>& sort_bits,
+                          std::vector<ChannelLoad>& loads,
                           std::uint64_t& cycle_losses,
                           std::uint64_t& cycle_hops, Forward&& forward);
   /// One full cycle's stage sweep: every stage on the global worklists
@@ -373,13 +378,12 @@ class CycleEngine {
   /// between uses: extraction clears each word it reads.
   std::vector<std::uint64_t> sort_bits_;
 
-  /// carried_ is only observable through an observer's CycleSnapshot;
-  /// without one — or on cycles the observer declines via
-  /// wants_channel_state() — the lossy stage loops skip the per-channel
-  /// occupancy writes (and the per-cycle clear) entirely, and a lossy run
-  /// without an observer does not even size it.
-  bool want_carried_ = true;
-  std::vector<std::uint32_t> carried_;  ///< per-channel, current cycle
+  /// The current cycle's channel state (CycleSnapshot::loads), recorded
+  /// only on cycles an observer asks for (wants_channel_state). The
+  /// global band appends here directly; shards and FIFO ranges fill their
+  /// own lists, which the coordinating thread appends after the sweep.
+  bool want_loads_ = false;
+  std::vector<ChannelLoad> loads_;
 
   /// Latency sampling (observer wants_latency_samples() only): the cycle
   /// each live message was injected in, compacted with ce_, and the

@@ -4,6 +4,10 @@
 // serial and in cycle order, even when the engine resolves contention in
 // parallel, so observers need no locking.
 //
+// A cycle's channel state is one {channel, carried} list of the channels
+// arbitrated or forwarded that cycle, so readers pay for busy channels,
+// not for the graph. Its order depends on the executor.
+//
 // Observers can additionally opt in to per-message lifecycle events
 // (wants_message_events()). Those too are emitted only from the serial
 // coordination path, in a deterministic order that does not depend on
@@ -35,10 +39,15 @@ struct LatencySample {
   std::uint32_t ideal = 1;
 };
 
-/// What happened in one delivery cycle. `carried` points at the engine's
-/// per-channel counters for this cycle (messages that traversed each
-/// channel, i.e. survived its arbitration); it is only valid during the
-/// callback — copy what you need.
+/// One channel's traffic in one cycle: the messages that traversed it
+/// (survived its arbitration, tallied on it, or were forwarded over it).
+struct ChannelLoad {
+  std::uint32_t channel = 0;
+  std::uint32_t carried = 0;
+};
+
+/// What happened in one delivery cycle. The pointers borrow engine state
+/// that is only valid during the callback — copy what you need.
 struct CycleSnapshot {
   std::uint32_t cycle = 0;          ///< 1-based cycle / round number
   std::size_t pending_before = 0;   ///< messages alive entering the cycle
@@ -55,10 +64,14 @@ struct CycleSnapshot {
   std::uint64_t degraded_channels = 0;  ///< channels below full capacity
   std::uint32_t backoffs = 0;       ///< messages that entered retry backoff
   std::uint32_t gave_up = 0;        ///< messages that exhausted their retries
-  /// Per-channel carried counts for this cycle; nullptr when no attached
-  /// observer asked for this cycle's channel state (see
-  /// EngineObserver::wants_channel_state).
-  const std::vector<std::uint32_t>* carried = nullptr;
+  /// This cycle's channel state: each channel arbitrated (lossy/tally) or
+  /// forwarded on (FIFO) appears exactly once; channels not listed
+  /// carried nothing, and an entry may carry 0 (a down channel's
+  /// contenders all lose). The order differs between executors, so
+  /// readers must be order-independent (an argmax breaks ties by channel
+  /// id). nullptr when no attached observer asked for this cycle's
+  /// channel state (see EngineObserver::wants_channel_state).
+  const std::vector<ChannelLoad>* loads = nullptr;
   /// Messages delivered through the network this cycle, in a deterministic
   /// order that does not depend on thread count (ascending pending index
   /// in the lossy modes, ascending final channel in FIFO mode). nullptr
@@ -123,12 +136,12 @@ class EngineObserver {
   virtual bool wants_message_events() const { return false; }
   virtual void on_message_event(const MessageEvent& /*event*/) {}
 
-  /// Per-cycle opt-in for the carried channel-state array. Consulted once
-  /// per cycle from the coordinating thread; when it returns false the
-  /// engine skips the O(channels) occupancy bookkeeping for that cycle
-  /// and the snapshot's `carried` is nullptr. Defaults to true so
-  /// existing observers see every cycle; sampling observers (telemetry
-  /// with every_k > 1) return true only on the cycles they keep.
+  /// Per-cycle opt-in for the channel-state list. Consulted once per
+  /// cycle from the coordinating thread, before the sweep; when it
+  /// returns false the engine records no channel state that cycle and the
+  /// snapshot's `loads` is nullptr. Defaults to true so observers see
+  /// every cycle; sampling observers (telemetry with every_k > 1) return
+  /// true only on the cycles they keep.
   virtual bool wants_channel_state(std::uint32_t /*cycle*/) const {
     return true;
   }

@@ -21,7 +21,7 @@ void EngineMetrics::on_cycle(const CycleSnapshot& s) {
   degraded_ += s.degraded_channels;
   peak_queue_ = std::max(peak_queue_, s.peak_queue);
   peak_down_ = std::max(peak_down_, s.channels_down);
-  if (s.graph == nullptr || s.carried == nullptr) return;
+  if (s.graph == nullptr || s.loads == nullptr) return;
 
   const ChannelGraph& g = *s.graph;
   if (graph_seen_) {
@@ -36,21 +36,24 @@ void EngineMetrics::on_cycle(const CycleSnapshot& s) {
     graph_channels_ = g.num_channels();
     graph_levels_ = g.num_levels;
     carried_by_level_.assign(g.num_levels, 0);
-    capacity_by_level_.assign(g.num_levels, 0);
-    usable_channels_ = 0;
-    for (std::size_t c = 0; c < g.num_channels(); ++c) {
-      if (g.capacity[c] > 0) ++usable_channels_;
-    }
+    budget_by_level_ = g.budget_capacity_by_level();
+    budget_channels_ = g.num_budget_channels();
+    usable_channels_ = static_cast<std::uint64_t>(
+        std::count_if(g.capacity.begin(), g.capacity.end(),
+                      [](std::uint64_t cap) { return cap > 0; }));
   }
 
-  for (std::size_t c = 0; c < g.num_channels(); ++c) {
-    if (g.capacity[c] == 0 || !g.in_wire_budget[c]) continue;
-    const std::uint32_t carried = (*s.carried)[c];
-    carried_by_level_[g.level[c]] += carried;
-    capacity_by_level_[g.level[c]] += g.capacity[c];
-    util_hist_.observe(static_cast<double>(carried) /
-                       static_cast<double>(g.capacity[c]));
+  ++state_cycles_;
+  std::uint64_t busy = 0;
+  for (const ChannelLoad& l : *s.loads) {
+    if (!g.in_budget(l.channel)) continue;
+    ++busy;
+    carried_by_level_[g.level[l.channel]] += l.carried;
+    util_hist_.observe(static_cast<double>(l.carried) /
+                       static_cast<double>(g.capacity[l.channel]));
   }
+  // The in-budget channels missing from the list carried nothing.
+  util_hist_.observe(0.0, budget_channels_ - busy);
 }
 
 void EngineMetrics::reset() { *this = EngineMetrics(); }
@@ -63,11 +66,11 @@ double EngineMetrics::availability() const {
 }
 
 double EngineMetrics::level_utilization(std::uint32_t level) const {
-  if (level >= carried_by_level_.size() || capacity_by_level_[level] == 0) {
-    return 0.0;
-  }
+  if (level >= carried_by_level_.size()) return 0.0;
+  const std::uint64_t capacity = budget_by_level_[level] * state_cycles_;
+  if (capacity == 0) return 0.0;
   return static_cast<double>(carried_by_level_[level]) /
-         static_cast<double>(capacity_by_level_[level]);
+         static_cast<double>(capacity);
 }
 
 JsonValue EngineMetrics::to_json() const {

@@ -90,9 +90,15 @@ class EngineMetrics final : public EngineObserver {
   /// Channels with nonzero capacity in the observed graph — the
   /// availability denominator per cycle.
   std::uint64_t usable_channels_ = 0;
-  // Per-level tallies over all cycles, index = ChannelGraph::level.
+  /// In-budget channels of the observed graph: those absent from a
+  /// cycle's load list enter the histogram's bin 0 as one weighted count.
+  std::uint64_t budget_channels_ = 0;
+  /// Cycles that carried channel state.
+  std::uint64_t state_cycles_ = 0;
+  // Per-level carried tallies over all cycles and per-cycle in-budget
+  // capacity, index = ChannelGraph::level.
   std::vector<std::uint64_t> carried_by_level_;
-  std::vector<std::uint64_t> capacity_by_level_;
+  std::vector<std::uint64_t> budget_by_level_;
   // Shape of the first graph observed since reset(); guards against
   // silently blending runs over different topologies.
   std::size_t graph_channels_ = 0;

@@ -294,10 +294,10 @@ void TelemetryProbe::on_cycle(const CycleSnapshot& s) {
   }
 
   // Channel-state family: only on sampled cycles (the engine hands
-  // carried == nullptr on the rest, and a fanout partner may force it on
+  // loads == nullptr on the rest, and a fanout partner may force it on
   // cycles we did not ask for — skip those to keep this probe's streams
   // independent of co-observers).
-  if (s.graph == nullptr || s.carried == nullptr ||
+  if (s.graph == nullptr || s.loads == nullptr ||
       !wants_channel_state(s.cycle)) {
     return;
   }
@@ -312,28 +312,26 @@ void TelemetryProbe::on_cycle(const CycleSnapshot& s) {
     graph_channels_ = g.num_channels();
     graph_levels_ = g.num_levels;
     level_carried_.assign(g.num_levels, TelemetryRing());
-    level_capacity_.assign(g.num_levels, 0);
-    scan_ = build_channel_scan(g);
-    for (const ChannelScanEntry& e : scan_) {
-      level_capacity_[e.level] += g.capacity[e.channel];
-    }
+    level_capacity_ = g.budget_capacity_by_level();
   }
 
-  // One O(channels) aggregation scan per sampled cycle: per-level
-  // occupancy sums plus the per-level argmax-carried channel, which is
-  // the (deterministic) candidate feed of the hottest-channel sketch —
-  // O(levels) sketch adds per sample instead of O(channels).
+  // One pass over the cycle's load list: per-level occupancy sums plus
+  // the per-level argmax-carried channel, which is the (deterministic)
+  // candidate feed of the hottest-channel sketch — O(levels) sketch adds
+  // per sample instead of O(channels). List order differs between
+  // executors, so ties go to the lowest channel id.
   const std::uint32_t levels = graph_levels_;
   level_sum_.assign(levels, 0);
   argmax_chan_.assign(levels, 0);
   argmax_val_.assign(levels, 0);
-  const std::uint32_t* carried = s.carried->data();
-  for (const ChannelScanEntry& e : scan_) {
-    const std::uint32_t v = carried[e.channel];
-    level_sum_[e.level] += v;
-    if (v > argmax_val_[e.level]) {
-      argmax_val_[e.level] = v;
-      argmax_chan_[e.level] = e.channel;
+  for (const ChannelLoad& l : *s.loads) {
+    if (!g.in_budget(l.channel)) continue;
+    const std::uint32_t lvl = g.level[l.channel];
+    level_sum_[lvl] += l.carried;
+    if (l.carried > argmax_val_[lvl] ||
+        (l.carried == argmax_val_[lvl] && l.channel < argmax_chan_[lvl])) {
+      argmax_val_[lvl] = l.carried;
+      argmax_chan_[lvl] = l.channel;
     }
   }
   for (std::uint32_t lvl = 0; lvl < levels; ++lvl) {
@@ -593,7 +591,6 @@ void TelemetryProbe::reset() {
   cycles_seen_ = 0;
   level_carried_.clear();
   level_capacity_.clear();
-  scan_.clear();
   level_sum_.clear();
   argmax_chan_.clear();
   argmax_val_.clear();

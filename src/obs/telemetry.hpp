@@ -28,7 +28,6 @@
 #include <string_view>
 #include <vector>
 
-#include "engine/channel_scan.hpp"
 #include "engine/observer.hpp"
 #include "obs/json.hpp"
 
@@ -163,8 +162,8 @@ struct TelemetryOptions {
   /// cover every cycle (accumulated into every_k-cycle windows) so their
   /// totals conserve regardless of sampling. The default of 4 is the
   /// fidelity/overhead balance point: channel-state capture is the one
-  /// per-cycle O(channels) cost (and the engine skips per-channel carried
-  /// accounting on unsampled cycles), and at k = 4 the measured
+  /// per-channel cost (and the engine records no channel state on
+  /// unsampled cycles), and at k = 4 the measured
   /// engine-throughput overhead at n = 2^16 stays within the 5% budget
   /// (see BENCH_engine.json's telemetry_overhead section). Use 1 for
   /// full-resolution analysis runs.
@@ -244,16 +243,10 @@ class TelemetryProbe final : public EngineObserver {
   // sampled cycle) + hottest-channel sketch.
   std::vector<TelemetryRing> level_carried_;
   std::vector<std::uint64_t> level_capacity_;
-  /// Compact (channel, level) list of in-budget channels, built once per
-  /// graph: the per-sampled-cycle aggregation scan touches only live
-  /// channels instead of the full (half-empty) channel index space.
-  /// Shared definition with the engine's adaptive-occupancy scan
-  /// (engine/channel_scan.hpp).
-  std::vector<ChannelScanEntry> scan_;
   SpaceSavingSketch sketch_;
-  /// Per-level scratch for one sampled cycle's aggregation scan: the
-  /// level occupancy sums and the argmax-carried channel per level that
-  /// feeds the sketch.
+  /// Per-level scratch for one sampled cycle's pass over the load list:
+  /// the level occupancy sums and the argmax-carried channel per level
+  /// that feeds the sketch.
   std::vector<std::uint64_t> level_sum_;
   std::vector<std::uint32_t> argmax_chan_;
   std::vector<std::uint32_t> argmax_val_;

@@ -78,11 +78,10 @@ void TraceSink::on_cycle(const CycleSnapshot& s) {
   rec.backoffs = s.backoffs;
   rec.gave_up = s.gave_up;
   rec.events_end = events_.size();
-  if (s.graph != nullptr && s.carried != nullptr) {
+  if (s.graph != nullptr && s.loads != nullptr) {
     rec.carried_by_level.assign(s.graph->num_levels, 0);
-    for (std::size_t c = 0; c < s.graph->num_channels(); ++c) {
-      if (s.graph->capacity[c] == 0) continue;
-      rec.carried_by_level[s.graph->level[c]] += (*s.carried)[c];
+    for (const ChannelLoad& l : *s.loads) {
+      rec.carried_by_level[s.graph->level[l.channel]] += l.carried;
     }
   }
   cycles_.push_back(std::move(rec));

@@ -57,16 +57,17 @@ class Histogram {
     FT_CHECK_MSG(bins > 0 && hi > lo, "histogram needs bins > 0 and hi > lo");
   }
 
-  void observe(double x) {
+  /// Records `weight` observations of x.
+  void observe(double x, std::uint64_t weight = 1) {
     if (x < lo_) {
-      ++underflow_;
+      underflow_ += weight;
     } else if (x > hi_) {
-      ++overflow_;
+      overflow_ += weight;
     } else {
       auto bin = static_cast<std::size_t>((x - lo_) / (hi_ - lo_) *
                                           static_cast<double>(counts_.size()));
       if (bin >= counts_.size()) bin = counts_.size() - 1;  // x == hi
-      ++counts_[bin];
+      counts_[bin] += weight;
     }
   }
 

@@ -215,32 +215,4 @@ void ThreadPool::worker_loop(std::size_t idx) {
   }
 }
 
-void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& body,
-                  std::size_t threads) {
-  if (end <= begin) return;
-  const std::size_t count = end - begin;
-  if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  threads = std::min(threads, count);
-  if (threads <= 1 || count <= 1) {
-    for (std::size_t i = begin; i < end; ++i) body(i);
-    return;
-  }
-  std::atomic<std::size_t> next{begin};
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (std::size_t t = 0; t < threads; ++t) {
-    pool.emplace_back([&] {
-      for (;;) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= end) return;
-        body(i);
-      }
-    });
-  }
-  for (auto& th : pool) th.join();
-}
-
 }  // namespace ft

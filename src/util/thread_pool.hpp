@@ -98,11 +98,4 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-/// Runs body(i) for i in [begin, end) across a transient pool and blocks
-/// until completion. Falls back to serial execution for tiny ranges.
-/// body must be safe to call concurrently for distinct i.
-void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& body,
-                  std::size_t threads = 0);
-
 }  // namespace ft

@@ -49,13 +49,13 @@ std::uint64_t fnv1a(const std::vector<std::uint32_t>& v) {
   return h;
 }
 
-/// Sums the per-channel carried counters over all cycles: the number of
+/// Sums the per-channel carried counts over all cycles: the number of
 /// successful channel traversals, which EngineResult::total_hops reports.
 class CarriedSummer final : public EngineObserver {
  public:
   void on_cycle(const CycleSnapshot& s) override {
-    if (s.carried != nullptr) {
-      for (const std::uint32_t c : *s.carried) sum_ += c;
+    if (s.loads != nullptr) {
+      for (const ChannelLoad& l : *s.loads) sum_ += l.carried;
     }
   }
   std::uint64_t sum() const { return sum_; }
@@ -240,7 +240,7 @@ TEST(EngineGolden, RoutingPolicies) {
 }
 
 // Congestion feedback never acts on a channel outside the wire budget
-// (engine/channel_scan.hpp): 64 messages contend for one single-wire
+// (ChannelGraph::in_budget): 64 messages contend for one single-wire
 // channel, and only the in-budget variant parks its losers.
 TEST(EngineGolden, AdaptiveIgnoresOutOfBudgetChannels) {
   struct Case {

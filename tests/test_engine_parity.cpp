@@ -48,6 +48,56 @@ std::uint64_t event_fingerprint(const TraceSink& trace) {
   return h;
 }
 
+/// event_fingerprint plus every cycle record's per-level carried tally,
+/// so a trace compares on channel state as well as on its events.
+std::uint64_t trace_fingerprint(const TraceSink& trace) {
+  std::uint64_t h = event_fingerprint(trace);
+  const auto mix = [&h](std::uint64_t v) { h = (h ^ v) * 1099511628211ull; };
+  for (const TraceCycleRecord& r : trace.cycle_records()) {
+    mix(r.cycle);
+    mix(r.carried_by_level.size());
+    for (const std::uint64_t c : r.carried_by_level) mix(c);
+  }
+  return h;
+}
+
+/// Per-cycle channel-state invariants: no channel is listed twice in one
+/// cycle, every listed channel exists (capacity > 0), and none carries
+/// more than its admission limit. Both fanouts below run at alpha = 1
+/// (lossy) or in FIFO mode, where that limit is the channel's capacity.
+class ChannelStateInvariants final : public EngineObserver {
+ public:
+  void on_cycle(const CycleSnapshot& s) override {
+    if (s.loads == nullptr) return;
+    const ChannelGraph& g = *s.graph;
+    last_listed_.resize(g.num_channels(), 0);
+    for (const ChannelLoad& l : *s.loads) {
+      ++entries;
+      if (last_listed_[l.channel] == s.cycle) ++duplicates;
+      last_listed_[l.channel] = s.cycle;
+      if (g.capacity[l.channel] == 0) ++unusable;
+      if (l.carried > g.capacity[l.channel]) ++over_limit;
+    }
+  }
+
+  std::uint64_t entries = 0;
+  std::uint64_t duplicates = 0;
+  std::uint64_t unusable = 0;
+  std::uint64_t over_limit = 0;
+
+ private:
+  /// The cycle each channel was last listed in (cycles are 1-based).
+  std::vector<std::uint32_t> last_listed_;
+};
+
+void expect_invariants_hold(const ChannelStateInvariants& inv,
+                            const std::string& at) {
+  EXPECT_GT(inv.entries, 0u) << at;
+  EXPECT_EQ(inv.duplicates, 0u) << at;
+  EXPECT_EQ(inv.unusable, 0u) << at;
+  EXPECT_EQ(inv.over_limit, 0u) << at;
+}
+
 TEST(EngineParity, OnlineSerialEqualsParallel) {
   const std::uint32_t n = 128;
   FatTreeTopology t(n);
@@ -390,7 +440,8 @@ TEST(EngineParity, RoutingPoliciesSerialEqualsParallel) {
 // so AdaptiveOccupancy parks through its own feedback rather than a
 // backoff schedule that would mask it), must match the serial run in
 // every EngineResult field, the per-cycle deliveries, the traced event
-// stream and the telemetry stream.
+// stream and per-level carried tallies, the telemetry stream and the
+// EngineMetrics report section.
 TEST(EngineParity, PooledShardsMatchSerialForEveryPolicy) {
   const std::uint32_t n = 4096;
   FatTreeTopology t(n);
@@ -407,18 +458,26 @@ TEST(EngineParity, PooledShardsMatchSerialForEveryPolicy) {
     EngineResult result;
     std::uint64_t trace_fp = 0;
     std::uint64_t telemetry_fp = 0;
+    std::string metrics_json;
   };
-  const auto run = [&](const EngineOptions& opts, std::uint32_t shard_level) {
+  const auto run = [&](const EngineOptions& opts, std::uint32_t shard_level,
+                       const std::string& at) {
     TraceSink trace;
     TelemetryProbe probe;
+    EngineMetrics metrics;
+    ChannelStateInvariants invariants;
     ObserverFanout fanout;
     fanout.add(&trace);
     fanout.add(&probe);
+    fanout.add(&metrics);
+    fanout.add(&invariants);
     CycleEngine engine(fat_tree_channel_graph(t, caps, shard_level), opts);
     Run r;
     r.result = engine.run(paths, &fanout);
-    r.trace_fp = event_fingerprint(trace);
+    r.trace_fp = trace_fingerprint(trace);
     r.telemetry_fp = probe.fingerprint();
+    r.metrics_json = metrics.to_json().dump(0);
+    expect_invariants_hold(invariants, at);
     return r;
   };
 
@@ -431,10 +490,10 @@ TEST(EngineParity, PooledShardsMatchSerialForEveryPolicy) {
       opts.seed = 123;
       opts.policy = pol;
       opts.fault_plan = fp;
-      const Run s = run(opts, 0);
       const std::string label = "policy " +
                                 std::to_string(static_cast<int>(pol)) +
                                 (fp != nullptr ? " flaps" : " fault-free");
+      const Run s = run(opts, 0, label);
       EXPECT_FALSE(s.result.gave_up) << label;
       EXPECT_EQ(s.result.delivered + s.result.messages_given_up, routed)
           << label;
@@ -446,9 +505,9 @@ TEST(EngineParity, PooledShardsMatchSerialForEveryPolicy) {
       opts.parallel = true;
       opts.threads = 4;
       for (const std::uint32_t shard_level : {2u, 3u}) {
-        const Run p = run(opts, shard_level);
         const std::string at = label + " shard_level " +
                                std::to_string(shard_level);
+        const Run p = run(opts, shard_level, at);
         const EngineResult& a = s.result;
         const EngineResult& b = p.result;
         EXPECT_EQ(a.cycles, b.cycles) << at;
@@ -469,6 +528,7 @@ TEST(EngineParity, PooledShardsMatchSerialForEveryPolicy) {
         EXPECT_EQ(a.delivered_per_cycle, b.delivered_per_cycle) << at;
         EXPECT_EQ(s.trace_fp, p.trace_fp) << at;
         EXPECT_EQ(s.telemetry_fp, p.telemetry_fp) << at;
+        EXPECT_EQ(s.metrics_json, p.metrics_json) << at;
       }
     }
   }
@@ -554,11 +614,19 @@ TEST(EngineParity, FifoTraceSerialEqualsParallel) {
   const auto routes = route_all_bfs(net, m);
 
   std::vector<std::vector<MessageEvent>> streams;
+  std::vector<std::uint64_t> trace_fps;
+  std::vector<std::string> metrics_json;
   for (const bool parallel : {false, true}) {
     TraceSink trace;
+    EngineMetrics metrics;
+    ChannelStateInvariants invariants;
+    ObserverFanout fanout;
+    fanout.add(&trace);
+    fanout.add(&metrics);
+    fanout.add(&invariants);
     StoreForwardOptions opts;
     opts.parallel = parallel;
-    opts.observer = &trace;
+    opts.observer = &fanout;
     const auto r = simulate_store_forward(net, routes, opts);
 
     std::uint64_t hops = 0;
@@ -566,9 +634,14 @@ TEST(EngineParity, FifoTraceSerialEqualsParallel) {
       if (e.kind == MessageEventKind::Hop) ++hops;
     }
     EXPECT_EQ(hops, r.total_hops);
+    expect_invariants_hold(invariants, parallel ? "parallel" : "serial");
     streams.push_back(trace.message_events());
+    trace_fps.push_back(trace_fingerprint(trace));
+    metrics_json.push_back(metrics.to_json().dump(0));
   }
   EXPECT_EQ(streams[0], streams[1]);
+  EXPECT_EQ(trace_fps[0], trace_fps[1]);
+  EXPECT_EQ(metrics_json[0], metrics_json[1]);
 }
 
 }  // namespace

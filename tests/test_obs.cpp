@@ -51,6 +51,21 @@ TEST(Histogram, BinBoundaries) {
   h.reset();
   EXPECT_EQ(h.total(), 0u);
   EXPECT_EQ(h.overflow(), 0u);
+
+  // A weighted observation lands in the same bin as that many single
+  // ones (EngineMetrics enters a cycle's idle channels this way); weight
+  // 0 records nothing.
+  h.observe(0.0, 5);
+  EXPECT_EQ(h.bin_count(0), 5u);
+  h.observe(0.35, 3);
+  EXPECT_EQ(h.bin_count(3), 3u);
+  h.observe(2.0, 2);
+  EXPECT_EQ(h.overflow(), 2u);
+  h.observe(-1.0, 4);
+  EXPECT_EQ(h.underflow(), 4u);
+  h.observe(0.5, 0);
+  EXPECT_EQ(h.bin_count(5), 0u);
+  EXPECT_EQ(h.total(), 14u);
 }
 
 TEST(Json, RoundTrip) {

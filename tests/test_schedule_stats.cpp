@@ -64,7 +64,7 @@ TEST(ScheduleStats, PerLevelUtilizationShape) {
   Rng rng(1);
   const auto m = random_permutation_traffic(n, rng);
   const auto schedule = schedule_offline(t, caps, m);
-  const auto util = per_level_utilization(t, caps, schedule);
+  const auto util = analyze_schedule(t, caps, schedule).level_utilization;
   ASSERT_EQ(util.size(), t.height() + 1);
   for (double u : util) {
     EXPECT_GE(u, 0.0);

@@ -25,36 +25,6 @@ TEST(ThreadPool, WaitIdleOnEmptyPool) {
   SUCCEED();
 }
 
-TEST(ParallelFor, CoversWholeRange) {
-  std::vector<std::atomic<int>> hits(1000);
-  parallel_for(0, hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelFor, EmptyAndSingleton) {
-  std::atomic<int> n{0};
-  parallel_for(5, 5, [&](std::size_t) { n.fetch_add(1); });
-  EXPECT_EQ(n.load(), 0);
-  parallel_for(7, 8, [&](std::size_t i) {
-    EXPECT_EQ(i, 7u);
-    n.fetch_add(1);
-  });
-  EXPECT_EQ(n.load(), 1);
-}
-
-TEST(ParallelFor, MatchesSerialSum) {
-  std::vector<long> out(5000, 0);
-  parallel_for(0, out.size(), [&](std::size_t i) {
-    out[i] = static_cast<long>(i) * 3 - 1;
-  }, 8);
-  long expect = 0, got = 0;
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    expect += static_cast<long>(i) * 3 - 1;
-    got += out[i];
-  }
-  EXPECT_EQ(expect, got);
-}
-
 TEST(ThreadPool, RunTasksCoversRangeAndBlocks) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(64);
@@ -153,15 +123,6 @@ TEST(ThreadPool, NestedSubmitFromBatchBody) {
   });
   pool.wait_idle();
   EXPECT_EQ(nested.load(), 8);
-}
-
-TEST(ParallelFor, SingleThreadFallback) {
-  std::vector<int> order;
-  parallel_for(0, 10, [&](std::size_t i) {
-    order.push_back(static_cast<int>(i));
-  }, 1);
-  // Serial fallback preserves order.
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
 }
 
 }  // namespace
