@@ -84,11 +84,6 @@ std::uint64_t sum_u32(const std::vector<std::uint32_t>& v) {
   return s;
 }
 
-struct PolicyEntry {
-  const char* name;
-  ft::RoutingPolicy policy;
-};
-
 struct CellResult {
   std::uint64_t cycles = 0;
   std::uint64_t losses = 0;
@@ -116,13 +111,6 @@ int main(int argc, char** argv) {
   const ft::FatTreeTopology topo(n);
   const auto universal = ft::CapacityProfile::universal(topo, w);
   const auto unit = ft::CapacityProfile::constant(topo, 1);
-
-  const std::vector<PolicyEntry> policies = {
-      {"oblivious", ft::RoutingPolicy::ObliviousRandom},
-      {"dmod", ft::RoutingPolicy::DeterministicDmod},
-      {"rlb", ft::RoutingPolicy::RandomLoadBalanced},
-      {"adaptive", ft::RoutingPolicy::AdaptiveOccupancy},
-  };
 
   // The zoo. The persistent hotspot keeps its hot flows under 1% of the
   // population so the p99 stretch measures *collateral* damage — how much
@@ -193,7 +181,7 @@ int main(int argc, char** argv) {
                      "p99 stretch", "conserved"});
     for (std::size_t t = 0; t < zoo.size(); ++t) {
       const TrafficClass& tc = zoo[t];
-      for (const PolicyEntry& pe : policies) {
+      for (const ft::RoutingPolicyName& pe : ft::kRoutingPolicies) {
         LatencyCollector lat;
         ft::OnlineRouterOptions opts;
         opts.policy = pe.policy;
@@ -306,7 +294,7 @@ int main(int argc, char** argv) {
                      "conserved"});
     double obl_p99 = 0, ada_p99 = 0;
     std::uint64_t obl_losses = 0, ada_losses = 0;
-    for (const PolicyEntry& pe : policies) {
+    for (const ft::RoutingPolicyName& pe : ft::kRoutingPolicies) {
       std::vector<double> bg;
       std::uint64_t losses = 0;
       bool conserved = false;

@@ -146,23 +146,6 @@ using ft::parse_u32;
 using ft::parse_u64;
 using ft::split_fields;
 
-bool parse_policy(const char* s, ft::RoutingPolicy& out) {
-  if (s == nullptr) return false;
-  const std::string v = s;
-  if (v == "oblivious") {
-    out = ft::RoutingPolicy::ObliviousRandom;
-  } else if (v == "dmod") {
-    out = ft::RoutingPolicy::DeterministicDmod;
-  } else if (v == "rlb") {
-    out = ft::RoutingPolicy::RandomLoadBalanced;
-  } else if (v == "adaptive") {
-    out = ft::RoutingPolicy::AdaptiveOccupancy;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 bool parse(int argc, char** argv, Options& opt) {
   // On any failure: name the offending flag on stderr, then let main()
   // print usage() and exit nonzero.
@@ -245,7 +228,9 @@ bool parse(int argc, char** argv, Options& opt) {
       if (!parse_u32(next(), opt.retry.deadline_cycles)) return bad();
     } else if (arg == "--policy") {
       const char* v = next();
-      if (!parse_policy(v, opt.policy)) return bad();
+      if (v == nullptr || !ft::parse_routing_policy(v, opt.policy)) {
+        return bad();
+      }
       opt.policy_name = v;
     } else if (arg == "--parallel") {
       opt.parallel = true;

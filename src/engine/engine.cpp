@@ -27,17 +27,15 @@ std::uint64_t arbitration_seed(std::uint64_t seed, std::uint32_t cycle,
 /// back to inline automatically.
 constexpr std::size_t kMinParallelWork = 4096;
 
-/// Restores ascending pending order before a bucket's lottery. Buckets
-/// are small (a channel's contenders) and usually already sorted — fed
-/// straight off the ascending seed list, or scrambled only by upstream
-/// lottery winners — so adaptive insertion sort beats std::sort here: the
-/// already-sorted case is one compare per element with no call overhead,
-/// and near-sorted buckets finish in a handful of moves.
+/// Restores ascending pending order before a bucket's lottery, for
+/// buckets of at most 64 contenders (fused_stage sends larger ones to
+/// sort_by_bitmap, so the quadratic worst case stays bounded). Small
+/// buckets are usually already sorted — fed straight off the ascending
+/// seed list, or scrambled only by upstream lottery winners — so adaptive
+/// insertion sort beats std::sort here: the already-sorted case is one
+/// compare per element with no call overhead, and near-sorted buckets
+/// finish in a handful of moves.
 inline void sort_small(std::uint32_t* b, std::size_t n) {
-  if (n > 64) {  // quadratic guard; big buckets are rare
-    if (!std::is_sorted(b, b + n)) std::sort(b, b + n);
-    return;
-  }
   for (std::size_t k = 1; k < n; ++k) {
     const std::uint32_t x = b[k];
     std::size_t j = k;
@@ -50,9 +48,8 @@ inline void sort_small(std::uint32_t* b, std::size_t n) {
 /// indices — in a bit-per-message scratch and reading the bits back in
 /// order: O(n + span/64) with word-at-a-time constants, against
 /// std::sort's n log n comparison sort. `bits` must be all-zero on entry
-/// and is left all-zero: extraction clears each word it reads. Every
-/// fused_stage caller owns its scratch (the global band's sort_bits_, one
-/// per shard), so concurrent shards never share it.
+/// and is left all-zero: extraction clears each word it reads. Every band
+/// owns its scratch, so concurrent shards never share it.
 inline void sort_by_bitmap(std::uint64_t* bits, std::uint32_t* b,
                            std::uint32_t n) {
   std::uint32_t wmin = 0xffffffffu;
@@ -151,7 +148,7 @@ std::uint32_t select_policy_winners(RoutingPolicy pol, std::uint32_t* b,
   return w;
 }
 
-/// Worklist entry layout (see the stage_list_ comment): (msg, channel)
+/// Worklist entry layout (see Band::stage_list): (msg, channel)
 /// packed into one 64-bit word. A 16+16-bit packing for small runs was
 /// tried and measured ~10% slower despite halving the stream, so the
 /// layout is fixed.
@@ -345,6 +342,7 @@ CycleEngine::CycleEngine(ChannelGraph graph, const EngineOptions& opts)
   if (opts_.parallel && (sharded_ || fifo)) {
     pool_ = std::make_unique<ThreadPool>(opts_.threads);
   }
+  bands_.resize(sharded_ ? graph_.num_shards + 1 : 1);
 }
 
 template <typename ChanT>
@@ -417,25 +415,18 @@ EngineResult CycleEngine::run_batched(
 }
 
 /// The stage kernel: bucket building, arbitration, accounting and
-/// survivor forwarding fused into two sweeps of one worklist, over
-/// caller-owned scratch (the global band's arena_/over_/sort_bits_, or a
-/// shard's). Only over-limit (contended) buckets are materialized in the
-/// arena; everyone else advances and forwards in place during the fill
-/// sweep, because an uncontended channel admits its whole bucket no
-/// matter the order. The outcome does not depend on which worklists fed
-/// the stage: contended buckets sort to pending order before the pinned
-/// lottery, and worklist order is unobservable (see the stage_list_
-/// comment).
+/// survivor forwarding fused into two sweeps of one band's stage
+/// worklist, over the band's scratch. Only over-limit (contended) buckets
+/// are materialized in the arena; everyone else advances and forwards in
+/// place during the fill sweep, because an uncontended channel admits its
+/// whole bucket no matter the order. The outcome does not depend on which
+/// worklists fed the stage: contended buckets sort to pending order
+/// before the pinned lottery, and worklist order is unobservable (see
+/// Band::stage_list).
 template <typename ChanT, typename Forward>
 void CycleEngine::fused_stage(const ChanT* chan, std::uint32_t cycle,
-                              std::vector<std::uint64_t>& list,
-                              std::vector<std::uint32_t>& touched,
-                              std::vector<std::uint32_t>& arena,
-                              std::vector<OverBucket>& over,
-                              std::vector<std::uint64_t>& sort_bits,
-                              std::vector<ChannelLoad>& loads,
-                              std::uint64_t& cycle_losses,
-                              std::uint64_t& cycle_hops, Forward&& forward) {
+                              Band& band, std::uint32_t stage,
+                              Forward&& forward) {
   // bucket_pos_ sentinel for channels that stay under their limit; arena
   // fill cursors never reach it (PathSet caps hop offsets below 2^32 - 1).
   constexpr std::uint32_t kUncontended = 0xffffffffu;
@@ -445,8 +436,14 @@ void CycleEngine::fused_stage(const ChanT* chan, std::uint32_t cycle,
   // the hoisted buffers reallocates during the stage (the arena is sized
   // before the sweep; a forward to stage s' != stage moves only that
   // inner vector's storage, not the outer arrays).
+  std::vector<std::uint64_t>& list = band.stage_list[stage];
+  std::vector<std::uint32_t>& touched = band.stage_touched[stage];
+  std::vector<OverBucket>& over = band.over;
+  std::vector<ChannelLoad>& loads = band.loads;
   std::uint32_t* const bp = bucket_pos_.data();
   const std::uint32_t* const lim = active_limit_;
+  std::uint64_t hops = 0;
+  std::uint64_t losses = 0;
   over.clear();
   std::uint32_t total = 0;
   for (const std::uint32_t c : touched) {
@@ -457,13 +454,13 @@ void CycleEngine::fused_stage(const ChanT* chan, std::uint32_t cycle,
       total += count;
     } else {
       if (want_loads_) loads.push_back({c, count});
-      cycle_hops += count;
+      hops += count;
       bp[c] = kUncontended;
     }
   }
-  arena.resize(total);
+  band.arena.resize(total);
   std::uint64_t* const ce = ce_.data();
-  std::uint32_t* const ar = arena.data();
+  std::uint32_t* const ar = band.arena.data();
   for (const std::uint64_t e : list) {
     const std::uint32_t c = entry_chan(e);
     const std::uint32_t i = entry_msg(e);
@@ -479,7 +476,7 @@ void CycleEngine::fused_stage(const ChanT* chan, std::uint32_t cycle,
       bp[c] = pos + 1;
     }
   }
-  std::uint64_t* const bits = sort_bits.data();
+  std::uint64_t* const bits = band.sort_bits.data();
   const RoutingPolicy pol = opts_.policy;
   const bool wire_sel = wire_selecting(pol);
   const bool adaptive = pol == RoutingPolicy::AdaptiveOccupancy;
@@ -533,26 +530,84 @@ void CycleEngine::fused_stage(const ChanT* chan, std::uint32_t cycle,
     if (want_loads_) {
       loads.push_back({ob.chan, static_cast<std::uint32_t>(winners)});
     }
-    cycle_hops += winners;
-    cycle_losses += ob.count - winners;
+    hops += winners;
+    losses += ob.count - winners;
   }
   for (const std::uint32_t c : touched) bp[c] = 0;  // sticky zeros
   touched.clear();
   list.clear();
+  band.hops += hops;
+  band.losses += losses;
 }
 
+void CycleEngine::Band::reset(std::uint32_t num_stages) {
+  stage_list.resize(num_stages);
+  for (auto& list : stage_list) list.clear();
+  stage_touched.resize(num_stages);
+  for (auto& t : stage_touched) t.clear();
+  outbox.clear();
+  loads.clear();
+  losses = 0;
+  hops = 0;
+}
+
+/// The landing rule: an entry lands on the band that owns its channel —
+/// the channel's shard band in the sharded executor, the global band for
+/// spine channels and for every channel of the serial executor — and
+/// counts into the channel's bucket as it lands. Injection, compaction's
+/// reseed, the outbox landing and the global band's forwards all use it,
+/// so spine survivors reach their shard directly. The pointers are
+/// hoisted once (the bands' outer arrays never move during a run), which
+/// keeps the per-entry path in registers across the opaque push_back
+/// calls; reaching the bands through `this` would force member reloads
+/// on every entry (the same hoisting rule as the fused stage sweeps).
+struct CycleEngine::Lander {
+  explicit Lander(CycleEngine& e)
+      : bp(e.bucket_pos_.data()),
+        shard(e.sharded_ ? e.graph_.shard.data() : nullptr),
+        bands(e.bands_.data()),
+        g_lst(e.bands_.back().stage_list.data()),
+        g_touch(e.bands_.back().stage_touched.data()) {}
+
+  // Forced inline for the same reason as fused_stage: its callers are big
+  // enough that the inliner otherwise leaves this as an out-of-line call
+  // on every injected, retried or forwarded message.
+#if defined(__GNUC__) || defined(__clang__)
+  __attribute__((always_inline))
+#endif
+  inline void operator()(std::uint64_t entry, std::uint32_t c,
+                         std::uint32_t s) const {
+    auto* lst = g_lst;
+    auto* touch = g_touch;
+    if (shard != nullptr) {
+      const std::uint32_t sh = shard[c];
+      if (sh != ChannelGraph::kNoShard) {
+        lst = bands[sh].stage_list.data();
+        touch = bands[sh].stage_touched.data();
+      }
+    }
+    if (bp[c]++ == 0) touch[s].push_back(c);
+    lst[s].push_back(entry);
+  }
+
+  std::uint32_t* bp;
+  const std::uint32_t* shard;  ///< nullptr in the serial executor
+  Band* bands;
+  std::vector<std::uint64_t>* g_lst;
+  std::vector<std::uint32_t>* g_touch;
+};
+
 /// One cycle's stage sweep. Every stage runs the fused kernel; the
-/// executors differ only in which worklists a stage reads. The serial
-/// executor runs every stage on the global worklists. The sharded one
-/// splits the stage axis into three bands: shards sweep the up band
-/// [0, spine_lo) on their private worklists in parallel; the coordinating
-/// thread distributes the shards' outboxes, runs the spine band
-/// [spine_lo, spine_hi) on the global worklists and fans its survivors
-/// out to their shards; shards then sweep the down band
-/// [spine_hi, num_stages) in parallel. Bit-identity between the two
-/// follows from channel disjointness: every channel's contender set is
-/// assembled from the same messages, restored to ascending pending order
-/// before its pinned (seed, cycle, channel) lottery, and under-limit
+/// executors differ only in which band a stage runs on. The serial
+/// executor runs every stage on the global band. The sharded one splits
+/// the stage axis into three bands: shards sweep the up band
+/// [0, spine_lo) in parallel; the coordinating thread lands the shards'
+/// outboxes and runs the spine band [spine_lo, spine_hi) on the global
+/// band, whose survivors land on their shards directly; shards then sweep
+/// the down band [spine_hi, num_stages) in parallel. Bit-identity between
+/// the two follows from channel disjointness: every channel's contender
+/// set is assembled from the same messages, restored to ascending pending
+/// order before its pinned (seed, cycle, channel) lottery, and under-limit
 /// buckets admit everyone regardless of order.
 template <typename ChanT>
 #if defined(__GNUC__) && !defined(__clang__)
@@ -563,28 +618,19 @@ template <typename ChanT>
 // the unit budget.
 __attribute__((flatten))
 #endif
-void CycleEngine::run_cycle(const ChanT* chan, std::uint32_t cycle,
-                            std::uint64_t& cycle_losses,
-                            std::uint64_t& cycle_hops) {
+void CycleEngine::run_cycle(const ChanT* chan, std::uint32_t cycle) {
   const std::uint32_t num_stages = graph_.num_stages;
   const auto* const stg = stage_table<ChanT>();
+  Band& global = bands_.back();
+  const Lander land(*this);
 
-  // The global band: the fused kernel over the engine's own worklists and
-  // scratch, on the coordinating thread. A survivor joins the global list
-  // of its next stage; in the sharded executor, entries that land past
-  // the spine move to their shards in the fan-out below.
+  // The global band: the fused kernel on the coordinating thread.
   auto run_global = [&](std::uint32_t s_begin, std::uint32_t s_end) {
-    std::uint32_t* const bp = bucket_pos_.data();
-    auto* const lst = stage_list_.data();
-    auto* const touch = stage_touched_.data();
     for (std::uint32_t s = s_begin; s < s_end; ++s) {
-      if (lst[s].empty()) continue;
-      fused_stage(chan, cycle, lst[s], touch[s], arena_, over_, sort_bits_,
-                  loads_, cycle_losses, cycle_hops,
+      if (global.stage_list[s].empty()) continue;
+      fused_stage(chan, cycle, global, s,
                   [&](std::uint32_t i, std::uint32_t nc) {
-                    const std::uint32_t ns = stg[nc];
-                    if (bp[nc]++ == 0) touch[ns].push_back(nc);
-                    lst[ns].push_back(pack_entry(i, nc));
+                    land(pack_entry(i, nc), nc, stg[nc]);
                   });
     }
   };
@@ -600,30 +646,23 @@ void CycleEngine::run_cycle(const ChanT* chan, std::uint32_t cycle,
   const std::uint32_t spine_lo = graph_.spine_stage_lo;
   const std::uint32_t spine_hi = graph_.spine_stage_hi;
   const std::uint32_t* const shard_tbl = graph_.shard.data();
-  const std::size_t num_shards = shards_.size();
-
-  // Each shard's bitmap-sort scratch must span every live message index
-  // (the arena holds global indices); new words join zeroed and stay
-  // zeroed between uses.
-  const std::size_t words = (ce_.size() + 63) / 64;
-  for (ShardState& st : shards_) {
-    if (st.sort_bits.size() < words) st.sort_bits.resize(words, 0);
-  }
+  const std::size_t num_shards = bands_.size() - 1;
+  Band* const shards = bands_.data();
 
   // A shard's stage band: the fused kernel on its own scratch. The
   // forward rule is the shard invariant in code — below the spine a
   // survivor's next channel is always ours; at or above it, anything not
   // ours (spine channels, another shard's down channels) leaves through
-  // the outbox for the serial distribution step.
-  auto run_band = [&](ShardState& st, std::uint32_t my_shard,
+  // the outbox, because only the coordinating thread may land an entry
+  // on another band.
+  auto run_band = [&](Band& st, std::uint32_t my_shard,
                       std::uint32_t s_begin, std::uint32_t s_end) {
     std::uint32_t* const bp = bucket_pos_.data();
     auto* const lst = st.stage_list.data();
     auto* const touch = st.stage_touched.data();
     for (std::uint32_t s = s_begin; s < s_end; ++s) {
       if (lst[s].empty()) continue;
-      fused_stage(chan, cycle, lst[s], touch[s], st.arena, st.over,
-                  st.sort_bits, st.loads, st.losses, st.hops,
+      fused_stage(chan, cycle, st, s,
                   [&](std::uint32_t i, std::uint32_t nc) {
                     const std::uint32_t ns = stg[nc];
                     if (ns < spine_lo || shard_tbl[nc] == my_shard) {
@@ -638,9 +677,9 @@ void CycleEngine::run_cycle(const ChanT* chan, std::uint32_t cycle,
 
   auto band_entries = [&](std::uint32_t s_begin, std::uint32_t s_end) {
     std::size_t entries = 0;
-    for (const ShardState& st : shards_) {
+    for (std::size_t sh = 0; sh < num_shards; ++sh) {
       for (std::uint32_t s = s_begin; s < s_end; ++s) {
-        entries += st.stage_list[s].size();
+        entries += shards[sh].stage_list[s].size();
       }
     }
     return entries;
@@ -654,18 +693,18 @@ void CycleEngine::run_cycle(const ChanT* chan, std::uint32_t cycle,
     if (pooled && num_shards >= 2 &&
         band_entries(s_begin, s_end) >= kMinParallelWork) {
       pool_->run_tasks(num_shards, [&](std::size_t sh) {
-        run_band(shards_[sh], static_cast<std::uint32_t>(sh), s_begin, s_end);
+        run_band(shards[sh], static_cast<std::uint32_t>(sh), s_begin, s_end);
       });
     } else {
       for (std::size_t sh = 0; sh < num_shards; ++sh) {
-        run_band(shards_[sh], static_cast<std::uint32_t>(sh), s_begin, s_end);
+        run_band(shards[sh], static_cast<std::uint32_t>(sh), s_begin, s_end);
       }
     }
   };
 
   // Phase timing splits the sweep at its three natural seams: the two
-  // shard-parallel dispatches and the serial middle (outbox distribution,
-  // spine band, spine fan-out) between them.
+  // shard-parallel dispatches and the serial middle (outbox landing and
+  // spine band) between them.
   PhaseClock::time_point pt0, pt1, pt2;
   if (time_phases_) pt0 = PhaseClock::now();
 
@@ -674,49 +713,24 @@ void CycleEngine::run_cycle(const ChanT* chan, std::uint32_t cycle,
 
   if (time_phases_) pt1 = PhaseClock::now();
 
-  // Outbox distribution, serial: route each crossing survivor to the
-  // global spine worklists or its destination shard's down worklists,
-  // counting it into the target bucket as it lands.
-  for (ShardState& st : shards_) {
-    for (const std::uint64_t e : st.outbox) {
+  // Outbox landing, serial: each crossing survivor lands on the band that
+  // owns its next channel — the global band's spine worklists or its
+  // destination shard's down worklists.
+  for (std::size_t sh = 0; sh < num_shards; ++sh) {
+    std::vector<std::uint64_t>& outbox = shards[sh].outbox;
+    for (const std::uint64_t e : outbox) {
       const std::uint32_t nc = entry_chan(e);
-      const std::uint32_t ns = stg[nc];
-      const std::uint32_t sh = shard_tbl[nc];
-      if (sh == ChannelGraph::kNoShard) {
-        if (bucket_pos_[nc]++ == 0) stage_touched_[ns].push_back(nc);
-        stage_list_[ns].push_back(e);
-      } else {
-        ShardState& tgt = shards_[sh];
-        if (bucket_pos_[nc]++ == 0) tgt.stage_touched[ns].push_back(nc);
-        tgt.stage_list[ns].push_back(e);
-      }
+      land(e, nc, stg[nc]);
     }
-    st.outbox.clear();
+    outbox.clear();
   }
 
-  // Spine stages, on the global worklists: the only arbitration that
-  // crosses shards. Empty when the shard roots sit directly under the
-  // fat-tree root (shard level 1). The spine stays on the coordinating
-  // thread: arbitrating its buckets on the pool measured no faster than
-  // this serial pass (DESIGN.md, "Measured dead ends").
+  // Spine stages, on the global band: the only arbitration that crosses
+  // shards. Empty when the shard roots sit directly under the fat-tree
+  // root (shard level 1). The spine stays on the coordinating thread:
+  // arbitrating its buckets on the pool measured no faster than this
+  // serial pass (DESIGN.md, "Measured dead ends").
   run_global(spine_lo, spine_hi);
-
-  // Spine fan-out: survivors the spine forwarded into global down-stage
-  // lists move to their owning shards. Their buckets were already counted
-  // when forwarded; only the list entries and touched records relocate.
-  for (std::uint32_t s = spine_hi; s < num_stages; ++s) {
-    std::vector<std::uint64_t>& list = stage_list_[s];
-    std::vector<std::uint32_t>& touched = stage_touched_[s];
-    if (list.empty() && touched.empty()) continue;
-    for (const std::uint32_t c : touched) {
-      shards_[shard_tbl[c]].stage_touched[s].push_back(c);
-    }
-    touched.clear();
-    for (const std::uint64_t e : list) {
-      shards_[shard_tbl[entry_chan(e)]].stage_list[s].push_back(e);
-    }
-    list.clear();
-  }
 
   if (time_phases_) pt2 = PhaseClock::now();
 
@@ -731,16 +745,150 @@ void CycleEngine::run_cycle(const ChanT* chan, std::uint32_t cycle,
     ph_down_ += phase_delta(pt2, pt3);
   }
 
-  // Counter reduction, and the shards' channel state joins the global
-  // list (empty on cycles without channel state).
-  for (ShardState& st : shards_) {
-    cycle_losses += st.losses;
-    cycle_hops += st.hops;
+  // The shards' counters and channel state fold into the global band
+  // (the lists are empty on cycles without channel state).
+  for (std::size_t sh = 0; sh < num_shards; ++sh) {
+    Band& st = shards[sh];
+    global.losses += st.losses;
+    global.hops += st.hops;
     st.losses = 0;
     st.hops = 0;
-    loads_.insert(loads_.end(), st.loads.begin(), st.loads.end());
+    global.loads.insert(global.loads.end(), st.loads.begin(), st.loads.end());
     st.loads.clear();
   }
+}
+
+/// One run's cycle frame: the state begin_run .. end_run share (see their
+/// declarations in engine.hpp).
+struct CycleEngine::Frame {
+  EngineObserver* observer = nullptr;
+  bool trace = false;   ///< the observer wants message events
+  bool lat_on = false;  ///< the observer wants latency samples
+  std::unique_ptr<FaultState> faults;  ///< nullptr without an active plan
+  const FaultState::CycleFaults* cf = nullptr;  ///< this cycle's faults
+  EngineResult result;
+  double coord = 0.0;  ///< serial coordination seconds (time_phases_)
+  PhaseClock::time_point cycle_t0;
+  double sweep_before = 0.0;  ///< sweep seconds before this cycle
+};
+
+CycleEngine::Frame CycleEngine::begin_run(EngineObserver* observer) {
+  Frame f;
+  f.observer = observer;
+  // Message-event tracing and latency sampling are sampled once per run;
+  // when off, the cycle loops pay one predictable branch per use.
+  f.trace = observer != nullptr && observer->wants_message_events();
+  f.lat_on = observer != nullptr && observer->wants_latency_samples();
+  lat_samples_.clear();
+  time_phases_ = opts_.time_phases;
+  ph_up_ = ph_spine_ = ph_down_ = 0.0;
+  // Dynamic faults evolve on the coordination path, once per cycle. A
+  // down channel admits (lossy) or forwards (FIFO) nothing that cycle, a
+  // browned-out one less. Without a plan every limit read stays on
+  // limit_, the fault-free hot path.
+  if (opts_.fault_plan != nullptr && !opts_.fault_plan->empty()) {
+    f.faults = std::make_unique<FaultState>(*opts_.fault_plan, graph_);
+  }
+  active_limit_ = limit_.data();
+  return f;
+}
+
+std::uint32_t CycleEngine::begin_cycle(Frame& f) {
+  // The cycle index seeds the arbitration streams in 32 bits; widening it
+  // would change every golden, so the engine gives up loudly at the
+  // domain edge instead (EngineResult::cycles itself is 64-bit and never
+  // wraps).
+  FT_CHECK_MSG(f.result.cycles < 0xffffffffULL,
+               "cycle index overflows the 32-bit arbitration-seed domain");
+  const auto cycle = static_cast<std::uint32_t>(f.result.cycles + 1);
+  if (time_phases_) {
+    f.cycle_t0 = PhaseClock::now();
+    f.sweep_before = ph_up_ + ph_spine_ + ph_down_;
+  }
+  if (f.lat_on) lat_samples_.clear();
+  // Channel state is consulted per cycle so a sampling observer only
+  // pays for it on the cycles it keeps.
+  want_loads_ =
+      f.observer != nullptr && f.observer->wants_channel_state(cycle);
+  bands_.back().loads.clear();
+  f.cf = nullptr;
+  if (f.faults) {
+    const FaultState::CycleFaults& cf = f.faults->begin_cycle(cycle, limit_);
+    f.cf = &cf;
+    active_limit_ = f.faults->eff_limit().data();
+    EngineResult& r = f.result;
+    r.fault_down_events += cf.went_down.size();
+    r.fault_up_events += cf.came_up.size();
+    r.subtree_kill_events += cf.killed_nodes.size();
+    r.degraded_channel_cycles += cf.degraded_channels;
+    if (f.trace) {
+      for (const std::uint32_t node : cf.killed_nodes) {
+        f.observer->on_message_event(
+            {MessageEventKind::SubtreeKill, kNoMessage, cycle, node});
+      }
+      for (const std::uint32_t c : cf.went_down) {
+        f.observer->on_message_event(
+            {MessageEventKind::FaultDown, kNoMessage, cycle, c});
+      }
+      for (const std::uint32_t c : cf.came_up) {
+        f.observer->on_message_event(
+            {MessageEventKind::FaultUp, kNoMessage, cycle, c});
+      }
+    }
+  }
+  return cycle;
+}
+
+bool CycleEngine::end_cycle(Frame& f, CycleSnapshot& snap, bool more) {
+  EngineResult& r = f.result;
+  ++r.cycles;
+  r.delivered += snap.delivered;
+  r.delivered_per_cycle.push_back(snap.delivered);
+  r.total_attempts += snap.attempts;
+  r.total_losses += snap.losses;
+  r.total_backoffs += snap.backoffs;
+  r.messages_given_up += snap.gave_up;
+  r.max_queue = std::max(r.max_queue, snap.peak_queue);
+  if (f.observer != nullptr) {
+    snap.cycle = static_cast<std::uint32_t>(r.cycles);
+    if (f.cf != nullptr) {
+      snap.faults_down = static_cast<std::uint32_t>(f.cf->went_down.size());
+      snap.faults_up = static_cast<std::uint32_t>(f.cf->came_up.size());
+      snap.subtree_kills =
+          static_cast<std::uint32_t>(f.cf->killed_nodes.size());
+      snap.channels_down = f.cf->channels_down;
+      snap.degraded_channels = f.cf->degraded_channels;
+    }
+    snap.loads = want_loads_ ? &bands_.back().loads : nullptr;
+    snap.latencies = f.lat_on ? &lat_samples_ : nullptr;
+    snap.graph = &graph_;
+    f.observer->on_cycle(snap);
+  }
+  if (time_phases_) {
+    // Everything this cycle spent outside the stage sweeps — injection,
+    // compaction, fault bookkeeping, observer callbacks — is serial
+    // coordination. Clamped at zero against clock jitter.
+    const double cyc = phase_delta(f.cycle_t0, PhaseClock::now());
+    const double sweep = (ph_up_ + ph_spine_ + ph_down_) - f.sweep_before;
+    f.coord += std::max(0.0, cyc - sweep);
+  }
+  if (opts_.max_cycles != 0 && r.cycles >= opts_.max_cycles && more) {
+    r.gave_up = true;
+    return false;
+  }
+  return true;
+}
+
+EngineResult CycleEngine::end_run(Frame& f) {
+  if (time_phases_) {
+    EnginePhaseProfile& ph = f.result.phases;
+    ph.up_seconds = ph_up_;
+    ph.spine_seconds = ph_spine_;
+    ph.down_seconds = ph_down_;
+    ph.coord_seconds = f.coord;
+    ph.timed_cycles = f.result.cycles;
+  }
+  return std::move(f.result);
 }
 
 EngineResult CycleEngine::run_lossy(BatchFeed& feed, EngineObserver* observer) {
@@ -754,26 +902,13 @@ template <typename ChanT>
 EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
                                       BatchFeed& feed,
                                       EngineObserver* observer) {
-  EngineResult result;
+  Frame f = begin_run(observer);
+  EngineResult& result = f.result;
+  const bool trace = f.trace;
+  const bool lat_on = f.lat_on;
   const std::size_t num_channels = graph_.num_channels();
   bucket_pos_.assign(num_channels, 0);
-  stage_list_.resize(graph_.num_stages);
-  for (auto& list : stage_list_) list.clear();
-  stage_touched_.resize(graph_.num_stages);
-  for (auto& t : stage_touched_) t.clear();
-  if (sharded_) {
-    shards_.resize(graph_.num_shards);
-    for (ShardState& st : shards_) {
-      st.stage_list.resize(graph_.num_stages);
-      for (auto& list : st.stage_list) list.clear();
-      st.stage_touched.resize(graph_.num_stages);
-      for (auto& t : st.stage_touched) t.clear();
-      st.outbox.clear();
-      st.loads.clear();
-      st.losses = 0;
-      st.hops = 0;
-    }
-  }
+  for (Band& b : bands_) b.reset(graph_.num_stages);
   chan_buf.clear();
   ce_.clear();
   begin_.clear();
@@ -782,61 +917,20 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
   attempts_.clear();
   wake_.clear();
   inject_cycle_.clear();
-  lat_samples_.clear();
 
-  // Message-event tracing and latency sampling are sampled once per run;
-  // when off, the only cost below is one predictable branch per cycle.
-  const bool trace = observer != nullptr && observer->wants_message_events();
-  const bool lat_on =
-      observer != nullptr && observer->wants_latency_samples();
-  time_phases_ = opts_.time_phases;
-  ph_up_ = ph_spine_ = ph_down_ = 0.0;
-  double ph_coord = 0.0;
   std::uint32_t next_id = 0;
   const auto* const stg = stage_table<ChanT>();
+  // Every worklist seed — injection, and compaction's reseed of retries —
+  // lands on the band that owns the message's first channel.
+  const Lander land(*this);
 
-  // Routes one worklist seed (injection or retry rewind) to the owning
-  // shard's lists in sharded mode, or the global lists otherwise. The
-  // shard-table read is skipped entirely by the serial executor. The global
-  // pointers are captured by value: the outer arrays were sized above and
-  // never move again this run, and value captures keep the per-message
-  // path in registers across the opaque push_back calls (a reference
-  // capture of `this` would force member reloads on every seed — the
-  // same hoisting rule as the fused stage sweeps).
-  const std::uint32_t* const shard_tbl =
-      sharded_ ? graph_.shard.data() : nullptr;
-  auto seed_entry = [this, shard_tbl, g_bp = bucket_pos_.data(),
-                     g_lst = stage_list_.data(),
-                     g_touch = stage_touched_.data()](
-                        std::uint32_t idx, std::uint32_t fc,
-                        std::uint32_t fs)
-  // Forced inline for the same reason as fused_stage: the surrounding
-  // function is big enough that the inliner otherwise leaves this as an
-  // out-of-line call on every injected/retried message.
-#if defined(__GNUC__) || defined(__clang__)
-                        __attribute__((always_inline))
-#endif
-  {
-    auto* lst = g_lst;
-    auto* touch = g_touch;
-    if (shard_tbl != nullptr) {
-      const std::uint32_t sh = shard_tbl[fc];
-      if (sh != ChannelGraph::kNoShard) {
-        lst = shards_[sh].stage_list.data();
-        touch = shards_[sh].stage_touched.data();
-      }
-    }
-    if (g_bp[fc]++ == 0) touch[fs].push_back(fc);
-    lst[fs].push_back(pack_entry(idx, fc));
-  };
-
-  // Retry policy and fault plan are sampled once per run; with both off
-  // every loop below is the classic hot path (active_limit_ == limit_).
+  // The retry policy is sampled once per run; with it off, compaction
+  // reseeds every loser for the next cycle.
   const RetryPolicy& retry = opts_.retry;
   // AdaptiveOccupancy parks losers of persistently hot channels through
-  // the retry machinery, so it forces the retry-aware compaction path
-  // even under the default (never-dropping) RetryPolicy: adaptive only
-  // ever adds delay, never drops on its own.
+  // the retry machinery, so it turns retry handling on even under the
+  // default (never-dropping) RetryPolicy: adaptive only ever adds delay,
+  // never drops on its own.
   const bool adaptive_on =
       opts_.policy == RoutingPolicy::AdaptiveOccupancy &&
       opts_.contention == ContentionPolicy::RandomSubset;
@@ -845,60 +939,15 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
     hot_last_.assign(num_channels, 0);
     hot_start_.assign(num_channels, 1);
   }
-  std::unique_ptr<FaultState> faults;
-  if (opts_.fault_plan != nullptr && !opts_.fault_plan->empty()) {
-    faults = std::make_unique<FaultState>(*opts_.fault_plan, graph_);
-  }
-  active_limit_ = limit_.data();
   // Messages seeded to contend in the current cycle; equals pending when
   // no retry policy parks anyone.
   std::uint64_t contenders = 0;
 
   while (!feed.exhausted() || !ce_.empty()) {
-    // The arbitration stream folds the cycle index into 32 bits of the
-    // seed; widening it would change every golden, so the engine gives up
-    // loudly at the domain edge instead (EngineResult::cycles itself is
-    // 64-bit and never wraps).
-    FT_CHECK_MSG(result.cycles < 0xffffffffULL,
-                 "cycle index overflows the 32-bit arbitration-seed domain");
-    const auto cycle = static_cast<std::uint32_t>(result.cycles + 1);
-    PhaseClock::time_point cyc_t0;
-    double sweep_before = 0.0;
-    if (time_phases_) {
-      cyc_t0 = PhaseClock::now();
-      sweep_before = ph_up_ + ph_spine_ + ph_down_;
-    }
-    if (lat_on) lat_samples_.clear();
-    // Channel state is consulted per cycle so a sampling observer only
-    // pays for it on the cycles it keeps.
-    want_loads_ = observer != nullptr && observer->wants_channel_state(cycle);
-    loads_.clear();
+    const std::uint32_t cycle = begin_cycle(f);
     std::uint32_t delivered_now = 0;
     std::uint32_t backoffs_now = 0;
     std::uint32_t gave_up_now = 0;
-    const FaultState::CycleFaults* cf = nullptr;
-    if (faults) {
-      cf = &faults->begin_cycle(cycle, limit_);
-      active_limit_ = faults->eff_limit().data();
-      result.fault_down_events += cf->went_down.size();
-      result.fault_up_events += cf->came_up.size();
-      result.subtree_kill_events += cf->killed_nodes.size();
-      result.degraded_channel_cycles += cf->degraded_channels;
-      if (trace) {
-        for (const std::uint32_t node : cf->killed_nodes) {
-          observer->on_message_event(
-              {MessageEventKind::SubtreeKill, kNoMessage, cycle, node});
-        }
-        for (const std::uint32_t c : cf->went_down) {
-          observer->on_message_event(
-              {MessageEventKind::FaultDown, kNoMessage, cycle, c});
-        }
-        for (const std::uint32_t c : cf->came_up) {
-          observer->on_message_event(
-              {MessageEventKind::FaultUp, kNoMessage, cycle, c});
-        }
-      }
-    }
     while (const PathSet* batch_ptr = feed.next(cycle)) {
       const PathSet& batch = *batch_ptr;
       const std::uint32_t* chans = batch.channels().data();
@@ -952,7 +1001,6 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
           const std::uint32_t begin = base + off;
           const auto idx = static_cast<std::uint32_t>(ce_.size());
           const std::uint32_t fc = chans[off];
-          const std::uint32_t fs = stg[fc];
           ce_.push_back(
               (static_cast<std::uint64_t>(begin + len) << 32) | begin);
           begin_.push_back(begin);
@@ -964,7 +1012,7 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
           }
           if (lat_on) inject_cycle_.push_back(cycle);
           ++contenders;
-          seed_entry(idx, fc, fs);
+          land(pack_entry(idx, fc), fc, stg[fc]);
           if (trace) {
             observer->on_message_event(
                 {MessageEventKind::Inject, id, cycle, fc});
@@ -978,11 +1026,12 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
     // pending_before and the accounting is byte-identical to the classic
     // engine.
     const std::uint64_t cycle_attempts = contenders;
-    result.total_attempts += cycle_attempts;
-    // Bitmap-sort scratch covers every live message index; new words join
-    // zeroed and extraction keeps the rest zero.
-    if (sort_bits_.size() * 64 < pending_before) {
-      sort_bits_.resize((pending_before + 63) / 64, 0);
+    // Every band's bitmap-sort scratch covers every live message index
+    // (arenas hold global indices); new words join zeroed and extraction
+    // keeps the rest zero.
+    const std::size_t words = (pending_before + 63) / 64;
+    for (Band& b : bands_) {
+      if (b.sort_bits.size() < words) b.sort_bits.resize(words, 0);
     }
     if (trace) {
       for (std::size_t i = 0; i < pending_before; ++i) {
@@ -995,11 +1044,15 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
     // A message dies at the first channel whose random cap-subset lottery
     // it loses; stages run in causal order along every path. Worklists
     // were seeded by last cycle's compaction (retries) and this cycle's
-    // injection, both in ascending message order.
+    // injection, both in ascending message order. The sweep leaves the
+    // cycle's loss and hop counts on the global band.
     const ChanT* chan = chan_buf.data();
-    std::uint64_t cycle_losses = 0;
-    std::uint64_t cycle_hops = 0;
-    run_cycle(chan, cycle, cycle_losses, cycle_hops);
+    run_cycle(chan, cycle);
+    Band& global = bands_.back();
+    const std::uint64_t cycle_losses = global.losses;
+    result.total_hops += global.hops;
+    global.losses = 0;
+    global.hops = 0;
 
     // Survivors are delivered; the rest retry next cycle. A loser's
     // cursor stops at the channel whose lottery it lost, which is the
@@ -1020,11 +1073,12 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
     }
     // Compacting the losers doubles as next cycle's reseed: cursors rewind
     // to the first hop and each retry lands on its stage worklist here, so
-    // the cycle loop never takes a separate O(pending) seeding pass. The
-    // retry-aware variant additionally decides each loser's fate — give
+    // the cycle loop never takes a separate O(pending) seeding pass. With
+    // retry handling on, compaction also decides each loser's fate — give
     // up (attempts/deadline exhausted), park (exponential backoff), or
     // reseed — and wakes parked messages whose delay has elapsed.
     std::size_t kept = 0;
+    contenders = 0;
     {
       const std::size_t pending = ce_.size();
       std::uint64_t* const ce = ce_.data();
@@ -1032,43 +1086,21 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
       std::uint32_t* const ids = id_.data();
       std::uint32_t* const fcs = first_chan_.data();
       std::uint32_t* const ic = inject_cycle_.data();
-      if (!retry_on) {
-        for (std::size_t i = 0; i < pending; ++i) {
-          const std::uint64_t v = ce[i];
-          if (static_cast<std::uint32_t>(v) == (v >> 32)) {
-            ++delivered_now;
-            // Latency counts delivery cycles from injection inclusive;
-            // ideal is 1 in the lossy modes (an uncontended path
-            // traverses in one cycle).
-            if (lat_on) lat_samples_.push_back({cycle - ic[i] + 1, 1});
-          } else {
-            const std::uint32_t b = bg[i];
-            const std::uint32_t fc = fcs[i];
-            const std::uint32_t fs = stg[fc];
-            // Rewind the cursor to the first hop; the end half is
-            // untouched.
-            ce[kept] = (v & 0xffffffff00000000ull) | b;
-            bg[kept] = b;
-            if (trace) ids[kept] = ids[i];  // ids are only read when tracing
-            fcs[kept] = fc;
-            if (lat_on) ic[kept] = ic[i];
-            seed_entry(static_cast<std::uint32_t>(kept), fc, fs);
-            ++kept;
-          }
+      std::uint32_t* const att = attempts_.data();
+      std::uint32_t* const wk = wake_.data();
+      for (std::size_t i = 0; i < pending; ++i) {
+        const std::uint64_t v = ce[i];
+        if (static_cast<std::uint32_t>(v) == (v >> 32)) {
+          ++delivered_now;
+          // Latency counts delivery cycles from injection inclusive;
+          // ideal is 1 in the lossy modes (an uncontended path traverses
+          // in one cycle).
+          if (lat_on) lat_samples_.push_back({cycle - ic[i] + 1, 1});
+          continue;
         }
-        contenders = kept;
-      } else {
-        std::uint32_t* const att = attempts_.data();
-        std::uint32_t* const wk = wake_.data();
-        contenders = 0;
-        for (std::size_t i = 0; i < pending; ++i) {
-          const std::uint64_t v = ce[i];
-          if (static_cast<std::uint32_t>(v) == (v >> 32)) {
-            ++delivered_now;
-            if (lat_on) lat_samples_.push_back({cycle - ic[i] + 1, 1});
-            continue;
-          }
-          std::uint32_t next_wake;
+        // Without retry handling every loser contends again next cycle.
+        std::uint32_t next_wake = cycle + 1;
+        if (retry_on) {
           if (wk[i] == cycle) {
             // Contended and lost this cycle: attempts_[i] losses so far.
             std::uint32_t delay = 0;
@@ -1134,25 +1166,25 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
           } else {
             next_wake = wk[i];  // parked; cursor already at the first hop
           }
-          const std::uint32_t b = bg[i];
-          const std::uint32_t fc = fcs[i];
-          ce[kept] = (v & 0xffffffff00000000ull) | b;
-          bg[kept] = b;
-          if (trace) ids[kept] = ids[i];
-          fcs[kept] = fc;
-          if (lat_on) ic[kept] = ic[i];
-          if (next_wake == cycle + 1) {
-            att[kept] = att[i] + 1;
-            wk[kept] = next_wake;
-            const std::uint32_t fs = stg[fc];
-            seed_entry(static_cast<std::uint32_t>(kept), fc, fs);
-            ++contenders;
-          } else {
-            att[kept] = att[i];
-            wk[kept] = next_wake;
-          }
-          ++kept;
         }
+        // Rewind the cursor to the first hop; the end half is untouched.
+        const std::uint32_t b = bg[i];
+        const std::uint32_t fc = fcs[i];
+        ce[kept] = (v & 0xffffffff00000000ull) | b;
+        bg[kept] = b;
+        if (trace) ids[kept] = ids[i];  // ids are only read when tracing
+        fcs[kept] = fc;
+        if (lat_on) ic[kept] = ic[i];
+        const bool reseed = next_wake == cycle + 1;
+        if (retry_on) {
+          att[kept] = reseed ? att[i] + 1 : att[i];
+          wk[kept] = next_wake;
+        }
+        if (reseed) {
+          land(pack_entry(static_cast<std::uint32_t>(kept), fc), fc, stg[fc]);
+          ++contenders;
+        }
+        ++kept;
       }
     }
     ce_.resize(kept);
@@ -1165,52 +1197,14 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
     }
     if (lat_on) inject_cycle_.resize(kept);
 
-    ++result.cycles;
-    result.total_losses += cycle_losses;
-    result.total_hops += cycle_hops;
-    result.delivered += delivered_now;
-    result.delivered_per_cycle.push_back(delivered_now);
-    result.total_backoffs += backoffs_now;
-    result.messages_given_up += gave_up_now;
-
-    if (observer != nullptr) {
-      CycleSnapshot snap;
-      snap.cycle = cycle;
-      snap.pending_before = pending_before;
-      snap.delivered = delivered_now;
-      snap.attempts = cycle_attempts;
-      snap.losses = cycle_losses;
-      if (cf != nullptr) {
-        snap.faults_down = static_cast<std::uint32_t>(cf->went_down.size());
-        snap.faults_up = static_cast<std::uint32_t>(cf->came_up.size());
-        snap.subtree_kills =
-            static_cast<std::uint32_t>(cf->killed_nodes.size());
-        snap.channels_down = cf->channels_down;
-        snap.degraded_channels = cf->degraded_channels;
-      }
-      snap.backoffs = backoffs_now;
-      snap.gave_up = gave_up_now;
-      snap.loads = want_loads_ ? &loads_ : nullptr;
-      snap.latencies = lat_on ? &lat_samples_ : nullptr;
-      snap.graph = &graph_;
-      observer->on_cycle(snap);
-    }
-
-    if (time_phases_) {
-      // Everything this cycle spent outside the stage sweeps — injection,
-      // compaction, fault bookkeeping, observer callbacks — is serial
-      // coordination. Clamped at zero against clock jitter.
-      const double cyc = phase_delta(cyc_t0, PhaseClock::now());
-      const double sweep =
-          (ph_up_ + ph_spine_ + ph_down_) - sweep_before;
-      ph_coord += std::max(0.0, cyc - sweep);
-    }
-
-    if (opts_.max_cycles != 0 && result.cycles >= opts_.max_cycles &&
-        (!feed.exhausted() || !ce_.empty())) {
-      result.gave_up = true;
-      break;
-    }
+    CycleSnapshot snap;
+    snap.pending_before = pending_before;
+    snap.delivered = delivered_now;
+    snap.attempts = cycle_attempts;
+    snap.losses = cycle_losses;
+    snap.backoffs = backoffs_now;
+    snap.gave_up = gave_up_now;
+    if (!end_cycle(f, snap, !feed.exhausted() || !ce_.empty())) break;
   }
   if (result.gave_up && trace) {
     const auto last_cycle = static_cast<std::uint32_t>(result.cycles);
@@ -1219,43 +1213,29 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
           {MessageEventKind::GiveUp, id, last_cycle, kNoChannel});
     }
   }
-  if (time_phases_) {
-    result.phases.up_seconds = ph_up_;
-    result.phases.spine_seconds = ph_spine_;
-    result.phases.down_seconds = ph_down_;
-    result.phases.coord_seconds = ph_coord;
-    result.phases.timed_cycles = result.cycles;
-  }
-  return result;
+  return end_run(f);
 }
 
 EngineResult CycleEngine::run_fifo(const PathSet& paths,
                                    EngineObserver* observer) {
-  EngineResult result;
   const std::size_t num_channels = graph_.num_channels();
   const std::uint32_t* chans = paths.channels().data();
   const std::uint32_t* offs = paths.offsets().data();
+  // Every hop must be a known channel (check_tbl_, the lossy injection's
+  // test), checked once before round 1. FIFO queues ignore stage order.
+  const auto nch = static_cast<std::uint32_t>(num_channels);
+  for (const std::uint32_t c : paths.channels()) {
+    FT_CHECK_MSG(c < nch && check_tbl_[c] != 0,
+                 "path uses an unknown channel");
+  }
+  Frame f = begin_run(observer);
+  EngineResult& result = f.result;
+  const bool trace = f.trace;
+  const bool lat_on = f.lat_on;
   std::vector<ChunkedRing> queues(num_channels);
   // Absolute cursor of each message within the CSR buffer; message i is
   // delivered when its cursor reaches offs[i + 1].
   std::vector<std::uint32_t> pos(paths.size());
-
-  const bool trace = observer != nullptr && observer->wants_message_events();
-  const bool lat_on =
-      observer != nullptr && observer->wants_latency_samples();
-  lat_samples_.clear();
-  time_phases_ = opts_.time_phases;
-  ph_up_ = ph_spine_ = ph_down_ = 0.0;
-  double ph_coord = 0.0;
-
-  // Dynamic faults evolve on the coordination path, once per round, just
-  // as in the lossy engine; a down channel forwards nothing this round
-  // (its queue simply waits), a browned-out one forwards fewer.
-  std::unique_ptr<FaultState> faults;
-  if (opts_.fault_plan != nullptr && !opts_.fault_plan->empty()) {
-    faults = std::make_unique<FaultState>(*opts_.fault_plan, graph_);
-  }
-  active_limit_ = limit_.data();
 
   std::size_t in_flight = 0;
   for (std::size_t i = 0; i < paths.size(); ++i) {
@@ -1358,42 +1338,9 @@ EngineResult CycleEngine::run_fifo(const PathSet& paths,
     }
   };
 
+
   while (in_flight > 0) {
-    FT_CHECK_MSG(result.cycles < 0xffffffffULL,
-                 "round index overflows 32-bit snapshot cycles");
-    const auto round = static_cast<std::uint32_t>(result.cycles + 1);
-    PhaseClock::time_point cyc_t0;
-    double sweep_before = 0.0;
-    if (time_phases_) {
-      cyc_t0 = PhaseClock::now();
-      sweep_before = ph_up_ + ph_spine_;
-    }
-    if (lat_on) lat_samples_.clear();
-    want_loads_ = observer != nullptr && observer->wants_channel_state(round);
-    loads_.clear();
-    const FaultState::CycleFaults* cf = nullptr;
-    if (faults) {
-      cf = &faults->begin_cycle(round, limit_);
-      active_limit_ = faults->eff_limit().data();
-      result.fault_down_events += cf->went_down.size();
-      result.fault_up_events += cf->came_up.size();
-      result.subtree_kill_events += cf->killed_nodes.size();
-      result.degraded_channel_cycles += cf->degraded_channels;
-      if (trace) {
-        for (const std::uint32_t node : cf->killed_nodes) {
-          observer->on_message_event(
-              {MessageEventKind::SubtreeKill, kNoMessage, round, node});
-        }
-        for (const std::uint32_t c : cf->went_down) {
-          observer->on_message_event(
-              {MessageEventKind::FaultDown, kNoMessage, round, c});
-        }
-        for (const std::uint32_t c : cf->came_up) {
-          observer->on_message_event(
-              {MessageEventKind::FaultUp, kNoMessage, round, c});
-        }
-      }
-    }
+    const std::uint32_t round = begin_cycle(f);
     PhaseClock::time_point sweep_t0;
     if (time_phases_) sweep_t0 = PhaseClock::now();
     if (num_ranges > 1) {
@@ -1409,6 +1356,7 @@ EngineResult CycleEngine::run_fifo(const PathSet& paths,
       (num_ranges > 1 ? ph_up_ : ph_spine_) += dt;
     }
 
+    std::vector<ChannelLoad>& loads = bands_.back().loads;
     bool moved = false;
     std::uint32_t finished = 0;
     std::uint32_t round_peak = 0;
@@ -1428,57 +1376,26 @@ EngineResult CycleEngine::run_fifo(const PathSet& paths,
         lat_samples_.insert(lat_samples_.end(), out.lat.begin(),
                             out.lat.end());
       }
-      loads_.insert(loads_.end(), out.loads.begin(), out.loads.end());
+      loads.insert(loads.end(), out.loads.begin(), out.loads.end());
       if (trace) {
         for (const MessageEvent& e : out.events) {
           observer->on_message_event(e);
         }
       }
     }
-    result.total_attempts += round_forwards;
     result.total_hops += round_forwards;
     // A round may legitimately stall while faults hold channels down; the
     // no-progress invariant only applies at full health.
-    FT_CHECK_MSG(moved || (cf != nullptr && cf->channels_down > 0),
+    FT_CHECK_MSG(moved || (f.cf != nullptr && f.cf->channels_down > 0),
                  "FIFO engine made no progress");
-    result.max_queue = std::max(result.max_queue, round_peak);
     in_flight -= finished;
-    result.delivered += finished;
-    ++result.cycles;
-    result.delivered_per_cycle.push_back(finished);
 
-    if (observer != nullptr) {
-      CycleSnapshot snap;
-      snap.cycle = round;
-      snap.pending_before = in_flight + finished;
-      snap.delivered = finished;
-      snap.attempts = round_forwards;
-      snap.peak_queue = round_peak;
-      if (cf != nullptr) {
-        snap.faults_down = static_cast<std::uint32_t>(cf->went_down.size());
-        snap.faults_up = static_cast<std::uint32_t>(cf->came_up.size());
-        snap.subtree_kills =
-            static_cast<std::uint32_t>(cf->killed_nodes.size());
-        snap.channels_down = cf->channels_down;
-        snap.degraded_channels = cf->degraded_channels;
-      }
-      snap.loads = want_loads_ ? &loads_ : nullptr;
-      snap.latencies = lat_on ? &lat_samples_ : nullptr;
-      snap.graph = &graph_;
-      observer->on_cycle(snap);
-    }
-
-    if (time_phases_) {
-      const double cyc = phase_delta(cyc_t0, PhaseClock::now());
-      const double sweep = (ph_up_ + ph_spine_) - sweep_before;
-      ph_coord += std::max(0.0, cyc - sweep);
-    }
-
-    if (opts_.max_cycles != 0 && result.cycles >= opts_.max_cycles &&
-        in_flight > 0) {
-      result.gave_up = true;
-      break;
-    }
+    CycleSnapshot snap;
+    snap.pending_before = in_flight + finished;
+    snap.delivered = finished;
+    snap.attempts = round_forwards;
+    snap.peak_queue = round_peak;
+    if (!end_cycle(f, snap, in_flight > 0)) break;
   }
   if (result.gave_up && trace) {
     const auto last_round = static_cast<std::uint32_t>(result.cycles);
@@ -1491,14 +1408,7 @@ EngineResult CycleEngine::run_fifo(const PathSet& paths,
       }
     }
   }
-  if (time_phases_) {
-    result.phases.up_seconds = ph_up_;
-    result.phases.spine_seconds = ph_spine_;
-    result.phases.down_seconds = ph_down_;
-    result.phases.coord_seconds = ph_coord;
-    result.phases.timed_cycles = result.cycles;
-  }
-  return result;
+  return end_run(f);
 }
 
 }  // namespace ft

@@ -25,11 +25,14 @@
 // pool. Results are identical to serial mode: every random arbitration
 // draws from a private stream seeded by (seed, cycle, channel), so no
 // decision depends on thread scheduling, and FIFO arrivals are merged in
-// channel-index order.
+// channel-index order. Lossy cycles and FIFO rounds run in one cycle
+// frame (begin_run .. end_run), so fault transitions, the snapshot and
+// phase timing exist once.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "engine/channel_graph.hpp"
@@ -78,6 +81,33 @@ enum class RoutingPolicy : std::uint8_t {
   /// retry machinery; see DESIGN.md, "Routing disciplines".
   AdaptiveOccupancy,
 };
+
+/// A routing discipline's user-facing name.
+struct RoutingPolicyName {
+  const char* name;
+  RoutingPolicy policy;
+};
+
+/// Every discipline by name, in enum order: the one name table behind
+/// ftsim's --policy flag, the ftd protocol's "policy" field and E18's
+/// race rows.
+inline constexpr RoutingPolicyName kRoutingPolicies[] = {
+    {"oblivious", RoutingPolicy::ObliviousRandom},
+    {"dmod", RoutingPolicy::DeterministicDmod},
+    {"rlb", RoutingPolicy::RandomLoadBalanced},
+    {"adaptive", RoutingPolicy::AdaptiveOccupancy},
+};
+
+/// Looks `name` up in kRoutingPolicies; false for an unknown name.
+inline bool parse_routing_policy(std::string_view name, RoutingPolicy& out) {
+  for (const RoutingPolicyName& p : kRoutingPolicies) {
+    if (name == p.name) {
+      out = p.policy;
+      return true;
+    }
+  }
+  return false;
+}
 
 struct EngineOptions {
   ContentionPolicy contention = ContentionPolicy::RandomSubset;
@@ -208,28 +238,55 @@ class CycleEngine {
     std::uint32_t count;
   };
 
-  /// Per-shard execution state for the sharded executor: a shard owns the
-  /// worklists, arena and sort scratch of every channel the graph's shard
-  /// table assigns to it, so the up- and down-phase sweeps of one cycle
-  /// run shard-parallel with no shared mutable state. The outbox collects
-  /// survivors whose next channel leaves the shard (spine channels or
-  /// another shard's down channels); the coordinating thread distributes
-  /// it between phases, and appends the shard's channel-state list to
-  /// loads_ after the down phase. Cache-line aligned: neighbouring shards'
-  /// worklist headers and loss/hop counters are written by different
-  /// workers every cycle, and letting them share a line costs real
-  /// coherence traffic at high shard counts.
-  struct alignas(64) ShardState {
+  /// One stage band's execution state. The global band owns the spine
+  /// channels of a partitioned graph, and every channel in the serial
+  /// executor; each shard band owns the channels the graph's shard table
+  /// assigns to it, so the up- and down-phase sweeps of one cycle run
+  /// shard-parallel with no shared mutable state. An entry always lands
+  /// on the band that owns its channel (Lander, engine.cpp), except that a
+  /// shard sweeping on a pool worker parks survivors bound for another
+  /// band in its outbox, which the coordinating thread lands between
+  /// phases. After the down phase the shards' counters and channel-state
+  /// lists fold into the global band. Cache-line aligned: neighbouring
+  /// shards' worklist headers and loss/hop counters are written by
+  /// different workers every cycle, and letting them share a line costs
+  /// real coherence traffic at high shard counts.
+  struct alignas(64) Band {
+    /// Worklists: stage_list[s] holds the band's live messages whose next
+    /// channel lies in stage s, packed as (msg << 32) | channel so bucket
+    /// building never re-derives the channel through the message table
+    /// and the CSR buffer. Seeded from each message's first hop (at
+    /// injection, and by compaction for retries); stage s arbitration
+    /// appends its survivors directly to later stages (paths have
+    /// strictly increasing stages), so a cycle costs O(hops) instead of
+    /// O(stages × pending). List order is unobservable: a later bucket
+    /// either sorts its contenders before the lottery or is under limit,
+    /// where order decides nothing.
     std::vector<std::vector<std::uint64_t>> stage_list;
+    /// stage_touched[s] lists the band's distinct stage-s channels with a
+    /// nonzero contender count (bucket_pos_).
     std::vector<std::vector<std::uint32_t>> stage_touched;
+    /// Contended buckets occupy [off, off + count) slices of the arena;
+    /// over lists them for the stage being swept.
     std::vector<std::uint32_t> arena;
     std::vector<OverBucket> over;
+    /// Bit-per-pending-message scratch for the bitmap sort of large
+    /// contended buckets (engine.cpp sort_by_bitmap). Kept all-zero
+    /// between uses: extraction clears each word it reads.
     std::vector<std::uint64_t> sort_bits;
     std::vector<std::uint64_t> outbox;  ///< packed (msg << 32) | channel
     std::vector<ChannelLoad> loads;     ///< this cycle's arbitrated channels
     std::uint64_t losses = 0;
     std::uint64_t hops = 0;
+
+    void reset(std::uint32_t num_stages);
   };
+  /// The landing rule over hoisted band pointers (defined in engine.cpp).
+  struct Lander;
+  /// The cycle frame run_lossy_t and run_fifo share (defined in
+  /// engine.cpp): the observer's per-run opt-ins, the run's FaultState,
+  /// the current cycle's fault transitions and the phase accounting.
+  struct Frame;
 
   /// Base pointer of the stage lookup table for the given hop width
   /// (stage16_ on the narrow path, the graph's table on the wide one).
@@ -238,10 +295,9 @@ class CycleEngine {
   template <typename ChanT>
   const auto* stage_table() const;
   /// The stage kernel (bucket counting, arbitration, accounting, survivor
-  /// forwarding in two sweeps) over caller-owned worklists and scratch —
-  /// the global band's or a shard's. On cycles with channel state
-  /// (want_loads_) it appends each arbitrated channel to `loads`.
-  /// `forward` is invoked as
+  /// forwarding in two sweeps) over one band's stage worklist and scratch.
+  /// On cycles with channel state (want_loads_) it appends each
+  /// arbitrated channel to the band's list. `forward` is invoked as
   /// forward(msg, next_channel) for every surviving message with hops
   /// left and routes it to its next worklist. Must inline into its
   /// caller: the forward closures capture caller-local hoisted pointers
@@ -252,27 +308,33 @@ class CycleEngine {
 #if defined(__GNUC__) || defined(__clang__)
   __attribute__((always_inline))
 #endif
-  inline void fused_stage(const ChanT* chan, std::uint32_t cycle,
-                          std::vector<std::uint64_t>& list,
-                          std::vector<std::uint32_t>& touched,
-                          std::vector<std::uint32_t>& arena,
-                          std::vector<OverBucket>& over,
-                          std::vector<std::uint64_t>& sort_bits,
-                          std::vector<ChannelLoad>& loads,
-                          std::uint64_t& cycle_losses,
-                          std::uint64_t& cycle_hops, Forward&& forward);
-  /// One full cycle's stage sweep: every stage on the global worklists
-  /// (serial), or parallel shard up phases, the serial outbox
-  /// distribution + spine band, parallel shard down phases and a
-  /// per-shard counter reduction (sharded; see DESIGN.md, "Scale-out").
+  inline void fused_stage(const ChanT* chan, std::uint32_t cycle, Band& band,
+                          std::uint32_t stage, Forward&& forward);
+  /// One full cycle's stage sweep: every stage on the global band
+  /// (serial), or parallel shard up phases, the serial outbox landing +
+  /// spine band, parallel shard down phases and a fold of the shards'
+  /// counters and lists into the global band (sharded; see DESIGN.md,
+  /// "Scale-out").
   template <typename ChanT>
-  void run_cycle(const ChanT* chan, std::uint32_t cycle,
-                 std::uint64_t& cycle_losses, std::uint64_t& cycle_hops);
+  void run_cycle(const ChanT* chan, std::uint32_t cycle);
   EngineResult run_lossy(BatchFeed& feed, EngineObserver* observer);
   template <typename ChanT>
   EngineResult run_lossy_t(std::vector<ChanT>& chan_buf, BatchFeed& feed,
                            EngineObserver* observer);
   EngineResult run_fifo(const PathSet& paths, EngineObserver* observer);
+
+  /// The cycle frame's four steps. begin_run samples the observer's
+  /// opt-ins and builds the run's FaultState; begin_cycle returns the
+  /// cycle index after applying the cycle's fault transitions (and
+  /// emitting their events); end_cycle folds the snapshot's counters into
+  /// the result, fills its shared fields, hands it to the observer and
+  /// charges the cycle's coordination time — it returns false when
+  /// max_cycles stops a run that has messages left (`more`); end_run
+  /// folds the phase profile into the result.
+  Frame begin_run(EngineObserver* observer);
+  std::uint32_t begin_cycle(Frame& f);
+  bool end_cycle(Frame& f, CycleSnapshot& snap, bool more);
+  EngineResult end_run(Frame& f);
 
   ChannelGraph graph_;
   EngineOptions opts_;
@@ -284,7 +346,9 @@ class CycleEngine {
   /// contender set and pinned (seed, cycle, channel) lottery are the same
   /// — so this is purely an execution strategy, not a model change.
   bool sharded_ = false;
-  std::vector<ShardState> shards_;
+  /// Shard bands first (index = shard id, sharded executor only), then
+  /// the global band (bands_.back()). Sized once at construction.
+  std::vector<Band> bands_;
 
   /// Per-channel admission limit, fixed for the engine's lifetime:
   /// floor(alpha * capacity) floor 1 (RandomSubset), unlimited (Tally),
@@ -340,29 +404,13 @@ class CycleEngine {
   /// First hop of each live message, cached at injection so the per-cycle
   /// reseed never chases the (cold) CSR buffer. Compacted with ce_.
   std::vector<std::uint32_t> first_chan_;
-  /// Worklists: list s holds the live messages whose next channel lies in
-  /// stage s, packed as (msg << 32) | channel so bucket building never
-  /// re-derives the channel through the message table and the CSR buffer.
-  /// Seeded once per cycle from each message's first hop; stage s
-  /// arbitration appends its survivors directly to later stages (paths
-  /// have strictly increasing stages), so a cycle costs O(hops) instead
-  /// of O(stages × pending). List order is unobservable: a later bucket
-  /// either sorts its contenders before the lottery or is under limit,
-  /// where order decides nothing.
-  std::vector<std::vector<std::uint64_t>> stage_list_;
-
-  // Bucket state. Contender counts accumulate at the forward/seed sites
-  // (channels partition across stages, so counts for a later stage are
-  // stable by the time it runs): bucket_pos_[c] is the count of channel
-  // c's contenders, then a fill cursor or under-limit sentinel during the
-  // stage's sweep, and is reset to zero (sticky) when the stage ends.
-  // stage_touched_[s] lists the distinct channels of stage s with a
-  // nonzero count. Contended buckets occupy [off, off + count) slices of
-  // the global band's arena_ (over_ lists them).
-  std::vector<std::vector<std::uint32_t>> stage_touched_;
+  /// Bucket state, shared by every band (channels partition across bands
+  /// and stages). Contender counts accumulate where an entry lands, so
+  /// counts for a later stage are stable by the time it runs:
+  /// bucket_pos_[c] is the count of channel c's contenders, then a fill
+  /// cursor or under-limit sentinel during the stage's sweep, and is
+  /// reset to zero (sticky) when the stage ends.
   std::vector<std::uint32_t> bucket_pos_;
-  std::vector<std::uint32_t> arena_;
-  std::vector<OverBucket> over_;
   /// AdaptiveOccupancy state, reset per run: hot_last_[c] is the last
   /// cycle in which channel c's bucket ran over its limit, hot_start_[c]
   /// the first cycle of that unbroken run. Both are written by whichever
@@ -373,17 +421,10 @@ class CycleEngine {
   /// at cycle 1, not at the never-run cycle 0 that hot_last_ starts at.
   std::vector<std::uint32_t> hot_last_;
   std::vector<std::uint32_t> hot_start_;
-  /// Bit-per-pending-message scratch for the global band's bitmap sort of
-  /// large contended buckets (engine.cpp sort_by_bitmap). Kept all-zero
-  /// between uses: extraction clears each word it reads.
-  std::vector<std::uint64_t> sort_bits_;
-
-  /// The current cycle's channel state (CycleSnapshot::loads), recorded
-  /// only on cycles an observer asks for (wants_channel_state). The
-  /// global band appends here directly; shards and FIFO ranges fill their
-  /// own lists, which the coordinating thread appends after the sweep.
+  /// Whether the current cycle records channel state (the bands' loads
+  /// lists, CycleSnapshot::loads): only on cycles an observer asks for
+  /// (wants_channel_state).
   bool want_loads_ = false;
-  std::vector<ChannelLoad> loads_;
 
   /// Latency sampling (observer wants_latency_samples() only): the cycle
   /// each live message was injected in, compacted with ce_, and the
@@ -393,8 +434,8 @@ class CycleEngine {
 
   /// Phase-timing accumulators (opts_.time_phases only), reset per run
   /// and folded into EngineResult::phases: the stage sweeps add to
-  /// up/spine/down from the coordination path, the cycle loop attributes
-  /// its remainder to coord.
+  /// up/spine/down from the coordination path, and end_cycle charges the
+  /// rest of each cycle to the frame's coord.
   bool time_phases_ = false;
   double ph_up_ = 0.0;
   double ph_spine_ = 0.0;

@@ -21,13 +21,6 @@ inline ChannelGraph network_channel_graph(const Network& net) {
   return ChannelGraph::flat(std::move(caps));
 }
 
-/// Batch conversion of router output to the engine's CSR input: two
-/// allocations total instead of keeping one heap vector per route alive
-/// through the simulation.
-inline PathSet network_path_set(const std::vector<Route>& routes) {
-  return PathSet::from_paths(routes);
-}
-
 /// Streams router output into the engine chunk by chunk (a Route is
 /// already an EnginePath, so this is pure re-chunking). The routes vector
 /// itself still exists — competitor routers materialize it — but the CSR

@@ -10,8 +10,8 @@ namespace ft {
 /// Wall-clock decomposition of a timed run (EngineOptions::time_phases)
 /// into its parallelizable and inherently serial parts. In the sharded
 /// executor `up`/`down` cover the shard-parallel sweeps and `spine` the
-/// serial band between them (outbox distribution, spine stages, fan-out);
-/// the serial executor counts its whole stage sweep as `spine`; FIFO
+/// serial band between them (outbox landing and spine stages); the
+/// serial executor counts its whole stage sweep as `spine`; FIFO
 /// rounds count pooled range processing as `up` and a single-range sweep
 /// as `spine`. `coord` is everything else in the cycle loop — injection,
 /// compaction, fault bookkeeping, observer callbacks — which is serial in

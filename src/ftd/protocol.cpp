@@ -36,21 +36,6 @@ bool valid_id(const std::string& id) {
   return true;
 }
 
-bool parse_policy_name(const std::string& name, RoutingPolicy& out) {
-  if (name == "oblivious") {
-    out = RoutingPolicy::ObliviousRandom;
-  } else if (name == "dmod") {
-    out = RoutingPolicy::DeterministicDmod;
-  } else if (name == "rlb") {
-    out = RoutingPolicy::RandomLoadBalanced;
-  } else if (name == "adaptive") {
-    out = RoutingPolicy::AdaptiveOccupancy;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 bool known_workload(const std::string& w) {
   return w == "random-perm" || w == "bit-reversal" || w == "transpose" ||
          w == "shuffle" || w == "complement" || w == "tornado" ||
@@ -99,7 +84,7 @@ bool parse_job(const JsonValue& job, JobRequest& req, RequestError& err) {
       }
     } else if (key == "policy") {
       if (!value.is_string() ||
-          !parse_policy_name(value.as_string(), req.policy)) {
+          !parse_routing_policy(value.as_string(), req.policy)) {
         return fail(err, "bad_value",
                     "policy: want oblivious | dmod | rlb | adaptive");
       }

@@ -535,55 +535,6 @@ void TelemetryProbe::write_heatmap_jsonl(std::ostream& os) {
   }
 }
 
-void TelemetryProbe::write_chrome_trace(std::ostream& os) {
-  finalize();
-  // Matches TraceSink's tick convention: cycle c starts at (c - 1) * 1000.
-  constexpr std::uint64_t kTicksPerCycle = 1000;
-  JsonValue doc = JsonValue::object();
-  JsonValue& ev = doc["traceEvents"];
-  ev = JsonValue::array();
-  const auto counter = [](std::string name, std::uint64_t ts) {
-    JsonValue e = JsonValue::object();
-    e["name"] = std::move(name);
-    e["ph"] = "C";
-    e["ts"] = ts;
-    e["pid"] = 0;
-    return e;
-  };
-  for (std::uint32_t lvl = 0; lvl < num_levels(); ++lvl) {
-    const std::string name = "level" + std::to_string(lvl) + ".utilization";
-    for (const TelemetrySample& sm : level_carried_[lvl].samples()) {
-      JsonValue e = counter(
-          name, (sm.start_cycle > 0 ? sm.start_cycle - 1 : 0) *
-                    kTicksPerCycle);
-      const double denom = static_cast<double>(level_capacity_[lvl]) *
-                           static_cast<double>(sm.count);
-      e["args"]["utilization"] =
-          denom > 0.0 ? static_cast<double>(sm.value) / denom : 0.0;
-      ev.push_back(std::move(e));
-    }
-  }
-  for (const char* name : {"pending", "losses", "delivered"}) {
-    for (const TelemetrySample& sm : series(name)->samples()) {
-      JsonValue e = counter(
-          name, (sm.start_cycle > 0 ? sm.start_cycle - 1 : 0) *
-                    kTicksPerCycle);
-      // Report the per-cycle mean so downsampled windows chart on the
-      // same scale as full-resolution ones.
-      e["args"][name] =
-          sm.count > 0
-              ? static_cast<double>(sm.value) / static_cast<double>(sm.count)
-              : 0.0;
-      ev.push_back(std::move(e));
-    }
-  }
-  doc["displayTimeUnit"] = "ms";
-  JsonValue& other = doc["otherData"];
-  other["ticks_per_cycle"] = kTicksPerCycle;
-  doc.write(os, 1);
-  os << '\n';
-}
-
 void TelemetryProbe::reset() {
   graph_seen_ = false;
   graph_channels_ = 0;

@@ -172,7 +172,7 @@ struct TelemetryOptions {
 
 /// The observer. Attach to any engine run (alone or in an
 /// ObserverFanout); export with to_json() / write_heatmap_csv() /
-/// write_heatmap_jsonl() / write_chrome_trace() after the run. Series
+/// write_heatmap_jsonl() after the run. Series
 /// rings hold TelemetryRing's default 256 samples, the sketch tracks the
 /// 16 hottest channels, and latency/stretch digests are always collected.
 class TelemetryProbe final : public EngineObserver {
@@ -221,10 +221,6 @@ class TelemetryProbe final : public EngineObserver {
   /// JSONL export: one "series" line per committed window (levels and
   /// globals), then one "top_channels" line and one "latency" line.
   void write_heatmap_jsonl(std::ostream& os);
-  /// Chrome trace_event counter ("C") events: per-level utilization plus
-  /// pending/losses tracks, ts = start_cycle * 1000 ticks (matches
-  /// TraceSink::kTicksPerCycle).
-  void write_chrome_trace(std::ostream& os);
 
   void reset();
 

@@ -607,41 +607,84 @@ TEST(EngineParity, SubtreeKillGoldenTimelines) {
   }
 }
 
+// FIFO rounds share the lossy loop's cycle frame, fault path included:
+// without faults and under a FaultPlan (flaps plus a burst), serial and
+// range-parallel runs agree on the traced event stream, the per-level
+// carried tallies, the EngineMetrics report and every fault counter.
 TEST(EngineParity, FifoTraceSerialEqualsParallel) {
   const auto net = build_hypercube(6);
   Rng traffic(81);
   const auto m = random_permutation_traffic(64, traffic);
   const auto routes = route_all_bfs(net, m);
 
-  std::vector<std::vector<MessageEvent>> streams;
-  std::vector<std::uint64_t> trace_fps;
-  std::vector<std::string> metrics_json;
-  for (const bool parallel : {false, true}) {
-    TraceSink trace;
-    EngineMetrics metrics;
-    ChannelStateInvariants invariants;
-    ObserverFanout fanout;
-    fanout.add(&trace);
-    fanout.add(&metrics);
-    fanout.add(&invariants);
-    StoreForwardOptions opts;
-    opts.parallel = parallel;
-    opts.observer = &fanout;
-    const auto r = simulate_store_forward(net, routes, opts);
+  FaultPlan plan(82);
+  plan.set_flaps({0.05, 0.3});
+  plan.add_burst({/*at_cycle=*/2, /*duration=*/3, /*count=*/8});
 
-    std::uint64_t hops = 0;
-    for (const MessageEvent& e : trace.message_events()) {
-      if (e.kind == MessageEventKind::Hop) ++hops;
+  const FaultPlan* const inputs[] = {nullptr, &plan};
+  for (const FaultPlan* faults : inputs) {
+    const std::string input = faults != nullptr ? "faulted" : "fault-free";
+    std::vector<StoreForwardResult> results;
+    std::vector<std::vector<MessageEvent>> streams;
+    std::vector<std::uint64_t> trace_fps;
+    std::vector<std::string> metrics_json;
+    for (const bool parallel : {false, true}) {
+      TraceSink trace;
+      EngineMetrics metrics;
+      ChannelStateInvariants invariants;
+      ObserverFanout fanout;
+      fanout.add(&trace);
+      fanout.add(&metrics);
+      fanout.add(&invariants);
+      StoreForwardOptions opts;
+      opts.parallel = parallel;
+      opts.observer = &fanout;
+      opts.fault_plan = faults;
+      const auto r = simulate_store_forward(net, routes, opts);
+
+      std::uint64_t hops = 0;
+      for (const MessageEvent& e : trace.message_events()) {
+        if (e.kind == MessageEventKind::Hop) ++hops;
+      }
+      EXPECT_EQ(hops, r.total_hops) << input;
+      expect_invariants_hold(
+          invariants, input + (parallel ? " parallel" : " serial"));
+      results.push_back(r);
+      streams.push_back(trace.message_events());
+      trace_fps.push_back(trace_fingerprint(trace));
+      metrics_json.push_back(metrics.to_json().dump(0));
     }
-    EXPECT_EQ(hops, r.total_hops);
-    expect_invariants_hold(invariants, parallel ? "parallel" : "serial");
-    streams.push_back(trace.message_events());
-    trace_fps.push_back(trace_fingerprint(trace));
-    metrics_json.push_back(metrics.to_json().dump(0));
+    const auto& s = results[0];
+    const auto& p = results[1];
+    EXPECT_EQ(s.rounds, p.rounds) << input;
+    EXPECT_EQ(s.delivered, p.delivered) << input;
+    EXPECT_EQ(s.fault_down_events, p.fault_down_events) << input;
+    EXPECT_EQ(s.fault_up_events, p.fault_up_events) << input;
+    EXPECT_EQ(streams[0], streams[1]) << input;
+    EXPECT_EQ(trace_fps[0], trace_fps[1]) << input;
+    EXPECT_EQ(metrics_json[0], metrics_json[1]) << input;
+    EXPECT_FALSE(s.gave_up) << input;
+    EXPECT_EQ(s.delivered, m.size()) << input;
+    // The faulted input is not degenerate: faults struck mid-run.
+    if (faults != nullptr) {
+      EXPECT_GT(s.fault_down_events, 0u);
+    }
   }
-  EXPECT_EQ(streams[0], streams[1]);
-  EXPECT_EQ(trace_fps[0], trace_fps[1]);
-  EXPECT_EQ(metrics_json[0], metrics_json[1]);
+}
+
+// A FIFO path naming a channel the graph lacks is rejected before round
+// 1, with the lossy injection's message, instead of indexing past the
+// per-channel queues.
+TEST(EngineDeathTest, FifoRejectsUnknownChannel) {
+  EngineOptions opts;
+  opts.contention = ContentionPolicy::Fifo;
+  const std::vector<EnginePath> paths = {{0, 5}};
+  EXPECT_DEATH(
+      {
+        CycleEngine engine(ChannelGraph::flat({1, 1}), opts);
+        engine.run(paths);
+      },
+      "path uses an unknown channel");
 }
 
 }  // namespace
