@@ -73,8 +73,9 @@ void usage() {
       "                 dmod | rlb | adaptive (default oblivious; see\n"
       "                 DESIGN.md 'Routing disciplines')\n"
       "  --parallel[=T] online scheduler: run the subtree-sharded engine on\n"
-      "                 a T-thread pool (T=0 or omitted = hardware\n"
-      "                 concurrency); results are identical to serial runs\n"
+      "                 a T-thread pool (T <= 1024; T=0 or omitted =\n"
+      "                 hardware concurrency); results are identical to\n"
+      "                 serial runs\n"
       "  --shard-level=K  subtree shard depth for --parallel (2^K shards;\n"
       "                 0 = serial). Without it, an auto heuristic picks\n"
       "                 ~2 shards per worker\n"
@@ -141,7 +142,7 @@ struct Options {
 // compound flag all fail loudly (usage + exit 2) instead of silently
 // strtoul-ing to something else.
 using ft::parse_double;
-using ft::parse_size;
+using ft::parse_threads;
 using ft::parse_u32;
 using ft::parse_u64;
 using ft::split_fields;
@@ -236,7 +237,7 @@ bool parse(int argc, char** argv, Options& opt) {
       opt.parallel = true;
     } else if (arg.rfind("--parallel=", 0) == 0) {
       opt.parallel = true;
-      if (!parse_size(arg.c_str() + 11, opt.threads)) return bad();
+      if (!parse_threads(arg.c_str() + 11, opt.threads)) return bad();
     } else if (arg.rfind("--shard-level=", 0) == 0) {
       if (!parse_u32(arg.c_str() + 14, opt.shard_level)) return bad();
     } else if (arg == "--shard-level") {

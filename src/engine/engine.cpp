@@ -21,10 +21,10 @@ std::uint64_t arbitration_seed(std::uint64_t seed, std::uint32_t cycle,
   return sm.next();
 }
 
-/// Below this many worklist entries in a shard band (summed over shards)
-/// the band runs its shards inline: waking the pool costs more than the
-/// work itself. Bands shrink as messages deliver, so late cycles drop
-/// back to inline automatically.
+/// Below this much work a pooled step runs inline: waking the pool costs
+/// more than the work itself. A shard band counts its worklist entries
+/// (summed over shards), so late cycles drop back to inline as messages
+/// deliver; an injected batch counts its hops.
 constexpr std::size_t kMinParallelWork = 4096;
 
 /// Restores ascending pending order before a bucket's lottery, for
@@ -899,7 +899,7 @@ EngineResult CycleEngine::run_lossy(BatchFeed& feed, EngineObserver* observer) {
 }
 
 template <typename ChanT>
-EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
+EngineResult CycleEngine::run_lossy_t(HopBuffer<ChanT>& chan_buf,
                                       BatchFeed& feed,
                                       EngineObserver* observer) {
   Frame f = begin_run(observer);
@@ -950,75 +950,131 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
     std::uint32_t gave_up_now = 0;
     while (const PathSet* batch_ptr = feed.next(cycle)) {
       const PathSet& batch = *batch_ptr;
-      const std::uint32_t* chans = batch.channels().data();
-      // One streaming copy of the batch's hop buffer into the engine's
-      // (possibly narrowed) buffer; message slices keep their offsets
-      // relative to base, so path layout is untouched. Streamed sources
-      // can concatenate past the single-PathSet bound, so the combined
-      // buffer re-proves the 32-bit offset and message-index invariants
-      // every batch (the narrowing helper aborts on the first workload
-      // that genuinely outgrows the index discipline).
+      const std::uint32_t* const chans = batch.channels().data();
+      const std::uint32_t* const offs = batch.offsets().data();
+      const std::size_t num_paths = batch.size();
+      // The batch's hops land in the engine's (possibly narrowed) buffer
+      // at base; message slices keep their offsets relative to base, so
+      // path layout is untouched. Streamed sources can concatenate past
+      // the single-PathSet bound, so the combined buffer re-proves the
+      // 32-bit offset and message-index invariants every batch (the
+      // narrowing helper aborts on the first workload that genuinely
+      // outgrows the index discipline).
       const std::uint32_t base =
           checked_u32(chan_buf.size(), "injected hop buffer overflows "
                                        "32-bit offsets");
       const std::size_t hops = batch.channels().size();
       FT_CHECK_MSG(base + static_cast<std::uint64_t>(hops) < 0xffffffffULL,
                    "injected hop buffer overflows 32-bit offsets");
-      FT_CHECK_MSG(ce_.size() + batch.size() < 0xffffffffULL &&
-                       next_id + static_cast<std::uint64_t>(batch.size()) <
+      FT_CHECK_MSG(ce_.size() + num_paths < 0xffffffffULL &&
+                       next_id + static_cast<std::uint64_t>(num_paths) <
                            0xffffffffULL,
                    "live message count overflows 32-bit message indices");
-      chan_buf.resize(base + hops);
-      ChanT* dst = chan_buf.data() + base;
-      for (std::size_t h = 0; h < hops; ++h) {
-        dst[h] = static_cast<ChanT>(chans[h]);
+      chan_buf.grow_to(base + hops);
+
+      // The batch splits into path ranges, four per pool participant (the
+      // workers and this thread) when its hops pay for a pool wakeup,
+      // otherwise one range run inline. A serial count of each range's
+      // routed (non-empty) paths gives the range its first message index,
+      // so indices — like ids, one per path — keep arrival order whichever
+      // thread fills them.
+      const std::size_t num_ranges =
+          pool_ != nullptr && pool_->size() > 1 && hops >= kMinParallelWork
+              ? std::min(num_paths, 4 * (pool_->size() + 1))
+              : 1;
+      const auto path_lo = [&](std::size_t r) {
+        return r * num_paths / num_ranges;
+      };
+      range_first_.resize(num_ranges);
+      const auto first = static_cast<std::uint32_t>(ce_.size());
+      std::uint32_t routed_end = first;
+      for (std::size_t r = 0; r < num_ranges; ++r) {
+        range_first_[r] = routed_end;
+        for (std::size_t p = path_lo(r); p < path_lo(r + 1); ++p) {
+          routed_end += offs[p] != offs[p + 1] ? 1 : 0;
+        }
       }
+      ce_.resize(routed_end);
+      begin_.resize(routed_end);
+      id_.resize(routed_end);
+      first_chan_.resize(routed_end);
+      if (retry_on) {
+        attempts_.resize(routed_end, 1);
+        wake_.resize(routed_end, cycle);
+      }
+      if (lat_on) inject_cycle_.resize(routed_end, cycle);
+
+      // Each range checks every hop — a known channel, in strictly
+      // increasing stage order (check_tbl_) — copies it into the hop
+      // buffer and writes its routed paths' message rows.
       const std::uint32_t* const ctbl = check_tbl_.data();
       const auto nch = static_cast<std::uint32_t>(num_channels);
-      for (std::size_t p = 0; p < batch.size(); ++p) {
-        const std::uint32_t off = batch.offset(p);
-        const std::uint32_t len = batch.length(p);
-        // Known channels in strictly increasing stage order (check_tbl_).
-        std::uint32_t prev = 0;
-        for (std::uint32_t h = off; h < off + len; ++h) {
-          const std::uint32_t c = chans[h];
-          const std::uint32_t v = c < nch ? ctbl[c] : 0;
-          FT_CHECK_MSG(v != 0, "path uses an unknown channel");
-          FT_CHECK_MSG(v > prev, "path stages must strictly increase");
-          prev = v;
+      const std::uint32_t* const rf = range_first_.data();
+      ChanT* const dst = chan_buf.data() + base;
+      std::uint64_t* const ce = ce_.data();
+      std::uint32_t* const bg = begin_.data();
+      std::uint32_t* const ids = id_.data();
+      std::uint32_t* const fcs = first_chan_.data();
+      const std::uint32_t id0 = next_id;
+      const auto inject_range = [&](std::size_t r) {
+        std::uint32_t i = rf[r];
+        for (std::size_t p = path_lo(r); p < path_lo(r + 1); ++p) {
+          const std::uint32_t off = offs[p];
+          const std::uint32_t end = offs[p + 1];
+          std::uint32_t prev = 0;
+          for (std::uint32_t h = off; h < end; ++h) {
+            const std::uint32_t c = chans[h];
+            const std::uint32_t v = c < nch ? ctbl[c] : 0;
+            FT_CHECK_MSG(v != 0, "path uses an unknown channel");
+            FT_CHECK_MSG(v > prev, "path stages must strictly increase");
+            prev = v;
+            dst[h] = static_cast<ChanT>(c);
+          }
+          if (off == end) continue;  // local delivery, no channel used
+          ce[i] =
+              (static_cast<std::uint64_t>(base + end) << 32) | (base + off);
+          bg[i] = base + off;
+          ids[i] = id0 + static_cast<std::uint32_t>(p);
+          fcs[i] = chans[off];
+          ++i;
         }
-        const std::uint32_t id = next_id++;
-        if (len == 0) {
-          ++delivered_now;  // local delivery, no channel used
-          if (lat_on) lat_samples_.push_back({1, 1});
-          if (trace) {
+      };
+      if (num_ranges > 1) {
+        pool_->run_tasks(num_ranges, inject_range);
+      } else {
+        inject_range(0);
+      }
+
+      // After the join the coordinating thread lands the seeds in
+      // ascending index order, so every worklist holds what a serial
+      // injection loop would have seeded, then settles the local paths
+      // and emits the batch's events in id order.
+      for (std::uint32_t i = first; i < routed_end; ++i) {
+        const std::uint32_t fc = fcs[i];
+        land(pack_entry(i, fc), fc, stg[fc]);
+      }
+      contenders += routed_end - first;
+      const auto locals =
+          static_cast<std::uint32_t>(num_paths - (routed_end - first));
+      delivered_now += locals;
+      if (lat_on) {
+        lat_samples_.insert(lat_samples_.end(), locals, LatencySample{1, 1});
+      }
+      if (trace) {
+        for (std::size_t p = 0; p < num_paths; ++p) {
+          const std::uint32_t id = id0 + static_cast<std::uint32_t>(p);
+          if (offs[p] == offs[p + 1]) {
             observer->on_message_event(
                 {MessageEventKind::Inject, id, cycle, kNoChannel});
             observer->on_message_event(
                 {MessageEventKind::Deliver, id, cycle, kNoChannel});
-          }
-        } else {
-          const std::uint32_t begin = base + off;
-          const auto idx = static_cast<std::uint32_t>(ce_.size());
-          const std::uint32_t fc = chans[off];
-          ce_.push_back(
-              (static_cast<std::uint64_t>(begin + len) << 32) | begin);
-          begin_.push_back(begin);
-          id_.push_back(id);
-          first_chan_.push_back(fc);
-          if (retry_on) {
-            attempts_.push_back(1);
-            wake_.push_back(cycle);
-          }
-          if (lat_on) inject_cycle_.push_back(cycle);
-          ++contenders;
-          land(pack_entry(idx, fc), fc, stg[fc]);
-          if (trace) {
+          } else {
             observer->on_message_event(
-                {MessageEventKind::Inject, id, cycle, fc});
+                {MessageEventKind::Inject, id, cycle, chans[offs[p]]});
           }
         }
       }
+      next_id += static_cast<std::uint32_t>(num_paths);
     }
     const std::size_t pending_before = ce_.size();
     // Messages parked in backoff are alive but do not contend; without a

@@ -21,17 +21,21 @@
 // The lossy and tally modes have one stage kernel (fused_stage) and two
 // executors: serial, and — on graphs that carry a subtree-shard partition
 // — the sharded executor, whose shards sweep the up and down stage bands
-// on a persistent thread pool. FIFO mode resolves channel ranges on the
-// pool. Results are identical to serial mode: every random arbitration
-// draws from a private stream seeded by (seed, cycle, channel), so no
-// decision depends on thread scheduling, and FIFO arrivals are merged in
-// channel-index order. Lossy cycles and FIFO rounds run in one cycle
-// frame (begin_run .. end_run), so fault transitions, the snapshot and
-// phase timing exist once.
+// on a persistent thread pool, where large injected batches are also
+// validated and copied in path ranges. FIFO mode resolves channel ranges
+// on the pool. Results are identical to serial mode: every random
+// arbitration draws from a private stream seeded by (seed, cycle,
+// channel), so no decision depends on thread scheduling, and FIFO
+// arrivals are merged in channel-index order. Lossy cycles and FIFO
+// rounds run in one cycle frame (begin_run .. end_run), so fault
+// transitions, the snapshot and phase timing exist once.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <string_view>
 #include <vector>
 
@@ -230,6 +234,41 @@ class CycleEngine {
                                   EngineObserver* observer = nullptr);
 
  private:
+  /// The injected hop buffer: a trivially copyable array that grows by
+  /// realloc and leaves new elements uninitialized. std::vector::resize
+  /// zero-fills the new tail and copies the whole buffer on every
+  /// doubling; glibc grows the large (mmap-served) blocks with mremap
+  /// instead, and the injection ranges that fill the tail are the first
+  /// to touch its pages. clear() keeps the capacity.
+  template <typename T>
+  class HopBuffer {
+   public:
+    HopBuffer() = default;
+    ~HopBuffer() { std::free(data_); }
+    HopBuffer(const HopBuffer&) = delete;
+    HopBuffer& operator=(const HopBuffer&) = delete;
+
+    T* data() { return data_; }
+    std::size_t size() const { return size_; }
+    void clear() { size_ = 0; }
+    /// Sets the size to n; elements past the old size are uninitialized.
+    void grow_to(std::size_t n) {
+      if (n > cap_) {
+        const std::size_t cap = std::max(n, 2 * cap_);
+        void* p = std::realloc(data_, cap * sizeof(T));
+        if (p == nullptr) throw std::bad_alloc();
+        data_ = static_cast<T*>(p);
+        cap_ = cap;
+      }
+      size_ = n;
+    }
+
+   private:
+    T* data_ = nullptr;
+    std::size_t size_ = 0;
+    std::size_t cap_ = 0;
+  };
+
   /// One contended (over-limit) bucket in fused_stage: channel plus its
   /// [off, off + count) slice of the arena.
   struct OverBucket {
@@ -319,7 +358,7 @@ class CycleEngine {
   void run_cycle(const ChanT* chan, std::uint32_t cycle);
   EngineResult run_lossy(BatchFeed& feed, EngineObserver* observer);
   template <typename ChanT>
-  EngineResult run_lossy_t(std::vector<ChanT>& chan_buf, BatchFeed& feed,
+  EngineResult run_lossy_t(HopBuffer<ChanT>& chan_buf, BatchFeed& feed,
                            EngineObserver* observer);
   EngineResult run_fifo(const PathSet& paths, EngineObserver* observer);
 
@@ -390,8 +429,11 @@ class CycleEngine {
   // All per-run/per-cycle scratch below is a member so repeated run()
   // calls on one engine reach a steady state with no allocation: vectors
   // are cleared, never shrunk.
-  std::vector<std::uint32_t> chan_buf_;   ///< injected CSR hops (wide)
-  std::vector<std::uint16_t> chan_buf16_; ///< injected CSR hops (narrow)
+  HopBuffer<std::uint32_t> chan_buf_;    ///< injected CSR hops (wide)
+  HopBuffer<std::uint16_t> chan_buf16_;  ///< injected CSR hops (narrow)
+  /// The first message index of each injection range of the current
+  /// batch (run_lossy_t).
+  std::vector<std::uint32_t> range_first_;
   /// Live messages, injection order, struct-of-arrays. The stage sweeps
   /// index messages randomly but only ever touch the packed
   /// (end << 32) | cursor word — advance is one 64-bit increment, the

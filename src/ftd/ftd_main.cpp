@@ -35,7 +35,8 @@ void usage() {
   std::printf(
       "usage: ftd [options]\n"
       "  --port P          loopback TCP port (default 7471; 0 = ephemeral)\n"
-      "  --workers W       job worker threads (default: hardware)\n"
+      "  --workers W       job worker threads, at most 1024 (default:\n"
+      "                    hardware)\n"
       "  --queue N         max admitted-but-unfinished jobs (default 4096)\n"
       "  --client-quota Q  max in-flight jobs per connection (default 1024)\n"
       "  --max-frame B     max request frame bytes (default 1 MiB)\n"
@@ -70,7 +71,7 @@ bool parse(int argc, char** argv, Options& opt) {
     } else if (arg == "--port") {
       if (!ft::parse_u16(next(), opt.server.port)) return bad();
     } else if (arg == "--workers") {
-      if (!ft::parse_size(next(), opt.server.workers)) return bad();
+      if (!ft::parse_threads(next(), opt.server.workers)) return bad();
     } else if (arg == "--queue") {
       if (!ft::parse_size(next(), opt.server.queue_capacity) ||
           opt.server.queue_capacity == 0) {

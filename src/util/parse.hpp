@@ -45,6 +45,20 @@ inline bool parse_size(const char* s, std::size_t& out) {
   return true;
 }
 
+/// Most worker threads a command line may ask for. A thread pool starts
+/// every thread it is given, so an unchecked count in the thousands
+/// starts that many, and 2^64 - 1 wraps the pool's slot count.
+inline constexpr std::size_t kMaxThreads = 1024;
+
+/// A thread count: a whole number in [0, kMaxThreads] (0 keeps its
+/// "hardware concurrency" meaning).
+inline bool parse_threads(const char* s, std::size_t& out) {
+  std::uint64_t v = 0;
+  if (!parse_u64(s, v) || v > kMaxThreads) return false;
+  out = static_cast<std::size_t>(v);
+  return true;
+}
+
 inline bool parse_double(const char* s, double& out) {
   if (s == nullptr || *s == '\0' || *s == '-') return false;
   errno = 0;

@@ -62,6 +62,8 @@ TEST(FtsimCli, MalformedNumericValuesAreRejected) {
       "--faults abc",     // not a number
       "--faults -0.1",    // negative probability
       "--parallel=two",   // word where a count belongs
+      "--parallel=4096",  // more threads than the ceiling
+      "--parallel=18446744073709551615",  // 2^64 - 1 wraps the pool's slots
       "--shard-level=x",  // garbage shard level
       "--telemetry=0",    // explicit zero period is meaningless
       "--telemetry=5x",   // trailing garbage

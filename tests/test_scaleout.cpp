@@ -6,6 +6,7 @@
 // and retry policies. See DESIGN.md "Scale-out".
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <vector>
 
@@ -336,6 +337,56 @@ TEST(ScaleoutDeathTest, RootExternalChannelIsRejectedByEveryExecutor) {
   }
 }
 
+// A batch of at least 4096 hops (the engine's inline threshold) is
+// validated in ranges on the pool, so the check can fail on a worker
+// thread. One bad path in the middle of a 4096-leaf permutation aborts
+// with the same message whichever executor validates it.
+TEST(ScaleoutDeathTest, InvalidPathInPooledBatchIsRejectedByEveryExecutor) {
+  const std::uint32_t n = 4096;
+  FatTreeTopology topo(n);
+  const auto caps = CapacityProfile::universal(topo, 256);
+  Rng gen(41);
+  const PathSet good =
+      fat_tree_path_set(topo, random_permutation_traffic(n, gen));
+  ASSERT_GE(good.total_hops(), 4096u);
+  const auto& chans = good.channels();
+  std::size_t mid = good.size() / 2;
+  while (good.length(mid) < 2) ++mid;
+  const std::uint32_t root_up = static_cast<std::uint32_t>(
+      channel_index(ChannelId{1, Direction::Up}));
+  std::vector<std::uint32_t> reversed(
+      chans.begin() + good.offset(mid),
+      chans.begin() + good.offset(mid) + good.length(mid));
+  std::reverse(reversed.begin(), reversed.end());
+  const struct {
+    const char* message;
+    std::vector<std::uint32_t> bad;
+  } cases[] = {
+      {"path uses an unknown channel", {root_up}},
+      {"path stages must strictly increase", reversed},
+  };
+  for (const auto& c : cases) {
+    PathSet paths;
+    for (std::size_t p = 0; p < good.size(); ++p) {
+      if (p == good.size() / 2) paths.append(c.bad.begin(), c.bad.end());
+      const auto first = chans.begin() + good.offset(p);
+      paths.append(first, first + good.length(p));
+    }
+    for (const bool parallel : {false, true}) {
+      EngineOptions opts;
+      opts.parallel = parallel;
+      opts.threads = 4;
+      EXPECT_DEATH(
+          {
+            CycleEngine engine(fat_tree_channel_graph(topo, caps, 2), opts);
+            engine.run(paths);
+          },
+          c.message)
+          << "parallel " << parallel;
+    }
+  }
+}
+
 // --- Subtree sharding -----------------------------------------------------
 
 // The sharded parallel executor is purely an execution strategy: for
@@ -423,26 +474,53 @@ TEST(Scaleout, ShardedEngineMatchesSerialUnderFaults) {
 // Streaming and sharding compose: a streamed sharded parallel run equals
 // the materialized serial run.
 TEST(Scaleout, StreamedShardedMatchesMaterializedSerial) {
-  const std::uint32_t n = 128;
-  FatTreeTopology topo(n);
-  const auto caps = CapacityProfile::universal(topo, 32);
+  // Streamed chunks through the sharded executor against the serial
+  // engine on the materialized set, results and traced event streams.
+  const auto check = [](std::uint32_t n, std::uint64_t w, const MessageSet& m,
+                        std::size_t chunk_paths, const EngineOptions& base,
+                        const char* label) {
+    FatTreeTopology topo(n);
+    const auto caps = CapacityProfile::universal(topo, w);
+    CycleEngine serial_engine(fat_tree_channel_graph(topo, caps), base);
+    TraceSink serial_trace;
+    const EngineResult serial =
+        serial_engine.run(fat_tree_path_set(topo, m), &serial_trace);
+
+    EngineOptions opts = base;
+    opts.parallel = true;
+    CycleEngine engine(fat_tree_channel_graph(topo, caps, 2), opts);
+    MessageSetStream stream(m);
+    FatTreePathSource source(topo, stream, chunk_paths);
+    TraceSink trace;
+    const EngineResult streamed = engine.run_stream(source, &trace);
+
+    expect_same_result(serial, streamed, label);
+    EXPECT_EQ(event_fingerprint(serial_trace), event_fingerprint(trace))
+        << label;
+    return serial;
+  };
+
   Rng gen(29);
-  const auto m = random_permutation_traffic(n, gen);
-  const PathSet paths = fat_tree_path_set(topo, m);
+  EngineOptions opts;
+  opts.seed = 777;
+  check(128, 32, random_permutation_traffic(128, gen), 16, opts,
+        "streamed sharded");
 
-  EngineOptions serial_opts;
-  serial_opts.seed = 777;
-  CycleEngine serial_engine(fat_tree_channel_graph(topo, caps), serial_opts);
-  const EngineResult serial = serial_engine.run(paths);
-
-  EngineOptions opts = serial_opts;
-  opts.parallel = true;
-  CycleEngine engine(fat_tree_channel_graph(topo, caps, 2), opts);
-  MessageSetStream stream(m);
-  FatTreePathSource source(topo, stream, /*chunk_paths=*/16);
-  const EngineResult streamed = engine.run_stream(source);
-
-  expect_same_result(serial, streamed, "streamed sharded");
+  // Every chunk injects on the pool: 1,024 paths of a 4096-leaf stacked
+  // permutation carry about 20K hops. Every 97th message is made local,
+  // so each chunk's ranges hold empty paths that take an id but no
+  // message index. Indices and ids must continue across the chunks
+  // exactly as in one materialized batch, and the retries that follow
+  // must back off identically.
+  MessageSet stacked = stacked_permutations(4096, 2, gen);
+  for (std::size_t k = 0; k < stacked.size(); k += 97) {
+    stacked[k].dst = stacked[k].src;
+  }
+  opts.threads = 4;
+  opts.retry.exponential_backoff = true;
+  const EngineResult pooled =
+      check(4096, 64, stacked, 1024, opts, "pooled chunks");
+  EXPECT_GT(pooled.total_backoffs, 0u);
 }
 
 // --- Pooled shards ---------------------------------------------------------
