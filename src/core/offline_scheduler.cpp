@@ -328,7 +328,10 @@ bool verify_schedule(const FatTreeTopology& topo, const CapacityProfile& caps,
   // Every cycle must individually respect capacities: replaying the
   // schedule on the engine tallies each channel-cycle's load against cap.
   if (replay_schedule(topo, caps, s).capacity_violations != 0) return false;
-  // The cycles must partition m as a multiset.
+  return schedule_partitions(m, s);
+}
+
+bool schedule_partitions(const MessageSet& m, const Schedule& s) {
   auto key = [](const Message& msg) {
     return (static_cast<std::uint64_t>(msg.src) << 32) | msg.dst;
   };

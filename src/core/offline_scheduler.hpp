@@ -76,4 +76,9 @@ Schedule schedule_offline_packed(const FatTreeTopology& topo,
 bool verify_schedule(const FatTreeTopology& topo, const CapacityProfile& caps,
                      const MessageSet& m, const Schedule& s);
 
+/// verify_schedule's first half: true iff the cycles of `s` partition
+/// `m` as a multiset. A caller that already replayed `s` completes the
+/// check with its replay's capacity_violations == 0.
+bool schedule_partitions(const MessageSet& m, const Schedule& s);
+
 }  // namespace ft

@@ -4,6 +4,7 @@
 #include <bit>
 #include <chrono>
 #include <memory>
+#include <thread>
 
 #include "engine/chunked_ring.hpp"
 #include "util/check.hpp"
@@ -336,11 +337,19 @@ CycleEngine::CycleEngine(ChannelGraph graph, const EngineOptions& opts)
   }
   // Subtree sharding is the lossy/tally loop's only parallel executor: a
   // graph without a shard partition runs serial, with no pool. FIFO mode
-  // has its own channel-range parallelism.
+  // has its own channel-range parallelism. The pool is built only when
+  // it can receive a batch: with one thread the sharded layout runs its
+  // shard loop inline.
   const bool fifo = opts_.contention == ContentionPolicy::Fifo;
   sharded_ = opts_.parallel && graph_.num_shards > 1 && !fifo;
   if (opts_.parallel && (sharded_ || fifo)) {
-    pool_ = std::make_unique<ThreadPool>(opts_.threads);
+    // Resolved only here: hardware_concurrency() makes system calls,
+    // which a serial engine (every ftd job) should not pay for.
+    const std::size_t threads =
+        opts_.threads != 0
+            ? opts_.threads
+            : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+    if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
   }
   bands_.resize(sharded_ ? graph_.num_shards + 1 : 1);
 }
@@ -685,12 +694,11 @@ void CycleEngine::run_cycle(const ChanT* chan, std::uint32_t cycle) {
     return entries;
   };
 
-  // Small cycles run the shard loop inline — same structure, same
-  // results, no pool wakeup (late cycles shrink below the threshold as
-  // messages deliver).
-  const bool pooled = pool_->size() > 1;
+  // Small cycles, and every cycle of an engine without a pool, run the
+  // shard loop inline — same structure, same results, no pool wakeup
+  // (late cycles shrink below the threshold as messages deliver).
   auto dispatch = [&](std::uint32_t s_begin, std::uint32_t s_end) {
-    if (pooled && num_shards >= 2 &&
+    if (pool_ != nullptr &&
         band_entries(s_begin, s_end) >= kMinParallelWork) {
       pool_->run_tasks(num_shards, [&](std::size_t sh) {
         run_band(shards[sh], static_cast<std::uint32_t>(sh), s_begin, s_end);
@@ -979,7 +987,7 @@ EngineResult CycleEngine::run_lossy_t(HopBuffer<ChanT>& chan_buf,
       // so indices — like ids, one per path — keep arrival order whichever
       // thread fills them.
       const std::size_t num_ranges =
-          pool_ != nullptr && pool_->size() > 1 && hops >= kMinParallelWork
+          pool_ != nullptr && hops >= kMinParallelWork
               ? std::min(num_paths, 4 * (pool_->size() + 1))
               : 1;
       const auto path_lo = [&](std::size_t r) {
@@ -1338,7 +1346,7 @@ EngineResult CycleEngine::run_fifo(const PathSet& paths,
   // Channel ranges are fixed for the whole run; arrivals are merged in
   // range order, so queue contents are identical at any thread count.
   std::size_t num_ranges = 1;
-  if (pool_ != nullptr && pool_->size() > 1) {
+  if (pool_ != nullptr) {
     num_ranges = std::min<std::size_t>(pool_->size() * 2,
                                        std::max<std::size_t>(1, num_channels));
   }

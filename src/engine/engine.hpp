@@ -135,7 +135,9 @@ struct EngineOptions {
   /// lossy/tally graph without a partition runs serial, with no pool.
   /// Identical results to serial mode at any thread count.
   bool parallel = false;
-  /// Worker threads for parallel mode (0 = hardware concurrency).
+  /// Worker threads for parallel mode (0 = hardware concurrency). A
+  /// resolved count of 1 builds no pool: the sharded layout then runs
+  /// its shard loop inline, and FIFO rounds run as one channel range.
   std::size_t threads = 0;
   /// Per-message retry policy (lossy/tally modes; FIFO rounds have no
   /// losses to retry, so it is ignored there). Off by default.
@@ -377,7 +379,7 @@ class CycleEngine {
 
   ChannelGraph graph_;
   EngineOptions opts_;
-  std::unique_ptr<ThreadPool> pool_;  ///< live for the engine's lifetime
+  std::unique_ptr<ThreadPool> pool_;  ///< null unless 2+ threads
 
   /// The sharded executor: engaged when the graph carries a shard
   /// partition, the engine is parallel and the policy is lossy or tally.

@@ -184,6 +184,13 @@ bool parse_job(const JsonValue& job, JobRequest& req, RequestError& err) {
       return fail(err, "bad_value",
                   "messages: only valid for uniform | incast workloads");
     }
+    // build_workload materializes every stacked copy.
+    const std::uint64_t total =
+        (req.messages != 0 ? req.messages : req.n) * req.stack;
+    if (total > kMaxMessages) {
+      return fail(err, "bad_value",
+                  "messages * stack: want a total <= 2^22");
+    }
   }
   if (req.kind == JobKind::ReplayOffline) {
     if (req.scheduler != "offline" && req.scheduler != "packed" &&
@@ -285,8 +292,11 @@ JsonValue run_replay_offline(const JobRequest& req) {
   } else {  // greedy (validated upstream)
     schedule = schedule_greedy(topo, caps, m);
   }
-  const bool verified = verify_schedule(topo, caps, m, schedule);
+  // One replay serves both the payload and verify_schedule's capacity
+  // half; the multiset half needs no engine.
   const auto replay = replay_schedule(topo, caps, schedule);
+  const bool verified =
+      replay.capacity_violations == 0 && schedule_partitions(m, schedule);
 
   JsonValue run = JsonValue::object();
   run["kind"] = "replay_offline";

@@ -43,7 +43,11 @@ inline constexpr const char* kSchema = "ft.ftd/1";
 /// resynchronize inside a partially-read oversized line).
 inline constexpr std::size_t kDefaultMaxFrameBytes = 1u << 20;
 
-/// Hard ceilings on job cost, so one request cannot wedge a worker.
+/// Hard ceilings on a job's size, so one request cannot exhaust the
+/// daemon's memory. kMaxMessages bounds the stacked total a job builds,
+/// (messages, default n) × stack, as well as `messages` itself. They
+/// bound memory, not time: a 2^22-message incast still runs for about
+/// 2^22 cycles.
 inline constexpr std::uint32_t kMaxN = 1u << 16;
 inline constexpr std::uint32_t kMaxStack = 64;
 inline constexpr std::uint64_t kMaxMessages = 1u << 22;

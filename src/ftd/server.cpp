@@ -4,6 +4,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <exception>
@@ -18,17 +19,30 @@ double seconds_between(Clock::time_point a, Clock::time_point b) {
 }
 }  // namespace
 
-Server::Server(ServerOptions opts) : opts_(opts), pool_(opts.workers) {}
+Server::Server(ServerOptions opts) : opts_(opts) {
+  const std::size_t workers =
+      opts_.workers != 0
+          ? opts_.workers
+          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  workers_.reserve(workers);
+  for (std::size_t i = 0; i < workers; ++i) {
+    workers_.emplace_back([this] { worker_loop(); });
+  }
+}
 
 Server::~Server() {
+  // Workers touch the completion list and the wake pipe, so they are
+  // joined before any member is destroyed, even if run() never ran.
+  {
+    std::lock_guard<std::mutex> lock(jobs_mu_);
+    stop_workers_ = true;
+  }
+  jobs_cv_.notify_all();
+  for (auto& w : workers_) w.join();
   if (listen_fd_ >= 0) ::close(listen_fd_);
   for (auto& [token, conn] : conns_) {
     if (conn->fd >= 0) ::close(conn->fd);
   }
-  // Joining the pool (ThreadPool dtor) requires no worker can still touch
-  // this object; wait_idle() here makes destruction safe even if run()
-  // was never entered or exited early.
-  pool_.wait_idle();
 }
 
 bool Server::start(std::string* err) {
@@ -139,8 +153,6 @@ void Server::run() {
   all.reserve(conns_.size());
   for (auto& [token, conn] : conns_) all.push_back(token);
   for (const std::uint64_t token : all) close_connection(token);
-  pool_.wait_idle();
-  process_completions();  // zombie completions count as dropped
 }
 
 void Server::accept_new_clients() {
@@ -245,14 +257,30 @@ void Server::submit_job(Connection& conn, JobRequest req) {
   ++pending_;
   ++conn.in_flight;
   jobs_admitted_.fetch_add(1);
-  const std::uint64_t token = conn.token;
-  const auto enqueued = Clock::now();
-  pool_.submit([this, token, enqueued, req = std::move(req)]() {
+  {
+    std::lock_guard<std::mutex> lock(jobs_mu_);
+    jobs_.push_back({conn.token, Clock::now(), std::move(req)});
+  }
+  jobs_cv_.notify_one();
+}
+
+void Server::worker_loop() {
+  for (;;) {
+    QueuedJob job;
+    {
+      std::unique_lock<std::mutex> lock(jobs_mu_);
+      jobs_cv_.wait(lock, [this] { return stop_workers_ || !jobs_.empty(); });
+      if (jobs_.empty()) return;
+      job = std::move(jobs_.front());
+      jobs_.pop_front();
+    }
+    const JobRequest& req = job.req;
     const auto started = Clock::now();
     std::string line;
     try {
       const JsonValue run = run_job(req);
-      line = result_record(req.id, run, seconds_between(enqueued, started),
+      line = result_record(req.id, run,
+                           seconds_between(job.enqueued, started),
                            seconds_between(started, Clock::now()));
     } catch (const std::exception& e) {
       line = error_record(req.id, "job_failed", e.what());
@@ -261,10 +289,10 @@ void Server::submit_job(Connection& conn, JobRequest req) {
     }
     {
       std::lock_guard<std::mutex> lock(completions_mu_);
-      completions_.push_back({token, std::move(line)});
+      completions_.push_back({job.token, std::move(line)});
     }
     wake_.notify();
-  });
+  }
 }
 
 void Server::process_completions() {

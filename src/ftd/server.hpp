@@ -3,7 +3,7 @@
 // One thread runs a poll() event loop that owns every connection: it
 // accepts clients, splits their byte streams into frames
 // (protocol.hpp), validates requests, and admits jobs into a bounded
-// queue executed on the repo's work-stealing ThreadPool. Workers never
+// queue that the server's own worker threads drain. Workers never
 // touch connection state: they compute a response line and hand it back
 // through a mutex-protected completion list plus a self-pipe wakeup, and
 // the loop routes it to the owning connection's outbox — or drops it if
@@ -26,16 +26,19 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "ftd/protocol.hpp"
 #include "util/socket.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ft::ftd {
 
@@ -116,6 +119,13 @@ class Server {
     std::string line;
   };
 
+  /// An admitted job waiting for a worker.
+  struct QueuedJob {
+    std::uint64_t token = 0;
+    std::chrono::steady_clock::time_point enqueued;
+    JobRequest req;
+  };
+
   void accept_new_clients();
   void handle_readable(Connection& conn);
   void handle_line(Connection& conn, const std::string& line);
@@ -124,9 +134,10 @@ class Server {
   void close_connection(std::uint64_t token);
   void process_completions();
   void submit_job(Connection& conn, JobRequest req);
+  /// Pops queued jobs until stop_workers_ is set and the queue is empty.
+  void worker_loop();
 
   ServerOptions opts_;
-  ThreadPool pool_;
   net::WakePipe wake_;
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
@@ -142,6 +153,12 @@ class Server {
   std::mutex completions_mu_;
   std::vector<Completion> completions_;
 
+  /// The job queue: pushed by the event loop, popped by the workers.
+  std::mutex jobs_mu_;
+  std::condition_variable jobs_cv_;
+  std::deque<QueuedJob> jobs_;
+  bool stop_workers_ = false;
+
   std::atomic<bool> drain_requested_{false};
   bool draining_ = false;
 
@@ -154,6 +171,9 @@ class Server {
   std::atomic<std::uint64_t> jobs_failed_{0};
   std::atomic<std::uint64_t> responses_dropped_{0};
   std::atomic<std::uint64_t> frames_oversized_{0};
+
+  /// Declared after every member a job touches.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace ft::ftd

@@ -45,9 +45,10 @@ inline bool parse_size(const char* s, std::size_t& out) {
   return true;
 }
 
-/// Most worker threads a command line may ask for. A thread pool starts
-/// every thread it is given, so an unchecked count in the thousands
-/// starts that many, and 2^64 - 1 wraps the pool's slot count.
+/// Most worker threads a command line may ask for. The engine's pool and
+/// ftd's job workers start every thread they are given, so an unchecked
+/// count in the thousands starts that many, and 2^64 - 1 wraps the
+/// pool's slot count.
 inline constexpr std::size_t kMaxThreads = 1024;
 
 /// A thread count: a whole number in [0, kMaxThreads] (0 keeps its

@@ -25,13 +25,10 @@ constexpr int kYieldIters = 16;
 
 }  // namespace
 
-ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  slots_ = std::vector<Slot>(threads + 1);  // + dispatcher slot
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
+ThreadPool::ThreadPool(std::size_t workers) {
+  slots_ = std::vector<Slot>(workers + 1);  // + dispatcher slot
+  workers_.reserve(workers);
+  for (std::size_t i = 0; i < workers; ++i) {
     // Worker i owns slot i + 1; the run_tasks caller owns slot 0.
     workers_.emplace_back([this, i] { worker_loop(i + 1); });
   }
@@ -40,33 +37,17 @@ ThreadPool::ThreadPool(std::size_t threads) {
 ThreadPool::~ThreadPool() {
   {
     std::lock_guard lock(mu_);
-    stop_ = true;
+    stop_.store(true, std::memory_order_release);
   }
-  stop_flag_.store(true, std::memory_order_release);
   cv_task_.notify_all();
   for (auto& w : workers_) w.join();
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  {
-    std::lock_guard lock(mu_);
-    tasks_.push(std::move(task));
-    ++in_flight_;
-  }
-  queued_.fetch_add(1, std::memory_order_release);
-  cv_task_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock lock(mu_);
-  cv_idle_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
 void ThreadPool::run_tasks(std::size_t count,
                            const std::function<void(std::size_t)>& body) {
   if (count == 0) return;
-  if (count == 1 || workers_.empty()) {
-    for (std::size_t i = 0; i < count; ++i) body(i);
+  if (count == 1) {
+    body(0);
     return;
   }
 
@@ -164,32 +145,7 @@ void ThreadPool::worker_loop(std::size_t idx) {
       idle = 0;
       continue;
     }
-    if (queued_.load(std::memory_order_acquire) > 0) {
-      std::function<void()> task;
-      {
-        std::lock_guard lock(mu_);
-        if (!tasks_.empty()) {
-          task = std::move(tasks_.front());
-          tasks_.pop();
-          queued_.fetch_sub(1, std::memory_order_relaxed);
-        }
-      }
-      if (task) {
-        task();  // may submit() more work; mu_ is not held here
-        std::lock_guard lock(mu_);
-        --in_flight_;
-        if (in_flight_ == 0) cv_idle_.notify_all();
-      }
-      idle = 0;
-      continue;
-    }
-    if (stop_flag_.load(std::memory_order_acquire)) {
-      // Re-check the queue under the lock: a task submitted just before
-      // stop must still run (destructor semantics: drain, then exit).
-      std::lock_guard lock(mu_);
-      if (tasks_.empty()) return;
-      continue;
-    }
+    if (stop_.load(std::memory_order_acquire)) return;
     if (idle < kSpinIters) {
       ++idle;
       cpu_relax();
@@ -203,14 +159,10 @@ void ThreadPool::worker_loop(std::size_t idx) {
     std::unique_lock lock(mu_);
     sleepers_.fetch_add(1, std::memory_order_seq_cst);
     cv_task_.wait(lock, [&] {
-      return stop_ || !tasks_.empty() ||
+      return stop_.load(std::memory_order_relaxed) ||
              epoch_.load(std::memory_order_seq_cst) != seen;
     });
     sleepers_.fetch_sub(1, std::memory_order_relaxed);
-    if (stop_ && tasks_.empty() &&
-        epoch_.load(std::memory_order_relaxed) == seen) {
-      return;
-    }
     idle = 0;  // whatever woke us is handled at the top of the loop
   }
 }

@@ -1,14 +1,10 @@
-// A small fixed-size thread pool with two dispatch modes:
-//
-//  * submit()/wait_idle(): a classic mutex-protected task queue for
-//    coarse fire-and-forget work (experiment sweep cells, tests).
-//  * run_tasks(): a persistent work-stealing batch mode for the
-//    delivery-cycle engine, which dispatches one batch per shard band or
-//    FIFO round — thousands of batches per second. Each batch is published
-//    by bumping an epoch counter; parked workers wake, claim chunks of
-//    the index range from per-slot atomic cursors, and steal from other
-//    slots when their own runs dry. No per-task lock acquisition and no
-//    per-batch thread creation.
+// A small fixed-size work-stealing pool: the delivery-cycle engine's
+// batch executor. The engine dispatches one batch per shard band,
+// injected batch or FIFO round — thousands of batches per second. Each
+// batch is published by bumping an epoch counter; parked workers wake,
+// claim chunks of the index range from per-slot atomic cursors, and
+// steal from other slots when their own runs dry. No per-task lock
+// acquisition and no per-batch thread creation.
 //
 // Simulators themselves stay deterministic: the engine only hands the
 // pool work whose results are order-independent (disjoint shards whose
@@ -22,7 +18,6 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -30,8 +25,9 @@ namespace ft {
 
 class ThreadPool {
  public:
-  /// threads == 0 means hardware_concurrency (at least 1).
-  explicit ThreadPool(std::size_t threads = 0);
+  /// Starts `workers` threads; the caller of run_tasks joins every batch
+  /// as one more participant.
+  explicit ThreadPool(std::size_t workers);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -39,22 +35,14 @@ class ThreadPool {
 
   std::size_t size() const { return workers_.size(); }
 
-  /// Enqueue a task; fire-and-forget (use wait_idle to join). Safe to
-  /// call from inside a running task (nested submission).
-  void submit(std::function<void()> task);
-
-  /// Block until every submitted task has finished.
-  void wait_idle();
-
   /// Runs body(i) for i in [0, count) on the pool and blocks until all
-  /// calls return. The calling thread participates in the batch, so all
-  /// of `size() + 1` threads make progress even when queue tasks keep
-  /// the workers busy. Indices are pre-partitioned into one contiguous
-  /// chunk per participant; idle participants steal from the others'
-  /// chunks, so uneven per-index costs still balance. Must not be
-  /// called concurrently from two threads or reentrantly from inside a
-  /// batch body (the engine dispatches all batches from its single
-  /// coordinating thread).
+  /// calls return. The calling thread participates in the batch, so
+  /// `size() + 1` threads make progress. Indices are pre-partitioned
+  /// into one contiguous chunk per participant; idle participants steal
+  /// from the others' chunks, so uneven per-index costs still balance.
+  /// Must not be called concurrently from two threads or reentrantly
+  /// from inside a batch body (the engine dispatches all batches from
+  /// its single coordinating thread).
   void run_tasks(std::size_t count,
                  const std::function<void(std::size_t)>& body);
 
@@ -85,17 +73,13 @@ class ThreadPool {
   std::atomic<std::uint64_t> epoch_{0};
   std::atomic<std::size_t> remaining_{0};
   std::atomic<int> sleepers_{0};
-  std::atomic<std::size_t> queued_{0};
-  std::atomic<bool> stop_flag_{false};
+  std::atomic<bool> stop_{false};
 
-  // Legacy submit() queue; also guards the condition variables.
-  std::queue<std::function<void()>> tasks_;
-  std::mutex mu_;
+  // Parking: guards both condition variables, on its own cache line, off
+  // the one every participant polls (epoch_, remaining_).
+  alignas(64) std::mutex mu_;
   std::condition_variable cv_task_;
-  std::condition_variable cv_idle_;
   std::condition_variable cv_done_;
-  std::size_t in_flight_ = 0;
-  bool stop_ = false;
 };
 
 }  // namespace ft

@@ -436,12 +436,13 @@ TEST(EngineParity, RoutingPoliciesSerialEqualsParallel) {
 // The sharded executor on a workload big enough to dispatch its thread
 // pool: the first cycles' up and down bands hold more than
 // kMinParallelWork (4096) worklist entries, so shards really run on four
-// threads. Every policy, with and without channel flaps (default retry,
-// so AdaptiveOccupancy parks through its own feedback rather than a
-// backoff schedule that would mask it), must match the serial run in
-// every EngineResult field, the per-cycle deliveries, the traced event
-// stream and per-level carried tallies, the telemetry stream and the
-// EngineMetrics report section.
+// threads. With one thread the engine builds no pool and runs the same
+// sharded layout inline. Every policy, with and without channel flaps
+// (default retry, so AdaptiveOccupancy parks through its own feedback
+// rather than a backoff schedule that would mask it), must match the
+// serial run in every EngineResult field, the per-cycle deliveries, the
+// traced event stream and per-level carried tallies, the telemetry
+// stream and the EngineMetrics report section.
 TEST(EngineParity, PooledShardsMatchSerialForEveryPolicy) {
   const std::uint32_t n = 4096;
   FatTreeTopology t(n);
@@ -503,32 +504,35 @@ TEST(EngineParity, PooledShardsMatchSerialForEveryPolicy) {
       }
 
       opts.parallel = true;
-      opts.threads = 4;
-      for (const std::uint32_t shard_level : {2u, 3u}) {
-        const std::string at = label + " shard_level " +
-                               std::to_string(shard_level);
-        const Run p = run(opts, shard_level, at);
-        const EngineResult& a = s.result;
-        const EngineResult& b = p.result;
-        EXPECT_EQ(a.cycles, b.cycles) << at;
-        EXPECT_EQ(a.gave_up, b.gave_up) << at;
-        EXPECT_EQ(a.delivered, b.delivered) << at;
-        EXPECT_EQ(a.total_attempts, b.total_attempts) << at;
-        EXPECT_EQ(a.total_losses, b.total_losses) << at;
-        EXPECT_EQ(a.total_hops, b.total_hops) << at;
-        EXPECT_EQ(a.latency_sum, b.latency_sum) << at;
-        EXPECT_EQ(a.max_queue, b.max_queue) << at;
-        EXPECT_EQ(a.messages_given_up, b.messages_given_up) << at;
-        EXPECT_EQ(a.total_backoffs, b.total_backoffs) << at;
-        EXPECT_EQ(a.fault_down_events, b.fault_down_events) << at;
-        EXPECT_EQ(a.fault_up_events, b.fault_up_events) << at;
-        EXPECT_EQ(a.subtree_kill_events, b.subtree_kill_events) << at;
-        EXPECT_EQ(a.degraded_channel_cycles, b.degraded_channel_cycles)
-            << at;
-        EXPECT_EQ(a.delivered_per_cycle, b.delivered_per_cycle) << at;
-        EXPECT_EQ(s.trace_fp, p.trace_fp) << at;
-        EXPECT_EQ(s.telemetry_fp, p.telemetry_fp) << at;
-        EXPECT_EQ(s.metrics_json, p.metrics_json) << at;
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        opts.threads = threads;
+        for (const std::uint32_t shard_level : {2u, 3u}) {
+          const std::string at = label + " threads " +
+                                 std::to_string(threads) + " shard_level " +
+                                 std::to_string(shard_level);
+          const Run p = run(opts, shard_level, at);
+          const EngineResult& a = s.result;
+          const EngineResult& b = p.result;
+          EXPECT_EQ(a.cycles, b.cycles) << at;
+          EXPECT_EQ(a.gave_up, b.gave_up) << at;
+          EXPECT_EQ(a.delivered, b.delivered) << at;
+          EXPECT_EQ(a.total_attempts, b.total_attempts) << at;
+          EXPECT_EQ(a.total_losses, b.total_losses) << at;
+          EXPECT_EQ(a.total_hops, b.total_hops) << at;
+          EXPECT_EQ(a.latency_sum, b.latency_sum) << at;
+          EXPECT_EQ(a.max_queue, b.max_queue) << at;
+          EXPECT_EQ(a.messages_given_up, b.messages_given_up) << at;
+          EXPECT_EQ(a.total_backoffs, b.total_backoffs) << at;
+          EXPECT_EQ(a.fault_down_events, b.fault_down_events) << at;
+          EXPECT_EQ(a.fault_up_events, b.fault_up_events) << at;
+          EXPECT_EQ(a.subtree_kill_events, b.subtree_kill_events) << at;
+          EXPECT_EQ(a.degraded_channel_cycles, b.degraded_channel_cycles)
+              << at;
+          EXPECT_EQ(a.delivered_per_cycle, b.delivered_per_cycle) << at;
+          EXPECT_EQ(s.trace_fp, p.trace_fp) << at;
+          EXPECT_EQ(s.telemetry_fp, p.telemetry_fp) << at;
+          EXPECT_EQ(s.metrics_json, p.metrics_json) << at;
+        }
       }
     }
   }

@@ -110,6 +110,21 @@ TEST(FtdE2e, HelloBannerAndPing) {
   EXPECT_TRUE(rec.find("run")->find("pong")->as_bool());
 }
 
+// A server that is started but never run() still owns its workers.
+// Destroying it joins them, whether they have parked on the empty queue
+// yet or not.
+TEST(FtdE2e, ServerThatNeverRanJoinsItsIdleWorkers) {
+  for (const int idle_ms : {0, 20}) {
+    ServerOptions opts;
+    opts.workers = 4;
+    Server server(opts);
+    std::string err;
+    ASSERT_TRUE(server.start(&err)) << err;
+    std::this_thread::sleep_for(std::chrono::milliseconds(idle_ms));
+    EXPECT_EQ(server.stats().jobs_admitted, 0u);
+  }
+}
+
 TEST(FtdE2e, ConcurrentClientsGetTheirOwnResults) {
   ServerFixture fx;
   ASSERT_TRUE(fx.start());

@@ -199,6 +199,12 @@ TEST(ParseRequest, RangeAndCrossFieldRules) {
                "bad_value");
   expect_ok("{\"id\":\"a\",\"job\":{\"kind\":\"route_online\",\"workload\":"
             "\"uniform\",\"messages\":100}}");
+  // The stacked total (messages, default n) x stack is capped at 2^22.
+  expect_error("{\"id\":\"a\",\"job\":{\"kind\":\"route_online\",\"workload\":"
+               "\"uniform\",\"messages\":4194304,\"stack\":2}}",
+               "bad_value");
+  expect_ok("{\"id\":\"a\",\"job\":{\"kind\":\"route_online\",\"workload\":"
+            "\"uniform\",\"messages\":2097152,\"stack\":2}}");
   // sleep_ms only for sleep jobs; retry only for route_online.
   expect_error("{\"id\":\"a\",\"job\":{\"kind\":\"route_online\",\"sleep_ms\":"
                "10}}",
