@@ -1,11 +1,11 @@
 #include "core/online_router.hpp"
 
 #include <algorithm>
-#include <thread>
 
 #include "core/load.hpp"
 #include "engine/engine.hpp"
 #include "engine/fat_tree_model.hpp"
+#include "util/parse.hpp"
 
 namespace ft {
 
@@ -53,10 +53,7 @@ std::uint32_t pick_shard_level(const FatTreeTopology& topo,
   if (opts.shard_level != kShardLevelAuto) {
     return std::min(opts.shard_level, cap);
   }
-  std::size_t workers = opts.threads;
-  if (workers == 0) {
-    workers = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
+  const std::size_t workers = resolve_threads(opts.threads);
   std::uint32_t lvl = 1;
   while ((std::size_t{1} << lvl) < workers * 2 && lvl < 6) ++lvl;
   return std::min(lvl, cap);

@@ -4,10 +4,10 @@
 #include <bit>
 #include <chrono>
 #include <memory>
-#include <thread>
 
 #include "engine/chunked_ring.hpp"
 #include "util/check.hpp"
+#include "util/parse.hpp"
 #include "util/prng.hpp"
 
 namespace ft {
@@ -343,12 +343,9 @@ CycleEngine::CycleEngine(ChannelGraph graph, const EngineOptions& opts)
   const bool fifo = opts_.contention == ContentionPolicy::Fifo;
   sharded_ = opts_.parallel && graph_.num_shards > 1 && !fifo;
   if (opts_.parallel && (sharded_ || fifo)) {
-    // Resolved only here: hardware_concurrency() makes system calls,
-    // which a serial engine (every ftd job) should not pay for.
-    const std::size_t threads =
-        opts_.threads != 0
-            ? opts_.threads
-            : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+    // Resolved only here: a serial engine (every ftd job) pays for no
+    // hardware_concurrency() system calls.
+    const std::size_t threads = resolve_threads(opts_.threads);
     if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
   }
   bands_.resize(sharded_ ? graph_.num_shards + 1 : 1);
@@ -443,10 +440,10 @@ void CycleEngine::fused_stage(const ChanT* chan, std::uint32_t cycle,
   // push_backs can allocate, and past any opaque call the compiler must
   // reload member-reachable pointers — locals stay in registers. None of
   // the hoisted buffers reallocates during the stage (the arena is sized
-  // before the sweep; a forward to stage s' != stage moves only that
-  // inner vector's storage, not the outer arrays).
-  std::vector<std::uint64_t>& list = band.stage_list[stage];
-  std::vector<std::uint32_t>& touched = band.stage_touched[stage];
+  // before the sweep; a forward to stage s' != stage grows only that
+  // stage's block chain, not the outer arrays).
+  BlockList<std::uint64_t>& list = band.stage_list[stage];
+  BlockList<std::uint32_t>& touched = band.stage_touched[stage];
   std::vector<OverBucket>& over = band.over;
   std::vector<ChannelLoad>& loads = band.loads;
   std::uint32_t* const bp = bucket_pos_.data();
@@ -455,7 +452,7 @@ void CycleEngine::fused_stage(const ChanT* chan, std::uint32_t cycle,
   std::uint64_t losses = 0;
   over.clear();
   std::uint32_t total = 0;
-  for (const std::uint32_t c : touched) {
+  touched.for_each([&](std::uint32_t c) {
     const std::uint32_t count = bp[c];
     if (count > lim[c]) {
       over.push_back({c, total, count});
@@ -466,11 +463,11 @@ void CycleEngine::fused_stage(const ChanT* chan, std::uint32_t cycle,
       hops += count;
       bp[c] = kUncontended;
     }
-  }
+  });
   band.arena.resize(total);
   std::uint64_t* const ce = ce_.data();
   std::uint32_t* const ar = band.arena.data();
-  for (const std::uint64_t e : list) {
+  list.for_each([&](std::uint64_t e) {
     const std::uint32_t c = entry_chan(e);
     const std::uint32_t i = entry_msg(e);
     const std::uint32_t pos = bp[c];
@@ -484,7 +481,7 @@ void CycleEngine::fused_stage(const ChanT* chan, std::uint32_t cycle,
       ar[pos] = i;
       bp[c] = pos + 1;
     }
-  }
+  });
   std::uint64_t* const bits = band.sort_bits.data();
   const RoutingPolicy pol = opts_.policy;
   const bool wire_sel = wire_selecting(pol);
@@ -542,18 +539,26 @@ void CycleEngine::fused_stage(const ChanT* chan, std::uint32_t cycle,
     hops += winners;
     losses += ob.count - winners;
   }
-  for (const std::uint32_t c : touched) bp[c] = 0;  // sticky zeros
-  touched.clear();
-  list.clear();
+  touched.for_each([bp](std::uint32_t c) { bp[c] = 0; });  // sticky zeros
+  // The stage receives no more work this cycle: its chains go back to the
+  // band's pools for the later stages' lists.
+  touched.release();
+  list.release();
   band.hops += hops;
   band.losses += losses;
 }
 
 void CycleEngine::Band::reset(std::uint32_t num_stages) {
   stage_list.resize(num_stages);
-  for (auto& list : stage_list) list.clear();
+  for (auto& list : stage_list) {
+    list.bind(list_pool);
+    list.release();
+  }
   stage_touched.resize(num_stages);
-  for (auto& t : stage_touched) t.clear();
+  for (auto& t : stage_touched) {
+    t.bind(touched_pool);
+    t.release();
+  }
   outbox.clear();
   loads.clear();
   losses = 0;
@@ -602,8 +607,8 @@ struct CycleEngine::Lander {
   std::uint32_t* bp;
   const std::uint32_t* shard;  ///< nullptr in the serial executor
   Band* bands;
-  std::vector<std::uint64_t>* g_lst;
-  std::vector<std::uint32_t>* g_touch;
+  BlockList<std::uint64_t>* g_lst;
+  BlockList<std::uint32_t>* g_touch;
 };
 
 /// One cycle's stage sweep. Every stage runs the fused kernel; the

@@ -39,6 +39,7 @@
 #include <string_view>
 #include <vector>
 
+#include "engine/block_list.hpp"
 #include "engine/channel_graph.hpp"
 #include "engine/fault_plan.hpp"
 #include "engine/message_source.hpp"
@@ -292,7 +293,18 @@ class CycleEngine {
   /// shards' worklist headers and loss/hop counters are written by
   /// different workers every cycle, and letting them share a line costs
   /// real coherence traffic at high shard counts.
+  ///
+  /// The stage lists are chains of blocks from the band's two pools, and
+  /// fused_stage hands a stage's chains back once the stage has run, so
+  /// the band's worklist storage follows its peak live entries (about
+  /// twice the cycle's contenders) rather than the sum over stages of
+  /// each stage's peak. Ownership rule: a band's pools are touched only by
+  /// the thread sweeping that band, or by the coordinating thread between
+  /// dispatches — the threads that touch its lists — so they take no
+  /// locks and no atomics. reset binds every list to its band's pools.
   struct alignas(64) Band {
+    BlockPool<std::uint64_t> list_pool;
+    BlockPool<std::uint32_t> touched_pool;
     /// Worklists: stage_list[s] holds the band's live messages whose next
     /// channel lies in stage s, packed as (msg << 32) | channel so bucket
     /// building never re-derives the channel through the message table
@@ -303,10 +315,10 @@ class CycleEngine {
     /// O(stages × pending). List order is unobservable: a later bucket
     /// either sorts its contenders before the lottery or is under limit,
     /// where order decides nothing.
-    std::vector<std::vector<std::uint64_t>> stage_list;
+    std::vector<BlockList<std::uint64_t>> stage_list;
     /// stage_touched[s] lists the band's distinct stage-s channels with a
     /// nonzero contender count (bucket_pos_).
-    std::vector<std::vector<std::uint32_t>> stage_touched;
+    std::vector<BlockList<std::uint32_t>> stage_touched;
     /// Contended buckets occupy [off, off + count) slices of the arena;
     /// over lists them for the stage being swept.
     std::vector<std::uint32_t> arena;
@@ -320,6 +332,8 @@ class CycleEngine {
     std::uint64_t losses = 0;
     std::uint64_t hops = 0;
 
+    /// Empties the band for a run, returning the blocks a run that
+    /// max_cycles stopped left in its lists.
     void reset(std::uint32_t num_stages);
   };
   /// The landing rule over hoisted band pointers (defined in engine.cpp).
@@ -428,9 +442,11 @@ class CycleEngine {
   /// once per cycle.
   std::vector<std::uint32_t> check_tbl_;
 
-  // All per-run/per-cycle scratch below is a member so repeated run()
-  // calls on one engine reach a steady state with no allocation: vectors
-  // are cleared, never shrunk.
+  // All per-run/per-cycle scratch below (and the bands' scratch above) is
+  // a member so repeated run() calls on one engine reach a steady state
+  // with no allocation: vectors are cleared, never shrunk, and the stage
+  // lists recycle their blocks through the band pools, which keep every
+  // block they have allocated.
   HopBuffer<std::uint32_t> chan_buf_;    ///< injected CSR hops (wide)
   HopBuffer<std::uint16_t> chan_buf16_;  ///< injected CSR hops (narrow)
   /// The first message index of each injection range of the current

@@ -9,6 +9,8 @@
 #include <chrono>
 #include <exception>
 
+#include "util/parse.hpp"
+
 namespace ft::ftd {
 
 namespace {
@@ -20,10 +22,7 @@ double seconds_between(Clock::time_point a, Clock::time_point b) {
 }  // namespace
 
 Server::Server(ServerOptions opts) : opts_(opts) {
-  const std::size_t workers =
-      opts_.workers != 0
-          ? opts_.workers
-          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  const std::size_t workers = resolve_threads(opts_.workers);
   workers_.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i) {
     workers_.emplace_back([this] { worker_loop(); });

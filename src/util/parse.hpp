@@ -7,10 +7,12 @@
 // outright.
 #pragma once
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <thread>
 
 namespace ft {
 
@@ -58,6 +60,15 @@ inline bool parse_threads(const char* s, std::size_t& out) {
   if (!parse_u64(s, v) || v > kMaxThreads) return false;
   out = static_cast<std::size_t>(v);
   return true;
+}
+
+/// Resolves a thread count: 0 means hardware concurrency, at least 1.
+/// hardware_concurrency() makes system calls, so call this only where a
+/// parallel executor is built, never on a serial path.
+inline std::size_t resolve_threads(std::size_t threads) {
+  return threads != 0
+             ? threads
+             : std::max<std::size_t>(1, std::thread::hardware_concurrency());
 }
 
 inline bool parse_double(const char* s, double& out) {

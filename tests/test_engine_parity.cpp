@@ -538,6 +538,70 @@ TEST(EngineParity, PooledShardsMatchSerialForEveryPolicy) {
   }
 }
 
+// One engine reused after a run that max_cycles stopped: that run's last
+// compaction reseeded its losers, so its stage worklists still hold
+// entries (on pooled blocks) when it returns. The next run on the same
+// engine must start from empty worklists and match a fresh engine in
+// every result field and its trace fingerprint, serial and pooled-sharded
+// (the first cycles' bands hold more than kMinParallelWork entries, so
+// the four-thread pool really dispatches).
+TEST(EngineParity, ReusedEngineAfterTruncatedRunMatchesFreshEngine) {
+  const std::uint32_t n = 4096;
+  FatTreeTopology t(n);
+  const auto caps = CapacityProfile::universal(t, n / 8);
+  Rng gen(131);
+  // About 39 cycles to finish: far past the cap.
+  const PathSet cut = fat_tree_path_set(t, stacked_permutations(n, 8, gen));
+  // About 10 cycles: finishes under it.
+  const PathSet done = fat_tree_path_set(t, stacked_permutations(n, 2, gen));
+
+  struct Run {
+    EngineResult result;
+    std::uint64_t trace_fp = 0;
+  };
+  const auto run_done = [&](CycleEngine& engine) {
+    TraceSink trace;
+    Run r;
+    r.result = engine.run(done, &trace);
+    r.trace_fp = trace_fingerprint(trace);
+    return r;
+  };
+
+  for (const bool sharded : {false, true}) {
+    const std::string at = sharded ? "pooled-sharded" : "serial";
+    EngineOptions opts;
+    opts.seed = 133;
+    opts.max_cycles = 12;
+    opts.parallel = sharded;
+    opts.threads = 4;
+    const std::uint32_t shard_level = sharded ? 3 : 0;
+
+    CycleEngine fresh(fat_tree_channel_graph(t, caps, shard_level), opts);
+    const Run want = run_done(fresh);
+    ASSERT_FALSE(want.result.gave_up) << at;
+    EXPECT_GT(want.result.total_losses, 0u) << at;
+
+    CycleEngine reused(fat_tree_channel_graph(t, caps, shard_level), opts);
+    const EngineResult first = reused.run(cut);
+    ASSERT_TRUE(first.gave_up) << at;
+    ASSERT_LT(first.delivered, cut.size()) << at;
+    const Run got = run_done(reused);
+
+    const EngineResult& a = want.result;
+    const EngineResult& b = got.result;
+    EXPECT_EQ(a.cycles, b.cycles) << at;
+    EXPECT_EQ(a.gave_up, b.gave_up) << at;
+    EXPECT_EQ(a.delivered, b.delivered) << at;
+    EXPECT_EQ(a.total_attempts, b.total_attempts) << at;
+    EXPECT_EQ(a.total_losses, b.total_losses) << at;
+    EXPECT_EQ(a.total_hops, b.total_hops) << at;
+    EXPECT_EQ(a.messages_given_up, b.messages_given_up) << at;
+    EXPECT_EQ(a.total_backoffs, b.total_backoffs) << at;
+    EXPECT_EQ(a.delivered_per_cycle, b.delivered_per_cycle) << at;
+    EXPECT_EQ(want.trace_fp, got.trace_fp) << at;
+  }
+}
+
 // Golden determinism for correlated subtree kills: for two plan seeds the
 // full timeline — cycle count, kill/fault counters, and an FNV-1a
 // fingerprint of the traced event stream — is pinned, and serial and

@@ -7,6 +7,8 @@
 #include <thread>
 #include <vector>
 
+#include "util/parse.hpp"
+
 namespace ft {
 namespace {
 
@@ -38,7 +40,7 @@ TEST(ThreadPool, StealsFromUnevenTaskCosts) {
     // Indices in the first chunk spin ~1000x longer than the rest.
     volatile long sink = 0;
     const long iters = (i < kTasks / 5) ? 200000 : 200;
-    for (long k = 0; k < iters; ++k) sink += k;
+    for (long k = 0; k < iters; ++k) sink = sink + k;
     checksum.fetch_add(sink, std::memory_order_relaxed);
     hits[i].fetch_add(1, std::memory_order_relaxed);
   });
@@ -85,6 +87,14 @@ TEST(ThreadPool, DestructorJoinsParkedWorkers) {
   EXPECT_EQ(ran.load(), 8);
   // Far longer than the spin and yield budget: every worker parks.
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
+}
+
+// The one thread-count rule behind the engine's pool, ftd's workers and
+// the shard-level heuristic: an explicit count passes through, and 0
+// (hardware concurrency) resolves to at least one thread.
+TEST(ThreadPool, ResolveThreadsKeepsExplicitCountsAndResolvesZero) {
+  EXPECT_EQ(resolve_threads(3), 3u);
+  EXPECT_GE(resolve_threads(0), 1u);
 }
 
 }  // namespace
