@@ -17,7 +17,8 @@
 //               Per-job latency is recorded and summarized.
 //   drain       (--spawn only) submit sleep jobs, SIGTERM the daemon
 //               mid-flight, assert every in-flight job still returns a
-//               result, then EOF, then a zero exit status.
+//               result, then EOF, then a zero exit status while SIGTERM
+//               keeps arriving every 2 ms until the daemon has exited.
 //   saturation  (--spawn only) respawn with a tiny queue, blast it, and
 //               assert structured queue_full rejections — never a hang —
 //               with every accepted job still completing correctly.
@@ -352,11 +353,14 @@ bool spawn_daemon(const std::string& path, std::size_t queue,
   return false;
 }
 
-/// SIGTERM + bounded wait; returns true iff the daemon exited with 0.
+/// Sends SIGTERM every 2 ms until the daemon exits (at most 30 s), so
+/// signals also land during its shutdown: in ~Server and after main
+/// returns. Returns true iff the daemon exited with 0.
 bool terminate_daemon(Daemon& d) {
   if (d.pid < 0) return true;
-  ::kill(d.pid, SIGTERM);
-  for (int i = 0; i < 600; ++i) {
+  const auto deadline = Clock::now() + std::chrono::seconds(30);
+  while (Clock::now() < deadline) {
+    ::kill(d.pid, SIGTERM);  // the pid stays ours until waitpid reaps it
     int status = 0;
     const pid_t r = ::waitpid(d.pid, &status, WNOHANG);
     if (r == d.pid) {
@@ -365,7 +369,7 @@ bool terminate_daemon(Daemon& d) {
       std::fprintf(stderr, "ftd_loadgen: daemon exit status %d\n", status);
       return false;
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   std::fprintf(stderr, "ftd_loadgen: daemon ignored SIGTERM; killing\n");
   ::kill(d.pid, SIGKILL);

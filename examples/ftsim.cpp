@@ -18,20 +18,17 @@
 // engine; the online scheduler is traced live. Transient faults, retry
 // policies, and correlated subtree kills all compose with any of the
 // above (see the flag list in usage()).
-#include <cerrno>
+//
+// Each selected workload is one job (core/job.hpp): argv fills a JobSpec,
+// run_job routes it, and this file prints the table and writes the files.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
+#include <vector>
 
-#include "core/faults.hpp"
-#include "core/load.hpp"
-#include "core/offline_scheduler.hpp"
-#include "core/online_router.hpp"
-#include "core/replay.hpp"
-#include "core/reuse_scheduler.hpp"
+#include "core/job.hpp"
 #include "core/traffic.hpp"
 #include "engine/fat_tree_model.hpp"
 #include "engine/fault_plan.hpp"
@@ -96,36 +93,14 @@ void usage() {
 }
 
 struct Options {
-  std::uint32_t n = 256;
-  std::uint64_t w = 0;
-  std::string workload = "random-perm";
-  std::string scheduler = "offline";
-  std::uint32_t stack = 1;
-  double faults = 0.0;
-  // Transient faults (engine/fault_plan.hpp); zero/empty = off.
-  double flap_down = 0.0;
-  double flap_up = 0.0;
-  bool has_brownout = false;
-  std::uint32_t brown_from = 1;
-  std::uint32_t brown_until = 0;
-  double brown_factor = 0.5;
-  bool has_burst = false;
-  std::uint32_t burst_at = 1;
-  std::uint32_t burst_dur = 1;
-  std::uint32_t burst_count = 1;
-  bool has_subtree_kill = false;
-  std::uint32_t sk_node = 2;
-  std::uint32_t sk_at = 1;
-  std::uint32_t sk_dur = 1;
-  double storm_prob = 0.0;
+  ft::JobSpec job;  ///< every field but `messages` and `max_cycles`
+  // Transient faults (engine/fault_plan.hpp); zero/unset = off.
+  ft::ChannelFlapModel flap;
+  std::optional<ft::BrownoutWindow> brownout;
+  std::optional<ft::BurstKill> burst;
+  std::optional<ft::SubtreeKill> subtree_kill;
+  ft::SubtreeStormModel storm;
   std::uint32_t storm_level = 1;
-  ft::RetryPolicy retry;
-  ft::RoutingPolicy policy = ft::RoutingPolicy::ObliviousRandom;
-  std::string policy_name = "oblivious";
-  bool parallel = false;
-  std::size_t threads = 0;
-  std::uint32_t shard_level = ft::kShardLevelAuto;
-  std::uint64_t seed = 1;
   bool csv = false;
   std::string trace_path;
   std::string jsonl_path;
@@ -140,12 +115,16 @@ struct Options {
 // its load generator). Every numeric flag value must consume its whole
 // token — "4x", "abc", "-3", an empty field or trailing garbage after a
 // compound flag all fail loudly (usage + exit 2) instead of silently
-// strtoul-ing to something else.
+// strtoul-ing to something else — and lie in the range the fault plan
+// accepts, so no accepted value reaches an FT_CHECK abort.
 using ft::parse_double;
 using ft::parse_threads;
 using ft::parse_u32;
 using ft::parse_u64;
 using ft::split_fields;
+
+/// Probabilities and capacity factors lie in [0, 1] (NaN does not).
+bool unit_interval(double v) { return v >= 0.0 && v <= 1.0; }
 
 bool parse(int argc, char** argv, Options& opt) {
   // On any failure: name the offending flag on stderr, then let main()
@@ -165,85 +144,93 @@ bool parse(int argc, char** argv, Options& opt) {
       opt.help = true;
       return true;
     } else if (arg == "--n") {
-      if (!parse_u32(next(), opt.n)) return bad();
+      if (!parse_u32(next(), opt.job.n)) return bad();
     } else if (arg == "--w") {
-      if (!parse_u64(next(), opt.w)) return bad();
+      if (!parse_u64(next(), opt.job.w)) return bad();
     } else if (arg == "--workload") {
       const char* v = next();
       if (!v) return bad();
-      opt.workload = v;
+      opt.job.workload = v;
     } else if (arg == "--scheduler") {
       const char* v = next();
       if (!v) return bad();
-      opt.scheduler = v;
+      opt.job.scheduler = v;
     } else if (arg == "--stack") {
-      if (!parse_u32(next(), opt.stack)) return bad();
+      if (!parse_u32(next(), opt.job.stack)) return bad();
     } else if (arg == "--faults") {
-      if (!parse_double(next(), opt.faults)) return bad();
+      if (!parse_double(next(), opt.job.faults) ||
+          !unit_interval(opt.job.faults)) {
+        return bad();
+      }
     } else if (arg == "--flap") {
       std::string f[2];
       if (!split_fields(next(), 2, f) ||
-          !parse_double(f[0].c_str(), opt.flap_down) ||
-          !parse_double(f[1].c_str(), opt.flap_up)) {
+          !parse_double(f[0].c_str(), opt.flap.down_prob) ||
+          !parse_double(f[1].c_str(), opt.flap.up_prob) ||
+          !unit_interval(opt.flap.down_prob) ||
+          !unit_interval(opt.flap.up_prob)) {
         return bad();
       }
     } else if (arg == "--brownout") {
       std::string f[3];
+      ft::BrownoutWindow& b = opt.brownout.emplace();
       if (!split_fields(next(), 3, f) ||
-          !parse_u32(f[0].c_str(), opt.brown_from) ||
-          !parse_u32(f[1].c_str(), opt.brown_until) ||
-          !parse_double(f[2].c_str(), opt.brown_factor)) {
+          !parse_u32(f[0].c_str(), b.from_cycle) ||
+          !parse_u32(f[1].c_str(), b.until_cycle) ||
+          !parse_double(f[2].c_str(), b.capacity_factor) ||
+          !unit_interval(b.capacity_factor)) {
         return bad();
       }
-      opt.has_brownout = true;
     } else if (arg == "--burst") {
       std::string f[3];
+      ft::BurstKill& b = opt.burst.emplace();
       if (!split_fields(next(), 3, f) ||
-          !parse_u32(f[0].c_str(), opt.burst_at) ||
-          !parse_u32(f[1].c_str(), opt.burst_dur) ||
-          !parse_u32(f[2].c_str(), opt.burst_count)) {
+          !parse_u32(f[0].c_str(), b.at_cycle) ||
+          !parse_u32(f[1].c_str(), b.duration) ||
+          !parse_u32(f[2].c_str(), b.count) || b.at_cycle == 0) {
         return bad();
       }
-      opt.has_burst = true;
     } else if (arg == "--subtree-kill") {
       std::string f[3];
+      ft::SubtreeKill& k = opt.subtree_kill.emplace();
       if (!split_fields(next(), 3, f) ||
-          !parse_u32(f[0].c_str(), opt.sk_node) ||
-          !parse_u32(f[1].c_str(), opt.sk_at) ||
-          !parse_u32(f[2].c_str(), opt.sk_dur)) {
+          !parse_u32(f[0].c_str(), k.node) ||
+          !parse_u32(f[1].c_str(), k.at_cycle) ||
+          !parse_u32(f[2].c_str(), k.duration) || k.at_cycle == 0 ||
+          k.duration == 0) {
         return bad();
       }
-      opt.has_subtree_kill = true;
     } else if (arg == "--subtree-storm") {
       std::string f[2];
       if (!split_fields(next(), 2, f) ||
-          !parse_double(f[0].c_str(), opt.storm_prob) ||
-          !parse_u32(f[1].c_str(), opt.storm_level)) {
+          !parse_double(f[0].c_str(), opt.storm.kill_prob) ||
+          !parse_u32(f[1].c_str(), opt.storm_level) ||
+          !unit_interval(opt.storm.kill_prob)) {
         return bad();
       }
     } else if (arg == "--retry") {
-      if (!parse_u32(next(), opt.retry.max_attempts)) return bad();
+      if (!parse_u32(next(), opt.job.retry.max_attempts)) return bad();
     } else if (arg == "--backoff") {
-      opt.retry.exponential_backoff = true;
+      opt.job.retry.exponential_backoff = true;
     } else if (arg == "--deadline") {
-      if (!parse_u32(next(), opt.retry.deadline_cycles)) return bad();
+      if (!parse_u32(next(), opt.job.retry.deadline_cycles)) return bad();
     } else if (arg == "--policy") {
       const char* v = next();
-      if (v == nullptr || !ft::parse_routing_policy(v, opt.policy)) {
+      if (v == nullptr || !ft::parse_routing_policy(v, opt.job.policy)) {
         return bad();
       }
-      opt.policy_name = v;
+      opt.job.policy_name = v;
     } else if (arg == "--parallel") {
-      opt.parallel = true;
+      opt.job.parallel = true;
     } else if (arg.rfind("--parallel=", 0) == 0) {
-      opt.parallel = true;
-      if (!parse_threads(arg.c_str() + 11, opt.threads)) return bad();
+      opt.job.parallel = true;
+      if (!parse_threads(arg.c_str() + 11, opt.job.threads)) return bad();
     } else if (arg.rfind("--shard-level=", 0) == 0) {
-      if (!parse_u32(arg.c_str() + 14, opt.shard_level)) return bad();
+      if (!parse_u32(arg.c_str() + 14, opt.job.shard_level)) return bad();
     } else if (arg == "--shard-level") {
-      if (!parse_u32(next(), opt.shard_level)) return bad();
+      if (!parse_u32(next(), opt.job.shard_level)) return bad();
     } else if (arg == "--seed") {
-      if (!parse_u64(next(), opt.seed)) return bad();
+      if (!parse_u64(next(), opt.job.seed)) return bad();
     } else if (arg == "--csv") {
       opt.csv = true;
     } else if (arg == "--trace") {
@@ -278,109 +265,6 @@ bool parse(int argc, char** argv, Options& opt) {
   return true;
 }
 
-struct RunResult {
-  double lambda = 0.0;
-  std::size_t cycles = 0;
-  bool verified = false;
-  bool gave_up = false;
-  std::uint64_t messages_given_up = 0;
-  std::uint64_t total_backoffs = 0;
-  std::uint64_t fault_down_events = 0;
-  std::uint64_t fault_up_events = 0;
-  std::uint64_t subtree_kill_events = 0;
-  std::uint64_t degraded_channel_cycles = 0;
-  ft::EnginePhaseProfile phases;
-};
-
-/// Runs one workload under the selected scheduler. When `observer` is
-/// non-null the delivery cycles are observed on the engine: online runs
-/// live, offline schedules via a Tally replay of the compiled schedule.
-/// `plan` (nullable) injects transient faults into whichever engine run
-/// executes the delivery cycles.
-RunResult run_one(const ft::FatTreeTopology& topo,
-                  const ft::CapacityProfile& caps, const ft::MessageSet& m,
-                  const Options& opt, const ft::FaultPlan* plan,
-                  ft::EngineObserver* observer, ft::PhaseTimers& timers) {
-  RunResult r;
-  {
-    auto t = timers.scope("load_factor");
-    r.lambda = ft::load_factor(topo, caps, m);
-  }
-  ft::Schedule schedule;
-  bool offline = true;
-  if (opt.scheduler == "offline") {
-    auto t = timers.scope("schedule");
-    schedule = ft::schedule_offline(topo, caps, m);
-  } else if (opt.scheduler == "packed") {
-    auto t = timers.scope("schedule");
-    schedule = ft::schedule_offline_packed(topo, caps, m);
-  } else if (opt.scheduler == "greedy") {
-    auto t = timers.scope("schedule");
-    schedule = ft::schedule_greedy(topo, caps, m);
-  } else if (opt.scheduler == "reuse") {
-    auto t = timers.scope("schedule");
-    schedule = ft::schedule_reuse(topo, caps, m).schedule;
-  } else if (opt.scheduler == "online") {
-    offline = false;
-    ft::Rng rng(opt.seed ^ 0x0511e5);
-    ft::OnlineRouterOptions opts;
-    opts.observer = observer;
-    opts.fault_plan = plan;
-    opts.policy = opt.policy;
-    opts.retry = opt.retry;
-    opts.parallel = opt.parallel;
-    opts.threads = opt.threads;
-    opts.shard_level = opt.shard_level;
-    opts.time_phases = opt.telemetry;
-    auto t = timers.scope("route");
-    const auto res = ft::route_online(topo, caps, m, rng, opts);
-    r.cycles = res.delivery_cycles;
-    r.gave_up = res.gave_up;
-    r.messages_given_up = res.messages_given_up;
-    r.total_backoffs = res.total_backoffs;
-    r.fault_down_events = res.fault_down_events;
-    r.fault_up_events = res.fault_up_events;
-    r.subtree_kill_events = res.subtree_kill_events;
-    r.degraded_channel_cycles = res.degraded_channel_cycles;
-    r.phases = res.phases;
-    // Complete unless the router hit its cycle cap and gave up, or per-
-    // message retry policies ran out.
-    r.verified = !res.gave_up && res.messages_given_up == 0;
-  } else {
-    std::fprintf(stderr, "unknown scheduler '%s'\n", opt.scheduler.c_str());
-    std::exit(2);
-  }
-  if (offline) {
-    r.cycles = schedule.num_cycles();
-    {
-      auto t = timers.scope("verify");
-      r.verified = ft::verify_schedule(topo, caps, m, schedule);
-    }
-    if (observer != nullptr || plan != nullptr) {
-      auto t = timers.scope("replay");
-      ft::ReplayOptions ropts;
-      ropts.fault_plan = plan;
-      ropts.retry = opt.retry;
-      ropts.time_phases = opt.telemetry;
-      const auto res = ft::replay_schedule(topo, caps, schedule, ropts,
-                                           observer);
-      r.phases = res.phases;
-      if (plan != nullptr) {
-        // Under churn the schedule's cycle count is the healthy baseline;
-        // report what the faulted replay actually took.
-        r.cycles = res.cycles;
-        r.messages_given_up = res.messages_given_up;
-        r.fault_down_events = res.fault_down_events;
-        r.fault_up_events = res.fault_up_events;
-        r.subtree_kill_events = res.subtree_kill_events;
-        r.verified = r.verified && res.messages_given_up == 0 &&
-                     res.delivered == schedule.total_messages();
-      }
-    }
-  }
-  return r;
-}
-
 /// out.json -> out.<workload>.json when several workloads share one run.
 std::string derived_path(const std::string& path, const std::string& name,
                          bool single) {
@@ -392,18 +276,15 @@ std::string derived_path(const std::string& path, const std::string& name,
   return path.substr(0, dot) + "." + name + path.substr(dot);
 }
 
-void write_sink_file(const ft::TraceSink& sink, const std::string& path,
-                     bool chrome) {
+/// Opens `path` and hands the stream to `write`, reporting on stderr.
+template <typename Write>
+void write_file(const std::string& path, Write&& write) {
   std::ofstream out(path);
   if (!out) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return;
   }
-  if (chrome) {
-    sink.write_chrome_trace(out);
-  } else {
-    sink.write_jsonl(out);
-  }
+  write(out);
   std::fprintf(stderr, "wrote %s\n", path.c_str());
 }
 
@@ -419,47 +300,63 @@ int main(int argc, char** argv) {
     usage();
     return 0;
   }
-  if (!ft::is_pow2(opt.n) || opt.n < 2) {
+  ft::JobSpec& job = opt.job;
+  if (!ft::is_pow2(job.n) || job.n < 2) {
     std::fprintf(stderr, "--n must be a power of two >= 2\n");
     return 2;
   }
-  if (opt.w == 0) opt.w = opt.n / 4 ? opt.n / 4 : 1;
-
-  ft::FatTreeTopology topo(opt.n);
-  auto caps = ft::CapacityProfile::universal(topo, opt.w);
-  if (opt.faults > 0.0) {
-    ft::Rng frng(opt.seed ^ 0xfa017);
-    caps = ft::inject_wire_faults(topo, caps, opt.faults, frng);
+  if (job.w == 0) job.w = ft::default_root_capacity(job.n);
+  // ftsim runs the nine standard workloads, one or all of them.
+  const bool single = job.workload != "all";
+  const ft::WorkloadEntry* selected = ft::find_workload(job.workload);
+  if (single && (selected == nullptr ||
+                 selected->cls == ft::WorkloadClass::Volume)) {
+    std::fprintf(stderr, "unknown workload '%s'\n", job.workload.c_str());
+    usage();
+    return 2;
+  }
+  if (!ft::known_scheduler(job.scheduler)) {
+    std::fprintf(stderr, "unknown scheduler '%s'\n", job.scheduler.c_str());
+    return 2;
+  }
+  // The fault flags whose range depends on n (parse() checks the rest).
+  const char* bad_flag = nullptr;
+  if (opt.subtree_kill && (opt.subtree_kill->node == 0 ||
+                           opt.subtree_kill->node / 2 >= job.n)) {
+    bad_flag = "--subtree-kill";
+  } else if (opt.storm_level > ft::floor_log2(job.n)) {
+    bad_flag = "--subtree-storm";
+  }
+  if (bad_flag != nullptr) {
+    std::fprintf(stderr, "ftsim: invalid or missing value for %s\n",
+                 bad_flag);
+    usage();
+    return 2;
   }
 
   // Transient faults ride the delivery-cycle engine itself (the static
-  // --faults damage above degrades capacities before the run).
-  ft::FaultPlan plan(opt.seed ^ 0xd1fa);
-  if (opt.flap_down > 0.0) plan.set_flaps({opt.flap_down, opt.flap_up});
-  if (opt.has_brownout) {
-    plan.add_brownout({opt.brown_from, opt.brown_until, opt.brown_factor,
-                       ft::kAllLevels});
-  }
-  if (opt.has_burst) {
-    plan.add_burst({opt.burst_at, opt.burst_dur, opt.burst_count});
-  }
-  if (opt.has_subtree_kill || opt.storm_prob > 0.0) {
+  // --faults damage degrades capacities before the run).
+  ft::FaultPlan plan(job.seed ^ ft::kFaultPlanSeedMix);
+  if (opt.flap.down_prob > 0.0) plan.set_flaps(opt.flap);
+  if (opt.brownout) plan.add_brownout(*opt.brownout);
+  if (opt.burst) plan.add_burst(*opt.burst);
+  if (opt.subtree_kill || opt.storm.kill_prob > 0.0) {
+    const ft::FatTreeTopology topo(job.n);
     std::vector<ft::FaultDomain> domains;
-    if (opt.storm_prob > 0.0) {
+    if (opt.storm.kill_prob > 0.0) {
       domains = ft::fat_tree_subtree_domains(topo, opt.storm_level);
     }
     bool have_kill_root = false;
     for (const ft::FaultDomain& d : domains) {
-      have_kill_root |= d.node == opt.sk_node;
+      have_kill_root |= opt.subtree_kill && d.node == opt.subtree_kill->node;
     }
-    if (opt.has_subtree_kill && !have_kill_root) {
-      domains.push_back(ft::fat_tree_subtree_domain(topo, opt.sk_node));
+    if (opt.subtree_kill && !have_kill_root) {
+      domains.push_back(
+          ft::fat_tree_subtree_domain(topo, opt.subtree_kill->node));
     }
     plan.set_domains(std::move(domains));
-    if (opt.has_subtree_kill) {
-      plan.add_subtree_kill({opt.sk_node, opt.sk_at, opt.sk_dur});
-    }
-    if (opt.storm_prob > 0.0) plan.set_storm({opt.storm_prob, 1, 8});
+    if (opt.subtree_kill) plan.add_subtree_kill(*opt.subtree_kill);
+    if (opt.storm.kill_prob > 0.0) plan.set_storm(opt.storm);
   }
   const ft::FaultPlan* active_plan = plan.empty() ? nullptr : &plan;
 
@@ -469,64 +366,58 @@ int main(int argc, char** argv) {
   ft::RunReport report("ftsim");
   if (want_report) {
     ft::JsonValue& params = report.params();
-    params["n"] = opt.n;
-    params["w"] = opt.w;
-    params["workload"] = opt.workload;
-    params["scheduler"] = opt.scheduler;
-    params["policy"] = opt.policy_name;
-    params["stack"] = opt.stack;
-    params["faults"] = opt.faults;
-    params["seed"] = opt.seed;
+    params["n"] = job.n;
+    params["w"] = job.w;
+    params["workload"] = job.workload;
+    params["scheduler"] = job.scheduler;
+    params["policy"] = job.policy_name;
+    params["stack"] = job.stack;
+    params["faults"] = job.faults;
+    params["seed"] = job.seed;
     if (active_plan != nullptr) {
       ft::JsonValue& f = params["fault_plan"];
-      if (opt.flap_down > 0.0) {
-        f["flap_down"] = opt.flap_down;
-        f["flap_up"] = opt.flap_up;
+      if (opt.flap.down_prob > 0.0) {
+        f["flap_down"] = opt.flap.down_prob;
+        f["flap_up"] = opt.flap.up_prob;
       }
-      if (opt.has_brownout) {
-        f["brownout_from"] = opt.brown_from;
-        f["brownout_until"] = opt.brown_until;
-        f["brownout_factor"] = opt.brown_factor;
+      if (opt.brownout) {
+        f["brownout_from"] = opt.brownout->from_cycle;
+        f["brownout_until"] = opt.brownout->until_cycle;
+        f["brownout_factor"] = opt.brownout->capacity_factor;
       }
-      if (opt.has_burst) {
-        f["burst_at"] = opt.burst_at;
-        f["burst_duration"] = opt.burst_dur;
-        f["burst_count"] = opt.burst_count;
+      if (opt.burst) {
+        f["burst_at"] = opt.burst->at_cycle;
+        f["burst_duration"] = opt.burst->duration;
+        f["burst_count"] = opt.burst->count;
       }
-      if (opt.has_subtree_kill) {
-        f["subtree_kill_node"] = opt.sk_node;
-        f["subtree_kill_at"] = opt.sk_at;
-        f["subtree_kill_duration"] = opt.sk_dur;
+      if (opt.subtree_kill) {
+        f["subtree_kill_node"] = opt.subtree_kill->node;
+        f["subtree_kill_at"] = opt.subtree_kill->at_cycle;
+        f["subtree_kill_duration"] = opt.subtree_kill->duration;
       }
-      if (opt.storm_prob > 0.0) {
-        f["subtree_storm_prob"] = opt.storm_prob;
+      if (opt.storm.kill_prob > 0.0) {
+        f["subtree_storm_prob"] = opt.storm.kill_prob;
         f["subtree_storm_level"] = opt.storm_level;
       }
     }
-    if (opt.retry.enabled()) {
+    if (job.retry.enabled()) {
       ft::JsonValue& rp = params["retry"];
-      rp["max_attempts"] = opt.retry.max_attempts;
-      rp["exponential_backoff"] = opt.retry.exponential_backoff;
-      rp["deadline_cycles"] = opt.retry.deadline_cycles;
+      rp["max_attempts"] = job.retry.max_attempts;
+      rp["exponential_backoff"] = job.retry.exponential_backoff;
+      rp["deadline_cycles"] = job.retry.deadline_cycles;
     }
   }
 
-  ft::Rng rng(opt.seed);
-  auto workloads = ft::standard_workloads(opt.n, rng);
-  const bool single = opt.workload != "all";
   ft::Table table({"workload", "messages", "lambda", "scheduler", "cycles",
                    "verified"});
-  bool matched = false;
-  for (const auto& wl : workloads) {
-    if (single && wl.name != opt.workload) continue;
-    matched = true;
-    ft::MessageSet m = wl.messages;
-    for (std::uint32_t k = 1; k < opt.stack; ++k) {
-      m.insert(m.end(), wl.messages.begin(), wl.messages.end());
+  for (const ft::WorkloadEntry& wl : ft::workload_table()) {
+    if (single ? &wl != selected : wl.cls == ft::WorkloadClass::Volume) {
+      continue;
     }
+    job.workload = wl.name;
 
     // Observation is opt-in: without --trace/--report/--telemetry the run
-    // is exactly the old unobserved path.
+    // is exactly the unobserved path.
     ft::EngineMetrics metrics;
     ft::TraceSink trace;
     ft::TelemetryOptions topts;
@@ -536,56 +427,47 @@ int main(int argc, char** argv) {
     if (want_report) fanout.add(&metrics);
     if (want_trace) fanout.add(&trace);
     if (opt.telemetry) fanout.add(&probe);
+
     ft::EngineObserver* observer =
         (want_report || want_trace || opt.telemetry) ? &fanout : nullptr;
-
     ft::PhaseTimers timers;
-    const auto r = run_one(topo, caps, m, opt, active_plan, observer, timers);
+    const ft::JobResult r =
+        ft::run_job(job, {.observer = observer, .fault_plan = active_plan,
+                          .timers = &timers, .time_phases = opt.telemetry});
     table.row()
         .add(wl.name)
-        .add(m.size())
+        .add(r.messages)
         .add(r.lambda, 2)
-        .add(opt.scheduler)
-        .add(r.cycles)
+        .add(job.scheduler)
+        .add(r.delivery_cycles)
         .add(r.verified ? "yes" : "NO");
 
+    const auto path = [&](const std::string& base) {
+      return derived_path(base, wl.name, single);
+    };
     if (!opt.trace_path.empty()) {
-      write_sink_file(trace, derived_path(opt.trace_path, wl.name, single),
-                      /*chrome=*/true);
+      write_file(path(opt.trace_path),
+                 [&](std::ostream& os) { trace.write_chrome_trace(os); });
     }
     if (!opt.jsonl_path.empty()) {
-      write_sink_file(trace, derived_path(opt.jsonl_path, wl.name, single),
-                      /*chrome=*/false);
+      write_file(path(opt.jsonl_path),
+                 [&](std::ostream& os) { trace.write_jsonl(os); });
     }
     if (opt.telemetry) {
-      const std::string csv_path =
-          derived_path(opt.telemetry_out + ".csv", wl.name, single);
-      std::ofstream csv(csv_path);
-      if (csv) {
-        probe.write_heatmap_csv(csv);
-        std::fprintf(stderr, "wrote %s\n", csv_path.c_str());
-      } else {
-        std::fprintf(stderr, "cannot write %s\n", csv_path.c_str());
-      }
-      const std::string jsonl_path =
-          derived_path(opt.telemetry_out + ".jsonl", wl.name, single);
-      std::ofstream jsonl(jsonl_path);
-      if (jsonl) {
-        probe.write_heatmap_jsonl(jsonl);
-        std::fprintf(stderr, "wrote %s\n", jsonl_path.c_str());
-      } else {
-        std::fprintf(stderr, "cannot write %s\n", jsonl_path.c_str());
-      }
+      write_file(path(opt.telemetry_out + ".csv"),
+                 [&](std::ostream& os) { probe.write_heatmap_csv(os); });
+      write_file(path(opt.telemetry_out + ".jsonl"),
+                 [&](std::ostream& os) { probe.write_heatmap_jsonl(os); });
     }
     if (want_report) {
       ft::JsonValue& run = report.add_run(wl.name);
-      run["messages"] = static_cast<std::uint64_t>(m.size());
+      run["messages"] = r.messages;
       run["lambda"] = r.lambda;
-      run["scheduler"] = opt.scheduler;
-      run["cycles"] = static_cast<std::uint64_t>(r.cycles);
+      run["scheduler"] = job.scheduler;
+      run["cycles"] = r.delivery_cycles;
       run["verified"] = r.verified;
       run["gave_up"] = r.gave_up;
-      if (active_plan != nullptr || opt.retry.enabled()) {
+      if (active_plan != nullptr || job.retry.enabled()) {
         ft::JsonValue& f = run["faults"];
         f["fault_down_events"] = r.fault_down_events;
         f["fault_up_events"] = r.fault_up_events;
@@ -603,19 +485,14 @@ int main(int argc, char** argv) {
       }
     }
   }
-  if (!matched) {
-    std::fprintf(stderr, "unknown workload '%s'\n", opt.workload.c_str());
-    usage();
-    return 2;
-  }
   if (opt.csv) {
     table.write_csv(std::cout);
   } else {
     table.print(std::cout,
-                "ftsim: n=" + std::to_string(opt.n) +
-                    " w=" + std::to_string(opt.w) +
-                    (opt.faults > 0 ? " faults=" + ft::format_double(
-                                                       opt.faults, 2)
+                "ftsim: n=" + std::to_string(job.n) +
+                    " w=" + std::to_string(job.w) +
+                    (job.faults > 0 ? " faults=" + ft::format_double(
+                                                       job.faults, 2)
                                     : ""));
   }
   if (want_report && report.write_file(opt.report_path)) {

@@ -94,9 +94,8 @@ MessageSet local_traffic(std::uint32_t n, std::uint32_t radius, Rng& rng) {
     const auto offset = static_cast<std::int64_t>(
         rng.range(-static_cast<std::int64_t>(radius),
                   static_cast<std::int64_t>(radius)));
-    const auto dst = static_cast<Leaf>(
-        (static_cast<std::int64_t>(p) + offset + n) % n);
-    m.push_back({p, dst});
+    const std::int64_t d = (static_cast<std::int64_t>(p) + offset) % n;
+    m.push_back({p, static_cast<Leaf>(d < 0 ? d + n : d)});
   }
   return m;
 }
@@ -228,22 +227,67 @@ MessageSet persistent_hotspot_traffic(std::uint32_t n, Leaf hot,
   return m;
 }
 
+namespace {
+
+// The standard entries come in standard_workloads' draw order.
+constexpr WorkloadEntry kWorkloads[] = {
+    {"random-perm", WorkloadClass::Permutation, true,
+     [](auto n, auto, auto& r) { return random_permutation_traffic(n, r); }},
+    {"bit-reversal", WorkloadClass::Permutation, false,
+     [](auto n, auto, auto&) { return bit_reversal_traffic(n); }},
+    {"transpose", WorkloadClass::Permutation, false,
+     [](auto n, auto, auto&) { return transpose_traffic(n); }},
+    {"shuffle", WorkloadClass::Permutation, false,
+     [](auto n, auto, auto&) { return shuffle_traffic(n); }},
+    {"complement", WorkloadClass::Permutation, false,
+     [](auto n, auto, auto&) { return complement_traffic(n); }},
+    {"hotspot-10%", WorkloadClass::Pattern, true,
+     [](auto n, auto, auto& r) { return hotspot_traffic(n, 0.10, n / 3, r); }},
+    {"local-r4", WorkloadClass::Pattern, true,
+     [](auto n, auto, auto& r) { return local_traffic(n, 4, r); }},
+    // A sqrt(n) x sqrt(n) grid when n is an even power of two, else 2:1.
+    {"fem-halo", WorkloadClass::Pattern, false,
+     [](auto n, auto, auto&) {
+       const std::uint32_t rows = 1u << (floor_log2(n) / 2);
+       return fem_halo_traffic(rows, n / rows);
+     }},
+    {"tornado", WorkloadClass::Permutation, false,
+     [](auto n, auto, auto&) { return tornado_traffic(n); }},
+    {"uniform", WorkloadClass::Volume, true,
+     [](auto n, auto c, auto& r) { return uniform_random_traffic(n, c, r); }},
+    {"incast", WorkloadClass::Volume, true,
+     [](auto n, auto c, auto& r) { return incast_traffic(n, c, 0, r); }},
+};
+
+}  // namespace
+
+std::span<const WorkloadEntry> workload_table() { return kWorkloads; }
+
+const WorkloadEntry* find_workload(std::string_view name) {
+  for (const WorkloadEntry& w : kWorkloads) {
+    if (name == w.name) return &w;
+  }
+  return nullptr;
+}
+
+MessageSet build_workload(const WorkloadEntry& w, std::uint32_t n,
+                          std::size_t count, Rng& rng) {
+  // The standard entries come first; a Volume workload draws afresh, and
+  // one that draws nothing needs no earlier draws.
+  for (const WorkloadEntry& e : kWorkloads) {
+    if (&e == &w || !w.draws || w.cls == WorkloadClass::Volume) break;
+    if (e.draws) (void)e.build(n, count, rng);  // only its draws matter
+  }
+  return w.build(n, count, rng);
+}
+
 std::vector<NamedWorkload> standard_workloads(std::uint32_t n, Rng& rng) {
   std::vector<NamedWorkload> out;
-  out.push_back({"random-perm", random_permutation_traffic(n, rng)});
-  out.push_back({"bit-reversal", bit_reversal_traffic(n)});
-  out.push_back({"transpose", transpose_traffic(n)});
-  out.push_back({"shuffle", shuffle_traffic(n)});
-  out.push_back({"complement", complement_traffic(n)});
-  out.push_back({"hotspot-10%", hotspot_traffic(n, 0.10, n / 3, rng)});
-  out.push_back({"local-r4", local_traffic(n, 4, rng)});
-  // FEM halo on a sqrt(n) x sqrt(n) grid when n is an even power of two;
-  // otherwise a 2:1 grid.
-  const std::uint32_t bits = floor_log2(n);
-  const std::uint32_t rows = 1u << (bits / 2);
-  const std::uint32_t cols = n / rows;
-  out.push_back({"fem-halo", fem_halo_traffic(rows, cols)});
-  out.push_back({"tornado", tornado_traffic(n)});
+  for (const WorkloadEntry& w : kWorkloads) {
+    if (w.cls != WorkloadClass::Volume) {
+      out.push_back({w.name, w.build(n, 0, rng)});
+    }
+  }
   return out;
 }
 

@@ -7,7 +7,9 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/message.hpp"
@@ -44,7 +46,8 @@ MessageSet hotspot_traffic(std::uint32_t n, double fraction, Leaf hot,
                            Rng& rng);
 
 /// Locality-controlled: each processor sends to a destination within
-/// +/- radius (wrapping). Small radius keeps traffic low in the tree.
+/// +/- radius (wrapping modulo n, also when radius > n). Small radius
+/// keeps traffic low in the tree.
 MessageSet local_traffic(std::uint32_t n, std::uint32_t radius, Rng& rng);
 
 /// Finite-element halo exchange: processors hold the cells of a
@@ -108,11 +111,44 @@ MessageSet persistent_hotspot_traffic(std::uint32_t n, Leaf hot,
                                       std::size_t hot_count,
                                       std::size_t background, Rng& rng);
 
-/// Named-workload dispatch used by the experiment binaries.
+// ---------------------------------------------------------------------------
+// Named workloads: one table for the experiment binaries, ftsim and ftd.
+
+enum class WorkloadClass : std::uint8_t {
+  Permutation,  ///< every processor sends one message and receives one
+  Pattern,      ///< the other fixed sets: hot spot, locality, FEM halo
+  Volume,       ///< `count` messages: uniform, incast into processor 0
+};
+
+struct WorkloadEntry {
+  const char* name;
+  WorkloadClass cls;
+  bool draws;  ///< consumes draws from the generator
+  /// `count` is a Volume workload's size; the other classes ignore it.
+  MessageSet (*build)(std::uint32_t n, std::size_t count, Rng& rng);
+};
+
+/// Every named workload: the nine standard ones (Permutation and Pattern)
+/// in standard_workloads' order, then the Volume ones.
+std::span<const WorkloadEntry> workload_table();
+
+/// nullptr when no workload has this name.
+const WorkloadEntry* find_workload(std::string_view name);
+
+/// Builds `w` from `rng` in the state standard_workloads reaches it in:
+/// a drawing standard workload first replays the draws of the drawing
+/// standard workloads before it (hotspot-10% draws after random-perm,
+/// local-r4 after both), so it equals that entry of standard_workloads
+/// for the same starting generator. A Volume workload draws from `rng`
+/// as given.
+MessageSet build_workload(const WorkloadEntry& w, std::uint32_t n,
+                          std::size_t count, Rng& rng);
+
 struct NamedWorkload {
   std::string name;
   MessageSet messages;
 };
+/// The nine standard workloads, in table order, all drawn from one `rng`.
 std::vector<NamedWorkload> standard_workloads(std::uint32_t n, Rng& rng);
 
 // ---------------------------------------------------------------------------

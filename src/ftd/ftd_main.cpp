@@ -142,6 +142,12 @@ int main(int argc, char** argv) {
   ::signal(SIGPIPE, SIG_IGN);
 
   server.run();
+  // The handler must not outlive `server`: a late SIGTERM during ~Server
+  // or after main returns would call request_drain() on a dead object.
+  // ~Server joins its workers, so a handler already running on one of
+  // them finishes first.
+  ::signal(SIGTERM, SIG_IGN);
+  ::signal(SIGINT, SIG_IGN);
 
   const auto s = server.stats();
   if (!opt.quiet) {

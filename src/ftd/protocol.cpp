@@ -5,9 +5,6 @@
 #include <sstream>
 #include <thread>
 
-#include "core/load.hpp"
-#include "core/offline_scheduler.hpp"
-#include "core/replay.hpp"
 #include "core/traffic.hpp"
 #include "util/bits.hpp"
 
@@ -34,12 +31,6 @@ bool valid_id(const std::string& id) {
     if (u < 0x20 || u == 0x7f) return false;  // no control chars/newlines
   }
   return true;
-}
-
-bool known_workload(const std::string& w) {
-  return w == "random-perm" || w == "bit-reversal" || w == "transpose" ||
-         w == "shuffle" || w == "complement" || w == "tornado" ||
-         w == "uniform" || w == "incast";
 }
 
 bool fail(RequestError& err, std::string_view code, std::string message) {
@@ -176,15 +167,17 @@ bool parse_job(const JsonValue& job, JobRequest& req, RequestError& err) {
       return fail(err, "bad_value", "n: want a power of two >= 2");
     }
     if (req.w > req.n) return fail(err, "bad_value", "w: want w <= n");
-    if (req.w == 0) req.w = req.n / 4 ? req.n / 4 : 1;
-    if (!known_workload(req.workload)) {
+    if (req.w == 0) req.w = default_root_capacity(req.n);
+    // ftd runs the permutations and the volume workloads.
+    const WorkloadEntry* w = find_workload(req.workload);
+    if (w == nullptr || w->cls == WorkloadClass::Pattern) {
       return fail(err, "bad_value", "workload: unknown name");
     }
-    if (saw_messages && req.workload != "uniform" && req.workload != "incast") {
+    if (saw_messages && w->cls != WorkloadClass::Volume) {
       return fail(err, "bad_value",
                   "messages: only valid for uniform | incast workloads");
     }
-    // build_workload materializes every stacked copy.
+    // run_job materializes every stacked copy.
     const std::uint64_t total =
         (req.messages != 0 ? req.messages : req.n) * req.stack;
     if (total > kMaxMessages) {
@@ -201,6 +194,8 @@ bool parse_job(const JsonValue& job, JobRequest& req, RequestError& err) {
     if (req.retry.enabled()) {
       return fail(err, "bad_value", "retry: not supported for replay_offline");
     }
+  } else if (req.kind == JobKind::RouteOnline) {
+    req.scheduler = "online";
   }
   if (saw_sleep_ms && req.kind != JobKind::Sleep) {
     return fail(err, "bad_value", "sleep_ms: only valid for sleep jobs");
@@ -211,103 +206,38 @@ bool parse_job(const JsonValue& job, JobRequest& req, RequestError& err) {
   return true;
 }
 
-MessageSet build_workload(const JobRequest& req) {
-  Rng rng(req.seed);
-  const std::uint32_t n = req.n;
-  MessageSet base;
-  if (req.workload == "random-perm") {
-    base = random_permutation_traffic(n, rng);
-  } else if (req.workload == "bit-reversal") {
-    base = bit_reversal_traffic(n);
-  } else if (req.workload == "transpose") {
-    base = transpose_traffic(n);
-  } else if (req.workload == "shuffle") {
-    base = shuffle_traffic(n);
-  } else if (req.workload == "complement") {
-    base = complement_traffic(n);
-  } else if (req.workload == "tornado") {
-    base = tornado_traffic(n);
-  } else if (req.workload == "uniform") {
-    base = uniform_random_traffic(n, req.messages ? req.messages : n, rng);
-  } else {  // incast (validated upstream)
-    base = incast_traffic(n, req.messages ? req.messages : n, /*sink=*/0, rng);
-  }
-  MessageSet m = base;
-  for (std::uint32_t k = 1; k < req.stack; ++k) {
-    m.insert(m.end(), base.begin(), base.end());
-  }
-  return m;
-}
-
-/// Echoes the request parameters that define the run, in a fixed key
-/// order, so two identical requests always produce byte-identical runs.
-void stamp_params(JsonValue& run, const JobRequest& req) {
+/// The "run" payload of a route_online or replay_offline job: the
+/// request fields that define the run, in a fixed key order, then its
+/// results, so two identical requests give byte-identical runs.
+JsonValue run_payload(const JobRequest& req) {
+  const JobResult r = ft::run_job(req);
+  const bool online = req.kind == JobKind::RouteOnline;
+  JsonValue run = JsonValue::object();
+  run["kind"] = online ? "route_online" : "replay_offline";
   run["n"] = req.n;
   run["w"] = req.w;
   run["workload"] = req.workload;
   run["seed"] = req.seed;
   run["stack"] = req.stack;
-}
-
-JsonValue run_route_online(const JobRequest& req) {
-  const FatTreeTopology topo(req.n);
-  const auto caps = CapacityProfile::universal(topo, req.w);
-  const MessageSet m = build_workload(req);
-
-  // Same seed discipline as ftsim's online scheduler path, so a job
-  // submitted to the daemon and an ftsim run with the same flags agree.
-  Rng rng(req.seed ^ 0x0511e5);
-  OnlineRouterOptions opts;
-  opts.policy = req.policy;
-  opts.max_cycles = req.max_cycles;
-  opts.retry = req.retry;
-  const auto res = route_online(topo, caps, m, rng, opts);
-
-  JsonValue run = JsonValue::object();
-  run["kind"] = "route_online";
-  stamp_params(run, req);
-  run["policy"] = req.policy_name;
-  run["messages"] = static_cast<std::uint64_t>(m.size());
-  run["lambda"] = load_factor(topo, caps, m);
-  run["cycles"] = res.delivery_cycles;
-  run["attempts"] = res.total_attempts;
-  run["losses"] = res.total_losses;
-  run["gave_up"] = res.gave_up;
-  run["messages_given_up"] = res.messages_given_up;
-  run["backoffs"] = res.total_backoffs;
-  run["verified"] = !res.gave_up && res.messages_given_up == 0;
-  return run;
-}
-
-JsonValue run_replay_offline(const JobRequest& req) {
-  const FatTreeTopology topo(req.n);
-  const auto caps = CapacityProfile::universal(topo, req.w);
-  const MessageSet m = build_workload(req);
-
-  Schedule schedule;
-  if (req.scheduler == "offline") {
-    schedule = schedule_offline(topo, caps, m);
-  } else if (req.scheduler == "packed") {
-    schedule = schedule_offline_packed(topo, caps, m);
-  } else {  // greedy (validated upstream)
-    schedule = schedule_greedy(topo, caps, m);
+  if (online) {
+    run["policy"] = req.policy_name;
+  } else {
+    run["scheduler"] = req.scheduler;
   }
-  // One replay serves both the payload and verify_schedule's capacity
-  // half; the multiset half needs no engine.
-  const auto replay = replay_schedule(topo, caps, schedule);
-  const bool verified =
-      replay.capacity_violations == 0 && schedule_partitions(m, schedule);
-
-  JsonValue run = JsonValue::object();
-  run["kind"] = "replay_offline";
-  stamp_params(run, req);
-  run["scheduler"] = req.scheduler;
-  run["messages"] = static_cast<std::uint64_t>(m.size());
-  run["lambda"] = load_factor(topo, caps, m);
-  run["cycles"] = replay.cycles;
-  run["delivered"] = replay.delivered;
-  run["capacity_violations"] = replay.capacity_violations;
-  run["verified"] = verified;
+  run["messages"] = r.messages;
+  run["lambda"] = r.lambda;
+  run["cycles"] = r.delivery_cycles;
+  if (online) {
+    run["attempts"] = r.total_attempts;
+    run["losses"] = r.total_losses;
+    run["gave_up"] = r.gave_up;
+    run["messages_given_up"] = r.messages_given_up;
+    run["backoffs"] = r.total_backoffs;
+  } else {
+    run["delivered"] = r.delivered;
+    run["capacity_violations"] = r.capacity_violations;
+  }
+  run["verified"] = r.verified;
   return run;
 }
 
@@ -394,9 +324,8 @@ JsonValue run_job(const JobRequest& req) {
       return run;
     }
     case JobKind::RouteOnline:
-      return run_route_online(req);
     case JobKind::ReplayOffline:
-      return run_replay_offline(req);
+      return run_payload(req);
   }
   JsonValue run = JsonValue::object();  // unreachable
   return run;

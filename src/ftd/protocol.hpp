@@ -14,10 +14,11 @@
 //
 // The deterministic payload of a result lives under its "run" key and is
 // produced by run_job(), the same function the in-process parity tests
-// call — so "daemon output ≡ route_online/replay_schedule output" is a
-// byte-level guarantee, not a field-by-field approximation. Identity and
-// timing data (queue wait, run wall time) ride in a sibling "timing"
-// object that parity comparisons exclude.
+// call. It runs the request through the library's job path (core/
+// job.hpp), as ftsim runs each of its workloads, so daemon output equals
+// the direct route_online/replay_schedule calls and ftsim's report for
+// the same fields. Identity and timing data (queue wait, run wall time)
+// ride in a sibling "timing" object that parity comparisons exclude.
 //
 // Request validation follows the hardened ftsim discipline (util/
 // parse.hpp): every field type-checked, every range enforced, unknown
@@ -30,8 +31,7 @@
 #include <string>
 #include <string_view>
 
-#include "core/online_router.hpp"
-#include "engine/fault_plan.hpp"
+#include "core/job.hpp"
 #include "obs/json.hpp"
 
 namespace ft::ftd {
@@ -66,21 +66,19 @@ enum class JobKind : std::uint8_t {
   ReplayOffline,
 };
 
-struct JobRequest {
+/// A job request: the JobSpec run_job executes (core/job.hpp), with
+/// ftd's defaults (n = 64, transpose), plus the envelope's id and the
+/// kind. parse_request sets `scheduler` to "online" for route_online;
+/// replay_offline takes offline | packed | greedy.
+struct JobRequest : JobSpec {
+  JobRequest() {
+    n = 64;
+    workload = "transpose";
+  }
+
   std::string id;
   JobKind kind = JobKind::Ping;
-  std::uint32_t n = 64;
-  std::uint64_t w = 0;  ///< 0 = default n/4 (min 1)
-  std::string workload = "transpose";
-  std::uint64_t seed = 1;
-  RoutingPolicy policy = RoutingPolicy::ObliviousRandom;
-  std::string policy_name = "oblivious";
-  std::string scheduler = "offline";  ///< replay_offline only
-  std::uint32_t stack = 1;
-  std::uint32_t max_cycles = 0;
-  std::uint64_t messages = 0;  ///< uniform/incast count, 0 = n
   std::uint32_t sleep_ms = 0;  ///< sleep jobs only
-  RetryPolicy retry;
 };
 
 struct RequestError {

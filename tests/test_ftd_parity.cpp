@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/capacity.hpp"
+#include "core/job.hpp"
 #include "core/load.hpp"
 #include "core/offline_scheduler.hpp"
 #include "core/online_router.hpp"
@@ -128,15 +129,16 @@ TEST_F(ParityFixture, ResubmissionIsBitStable) {
 
 TEST_F(ParityFixture, RouteOnlineFieldsMatchDirectEngineCall) {
   // Bypass run_job() entirely: call route_online() with the documented
-  // seed discipline (workload Rng(seed), router Rng(seed ^ 0x0511e5),
-  // same as ftsim) and compare field-by-field with the daemon's answer.
+  // seed discipline (workload Rng(seed), router Rng(seed ^
+  // kRouterSeedMix), core/job.hpp) and compare field-by-field with the
+  // daemon's answer.
   const std::uint32_t n = 64;
   const std::uint64_t seed = 7;
   const FatTreeTopology topo(n);
   const auto caps = CapacityProfile::universal(topo, n / 4);
   Rng workload_rng(seed);
   const MessageSet m = random_permutation_traffic(n, workload_rng);
-  Rng router_rng(seed ^ 0x0511e5);
+  Rng router_rng(seed ^ kRouterSeedMix);
   OnlineRouterOptions opts;
   opts.policy = RoutingPolicy::AdaptiveOccupancy;
   const auto res = route_online(topo, caps, m, router_rng, opts);

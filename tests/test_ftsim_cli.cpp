@@ -1,9 +1,11 @@
 // Shell-level tests for the ftsim CLI's checked argument parsing: every
 // malformed flag value — non-numeric, negative, compound flags with
-// missing fields or trailing garbage — must produce a nonzero exit (and
-// the usage text), never a silently misparsed run. Before the checked
-// parser, `--n 4x` ran with n = 4 and `--subtree-kill 1:2` read
-// uninitialized fields.
+// missing fields or trailing garbage, fault values out of range — must
+// produce exit status 2 (and the usage text), never a silently misparsed
+// run or an abort. Before the checked parser, `--n 4x` ran with n = 4 and
+// `--subtree-kill 1:2` read uninitialized fields; before the range
+// checks, `--flap 1.5:0.5` or `--subtree-kill 0:1:4` stopped at an
+// FT_CHECK (exit 134).
 //
 // The binary's path arrives via the FT_FTSIM_PATH compile definition
 // ($<TARGET_FILE:example_ftsim>), so the test tracks whatever build
@@ -45,6 +47,14 @@ TEST(FtsimCli, WellFormedInvocationsExitZero) {
   EXPECT_EQ(run_ftsim(std::string(kGoodBase) +
                       " --scheduler online --subtree-kill 2:1:4"),
             0);
+  // Range edges: the last leaf (2n - 1 = 31), the leaf level (lg n = 4),
+  // probabilities and factors of exactly 1.
+  EXPECT_EQ(run_ftsim(std::string(kGoodBase) +
+                      " --scheduler online --subtree-kill 31:1:4 "
+                      "--subtree-storm 0.5:4 --flap 0.1:1 --brownout 1:2:1"),
+            0);
+  // n = 2 is below local-r4's radius of 4.
+  EXPECT_EQ(run_ftsim("--n 2 --workload all"), 0);
 }
 
 TEST(FtsimCli, MalformedNumericValuesAreRejected) {
@@ -61,6 +71,8 @@ TEST(FtsimCli, MalformedNumericValuesAreRejected) {
       "--seed 12_34",     // separator garbage
       "--faults abc",     // not a number
       "--faults -0.1",    // negative probability
+      "--faults 1.5",     // probability above 1
+      "--faults nan",     // not a probability
       "--parallel=two",   // word where a count belongs
       "--parallel=4096",  // more threads than the ceiling
       "--parallel=18446744073709551615",  // 2^64 - 1 wraps the pool's slots
@@ -91,6 +103,18 @@ TEST(FtsimCli, MalformedCompoundFlagsAreRejected) {
       "--subtree-kill -1:2:3",   // negative node wraparound trap
       "--subtree-storm 0.5",     // missing level
       "--subtree-storm 0.5:2:7", // extra field
+      "--subtree-kill 0:1:4",    // node 0 is not a tree node
+      "--subtree-kill 32:1:4",   // beyond the last node, 2n - 1 = 31
+      "--subtree-kill 2:0:4",    // cycles count from 1
+      "--subtree-kill 2:1:0",    // empty outage
+      "--subtree-storm 1.5:2",   // probability above 1
+      "--subtree-storm 0.5:5",   // level below the leaves (lg n = 4)
+      "--flap 1.5:0.5",          // P(down) above 1
+      "--flap 0.1:1.5",          // P(up) above 1
+      "--flap 0.1:nan",          // not a probability
+      "--brownout 1:2:1.5",      // capacity factor above 1
+      "--brownout 1:2:nan",      // not a factor
+      "--burst 0:2:3",           // cycles count from 1
   };
   for (const char* flags : bad) {
     EXPECT_EQ(

@@ -234,19 +234,67 @@ TEST(Traffic, PersistentHotspotPhasesAndRanges) {
 }
 
 TEST(Traffic, StandardWorkloadsCover) {
-  Rng rng(11);
-  const auto workloads = standard_workloads(64, rng);
-  EXPECT_GE(workloads.size(), 8u);
-  std::set<std::string> names;
-  for (const auto& w : workloads) {
-    EXPECT_FALSE(w.messages.empty()) << w.name;
-    names.insert(w.name);
-    for (const auto& msg : w.messages) {
-      EXPECT_LT(msg.src, 64u);
-      EXPECT_LT(msg.dst, 64u);
+  // n = 2 and 4 are below local-r4's radius: destinations still wrap
+  // into [0, n).
+  for (const std::uint32_t n : {2u, 4u, 64u}) {
+    Rng rng(11);
+    const auto workloads = standard_workloads(n, rng);
+    EXPECT_GE(workloads.size(), 8u);
+    std::set<std::string> names;
+    for (const auto& w : workloads) {
+      EXPECT_FALSE(w.messages.empty()) << w.name << " n=" << n;
+      names.insert(w.name);
+      for (const auto& msg : w.messages) {
+        EXPECT_LT(msg.src, n) << w.name;
+        EXPECT_LT(msg.dst, n) << w.name;
+      }
+    }
+    EXPECT_EQ(names.size(), workloads.size());  // distinct names
+  }
+}
+
+TEST(Traffic, LocalTrafficWrapsBeyondItsRadius) {
+  // A radius above n wraps as often as it takes; for n >= radius the
+  // draws and destinations are those of the n-offset formula.
+  Rng a(3);
+  for (const Message& msg : local_traffic(2, 4, a)) EXPECT_LT(msg.dst, 2u);
+  Rng b(3);
+  Rng c(3);
+  const MessageSet m = local_traffic(64, 4, b);
+  for (std::uint32_t p = 0; p < 64; ++p) {
+    const auto offset = c.range(-4, 4);
+    EXPECT_EQ(m[p].dst, static_cast<Leaf>((p + offset + 64) % 64));
+  }
+}
+
+TEST(Traffic, NamedWorkloadEqualsItsStandardEntry) {
+  // build_workload replays the draws of the standard workloads before
+  // the named one, so building one name alone gives standard_workloads'
+  // set for the same starting generator.
+  for (const std::uint32_t n : {2u, 64u, 256u}) {
+    for (const std::uint64_t seed : {1ull, 7ull}) {
+      Rng all_rng(seed);
+      const auto all = standard_workloads(n, all_rng);
+      for (const NamedWorkload& want : all) {
+        const WorkloadEntry* w = find_workload(want.name);
+        ASSERT_NE(w, nullptr) << want.name;
+        Rng rng(seed);
+        EXPECT_EQ(build_workload(*w, n, 0, rng), want.messages)
+            << want.name << " n=" << n << " seed=" << seed;
+      }
     }
   }
-  EXPECT_EQ(names.size(), workloads.size());  // distinct names
+  std::size_t standard = 0;
+  for (const WorkloadEntry& w : workload_table()) {
+    standard += w.cls != WorkloadClass::Volume ? 1 : 0;
+  }
+  EXPECT_EQ(standard, 9u);
+  EXPECT_EQ(find_workload("all"), nullptr);
+  // A Volume workload draws from the generator as given.
+  Rng a(5);
+  Rng b(5);
+  EXPECT_EQ(build_workload(*find_workload("uniform"), 64, 100, a),
+            uniform_random_traffic(64, 100, b));
 }
 
 }  // namespace
