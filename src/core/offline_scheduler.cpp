@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <unordered_map>
 
 #include "core/cycle_loads.hpp"
 #include "core/replay.hpp"
@@ -302,23 +303,57 @@ Schedule schedule_offline_packed(const FatTreeTopology& topo,
 
 Schedule schedule_greedy(const FatTreeTopology& topo,
                          const CapacityProfile& caps, const MessageSet& m) {
+  // First fit without a dense load table per cycle. frontier[c] is the
+  // first cycle that may still have room on channel c: loads only grow,
+  // so every earlier cycle is full there, and a message's first fit
+  // cannot lie below the largest frontier on its path. Loads are kept
+  // only for the (cycle, channel) pairs some message touched, keyed
+  // (cycle << 32) | channel, so memory follows the schedule's hops
+  // instead of cycles × channels.
   Schedule schedule;
-  std::vector<CycleLoads> cycle_loads;
+  std::vector<std::uint32_t> frontier(channel_index_bound(topo), 0);
+  std::unordered_map<std::uint64_t, std::uint32_t> loads;
+  const auto key = [](std::uint32_t cycle, std::uint32_t c) {
+    return (static_cast<std::uint64_t>(cycle) << 32) | c;
+  };
+  const auto load = [&](std::uint32_t cycle, std::uint32_t c) {
+    const auto it = loads.find(key(cycle, c));
+    return it == loads.end() ? 0u : it->second;
+  };
+  std::vector<std::uint32_t> path;
+  std::vector<std::uint64_t> cap;
   for (const auto& msg : m) {
-    const MessageSet single{msg};
-    bool placed = false;
-    for (std::size_t c = 0; c < schedule.cycles.size(); ++c) {
-      if (cycle_loads[c].try_add(topo, caps, single, /*commit=*/true)) {
-        schedule.cycles[c].push_back(msg);
-        placed = true;
+    path.clear();
+    cap.clear();
+    topo.for_each_channel_on_path(msg.src, msg.dst, [&](ChannelId c) {
+      path.push_back(static_cast<std::uint32_t>(channel_index(c)));
+      cap.push_back(caps.capacity(topo, c.node));
+    });
+    std::uint32_t cycle = 0;
+    for (const std::uint32_t c : path) cycle = std::max(cycle, frontier[c]);
+    for (;; ++cycle) {
+      if (cycle == schedule.cycles.size()) {
+        // A fresh cycle fits any path whose channels all exist.
+        FT_CHECK(std::all_of(cap.begin(), cap.end(),
+                             [](std::uint64_t k) { return k > 0; }));
+        schedule.cycles.emplace_back();
         break;
       }
+      bool fits = true;
+      for (std::size_t h = 0; fits && h < path.size(); ++h) {
+        fits = load(cycle, path[h]) < cap[h];
+      }
+      if (fits) break;
     }
-    if (!placed) {
-      cycle_loads.emplace_back(topo);
-      FT_CHECK(cycle_loads.back().try_add(topo, caps, single, true));
-      schedule.cycles.push_back(single);
+    for (std::size_t h = 0; h < path.size(); ++h) {
+      const std::uint32_t c = path[h];
+      ++loads[key(cycle, c)];
+      while (frontier[c] < schedule.cycles.size() &&
+             load(frontier[c], c) >= cap[h]) {
+        ++frontier[c];
+      }
     }
+    schedule.cycles[cycle].push_back(msg);
   }
   return schedule;
 }

@@ -11,21 +11,27 @@ namespace ft {
 
 namespace {
 
-// Self messages are delivered locally in the first cycle and never enter
-// the engine (they would otherwise shift message ids in trace streams).
-// The filter counts them so the caller can fold them back into
+// Hands the engine the stream's messages as leaf pairs, one chunk at a
+// time. Self messages are delivered locally in the first cycle and never
+// enter the engine (they would otherwise shift message ids in trace
+// streams). The source counts them so the caller can fold them back into
 // delivered_per_cycle; the count is complete once the engine has drained
 // the stream.
-class NonSelfStream final : public MessageStream {
+class NonSelfPairs final : public PairSource {
  public:
-  explicit NonSelfStream(MessageStream& inner) : inner_(inner) {}
+  explicit NonSelfPairs(MessageStream& inner) : inner_(inner) {}
 
-  bool next(Message& out) override {
-    while (inner_.next(out)) {
-      if (out.src != out.dst) return true;
-      ++self_;
+  bool next_chunk(std::vector<LeafPair>& chunk) override {
+    chunk.clear();
+    Message m;
+    while (chunk.size() < kDefaultChunkPaths && inner_.next(m)) {
+      if (m.src == m.dst) {
+        ++self_;
+      } else {
+        chunk.push_back({m.src, m.dst});
+      }
     }
-    return false;
+    return !chunk.empty();
   }
 
   std::uint32_t self_delivered() const { return self_; }
@@ -88,9 +94,8 @@ OnlineRoutingResult route_online_stream(const FatTreeTopology& topo,
   CycleEngine engine(
       fat_tree_channel_graph(topo, caps, pick_shard_level(topo, opts)), eopts);
 
-  NonSelfStream routed(messages);
-  FatTreePathSource source(topo, routed);
-  const EngineResult er = engine.run_stream(source, opts.observer);
+  NonSelfPairs routed(messages);
+  const EngineResult er = engine.run_stream(routed, opts.observer);
 
   OnlineRoutingResult result;
   result.delivery_cycles = er.cycles;

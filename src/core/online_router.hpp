@@ -109,8 +109,8 @@ OnlineRoutingResult route_online(const FatTreeTopology& topo,
                                  const MessageSet& m, Rng& rng,
                                  const OnlineRouterOptions& opts = {});
 
-/// Streaming form: the workload arrives as a MessageStream and is compiled
-/// into engine input one chunk at a time, so the full CSR path set never
+/// Streaming form: the workload arrives as a MessageStream and reaches the
+/// engine as leaf pairs one chunk at a time, so the full message set never
 /// exists (peak input memory is one chunk; see DESIGN.md "Scale-out").
 /// `lambda_hint` stands in for load_factor(topo, caps, m) in the default
 /// max_cycles estimate, since the message set cannot be scanned twice; it

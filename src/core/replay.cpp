@@ -23,26 +23,25 @@ class ViolationCounter final : public EngineObserver {
   std::uint64_t violations_ = 0;
 };
 
-/// Streams the schedule into the engine one scheduled cycle per chunk:
-/// only one cycle's paths are materialized at a time, however long the
-/// schedule is.
-class ScheduleBatchSource final : public MessageSource {
+/// Streams the schedule into the engine as leaf pairs, one scheduled
+/// cycle per chunk. Self messages stay in their cycle's chunk: the engine
+/// delivers them locally.
+class ScheduleBatchSource final : public PairSource {
  public:
-  ScheduleBatchSource(const FatTreeTopology& topo, const Schedule& schedule)
-      : topo_(topo), schedule_(schedule) {}
+  explicit ScheduleBatchSource(const Schedule& schedule)
+      : schedule_(schedule) {}
 
-  bool next_chunk(PathSet& chunk) override {
-    if (next_ >= schedule_.cycles.size()) return false;
+  bool next_chunk(std::vector<LeafPair>& chunk) override {
     chunk.clear();
+    if (next_ >= schedule_.cycles.size()) return false;
     for (const auto& msg : schedule_.cycles[next_]) {
-      append_fat_tree_path(topo_, msg.src, msg.dst, chunk);
+      chunk.push_back({msg.src, msg.dst});
     }
     ++next_;
     return true;
   }
 
  private:
-  const FatTreeTopology& topo_;
   const Schedule& schedule_;
   std::size_t next_ = 0;
 };
@@ -71,7 +70,7 @@ ReplayResult replay_schedule(const FatTreeTopology& topo,
   ObserverFanout fanout;
   fanout.add(&counter);
   fanout.add(observer);
-  ScheduleBatchSource source(topo, schedule);
+  ScheduleBatchSource source(schedule);
   const EngineResult er = engine.run_batched_stream(source, &fanout);
 
   ReplayResult result;

@@ -1,9 +1,10 @@
 // The engine's channel model: every topology the repository simulates
 // (fat-tree ChannelId pairs, generic Network links, k-ary n-tree links)
 // compiles down to a flat table of capacitated channels, and every message
-// compiles down to an ordered list of channel indices. The CycleEngine
-// only ever sees this representation, so one simulation core serves all
-// routers (see DESIGN.md, "Engine architecture").
+// to an ordered list of channel indices — or, on a fat-tree graph, to its
+// two leaves, whose tree path the engine derives by address. The
+// CycleEngine only ever sees this representation, so one simulation core
+// serves all routers (see DESIGN.md, "Engine architecture").
 #pragma once
 
 #include <cstdint>
@@ -144,6 +145,18 @@ struct ChannelGraph {
   std::uint32_t spine_stage_lo = 0;
   std::uint32_t spine_stage_hi = 0;
   static constexpr std::uint32_t kNoShard = 0xffffffffu;
+
+  /// Heap-indexed tree tag, set only by fat_tree_channel_graph: the
+  /// height L of a fat-tree whose channel c is the up (c even) or down (c
+  /// odd) channel above heap node c / 2, staged and sharded as that
+  /// builder does it. 0 for every other graph. On a tagged graph the
+  /// lossy/tally engine routes every message by address: its path is a
+  /// function of its two leaves, so a live message is one 64-bit word and
+  /// no hop list exists (DESIGN.md §5, "Address codec").
+  std::uint32_t tree_height = 0;
+  /// Tallest taggable tree: the address word holds two heap nodes of
+  /// kMaxTreeHeight + 1 bits and a 6-bit hop cursor.
+  static constexpr std::uint32_t kMaxTreeHeight = 28;
 
   std::size_t num_channels() const { return capacity.size(); }
 

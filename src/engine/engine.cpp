@@ -4,6 +4,7 @@
 #include <bit>
 #include <chrono>
 #include <memory>
+#include <type_traits>
 
 #include "engine/chunked_ring.hpp"
 #include "util/check.hpp"
@@ -114,13 +115,13 @@ struct WireClaims {
 /// static-path pathology the adversarial traffic generators target.
 /// Depends only on the sorted bucket, ce, limit and the pinned stream,
 /// so every executor computes the same winner set.
-template <typename ChanT>
+template <typename Codec>
 std::uint32_t select_policy_winners(RoutingPolicy pol, std::uint32_t* b,
                                     std::size_t size, std::uint64_t limit,
                                     std::uint64_t seed, std::uint32_t cycle,
                                     std::uint32_t channel,
                                     const std::uint64_t* ce,
-                                    const ChanT* chan) {
+                                    const Codec& codec) {
   if (limit == 0) return 0;
   thread_local WireClaims wc;
   if (wc.taken.size() < limit) wc.taken.resize(limit, 0);
@@ -131,8 +132,7 @@ std::uint32_t select_policy_winners(RoutingPolicy pol, std::uint32_t* b,
     const std::uint32_t i = b[t];
     std::uint64_t wire;
     if (pol == RoutingPolicy::DeterministicDmod) {
-      const std::uint64_t end = ce[i] >> 32;
-      wire = static_cast<std::uint64_t>(chan[end - 1]) % limit;
+      wire = static_cast<std::uint64_t>(codec.last_chan(ce[i])) % limit;
     } else {
       SplitMix64 h(arb ^
                    (static_cast<std::uint64_t>(i) * 0x9e3779b97f4a7c15ull));
@@ -163,6 +163,21 @@ inline std::uint32_t entry_chan(std::uint64_t e) {
   return static_cast<std::uint32_t>(e);
 }
 
+/// Injection's check of one path's hops (PathSet input, every codec): a
+/// known channel (check_tbl_ != 0), in strictly increasing stage order —
+/// check_tbl_ holds stage + 1, so one lookup per hop tests both.
+inline void check_path(const std::uint32_t* ctbl, std::uint32_t nch,
+                       const std::uint32_t* hops, std::uint32_t len) {
+  std::uint32_t prev = 0;
+  for (std::uint32_t h = 0; h < len; ++h) {
+    const std::uint32_t c = hops[h];
+    const std::uint32_t v = c < nch ? ctbl[c] : 0;
+    FT_CHECK_MSG(v != 0, "path uses an unknown channel");
+    FT_CHECK_MSG(v > prev, "path stages must strictly increase");
+    prev = v;
+  }
+}
+
 /// Phase timing (EngineOptions::time_phases) clock. Timing reads happen
 /// on the coordination path only, so they never perturb arbitration or
 /// any other simulated outcome.
@@ -171,10 +186,25 @@ inline double phase_delta(PhaseClock::time_point a, PhaseClock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
 }
 
+/// One injected batch: a PathSet, or leaf pairs on a tagged graph. Both
+/// null: no further batch this cycle.
+struct Batch {
+  const PathSet* paths = nullptr;
+  const std::vector<LeafPair>* pairs = nullptr;
+  explicit operator bool() const {
+    return paths != nullptr || pairs != nullptr;
+  }
+};
+
+inline Batch as_batch(const PathSet& paths) { return {&paths, nullptr}; }
+inline Batch as_batch(const std::vector<LeafPair>& pairs) {
+  return {nullptr, &pairs};
+}
+
 }  // namespace
 
 /// See the declaration in engine.hpp. The cycle loop calls next(cycle)
-/// repeatedly within one cycle until it returns nullptr, consuming each
+/// repeatedly within one cycle until it returns no batch, consuming each
 /// returned batch before the following call (so feeds may reuse one
 /// buffer). exhausted() must be accurate by the end of the cycle that
 /// injected the last batch: the loop's termination test reads it, and a
@@ -183,7 +213,7 @@ inline double phase_delta(PhaseClock::time_point a, PhaseClock::time_point b) {
 class BatchFeed {
  public:
   virtual ~BatchFeed() = default;
-  virtual const PathSet* next(std::uint32_t cycle) = 0;
+  virtual Batch next(std::uint32_t cycle) = 0;
   virtual bool exhausted() const = 0;
 };
 
@@ -196,10 +226,10 @@ class VectorFeed final : public BatchFeed {
   VectorFeed(const PathSet* const* batches, std::size_t count)
       : batches_(batches), count_(count) {}
 
-  const PathSet* next(std::uint32_t cycle) override {
-    if (next_ >= count_ || cycle == last_cycle_) return nullptr;
+  Batch next(std::uint32_t cycle) override {
+    if (next_ >= count_ || cycle == last_cycle_) return {};
     last_cycle_ = cycle;
-    return batches_[next_++];
+    return as_batch(*batches_[next_++]);
   }
   bool exhausted() const override { return next_ >= count_; }
 
@@ -210,30 +240,32 @@ class VectorFeed final : public BatchFeed {
   std::uint32_t last_cycle_ = 0;
 };
 
-/// Streams every chunk of a MessageSource into cycle 1 (run_stream). One
-/// PathSet buffer is refilled in place between next() calls; the first
-/// chunk is prefetched so an empty source is exhausted before the cycle
-/// loop starts (cycles == 0, matching run() on an empty set).
+/// Streams every chunk of a source into cycle 1 (run_stream). One chunk
+/// buffer is refilled in place between next() calls; the first chunk is
+/// prefetched so an empty source is exhausted before the cycle loop starts
+/// (cycles == 0, matching run() on an empty set). Source is MessageSource
+/// with PathSet chunks, or PairSource with leaf-pair chunks.
+template <typename Source, typename Chunk>
 class StreamAllFeed final : public BatchFeed {
  public:
-  explicit StreamAllFeed(MessageSource& source) : source_(source) {
+  explicit StreamAllFeed(Source& source) : source_(source) {
     pending_ = source_.next_chunk(chunk_);
   }
 
-  const PathSet* next(std::uint32_t cycle) override {
-    if (cycle != 1 || !pending_) return nullptr;
+  Batch next(std::uint32_t cycle) override {
+    if (cycle != 1 || !pending_) return {};
     if (!served_first_) {
       served_first_ = true;
-      return &chunk_;
+      return as_batch(chunk_);
     }
     pending_ = source_.next_chunk(chunk_);
-    return pending_ ? &chunk_ : nullptr;
+    return pending_ ? as_batch(chunk_) : Batch{};
   }
   bool exhausted() const override { return !pending_; }
 
  private:
-  MessageSource& source_;
-  PathSet chunk_;
+  Source& source_;
+  Chunk chunk_;
   bool pending_ = false;
   bool served_first_ = false;
 };
@@ -241,30 +273,142 @@ class StreamAllFeed final : public BatchFeed {
 /// Streams one chunk per cycle (run_batched_stream). The following chunk
 /// is prefetched as the current one is served, so exhausted() flips in
 /// the same cycle the last chunk is injected.
+template <typename Source, typename Chunk>
 class StreamBatchFeed final : public BatchFeed {
  public:
-  explicit StreamBatchFeed(MessageSource& source) : source_(source) {
+  explicit StreamBatchFeed(Source& source) : source_(source) {
     pending_ = source_.next_chunk(cur_);
   }
 
-  const PathSet* next(std::uint32_t cycle) override {
-    if (!pending_ || cycle == last_cycle_) return nullptr;
+  Batch next(std::uint32_t cycle) override {
+    if (!pending_ || cycle == last_cycle_) return {};
     last_cycle_ = cycle;
     std::swap(cur_, serve_);
     pending_ = source_.next_chunk(cur_);
-    return &serve_;
+    return as_batch(serve_);
   }
   bool exhausted() const override { return !pending_; }
 
  private:
-  MessageSource& source_;
-  PathSet cur_;    ///< prefetched, served next
-  PathSet serve_;  ///< being consumed by the engine
+  Source& source_;
+  Chunk cur_;    ///< prefetched, served next
+  Chunk serve_;  ///< being consumed by the engine
   bool pending_ = false;
   std::uint32_t last_cycle_ = 0;
 };
 
 }  // namespace
+
+/// The address codec, on a tagged fat-tree graph of height L. A message's
+/// word holds its source and destination heap nodes (kNodeBits each) and
+/// its hop cursor k in the low kCursorBits:
+///
+///   [63 .. 35] src node   [34 .. 6] dst node   [5 .. 0] cursor k
+///
+/// With h (the turn depth) the bit length of src ^ dst, the path has 2h
+/// hops. Hop k < h is the up channel of src >> k, at stage k; hop k >= h
+/// is the down channel of dst >> (2h - 1 - k), at stage 2L - 2h + k —
+/// the builder's stages L - level and L - 1 + level. A channel's shard is
+/// its node's ancestor at the shard level. All of it is shifts, so a hop
+/// costs no table load.
+struct CycleEngine::AddressCodec {
+  static constexpr unsigned kCursorBits = 6;
+  static constexpr unsigned kNodeBits = ChannelGraph::kMaxTreeHeight + 1;
+  static_assert(2 * kNodeBits + kCursorBits <= 64 &&
+                    2 * ChannelGraph::kMaxTreeHeight < (1u << kCursorBits),
+                "the address word holds two nodes and a cursor up to 2L");
+  static constexpr std::uint64_t kCursorMask = (1u << kCursorBits) - 1;
+  static constexpr std::uint64_t kNodeMask = (1ull << kNodeBits) - 1;
+
+  explicit AddressCodec(const CycleEngine& e)
+      : height(e.graph_.tree_height),
+        shard_level(e.graph_.num_shards > 1
+                        ? static_cast<std::uint32_t>(
+                              std::countr_zero(e.graph_.num_shards))
+                        : 0) {}
+
+  static std::uint64_t encode(std::uint32_t src, std::uint32_t dst) {
+    return (static_cast<std::uint64_t>(src) << (kNodeBits + kCursorBits)) |
+           (static_cast<std::uint64_t>(dst) << kCursorBits);
+  }
+  static std::uint32_t src(std::uint64_t v) {
+    return static_cast<std::uint32_t>(v >> (kNodeBits + kCursorBits));
+  }
+  static std::uint32_t dst(std::uint64_t v) {
+    return static_cast<std::uint32_t>((v >> kCursorBits) & kNodeMask);
+  }
+  /// The turn depth h: the path climbs h levels, then descends h.
+  static std::uint32_t turn(std::uint64_t v) {
+    return static_cast<std::uint32_t>(std::bit_width(src(v) ^ dst(v)));
+  }
+  /// True while the cursor names a hop (the message is undelivered).
+  static bool more(std::uint64_t v) { return (v & kCursorMask) < 2 * turn(v); }
+  Hop hop(std::uint64_t v) const {
+    const auto k = static_cast<std::uint32_t>(v & kCursorMask);
+    const std::uint32_t h = turn(v);
+    if (k < h) return {(src(v) >> k) << 1, k};
+    return {((dst(v) >> (2 * h - 1 - k)) << 1) | 1u, 2 * (height - h) + k};
+  }
+  std::uint32_t stage_of(std::uint32_t c) const {
+    const auto level = static_cast<std::uint32_t>(std::bit_width(c >> 1)) - 1;
+    return (c & 1u) != 0 ? height - 1 + level : height - level;
+  }
+  std::uint32_t shard_of(std::uint32_t c) const {
+    const std::uint32_t node = c >> 1;
+    const auto level = static_cast<std::uint32_t>(std::bit_width(node)) - 1;
+    return level >= shard_level
+               ? (node >> (level - shard_level)) - (1u << shard_level)
+               : ChannelGraph::kNoShard;
+  }
+  static std::uint64_t rewind(std::uint64_t v) { return v & ~kCursorMask; }
+  /// The path's final channel: the destination leaf's down channel.
+  static std::uint32_t last_chan(std::uint64_t v) {
+    return (dst(v) << 1) | 1u;
+  }
+
+  std::uint32_t height;
+  std::uint32_t shard_level;  ///< lg num_shards on a sharded graph
+};
+
+/// The u32 CSR reference codec, on every other graph: a message's hops
+/// are chan_buf_[begin, begin + len), and its word is
+///
+///   [63 .. 32] begin   [31 .. 16] len   [15 .. 0] cursor
+///
+/// Stage and shard come from the graph's tables. Rebuilt after every
+/// injection, since the hop buffer may move when it grows.
+struct CycleEngine::CsrCodec {
+  static constexpr std::uint64_t kCursorMask = 0xffff;
+  static constexpr std::uint32_t kMaxLen = 0xffff;
+
+  explicit CsrCodec(const CycleEngine& e)
+      : chan(e.chan_buf_.data()),
+        stage(e.graph_.stage.data()),
+        shard(e.graph_.shard.data()) {}
+
+  static std::uint64_t encode(std::uint32_t begin, std::uint32_t len) {
+    return (static_cast<std::uint64_t>(begin) << 32) |
+           (static_cast<std::uint64_t>(len) << 16);
+  }
+  static std::uint32_t len(std::uint64_t v) {
+    return static_cast<std::uint32_t>(v >> 16) & kMaxLen;
+  }
+  static bool more(std::uint64_t v) { return (v & kCursorMask) < len(v); }
+  Hop hop(std::uint64_t v) const {
+    const std::uint32_t c = chan[(v >> 32) + (v & kCursorMask)];
+    return {c, stage[c]};
+  }
+  std::uint32_t stage_of(std::uint32_t c) const { return stage[c]; }
+  std::uint32_t shard_of(std::uint32_t c) const { return shard[c]; }
+  static std::uint64_t rewind(std::uint64_t v) { return v & ~kCursorMask; }
+  std::uint32_t last_chan(std::uint64_t v) const {
+    return chan[(v >> 32) + len(v) - 1];
+  }
+
+  const std::uint32_t* chan;
+  const std::uint32_t* stage;
+  const std::uint32_t* shard;
+};
 
 CycleEngine::CycleEngine(ChannelGraph graph, const EngineOptions& opts)
     : graph_(std::move(graph)), opts_(opts) {
@@ -302,13 +446,6 @@ CycleEngine::CycleEngine(ChannelGraph graph, const EngineOptions& opts)
     check_tbl_[c] = graph_.capacity[c] > 0 ? graph_.stage[c] + 1 : 0;
   }
   active_limit_ = limit_.data();
-  narrow_ = num_channels <= 65536 && graph_.num_stages <= 65536;
-  if (narrow_) {
-    stage16_.resize(num_channels);
-    for (std::size_t c = 0; c < num_channels; ++c) {
-      stage16_[c] = static_cast<std::uint16_t>(graph_.stage[c]);
-    }
-  }
   if (!graph_.shard.empty()) {
     FT_CHECK_MSG(graph_.shard.size() == num_channels,
                  "shard table must cover every channel");
@@ -335,6 +472,24 @@ CycleEngine::CycleEngine(ChannelGraph graph, const EngineOptions& opts)
       }
     }
   }
+  if (graph_.tree_height != 0) {
+    // The address codec indexes channels and stages by formula, so the
+    // tag must describe this table: 2^(L+2) channel slots (heap nodes
+    // below 2^(L+1), two directions), 2L stages, and a shard count that
+    // is a power of two below the leaves.
+    const std::uint32_t L = graph_.tree_height;
+    FT_CHECK_MSG(L <= ChannelGraph::kMaxTreeHeight &&
+                     num_channels == std::size_t{4} << L &&
+                     graph_.num_stages == 2 * L &&
+                     (graph_.num_shards == 0 ||
+                      (std::has_single_bit(graph_.num_shards) &&
+                       graph_.num_shards < (1u << L))),
+                 "tree tag does not match the channel graph");
+    // Tree channels are those of heap nodes 2 .. 2^(L+1) - 1; one scan
+    // proves leaf pairs need no per-hop check.
+    tree_usable_ = std::all_of(check_tbl_.begin() + 4, check_tbl_.end(),
+                               [](std::uint32_t v) { return v != 0; });
+  }
   // Subtree sharding is the lossy/tally loop's only parallel executor: a
   // graph without a shard partition runs serial, with no pool. FIFO mode
   // has its own channel-range parallelism. The pool is built only when
@@ -349,15 +504,6 @@ CycleEngine::CycleEngine(ChannelGraph graph, const EngineOptions& opts)
     if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
   }
   bands_.resize(sharded_ ? graph_.num_shards + 1 : 1);
-}
-
-template <typename ChanT>
-const auto* CycleEngine::stage_table() const {
-  if constexpr (sizeof(ChanT) == 2) {
-    return stage16_.data();
-  } else {
-    return graph_.stage.data();
-  }
 }
 
 CycleEngine::~CycleEngine() = default;
@@ -388,7 +534,7 @@ EngineResult CycleEngine::run_stream(MessageSource& source,
     while (source.next_chunk(chunk)) all.append_set(chunk);
     return run_fifo(all, observer);
   }
-  StreamAllFeed feed(source);
+  StreamAllFeed<MessageSource, PathSet> feed(source);
   return run_lossy(feed, observer);
 }
 
@@ -396,7 +542,27 @@ EngineResult CycleEngine::run_batched_stream(MessageSource& source,
                                              EngineObserver* observer) {
   FT_CHECK_MSG(opts_.contention != ContentionPolicy::Fifo,
                "batched injection requires a lossy or tally policy");
-  StreamBatchFeed feed(source);
+  StreamBatchFeed<MessageSource, PathSet> feed(source);
+  return run_lossy(feed, observer);
+}
+
+EngineResult CycleEngine::run_stream(PairSource& source,
+                                     EngineObserver* observer) {
+  FT_CHECK_MSG(graph_.tree_height != 0 &&
+                   opts_.contention != ContentionPolicy::Fifo,
+               "leaf pairs require a fat-tree graph and a lossy or tally "
+               "policy");
+  StreamAllFeed<PairSource, std::vector<LeafPair>> feed(source);
+  return run_lossy(feed, observer);
+}
+
+EngineResult CycleEngine::run_batched_stream(PairSource& source,
+                                             EngineObserver* observer) {
+  FT_CHECK_MSG(graph_.tree_height != 0 &&
+                   opts_.contention != ContentionPolicy::Fifo,
+               "leaf pairs require a fat-tree graph and a lossy or tally "
+               "policy");
+  StreamBatchFeed<PairSource, std::vector<LeafPair>> feed(source);
   return run_lossy(feed, observer);
 }
 
@@ -429,12 +595,13 @@ EngineResult CycleEngine::run_batched(
 /// worklists fed the stage: contended buckets sort to pending order
 /// before the pinned lottery, and worklist order is unobservable (see
 /// Band::stage_list).
-template <typename ChanT, typename Forward>
-void CycleEngine::fused_stage(const ChanT* chan, std::uint32_t cycle,
+template <typename Codec, typename Forward>
+void CycleEngine::fused_stage(const Codec& codec, std::uint32_t cycle,
                               Band& band, std::uint32_t stage,
                               Forward&& forward) {
   // bucket_pos_ sentinel for channels that stay under their limit; arena
-  // fill cursors never reach it (PathSet caps hop offsets below 2^32 - 1).
+  // fill cursors never reach it (injection keeps the live message count
+  // below 2^32 - 1).
   constexpr std::uint32_t kUncontended = 0xffffffffu;
   // The sweeps below hoist every member array into a local: the worklist
   // push_backs can allocate, and past any opaque call the compiler must
@@ -473,10 +640,7 @@ void CycleEngine::fused_stage(const ChanT* chan, std::uint32_t cycle,
     const std::uint32_t pos = bp[c];
     if (pos == kUncontended) {
       const std::uint64_t v = ++ce[i];
-      if (static_cast<std::uint32_t>(v) < (v >> 32)) {
-        forward(i, static_cast<std::uint32_t>(
-                       chan[static_cast<std::uint32_t>(v)]));
-      }
+      if (codec.more(v)) forward(i, codec.hop(v));
     } else {
       ar[pos] = i;
       bp[c] = pos + 1;
@@ -501,7 +665,7 @@ void CycleEngine::fused_stage(const ChanT* chan, std::uint32_t cycle,
     std::uint64_t winners = limit;
     if (wire_sel) {
       winners = select_policy_winners(pol, b, ob.count, limit, opts_.seed,
-                                      cycle, ob.chan, ce, chan);
+                                      cycle, ob.chan, ce, codec);
     } else {
       // Adaptive run stamps are per-channel; channels of one stage are
       // disjoint across shards, so a worker's write never races.
@@ -523,15 +687,12 @@ void CycleEngine::fused_stage(const ChanT* chan, std::uint32_t cycle,
         std::swap(b[i - 1], b[j]);
       }
     }
-    // Losers need no write: their cursor stops here, short of end, and
-    // everything downstream (compaction, tracing) reads the delivered
-    // state straight off the packed word (cursor == end).
+    // Losers need no write: their cursor stops here, short of the path's
+    // end, and everything downstream (compaction, tracing) reads the
+    // delivered state straight off the packed word.
     for (std::size_t k = 0; k < winners; ++k) {
       const std::uint64_t v = ++ce[b[k]];
-      if (static_cast<std::uint32_t>(v) < (v >> 32)) {
-        forward(b[k], static_cast<std::uint32_t>(
-                          chan[static_cast<std::uint32_t>(v)]));
-      }
+      if (codec.more(v)) forward(b[k], codec.hop(v));
     }
     if (want_loads_) {
       loads.push_back({ob.chan, static_cast<std::uint32_t>(winners)});
@@ -566,19 +727,23 @@ void CycleEngine::Band::reset(std::uint32_t num_stages) {
 }
 
 /// The landing rule: an entry lands on the band that owns its channel —
-/// the channel's shard band in the sharded executor, the global band for
-/// spine channels and for every channel of the serial executor — and
-/// counts into the channel's bucket as it lands. Injection, compaction's
-/// reseed, the outbox landing and the global band's forwards all use it,
-/// so spine survivors reach their shard directly. The pointers are
-/// hoisted once (the bands' outer arrays never move during a run), which
-/// keeps the per-entry path in registers across the opaque push_back
-/// calls; reaching the bands through `this` would force member reloads
-/// on every entry (the same hoisting rule as the fused stage sweeps).
+/// the channel's shard band (the codec's shard_of) in the sharded
+/// executor, the global band for spine channels and for every channel of
+/// the serial executor — and counts into the channel's bucket as it
+/// lands. Injection, compaction's reseed, the outbox landing and the
+/// global band's forwards all use it, so spine survivors reach their
+/// shard directly. The pointers are hoisted once (the bands' outer arrays
+/// never move during a run), which keeps the per-entry path in registers
+/// across the opaque push_back calls; reaching the bands through `this`
+/// would force member reloads on every entry (the same hoisting rule as
+/// the fused stage sweeps). Only the codec's shard_of is used, which
+/// never reads the hop buffer.
+template <typename Codec>
 struct CycleEngine::Lander {
   explicit Lander(CycleEngine& e)
-      : bp(e.bucket_pos_.data()),
-        shard(e.sharded_ ? e.graph_.shard.data() : nullptr),
+      : codec(e),
+        bp(e.bucket_pos_.data()),
+        sharded(e.sharded_),
         bands(e.bands_.data()),
         g_lst(e.bands_.back().stage_list.data()),
         g_touch(e.bands_.back().stage_touched.data()) {}
@@ -589,23 +754,23 @@ struct CycleEngine::Lander {
 #if defined(__GNUC__) || defined(__clang__)
   __attribute__((always_inline))
 #endif
-  inline void operator()(std::uint64_t entry, std::uint32_t c,
-                         std::uint32_t s) const {
+  inline void operator()(std::uint32_t msg, Hop hop) const {
     auto* lst = g_lst;
     auto* touch = g_touch;
-    if (shard != nullptr) {
-      const std::uint32_t sh = shard[c];
+    if (sharded) {
+      const std::uint32_t sh = codec.shard_of(hop.chan);
       if (sh != ChannelGraph::kNoShard) {
         lst = bands[sh].stage_list.data();
         touch = bands[sh].stage_touched.data();
       }
     }
-    if (bp[c]++ == 0) touch[s].push_back(c);
-    lst[s].push_back(entry);
+    if (bp[hop.chan]++ == 0) touch[hop.stage].push_back(hop.chan);
+    lst[hop.stage].push_back(pack_entry(msg, hop.chan));
   }
 
+  Codec codec;
   std::uint32_t* bp;
-  const std::uint32_t* shard;  ///< nullptr in the serial executor
+  bool sharded;  ///< false in the serial executor
   Band* bands;
   BlockList<std::uint64_t>* g_lst;
   BlockList<std::uint32_t>* g_touch;
@@ -623,7 +788,7 @@ struct CycleEngine::Lander {
 /// set is assembled from the same messages, restored to ascending pending
 /// order before its pinned (seed, cycle, channel) lottery, and under-limit
 /// buckets admit everyone regardless of order.
-template <typename ChanT>
+template <typename Codec>
 #if defined(__GNUC__) && !defined(__clang__)
 // Past GCC's unit-growth inlining budget the inliner leaves the
 // push_back fast paths of the forward closures below as out-of-line
@@ -632,20 +797,17 @@ template <typename ChanT>
 // the unit budget.
 __attribute__((flatten))
 #endif
-void CycleEngine::run_cycle(const ChanT* chan, std::uint32_t cycle) {
+void CycleEngine::run_cycle(const Codec& codec, std::uint32_t cycle) {
   const std::uint32_t num_stages = graph_.num_stages;
-  const auto* const stg = stage_table<ChanT>();
   Band& global = bands_.back();
-  const Lander land(*this);
+  const Lander<Codec> land(*this);
 
   // The global band: the fused kernel on the coordinating thread.
   auto run_global = [&](std::uint32_t s_begin, std::uint32_t s_end) {
     for (std::uint32_t s = s_begin; s < s_end; ++s) {
       if (global.stage_list[s].empty()) continue;
-      fused_stage(chan, cycle, global, s,
-                  [&](std::uint32_t i, std::uint32_t nc) {
-                    land(pack_entry(i, nc), nc, stg[nc]);
-                  });
+      fused_stage(codec, cycle, global, s,
+                  [&](std::uint32_t i, Hop hop) { land(i, hop); });
     }
   };
 
@@ -659,33 +821,33 @@ void CycleEngine::run_cycle(const ChanT* chan, std::uint32_t cycle) {
 
   const std::uint32_t spine_lo = graph_.spine_stage_lo;
   const std::uint32_t spine_hi = graph_.spine_stage_hi;
-  const std::uint32_t* const shard_tbl = graph_.shard.data();
   const std::size_t num_shards = bands_.size() - 1;
   Band* const shards = bands_.data();
 
   // A shard's stage band: the fused kernel on its own scratch. The
   // forward rule is the shard invariant in code — below the spine a
-  // survivor's next channel is always ours; at or above it, anything not
-  // ours (spine channels, another shard's down channels) leaves through
-  // the outbox, because only the coordinating thread may land an entry
-  // on another band.
+  // survivor's next channel is always ours, and so is every next channel
+  // in the down band (descent never leaves the subtree); after the up
+  // band's turn, anything not ours (spine channels, another shard's down
+  // channels) leaves through the outbox, because only the coordinating
+  // thread may land an entry on another band.
   auto run_band = [&](Band& st, std::uint32_t my_shard,
                       std::uint32_t s_begin, std::uint32_t s_end) {
     std::uint32_t* const bp = bucket_pos_.data();
     auto* const lst = st.stage_list.data();
     auto* const touch = st.stage_touched.data();
+    const bool down = s_begin >= spine_hi;
     for (std::uint32_t s = s_begin; s < s_end; ++s) {
       if (lst[s].empty()) continue;
-      fused_stage(chan, cycle, st, s,
-                  [&](std::uint32_t i, std::uint32_t nc) {
-                    const std::uint32_t ns = stg[nc];
-                    if (ns < spine_lo || shard_tbl[nc] == my_shard) {
-                      if (bp[nc]++ == 0) touch[ns].push_back(nc);
-                      lst[ns].push_back(pack_entry(i, nc));
-                    } else {
-                      st.outbox.push_back(pack_entry(i, nc));
-                    }
-                  });
+      fused_stage(codec, cycle, st, s, [&](std::uint32_t i, Hop hop) {
+        const std::uint32_t nc = hop.chan;
+        if (down || hop.stage < spine_lo || codec.shard_of(nc) == my_shard) {
+          if (bp[nc]++ == 0) touch[hop.stage].push_back(nc);
+          lst[hop.stage].push_back(pack_entry(i, nc));
+        } else {
+          st.outbox.push_back(pack_entry(i, nc));
+        }
+      });
     }
   };
 
@@ -733,7 +895,7 @@ void CycleEngine::run_cycle(const ChanT* chan, std::uint32_t cycle) {
     std::vector<std::uint64_t>& outbox = shards[sh].outbox;
     for (const std::uint64_t e : outbox) {
       const std::uint32_t nc = entry_chan(e);
-      land(e, nc, stg[nc]);
+      land(entry_msg(e), {nc, codec.stage_of(nc)});
     }
     outbox.clear();
   }
@@ -905,16 +1067,16 @@ EngineResult CycleEngine::end_run(Frame& f) {
 }
 
 EngineResult CycleEngine::run_lossy(BatchFeed& feed, EngineObserver* observer) {
-  if (narrow_) {
-    return run_lossy_t<std::uint16_t>(chan_buf16_, feed, observer);
+  if (graph_.tree_height != 0) {
+    return run_lossy_t<AddressCodec>(feed, observer);
   }
-  return run_lossy_t<std::uint32_t>(chan_buf_, feed, observer);
+  return run_lossy_t<CsrCodec>(feed, observer);
 }
 
-template <typename ChanT>
-EngineResult CycleEngine::run_lossy_t(HopBuffer<ChanT>& chan_buf,
-                                      BatchFeed& feed,
+template <typename Codec>
+EngineResult CycleEngine::run_lossy_t(BatchFeed& feed,
                                       EngineObserver* observer) {
+  constexpr bool kAddress = std::is_same_v<Codec, AddressCodec>;
   Frame f = begin_run(observer);
   EngineResult& result = f.result;
   const bool trace = f.trace;
@@ -922,20 +1084,17 @@ EngineResult CycleEngine::run_lossy_t(HopBuffer<ChanT>& chan_buf,
   const std::size_t num_channels = graph_.num_channels();
   bucket_pos_.assign(num_channels, 0);
   for (Band& b : bands_) b.reset(graph_.num_stages);
-  chan_buf.clear();
+  chan_buf_.clear();
   ce_.clear();
-  begin_.clear();
   id_.clear();
-  first_chan_.clear();
   attempts_.clear();
   wake_.clear();
   inject_cycle_.clear();
 
   std::uint32_t next_id = 0;
-  const auto* const stg = stage_table<ChanT>();
   // Every worklist seed — injection, and compaction's reseed of retries —
   // lands on the band that owns the message's first channel.
-  const Lander land(*this);
+  const Lander<Codec> land(*this);
 
   // The retry policy is sampled once per run; with it off, compaction
   // reseeds every loser for the next cycle.
@@ -955,100 +1114,64 @@ EngineResult CycleEngine::run_lossy_t(HopBuffer<ChanT>& chan_buf,
   // Messages seeded to contend in the current cycle; equals pending when
   // no retry policy parks anyone.
   std::uint64_t contenders = 0;
+  const std::uint32_t* const ctbl = check_tbl_.data();
+  const auto nch = static_cast<std::uint32_t>(num_channels);
 
   while (!feed.exhausted() || !ce_.empty()) {
     const std::uint32_t cycle = begin_cycle(f);
     std::uint32_t delivered_now = 0;
     std::uint32_t backoffs_now = 0;
     std::uint32_t gave_up_now = 0;
-    while (const PathSet* batch_ptr = feed.next(cycle)) {
-      const PathSet& batch = *batch_ptr;
-      const std::uint32_t* const chans = batch.channels().data();
-      const std::uint32_t* const offs = batch.offsets().data();
-      const std::size_t num_paths = batch.size();
-      // The batch's hops land in the engine's (possibly narrowed) buffer
-      // at base; message slices keep their offsets relative to base, so
-      // path layout is untouched. Streamed sources can concatenate past
-      // the single-PathSet bound, so the combined buffer re-proves the
-      // 32-bit offset and message-index invariants every batch (the
-      // narrowing helper aborts on the first workload that genuinely
-      // outgrows the index discipline).
-      const std::uint32_t base =
-          checked_u32(chan_buf.size(), "injected hop buffer overflows "
-                                       "32-bit offsets");
-      const std::size_t hops = batch.channels().size();
-      FT_CHECK_MSG(base + static_cast<std::uint64_t>(hops) < 0xffffffffULL,
-                   "injected hop buffer overflows 32-bit offsets");
-      FT_CHECK_MSG(ce_.size() + num_paths < 0xffffffffULL &&
-                       next_id + static_cast<std::uint64_t>(num_paths) <
+
+    // Injects one batch of `num` messages, whatever its input. A message
+    // is routed when routed(p) holds, and then encode(p) checks it and
+    // returns its word; otherwise encode(p) only checks it, and the
+    // message is a local delivery that takes an id but no message index.
+    // The batch splits into ranges, four per pool participant (the
+    // workers and this thread) when its `work` pays for a pool wakeup,
+    // otherwise one range run inline. A serial count of each range's
+    // routed messages gives the range its first message index, so
+    // indices — like ids, one per message — keep arrival order whichever
+    // thread fills them.
+    const auto inject = [&](std::size_t num, std::size_t work,
+                            const auto& routed, const auto& encode) {
+      FT_CHECK_MSG(ce_.size() + num < 0xffffffffULL &&
+                       next_id + static_cast<std::uint64_t>(num) <
                            0xffffffffULL,
                    "live message count overflows 32-bit message indices");
-      chan_buf.grow_to(base + hops);
-
-      // The batch splits into path ranges, four per pool participant (the
-      // workers and this thread) when its hops pay for a pool wakeup,
-      // otherwise one range run inline. A serial count of each range's
-      // routed (non-empty) paths gives the range its first message index,
-      // so indices — like ids, one per path — keep arrival order whichever
-      // thread fills them.
       const std::size_t num_ranges =
-          pool_ != nullptr && hops >= kMinParallelWork
-              ? std::min(num_paths, 4 * (pool_->size() + 1))
+          pool_ != nullptr && work >= kMinParallelWork
+              ? std::min(num, 4 * (pool_->size() + 1))
               : 1;
-      const auto path_lo = [&](std::size_t r) {
-        return r * num_paths / num_ranges;
-      };
+      const auto lo = [&](std::size_t r) { return r * num / num_ranges; };
       range_first_.resize(num_ranges);
       const auto first = static_cast<std::uint32_t>(ce_.size());
       std::uint32_t routed_end = first;
       for (std::size_t r = 0; r < num_ranges; ++r) {
         range_first_[r] = routed_end;
-        for (std::size_t p = path_lo(r); p < path_lo(r + 1); ++p) {
-          routed_end += offs[p] != offs[p + 1] ? 1 : 0;
+        for (std::size_t p = lo(r); p < lo(r + 1); ++p) {
+          routed_end += routed(p) ? 1 : 0;
         }
       }
       ce_.resize(routed_end);
-      begin_.resize(routed_end);
       id_.resize(routed_end);
-      first_chan_.resize(routed_end);
       if (retry_on) {
         attempts_.resize(routed_end, 1);
         wake_.resize(routed_end, cycle);
       }
       if (lat_on) inject_cycle_.resize(routed_end, cycle);
 
-      // Each range checks every hop — a known channel, in strictly
-      // increasing stage order (check_tbl_) — copies it into the hop
-      // buffer and writes its routed paths' message rows.
-      const std::uint32_t* const ctbl = check_tbl_.data();
-      const auto nch = static_cast<std::uint32_t>(num_channels);
       const std::uint32_t* const rf = range_first_.data();
-      ChanT* const dst = chan_buf.data() + base;
       std::uint64_t* const ce = ce_.data();
-      std::uint32_t* const bg = begin_.data();
       std::uint32_t* const ids = id_.data();
-      std::uint32_t* const fcs = first_chan_.data();
       const std::uint32_t id0 = next_id;
       const auto inject_range = [&](std::size_t r) {
         std::uint32_t i = rf[r];
-        for (std::size_t p = path_lo(r); p < path_lo(r + 1); ++p) {
-          const std::uint32_t off = offs[p];
-          const std::uint32_t end = offs[p + 1];
-          std::uint32_t prev = 0;
-          for (std::uint32_t h = off; h < end; ++h) {
-            const std::uint32_t c = chans[h];
-            const std::uint32_t v = c < nch ? ctbl[c] : 0;
-            FT_CHECK_MSG(v != 0, "path uses an unknown channel");
-            FT_CHECK_MSG(v > prev, "path stages must strictly increase");
-            prev = v;
-            dst[h] = static_cast<ChanT>(c);
-          }
-          if (off == end) continue;  // local delivery, no channel used
-          ce[i] =
-              (static_cast<std::uint64_t>(base + end) << 32) | (base + off);
-          bg[i] = base + off;
+        for (std::size_t p = lo(r); p < lo(r + 1); ++p) {
+          const std::uint64_t w = encode(p);
+          if (!routed(p)) continue;
+          ce[i] = w;
           ids[i] = id0 + static_cast<std::uint32_t>(p);
-          fcs[i] = chans[off];
           ++i;
         }
       };
@@ -1060,35 +1183,125 @@ EngineResult CycleEngine::run_lossy_t(HopBuffer<ChanT>& chan_buf,
 
       // After the join the coordinating thread lands the seeds in
       // ascending index order, so every worklist holds what a serial
-      // injection loop would have seeded, then settles the local paths
-      // and emits the batch's events in id order.
+      // injection loop would have seeded, then settles the local
+      // messages and emits the batch's events in id order.
+      const Codec codec(*this);
       for (std::uint32_t i = first; i < routed_end; ++i) {
-        const std::uint32_t fc = fcs[i];
-        land(pack_entry(i, fc), fc, stg[fc]);
+        land(i, codec.hop(ce[i]));
       }
       contenders += routed_end - first;
       const auto locals =
-          static_cast<std::uint32_t>(num_paths - (routed_end - first));
+          static_cast<std::uint32_t>(num - (routed_end - first));
       delivered_now += locals;
       if (lat_on) {
         lat_samples_.insert(lat_samples_.end(), locals, LatencySample{1, 1});
       }
       if (trace) {
-        for (std::size_t p = 0; p < num_paths; ++p) {
+        std::uint32_t i = first;
+        for (std::size_t p = 0; p < num; ++p) {
           const std::uint32_t id = id0 + static_cast<std::uint32_t>(p);
-          if (offs[p] == offs[p + 1]) {
+          if (!routed(p)) {
             observer->on_message_event(
                 {MessageEventKind::Inject, id, cycle, kNoChannel});
             observer->on_message_event(
                 {MessageEventKind::Deliver, id, cycle, kNoChannel});
           } else {
             observer->on_message_event(
-                {MessageEventKind::Inject, id, cycle, chans[offs[p]]});
+                {MessageEventKind::Inject, id, cycle, codec.hop(ce[i++]).chan});
           }
         }
       }
-      next_id += static_cast<std::uint32_t>(num_paths);
+      next_id += static_cast<std::uint32_t>(num);
+    };
+
+    while (const Batch batch = feed.next(cycle)) {
+      if (batch.pairs != nullptr) {
+        // Leaf pairs (tagged graphs only; the entry points check it).
+        if constexpr (kAddress) {
+          const LeafPair* const pairs = batch.pairs->data();
+          const std::uint32_t leaf0 = 1u << graph_.tree_height;
+          const AddressCodec codec(*this);
+          const bool check_hops = !tree_usable_;
+          inject(
+              batch.pairs->size(), batch.pairs->size(),
+              [pairs](std::size_t p) { return pairs[p].src != pairs[p].dst; },
+              [&](std::size_t p) {
+                const LeafPair q = pairs[p];
+                FT_CHECK_MSG(q.src < leaf0 && q.dst < leaf0,
+                             "leaf pair outside the tree");
+                const std::uint64_t w =
+                    AddressCodec::encode(leaf0 + q.src, leaf0 + q.dst);
+                if (check_hops) {
+                  // A zero-capacity channel exists (the constructor's
+                  // scan), so this path is checked hop by hop, as a
+                  // PathSet path is.
+                  for (std::uint64_t v = w; AddressCodec::more(v); ++v) {
+                    FT_CHECK_MSG(ctbl[codec.hop(v).chan] != 0,
+                                 "path uses an unknown channel");
+                  }
+                }
+                return w;
+              });
+        }
+        continue;
+      }
+      const PathSet& set = *batch.paths;
+      const std::uint32_t* const chans = set.channels().data();
+      const std::uint32_t* const offs = set.offsets().data();
+      const auto routed = [offs](std::size_t p) {
+        return offs[p] != offs[p + 1];
+      };
+      if constexpr (kAddress) {
+        // A PathSet on a tagged graph is checked as on any graph, then
+        // must be its endpoints' tree path: its first and last hops sit
+        // above leaves (the codec counts stages from the leaves), and
+        // every hop is the one the address word names. It then encodes
+        // as that word.
+        const std::uint32_t leaf0 = 1u << graph_.tree_height;
+        const AddressCodec codec(*this);
+        inject(set.size(), set.total_hops(), routed, [&](std::size_t p) {
+          const std::uint32_t off = offs[p];
+          const std::uint32_t len = offs[p + 1] - off;
+          check_path(ctbl, nch, chans + off, len);
+          if (len == 0) return std::uint64_t{0};
+          const std::uint32_t c0 = chans[off];
+          const std::uint32_t cl = chans[off + len - 1];
+          const std::uint64_t w = AddressCodec::encode(c0 >> 1, cl >> 1);
+          bool tree = (c0 >> 1) >= leaf0 && (cl >> 1) >= leaf0 &&
+                      len == 2 * AddressCodec::turn(w);
+          for (std::uint32_t k = 0; tree && k < len; ++k) {
+            tree = codec.hop(w + k).chan == chans[off + k];
+          }
+          FT_CHECK_MSG(tree, "path is not its endpoints' tree path");
+          return w;
+        });
+      } else {
+        // The batch's hops are copied into the hop buffer at base; each
+        // path's word names its slice there. Streamed sources can
+        // concatenate past the single-PathSet bound, so the combined
+        // buffer re-proves the 32-bit offset invariant every batch.
+        const std::uint32_t base =
+            checked_u32(chan_buf_.size(), "injected hop buffer overflows "
+                                          "32-bit offsets");
+        const std::size_t hops = set.total_hops();
+        FT_CHECK_MSG(base + static_cast<std::uint64_t>(hops) < 0xffffffffULL,
+                     "injected hop buffer overflows 32-bit offsets");
+        chan_buf_.grow_to(base + hops);
+        std::uint32_t* const dst = chan_buf_.data() + base;
+        inject(set.size(), hops, routed, [&](std::size_t p) {
+          const std::uint32_t off = offs[p];
+          const std::uint32_t len = offs[p + 1] - off;
+          check_path(ctbl, nch, chans + off, len);
+          FT_CHECK_MSG(len <= CsrCodec::kMaxLen,
+                       "path longer than 65535 hops");
+          std::copy(chans + off, chans + off + len, dst + off);
+          return CsrCodec::encode(base + off, len);
+        });
+      }
     }
+    // Injection may have moved the hop buffer: the sweep and compaction
+    // read hops through a codec built after it.
+    const Codec codec(*this);
     const std::size_t pending_before = ce_.size();
     // Messages parked in backoff are alive but do not contend; without a
     // retry policy every pending message was seeded, so contenders ==
@@ -1103,10 +1316,12 @@ EngineResult CycleEngine::run_lossy_t(HopBuffer<ChanT>& chan_buf,
       if (b.sort_bits.size() < words) b.sort_bits.resize(words, 0);
     }
     if (trace) {
+      // Every live cursor is at its first hop: fresh, or rewound by the
+      // last compaction.
       for (std::size_t i = 0; i < pending_before; ++i) {
         if (retry_on && wake_[i] != cycle) continue;  // parked in backoff
         observer->on_message_event(
-            {MessageEventKind::Attempt, id_[i], cycle, first_chan_[i]});
+            {MessageEventKind::Attempt, id_[i], cycle, codec.hop(ce_[i]).chan});
       }
     }
 
@@ -1115,8 +1330,7 @@ EngineResult CycleEngine::run_lossy_t(HopBuffer<ChanT>& chan_buf,
     // were seeded by last cycle's compaction (retries) and this cycle's
     // injection, both in ascending message order. The sweep leaves the
     // cycle's loss and hop counts on the global band.
-    const ChanT* chan = chan_buf.data();
-    run_cycle(chan, cycle);
+    run_cycle(codec, cycle);
     Band& global = bands_.back();
     const std::uint64_t cycle_losses = global.losses;
     result.total_hops += global.hops;
@@ -1130,13 +1344,12 @@ EngineResult CycleEngine::run_lossy_t(HopBuffer<ChanT>& chan_buf,
       for (std::size_t i = 0; i < ce_.size(); ++i) {
         if (retry_on && wake_[i] != cycle) continue;  // parked: no outcome
         const std::uint64_t v = ce_[i];
-        if (static_cast<std::uint32_t>(v) == (v >> 32)) {
+        if (!codec.more(v)) {
           observer->on_message_event(
               {MessageEventKind::Deliver, id_[i], cycle, kNoChannel});
         } else {
           observer->on_message_event(
-              {MessageEventKind::Loss, id_[i], cycle,
-               chan[static_cast<std::uint32_t>(v)]});
+              {MessageEventKind::Loss, id_[i], cycle, codec.hop(v).chan});
         }
       }
     }
@@ -1151,15 +1364,13 @@ EngineResult CycleEngine::run_lossy_t(HopBuffer<ChanT>& chan_buf,
     {
       const std::size_t pending = ce_.size();
       std::uint64_t* const ce = ce_.data();
-      std::uint32_t* const bg = begin_.data();
       std::uint32_t* const ids = id_.data();
-      std::uint32_t* const fcs = first_chan_.data();
       std::uint32_t* const ic = inject_cycle_.data();
       std::uint32_t* const att = attempts_.data();
       std::uint32_t* const wk = wake_.data();
       for (std::size_t i = 0; i < pending; ++i) {
         const std::uint64_t v = ce[i];
-        if (static_cast<std::uint32_t>(v) == (v >> 32)) {
+        if (!codec.more(v)) {
           ++delivered_now;
           // Latency counts delivery cycles from injection inclusive;
           // ideal is 1 in the lossy modes (an uncontended path traverses
@@ -1192,7 +1403,7 @@ EngineResult CycleEngine::run_lossy_t(HopBuffer<ChanT>& chan_buf,
                 // channel's run of over-limit cycles if that run reaches
                 // this cycle, and counts only on the in-budget channels
                 // the utilization observers watch.
-                const std::uint32_t c = chan[static_cast<std::uint32_t>(v)];
+                const std::uint32_t c = codec.hop(v).chan;
                 const std::uint32_t streak =
                     hot_last_[c] == cycle && graph_.in_budget(c)
                         ? cycle - hot_start_[c] + 1
@@ -1226,9 +1437,8 @@ EngineResult CycleEngine::run_lossy_t(HopBuffer<ChanT>& chan_buf,
             if (delay > 0) {
               ++backoffs_now;
               if (trace) {
-                observer->on_message_event(
-                    {MessageEventKind::Backoff, ids[i], cycle,
-                     chan[static_cast<std::uint32_t>(v)]});
+                observer->on_message_event({MessageEventKind::Backoff, ids[i],
+                                            cycle, codec.hop(v).chan});
               }
             }
             next_wake = cycle + 1 + delay;
@@ -1236,13 +1446,10 @@ EngineResult CycleEngine::run_lossy_t(HopBuffer<ChanT>& chan_buf,
             next_wake = wk[i];  // parked; cursor already at the first hop
           }
         }
-        // Rewind the cursor to the first hop; the end half is untouched.
-        const std::uint32_t b = bg[i];
-        const std::uint32_t fc = fcs[i];
-        ce[kept] = (v & 0xffffffff00000000ull) | b;
-        bg[kept] = b;
+        // Rewind the cursor to the first hop; the rest of the word stays.
+        const std::uint64_t r = Codec::rewind(v);
+        ce[kept] = r;
         if (trace) ids[kept] = ids[i];  // ids are only read when tracing
-        fcs[kept] = fc;
         if (lat_on) ic[kept] = ic[i];
         const bool reseed = next_wake == cycle + 1;
         if (retry_on) {
@@ -1250,16 +1457,14 @@ EngineResult CycleEngine::run_lossy_t(HopBuffer<ChanT>& chan_buf,
           wk[kept] = next_wake;
         }
         if (reseed) {
-          land(pack_entry(static_cast<std::uint32_t>(kept), fc), fc, stg[fc]);
+          land(static_cast<std::uint32_t>(kept), codec.hop(r));
           ++contenders;
         }
         ++kept;
       }
     }
     ce_.resize(kept);
-    begin_.resize(kept);
     id_.resize(kept);
-    first_chan_.resize(kept);
     if (retry_on) {
       attempts_.resize(kept);
       wake_.resize(kept);

@@ -2,7 +2,8 @@
 // the paper's batched cycle loop (Section II: contending bit-serial
 // traffic, loss + acknowledgment + retry) for every router in the
 // repository; the per-topology simulators are thin adapters that compile
-// their topology into a ChannelGraph and their messages into EnginePaths.
+// their topology into a ChannelGraph and their messages into EnginePaths,
+// or, on a fat-tree graph, hand over leaf pairs.
 //
 // Policy points:
 //   * Contention — how a channel resolves more contenders than wires:
@@ -18,17 +19,19 @@
 //   * Channel model — the ChannelGraph handed to the constructor
 //     (engine/fat_tree_model.hpp, nets/Network, kary/KaryTree adapters).
 //
-// The lossy and tally modes have one stage kernel (fused_stage) and two
-// executors: serial, and — on graphs that carry a subtree-shard partition
-// — the sharded executor, whose shards sweep the up and down stage bands
-// on a persistent thread pool, where large injected batches are also
-// validated and copied in path ranges. FIFO mode resolves channel ranges
-// on the pool. Results are identical to serial mode: every random
-// arbitration draws from a private stream seeded by (seed, cycle,
-// channel), so no decision depends on thread scheduling, and FIFO
-// arrivals are merged in channel-index order. Lossy cycles and FIFO
-// rounds run in one cycle frame (begin_run .. end_run), so fault
-// transitions, the snapshot and phase timing exist once.
+// The lossy and tally modes have one stage kernel (fused_stage), two path
+// codecs — by address on a fat-tree graph (ChannelGraph::tree_height),
+// the u32 CSR hop buffer on any other — and two executors: serial, and —
+// on graphs that carry a subtree-shard partition — the sharded executor,
+// whose shards sweep the up and down stage bands on a persistent thread
+// pool, where large injected batches are also validated and encoded in
+// ranges. FIFO mode resolves channel ranges on the pool. Results are
+// identical to serial mode: every random arbitration draws from a private
+// stream seeded by (seed, cycle, channel), so no decision depends on
+// thread scheduling, and FIFO arrivals are merged in channel-index order.
+// Lossy cycles and FIFO rounds run in one cycle frame (begin_run ..
+// end_run), so fault transitions, the snapshot and phase timing exist
+// once.
 #pragma once
 
 #include <algorithm>
@@ -236,13 +239,23 @@ class CycleEngine {
   EngineResult run_batched_stream(MessageSource& source,
                                   EngineObserver* observer = nullptr);
 
+  /// The same two streaming runs over leaf pairs, on a fat-tree graph
+  /// (tree_height != 0) in a lossy or tally mode: each pair is routed on
+  /// its tree path, bit-identical to the PathSet runs on the compiled
+  /// paths — a self pair is a local delivery with its own id, as an empty
+  /// path is.
+  EngineResult run_stream(PairSource& source,
+                          EngineObserver* observer = nullptr);
+  EngineResult run_batched_stream(PairSource& source,
+                                  EngineObserver* observer = nullptr);
+
  private:
-  /// The injected hop buffer: a trivially copyable array that grows by
-  /// realloc and leaves new elements uninitialized. std::vector::resize
-  /// zero-fills the new tail and copies the whole buffer on every
-  /// doubling; glibc grows the large (mmap-served) blocks with mremap
-  /// instead, and the injection ranges that fill the tail are the first
-  /// to touch its pages. clear() keeps the capacity.
+  /// The CSR codec's injected hop buffer: a trivially copyable array that
+  /// grows by realloc and leaves new elements uninitialized.
+  /// std::vector::resize zero-fills the new tail and copies the whole
+  /// buffer on every doubling; glibc grows the large (mmap-served) blocks
+  /// with mremap instead, and the injection ranges that fill the tail are
+  /// the first to touch its pages. clear() keeps the capacity.
   template <typename T>
   class HopBuffer {
    public:
@@ -252,6 +265,7 @@ class CycleEngine {
     HopBuffer& operator=(const HopBuffer&) = delete;
 
     T* data() { return data_; }
+    const T* data() const { return data_; }
     std::size_t size() const { return size_; }
     void clear() { size_ = 0; }
     /// Sets the size to n; elements past the old size are uninitialized.
@@ -307,14 +321,13 @@ class CycleEngine {
     BlockPool<std::uint32_t> touched_pool;
     /// Worklists: stage_list[s] holds the band's live messages whose next
     /// channel lies in stage s, packed as (msg << 32) | channel so bucket
-    /// building never re-derives the channel through the message table
-    /// and the CSR buffer. Seeded from each message's first hop (at
-    /// injection, and by compaction for retries); stage s arbitration
-    /// appends its survivors directly to later stages (paths have
-    /// strictly increasing stages), so a cycle costs O(hops) instead of
-    /// O(stages × pending). List order is unobservable: a later bucket
-    /// either sorts its contenders before the lottery or is under limit,
-    /// where order decides nothing.
+    /// building never decodes the channel from the message's word. Seeded
+    /// from each message's first hop (at injection, and by compaction for
+    /// retries); stage s arbitration appends its survivors directly to
+    /// later stages (paths have strictly increasing stages), so a cycle
+    /// costs O(hops) instead of O(stages × pending). List order is
+    /// unobservable: a later bucket either sorts its contenders before the
+    /// lottery or is under limit, where order decides nothing.
     std::vector<BlockList<std::uint64_t>> stage_list;
     /// stage_touched[s] lists the band's distinct stage-s channels with a
     /// nonzero contender count (bucket_pos_).
@@ -336,46 +349,53 @@ class CycleEngine {
     /// max_cycles stopped left in its lists.
     void reset(std::uint32_t num_stages);
   };
+  /// The two path codecs (defined in engine.cpp): how a live message's ce_
+  /// word names its hops. AddressCodec, on a tagged fat-tree graph, packs
+  /// the message's source and destination heap nodes with its hop cursor
+  /// and derives every hop's channel, stage and shard with shifts;
+  /// CsrCodec packs (begin, length, cursor) into the u32 hop buffer and
+  /// reads the graph's stage and shard tables.
+  struct AddressCodec;
+  struct CsrCodec;
+  /// One hop of a path: its channel and that channel's stage.
+  struct Hop {
+    std::uint32_t chan;
+    std::uint32_t stage;
+  };
   /// The landing rule over hoisted band pointers (defined in engine.cpp).
+  template <typename Codec>
   struct Lander;
   /// The cycle frame run_lossy_t and run_fifo share (defined in
   /// engine.cpp): the observer's per-run opt-ins, the run's FaultState,
   /// the current cycle's fault transitions and the phase accounting.
   struct Frame;
 
-  /// Base pointer of the stage lookup table for the given hop width
-  /// (stage16_ on the narrow path, the graph's table on the wide one).
-  /// Hot loops hoist it into a local so worklist reallocations never
-  /// force a reload.
-  template <typename ChanT>
-  const auto* stage_table() const;
   /// The stage kernel (bucket counting, arbitration, accounting, survivor
   /// forwarding in two sweeps) over one band's stage worklist and scratch.
   /// On cycles with channel state (want_loads_) it appends each
   /// arbitrated channel to the band's list. `forward` is invoked as
-  /// forward(msg, next_channel) for every surviving message with hops
-  /// left and routes it to its next worklist. Must inline into its
+  /// forward(msg, next_hop) for every surviving message with hops left
+  /// and routes it to its next worklist. Must inline into its
   /// caller: the forward closures capture caller-local hoisted pointers
   /// by reference, and an out-of-line instantiation reads them through
   /// the closure on every inner-loop iteration (measured ~25% of lossy
   /// throughput when the compiler declined on size alone).
-  template <typename ChanT, typename Forward>
+  template <typename Codec, typename Forward>
 #if defined(__GNUC__) || defined(__clang__)
   __attribute__((always_inline))
 #endif
-  inline void fused_stage(const ChanT* chan, std::uint32_t cycle, Band& band,
-                          std::uint32_t stage, Forward&& forward);
+  inline void fused_stage(const Codec& codec, std::uint32_t cycle,
+                          Band& band, std::uint32_t stage, Forward&& forward);
   /// One full cycle's stage sweep: every stage on the global band
   /// (serial), or parallel shard up phases, the serial outbox landing +
   /// spine band, parallel shard down phases and a fold of the shards'
   /// counters and lists into the global band (sharded; see DESIGN.md,
   /// "Scale-out").
-  template <typename ChanT>
-  void run_cycle(const ChanT* chan, std::uint32_t cycle);
+  template <typename Codec>
+  void run_cycle(const Codec& codec, std::uint32_t cycle);
   EngineResult run_lossy(BatchFeed& feed, EngineObserver* observer);
-  template <typename ChanT>
-  EngineResult run_lossy_t(HopBuffer<ChanT>& chan_buf, BatchFeed& feed,
-                           EngineObserver* observer);
+  template <typename Codec>
+  EngineResult run_lossy_t(BatchFeed& feed, EngineObserver* observer);
   EngineResult run_fifo(const PathSet& paths, EngineObserver* observer);
 
   /// The cycle frame's four steps. begin_run samples the observer's
@@ -426,13 +446,6 @@ class CycleEngine {
   std::vector<std::uint32_t> attempts_;
   std::vector<std::uint32_t> wake_;
 
-  /// Graphs with at most 2^16 channels and stages — every simulator in
-  /// the repository — run the lossy loop on 16-bit hop and stage buffers:
-  /// half the random-access footprint of the per-cycle path walk, which
-  /// is what the L2 working set is made of.
-  bool narrow_ = false;
-  std::vector<std::uint16_t> stage16_;   ///< narrow copy of graph_.stage
-
   /// Path validation table: stage + 1 for a usable channel, 0 for an
   /// unknown one (zero capacity, or outside both the shard partition and
   /// the spine band of a partitioned graph). Injection validates each hop
@@ -441,29 +454,28 @@ class CycleEngine {
   /// strictly increase — the worklist invariant that buckets each message
   /// once per cycle.
   std::vector<std::uint32_t> check_tbl_;
+  /// Tagged graphs: every tree channel (heap nodes 2 .. 2^(L+1) - 1) is
+  /// usable, proved by one scan at construction. Leaf pairs then inject
+  /// with no per-hop check; otherwise each pair's hops are checked as a
+  /// path's are.
+  bool tree_usable_ = false;
 
   // All per-run/per-cycle scratch below (and the bands' scratch above) is
   // a member so repeated run() calls on one engine reach a steady state
   // with no allocation: vectors are cleared, never shrunk, and the stage
   // lists recycle their blocks through the band pools, which keep every
   // block they have allocated.
-  HopBuffer<std::uint32_t> chan_buf_;    ///< injected CSR hops (wide)
-  HopBuffer<std::uint16_t> chan_buf16_;  ///< injected CSR hops (narrow)
+  HopBuffer<std::uint32_t> chan_buf_;  ///< injected hops (CSR codec)
   /// The first message index of each injection range of the current
   /// batch (run_lossy_t).
   std::vector<std::uint32_t> range_first_;
   /// Live messages, injection order, struct-of-arrays. The stage sweeps
-  /// index messages randomly but only ever touch the packed
-  /// (end << 32) | cursor word — advance is one 64-bit increment, the
-  /// delivered test one compare — so splitting the cold fields out halves
-  /// the random-access footprint of a cycle. begin_ (cursor rewind) and
-  /// id_ (trace events) are read in index order once per cycle at most.
-  std::vector<std::uint64_t> ce_;     ///< (end << 32) | cursor per message
-  std::vector<std::uint32_t> begin_;  ///< first hop, index into chan_buf_
-  std::vector<std::uint32_t> id_;     ///< injection-order message id
-  /// First hop of each live message, cached at injection so the per-cycle
-  /// reseed never chases the (cold) CSR buffer. Compacted with ce_.
-  std::vector<std::uint32_t> first_chan_;
+  /// index messages randomly but only ever touch the codec's packed word,
+  /// whose low bits are the hop cursor — advance is one 64-bit increment
+  /// — and which names every hop, the first one (reseed) included. id_
+  /// (trace events) is read in index order once per cycle at most.
+  std::vector<std::uint64_t> ce_;  ///< the codec's word per message
+  std::vector<std::uint32_t> id_;  ///< injection-order message id
   /// Bucket state, shared by every band (channels partition across bands
   /// and stages). Contender counts accumulate where an entry lands, so
   /// counts for a later stage are stable by the time it runs:

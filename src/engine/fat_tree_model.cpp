@@ -15,6 +15,9 @@ ChannelGraph fat_tree_channel_graph(const FatTreeTopology& topo,
   g.in_wire_budget.assign(bound, 0);
   g.num_stages = 2 * L;
   g.num_levels = L + 1;
+  FT_CHECK_MSG(L <= ChannelGraph::kMaxTreeHeight,
+               "fat-tree too tall for the engine's address word");
+  g.tree_height = L;
   if (shard_level > 0) {
     FT_CHECK_MSG(shard_level < L,
                  "shard_level must leave at least the leaf level inside "

@@ -1,8 +1,10 @@
 // Fat-tree channel model for the CycleEngine: compiles a FatTreeTopology +
-// CapacityProfile into the engine's flat ChannelGraph and message sets
-// into EnginePaths. Channel indices reuse core/topology.hpp's
-// channel_index() (node * 2 + direction), so per-channel counters line up
-// with the rest of the core layer.
+// CapacityProfile into the engine's flat ChannelGraph, tagged with the
+// tree's height so the engine routes leaf pairs by address, and message
+// sets into EnginePaths for callers that want explicit paths. Channel
+// indices reuse core/topology.hpp's channel_index() (node * 2 +
+// direction), so per-channel counters line up with the rest of the core
+// layer.
 //
 // Arbitration stages encode the paper's causal order within a delivery
 // cycle: up channels from the leaves toward the root (stage = L - level),
@@ -70,6 +72,9 @@ std::vector<EnginePath> fat_tree_engine_paths(const FatTreeTopology& topo,
 /// time: the full PathSet for an n = 2^20 permutation (~160 MiB of CSR)
 /// never exists; peak input memory is one chunk. Self messages become
 /// empty paths (local delivery), exactly as fat_tree_path_set emits them.
+/// The routers hand the engine leaf pairs instead; on the tagged graph a
+/// streamed path is checked against its leaves' tree path and routed as
+/// that pair.
 class FatTreePathSource final : public MessageSource {
  public:
   FatTreePathSource(const FatTreeTopology& topo, MessageStream& messages,

@@ -1,7 +1,8 @@
 // Streaming message input for the delivery-cycle engine. A MessageSource
-// hands the engine one PathSet chunk at a time instead of materializing
-// every path for the whole run up front, so peak memory for an n = 2^20
-// workload is O(chunk), not O(n) (see DESIGN.md "Scale-out").
+// hands the engine one PathSet chunk at a time, and a PairSource one chunk
+// of leaf pairs (fat-tree graphs only), instead of materializing every
+// message for the whole run up front, so peak input memory for an
+// n = 2^20 workload is O(chunk), not O(n) (see DESIGN.md "Scale-out").
 //
 // Contract: next_chunk() clears `chunk`, refills it with the next batch of
 // paths (at most the source's chunk size) and returns true, or returns
@@ -12,6 +13,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #include "engine/channel_graph.hpp"
 
@@ -29,6 +32,23 @@ class MessageSource {
   /// Fills `chunk` with the next batch of paths. Returns false (with
   /// `chunk` empty) when exhausted.
   virtual bool next_chunk(PathSet& chunk) = 0;
+};
+
+/// One message between two leaves (0 .. 2^L - 1) of a tagged fat-tree
+/// graph (ChannelGraph::tree_height). Its path is the tree path between
+/// them; a self pair is a local delivery.
+struct LeafPair {
+  std::uint32_t src;
+  std::uint32_t dst;
+};
+
+/// Streaming leaf-pair input, under MessageSource's contract: next_chunk
+/// clears `chunk` and refills it, or returns false with `chunk` empty once
+/// the source is exhausted.
+class PairSource {
+ public:
+  virtual ~PairSource() = default;
+  virtual bool next_chunk(std::vector<LeafPair>& chunk) = 0;
 };
 
 /// Adapts an already-materialized PathSet to the streaming interface by

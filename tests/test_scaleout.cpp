@@ -1,9 +1,9 @@
 // Scale-out regression tests: streamed message sets are bit-identical to
-// materialized ones (results and trace streams), the narrow/wide channel
-// index boundary at 2^16 channels is seamless, checked narrowing aborts
-// at the 32-bit boundary, and the subtree-sharded parallel executor
-// matches the serial engine on every workload shape — including faults
-// and retry policies. See DESIGN.md "Scale-out".
+// materialized ones (results and trace streams), the address codec of
+// fat-tree graphs matches the CSR codec, unused channels change nothing,
+// checked narrowing aborts at the 32-bit boundary, and the subtree-sharded
+// parallel executor matches the serial engine on every workload shape —
+// including faults and retry policies. See DESIGN.md "Scale-out".
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -258,12 +258,183 @@ TEST(Scaleout, KaryStreamMatchesMaterialized) {
   EXPECT_EQ(streamed.mean_link_load, tracker.mean_positive_load());
 }
 
-// --- Narrow/wide boundary -------------------------------------------------
+// --- Address codec ≡ CSR codec -------------------------------------------
+
+/// The same graph with its tree tag cleared: the engine then routes every
+/// message through the u32 CSR hop buffer and the graph's tables.
+ChannelGraph untagged(ChannelGraph g) {
+  g.tree_height = 0;
+  return g;
+}
+
+void expect_same_faults(const EngineResult& a, const EngineResult& b,
+                        const char* label) {
+  EXPECT_EQ(a.fault_down_events, b.fault_down_events) << label;
+  EXPECT_EQ(a.fault_up_events, b.fault_up_events) << label;
+  EXPECT_EQ(a.subtree_kill_events, b.subtree_kill_events) << label;
+  EXPECT_EQ(a.degraded_channel_cycles, b.degraded_channel_cycles) << label;
+}
+
+// On a tagged fat-tree graph the engine keeps each message as one word
+// and derives every hop by address; clearing the tag runs the same paths
+// through the CSR codec. Both must agree bit for bit — every result field
+// and the traced event stream — on the golden workloads and stacked
+// permutations, under every lossy policy and tally, with and without
+// faults and retry, serial and pooled-sharded.
+TEST(Scaleout, AddressCodecMatchesCsrCodec) {
+  Rng gen(61);
+  const struct {
+    const char* name;
+    std::uint32_t n;
+    std::uint64_t w;  ///< universal(w); 0 = constant(1)
+    MessageSet m;
+    std::uint32_t max_cycles;
+  } cases[] = {
+      {"golden-lossy", 128, 32, stacked_permutations(128, 4, gen), 0},
+      {"golden-giveup", 64, 0, stacked_permutations(64, 6, gen), 4},
+      {"golden-online", 64, 16, stacked_permutations(64, 3, gen), 0},
+      {"golden-policies", 1024, 64,
+       persistent_hotspot_traffic(1024, 341, 128, 4096, gen), 0},
+      {"stacked-4096", 4096, 256, stacked_permutations(4096, 2, gen), 0},
+  };
+  struct Mode {
+    ContentionPolicy contention;
+    RoutingPolicy policy;
+    const char* name;
+  };
+  std::vector<Mode> modes;
+  for (const RoutingPolicyName& pol : kRoutingPolicies) {
+    modes.push_back({ContentionPolicy::RandomSubset, pol.policy, pol.name});
+  }
+  modes.push_back(
+      {ContentionPolicy::Tally, RoutingPolicy::ObliviousRandom, "tally"});
+  std::uint64_t backoffs = 0;
+  std::uint64_t given_up = 0;
+  for (const auto& c : cases) {
+    FatTreeTopology topo(c.n);
+    const CapacityProfile caps = c.w == 0
+                                     ? CapacityProfile::constant(topo, 1)
+                                     : CapacityProfile::universal(topo, c.w);
+    const PathSet paths = fat_tree_path_set(topo, c.m);
+    FaultPlan plan(77);
+    plan.set_flaps({0.02, 0.3});
+    plan.set_domains(fat_tree_subtree_domains(topo, 2));
+    plan.add_subtree_kill({/*node=*/5, /*at_cycle=*/2, /*duration=*/3});
+    for (const Mode& mode : modes) {
+      for (const bool faulted : {false, true}) {
+        for (const bool pooled : {false, true}) {
+          EngineOptions opts;
+          opts.seed = 4242;
+          opts.contention = mode.contention;
+          opts.policy = mode.policy;
+          opts.max_cycles = c.max_cycles;
+          opts.parallel = pooled;
+          opts.threads = 4;
+          if (faulted) {
+            opts.fault_plan = &plan;
+            opts.retry.exponential_backoff = true;
+            opts.retry.deadline_cycles = 24;
+          }
+          const ChannelGraph g =
+              fat_tree_channel_graph(topo, caps, pooled ? 2 : 0);
+          CycleEngine address(g, opts);
+          CycleEngine csr(untagged(g), opts);
+          TraceSink address_trace;
+          TraceSink csr_trace;
+          const EngineResult a = address.run(paths, &address_trace);
+          const EngineResult b = csr.run(paths, &csr_trace);
+          const std::string label = std::string(c.name) + " " + mode.name +
+                                    (faulted ? " faulted" : "") +
+                                    (pooled ? " pooled" : " serial");
+          expect_same_result(a, b, label.c_str());
+          expect_same_faults(a, b, label.c_str());
+          EXPECT_EQ(event_fingerprint(address_trace),
+                    event_fingerprint(csr_trace))
+              << label;
+          backoffs += a.total_backoffs;
+          given_up += a.messages_given_up;
+        }
+      }
+    }
+  }
+  // The retry machinery ran: messages backed off and deadlines expired.
+  EXPECT_GT(backoffs, 0u);
+  EXPECT_GT(given_up, 0u);
+}
+
+/// Yields one chunk of leaf pairs per message set.
+class PairBatchSource final : public PairSource {
+ public:
+  explicit PairBatchSource(const std::vector<MessageSet>& batches)
+      : batches_(batches) {}
+
+  bool next_chunk(std::vector<LeafPair>& chunk) override {
+    chunk.clear();
+    if (next_ >= batches_.size()) return false;
+    for (const Message& m : batches_[next_]) chunk.push_back({m.src, m.dst});
+    ++next_;
+    return true;
+  }
+
+ private:
+  const std::vector<MessageSet>& batches_;
+  std::size_t next_ = 0;
+};
+
+// Leaf pairs route exactly as their compiled tree paths do, streamed all
+// at once or one batch per cycle, self pairs included.
+TEST(Scaleout, LeafPairsMatchCompiledPaths) {
+  const std::uint32_t n = 256;
+  FatTreeTopology topo(n);
+  const auto caps = CapacityProfile::universal(topo, 32);
+  Rng gen(67);
+  std::vector<MessageSet> batches;
+  for (std::uint32_t k = 0; k < 3; ++k) {
+    batches.push_back(stacked_permutations(n, 2, gen));
+    batches.back()[k].dst = batches.back()[k].src;  // a self pair
+  }
+  std::vector<PathSet> path_batches;
+  std::vector<MessageSet> one_batch(1);
+  MessageSet& all = one_batch[0];
+  for (const MessageSet& b : batches) {
+    path_batches.push_back(fat_tree_path_set(topo, b));
+    all.insert(all.end(), b.begin(), b.end());
+  }
+  for (const ContentionPolicy policy :
+       {ContentionPolicy::RandomSubset, ContentionPolicy::Tally}) {
+    for (const bool pooled : {false, true}) {
+      EngineOptions opts;
+      opts.contention = policy;
+      opts.seed = 5;
+      opts.parallel = pooled;
+      opts.threads = 4;
+      const ChannelGraph g = fat_tree_channel_graph(topo, caps, pooled ? 3 : 0);
+      TraceSink want_trace, got_trace;
+      const EngineResult want =
+          CycleEngine(g, opts).run(fat_tree_path_set(topo, all), &want_trace);
+      PairBatchSource all_pairs(one_batch);
+      const EngineResult got =
+          CycleEngine(g, opts).run_stream(all_pairs, &got_trace);
+      expect_same_result(want, got, "run_stream pairs");
+      EXPECT_EQ(event_fingerprint(want_trace), event_fingerprint(got_trace));
+
+      TraceSink want_b_trace, got_b_trace;
+      const EngineResult want_b =
+          CycleEngine(g, opts).run_batched(path_batches, &want_b_trace);
+      PairBatchSource batch_pairs(batches);
+      const EngineResult got_b =
+          CycleEngine(g, opts).run_batched_stream(batch_pairs, &got_b_trace);
+      expect_same_result(want_b, got_b, "run_batched_stream pairs");
+      EXPECT_EQ(event_fingerprint(want_b_trace),
+                event_fingerprint(got_b_trace));
+    }
+  }
+}
+
+// --- Unused channels --------------------------------------------------------
 
 // Arbitration streams are keyed by (seed, cycle, channel) only, so adding
-// unused channels — in particular crossing the 2^16 boundary where the
-// engine switches from 16-bit to 32-bit hop buffers — must not change any
-// result bit.
+// unused channels — here across 2^16 — must not change any result bit.
 TEST(Scaleout, NarrowWideBoundaryIsSeamless) {
   const std::size_t kUsed = 100;
   // Three contenders per channel, capacity 1: every channel runs a
@@ -293,7 +464,7 @@ TEST(Scaleout, NarrowWideBoundaryIsSeamless) {
     }
   }
 
-  // The top channel slot is usable on both sides of the boundary.
+  // The top channel slot is usable at every table size.
   for (const std::size_t channels : {std::size_t{65536}, std::size_t{65537}}) {
     CycleEngine engine(
         ChannelGraph::flat(std::vector<std::uint64_t>(channels, 1)), opts);
@@ -304,6 +475,73 @@ TEST(Scaleout, NarrowWideBoundaryIsSeamless) {
     EXPECT_EQ(r.delivered, 2u);
     EXPECT_EQ(r.cycles, 2u);
   }
+}
+
+// On a tagged graph a PathSet path must be its endpoints' tree path. The
+// first bad path starts on leaf 0's up channel, ends on leaf n - 1's down
+// channel and has the tree path's length, and its stages strictly
+// increase, but its second hop climbs above leaf 2 instead of leaf 0. The
+// second is the tree path between internal nodes 5 and 6, which the
+// address word cannot stage. Serial and pooled injection reject both with
+// the same message.
+TEST(ScaleoutDeathTest, NonTreePathIsRejectedOnTreeGraph) {
+  const std::uint32_t n = 4096;
+  FatTreeTopology topo(n);
+  const auto caps = CapacityProfile::universal(topo, 256);
+  Rng gen(43);
+  const PathSet good =
+      fat_tree_path_set(topo, random_permutation_traffic(n, gen));
+  ASSERT_GE(good.total_hops(), 4096u);
+  const auto chan = [](NodeId v, Direction d) {
+    return static_cast<std::uint32_t>(channel_index(ChannelId{v, d}));
+  };
+  EnginePath swapped = fat_tree_engine_path(topo, 0, n - 1);
+  swapped[1] = chan(topo.node_of_leaf(2) >> 1, Direction::Up);
+  const EnginePath internal = {chan(5, Direction::Up), chan(2, Direction::Up),
+                               chan(3, Direction::Down),
+                               chan(6, Direction::Down)};
+  for (const EnginePath& bad : {swapped, internal}) {
+    PathSet paths;
+    for (std::size_t p = 0; p < good.size(); ++p) {
+      if (p == good.size() / 2) paths.push_back(bad);
+      const auto first = good.channels().begin() + good.offset(p);
+      paths.append(first, first + good.length(p));
+    }
+    for (const bool parallel : {false, true}) {
+      EngineOptions opts;
+      opts.parallel = parallel;
+      opts.threads = 4;
+      EXPECT_DEATH(
+          {
+            CycleEngine engine(fat_tree_channel_graph(topo, caps, 2), opts);
+            engine.run(paths);
+          },
+          "path is not its endpoints' tree path")
+          << "parallel " << parallel << " path of " << bad.size();
+    }
+  }
+}
+
+// Leaf pairs skip the per-hop check only when every tree channel is
+// usable. With one zero-capacity channel, a pair whose tree path crosses
+// it is rejected at injection as a path through it is; a pair that
+// avoids it routes.
+TEST(ScaleoutDeathTest, LeafPairThroughZeroCapacityChannelIsRejected) {
+  FatTreeTopology topo(64);
+  ChannelGraph g =
+      fat_tree_channel_graph(topo, CapacityProfile::universal(topo, 16));
+  g.capacity[channel_index(ChannelId{topo.node_of_leaf(5), Direction::Down})] =
+      0;
+  const std::vector<MessageSet> ok = {{{5, 9}}};
+  PairBatchSource ok_source(ok);
+  EXPECT_EQ(CycleEngine(g, {}).run_stream(ok_source).delivered, 1u);
+  const std::vector<MessageSet> bad = {{{9, 5}}};
+  EXPECT_DEATH(
+      {
+        PairBatchSource bad_source(bad);
+        CycleEngine(g, {}).run_stream(bad_source);
+      },
+      "path uses an unknown channel");
 }
 
 TEST(ScaleoutDeathTest, CheckedNarrowingAbortsPastU32) {

@@ -147,6 +147,67 @@ TEST(GreedyScheduler, ValidSchedules) {
   }
 }
 
+/// First fit by brute force: one dense load table per cycle, and every
+/// message tries every cycle from the first.
+Schedule dense_first_fit(const FatTreeTopology& t, const CapacityProfile& caps,
+                         const MessageSet& m) {
+  Schedule s;
+  std::vector<std::vector<std::uint64_t>> loads;
+  for (const Message& msg : m) {
+    std::vector<ChannelId> path;
+    t.for_each_channel_on_path(msg.src, msg.dst,
+                               [&](ChannelId c) { path.push_back(c); });
+    std::size_t cycle = 0;
+    for (;; ++cycle) {
+      if (cycle == loads.size()) {
+        loads.emplace_back(channel_index_bound(t), 0);
+        s.cycles.emplace_back();
+      }
+      bool fits = true;
+      for (const ChannelId c : path) {
+        fits = fits &&
+               loads[cycle][channel_index(c)] < caps.capacity(t, c.node);
+      }
+      if (fits) break;
+    }
+    for (const ChannelId c : path) ++loads[cycle][channel_index(c)];
+    s.cycles[cycle].push_back(msg);
+  }
+  return s;
+}
+
+// schedule_greedy starts each message's first fit at the largest
+// per-channel frontier on its path and keeps per-cycle loads sparse; it
+// must place every message in the same cycle, in the same order, as the
+// dense first fit.
+TEST(GreedyScheduler, MatchesFirstFitReference) {
+  for (const std::uint32_t n : {64u, 256u}) {
+    FatTreeTopology t(n);
+    Rng gen(n);
+    std::vector<NamedWorkload> workloads = standard_workloads(n, gen);
+    workloads.push_back({"incast", incast_traffic(n, 2 * n, 0, gen)});
+    workloads.push_back(
+        {"hotspot", persistent_hotspot_traffic(n, n / 3, n, 2 * n, gen)});
+    const struct {
+      const char* name;
+      CapacityProfile caps;
+    } profiles[] = {{"constant-1", CapacityProfile::constant(t, 1)},
+                    {"universal", CapacityProfile::universal(t, n / 4)}};
+    for (const auto& p : profiles) {
+      for (const NamedWorkload& w : workloads) {
+        const Schedule want = dense_first_fit(t, p.caps, w.messages);
+        const Schedule got = schedule_greedy(t, p.caps, w.messages);
+        ASSERT_EQ(got.num_cycles(), want.num_cycles())
+            << w.name << " " << p.name << " n=" << n;
+        for (std::size_t c = 0; c < want.num_cycles(); ++c) {
+          ASSERT_EQ(got.cycles[c], want.cycles[c])
+              << w.name << " " << p.name << " n=" << n << " cycle " << c;
+        }
+      }
+    }
+  }
+}
+
 TEST(PackedScheduler, ValidAndNoWorseThanLevelByLevel) {
   const std::uint32_t n = 256;
   FatTreeTopology t(n);
