@@ -10,8 +10,9 @@
 // 1, 2, 4, ... hardware threads; cycles/s per thread count lands in
 // report_exp_scaleout.json (schema ft.run_report/2), along with the
 // engine's measured Amdahl phase decomposition per run (the serial spine
-// band + coordination vs the shard-parallel sweeps) and the telemetry
-// parity check below.
+// band + coordination vs the shard-parallel sweeps), each run's seconds
+// outside that decomposition (graph build, engine construction and
+// teardown) and the telemetry parity check below.
 //
 // Gates (exit 1 on failure):
 //   - every run delivers all n messages without giving up;
@@ -54,6 +55,9 @@ struct SweepRow {
   double seconds = 0.0;
   double cycles_per_sec = 0.0;
   ft::EnginePhaseProfile phases;  // from the fastest repetition
+  /// Route call time outside the phase profile: graph build, engine
+  /// construction and teardown, which the Amdahl line leaves out.
+  double setup_seconds() const { return seconds - phases.total_seconds(); }
 };
 
 std::uint64_t fnv1a_u32(const std::vector<std::uint32_t>& v) {
@@ -182,6 +186,7 @@ int main(int argc, char** argv) {
     run["cycles_per_sec"] = row.cycles_per_sec;
     run["messages_per_sec"] = msgs_per_sec;
     run["amdahl"] = ft::phase_profile_json(row.phases);
+    run["setup_seconds"] = row.setup_seconds();
   }
   table.print(std::cout,
               "n = " + std::to_string(n) + ", w = " + std::to_string(n / 2) +
@@ -202,6 +207,13 @@ int main(int argc, char** argv) {
               << par.phases.total_seconds() << "s); speedup ceiling "
               << (sf > 0 ? 1.0 / sf : 0.0) << "x\n";
     report.root()["amdahl"] = ft::phase_profile_json(par.phases);
+    // Every timed row's serial time outside the profile: the speedup
+    // gate's timed region includes it, the ceiling above does not.
+    std::cout << "setup outside the phase profile:";
+    for (const SweepRow& row : rows) {
+      std::cout << ' ' << row.mode << ' ' << row.setup_seconds() << 's';
+    }
+    std::cout << '\n';
   }
 
   // Telemetry parity: one serial and one max-thread parallel run observed

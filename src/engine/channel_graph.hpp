@@ -130,29 +130,22 @@ struct ChannelGraph {
   std::uint32_t num_stages = 1;
   std::uint32_t num_levels = 1;
 
-  /// Subtree-shard partition for the parallel lossy engine (empty when the
-  /// builder did not request sharding). shard[c] names the partition that
-  /// owns channel c, or kNoShard for "spine" channels above the shard
-  /// roots, whose arbitration crosses shards and runs serially. The stage
-  /// axis splits into three bands: stages [0, spine_stage_lo) touch only
-  /// sharded channels on the way up, [spine_stage_lo, spine_stage_hi) is
-  /// the spine, and [spine_stage_hi, num_stages) only sharded channels on
-  /// the way down. A message's shard can change at most once, inside the
-  /// spine band — the invariant the sharded executor relies on (see
-  /// DESIGN.md "Scale-out").
-  std::vector<std::uint32_t> shard;
+  /// Subtree shards for the parallel lossy engine: 2^k on a tree-tagged
+  /// graph sharded at heap level k, 0 otherwise (the engine rejects a
+  /// count on an untagged graph). The partition is the tag's: shard s
+  /// owns every channel at or below heap node 2^k + s, and the channels
+  /// above form the serially arbitrated spine (DESIGN.md "Scale-out").
   std::uint32_t num_shards = 0;
-  std::uint32_t spine_stage_lo = 0;
-  std::uint32_t spine_stage_hi = 0;
-  static constexpr std::uint32_t kNoShard = 0xffffffffu;
 
   /// Heap-indexed tree tag, set only by fat_tree_channel_graph: the
   /// height L of a fat-tree whose channel c is the up (c even) or down (c
-  /// odd) channel above heap node c / 2, staged and sharded as that
-  /// builder does it. 0 for every other graph. On a tagged graph the
-  /// lossy/tally engine routes every message by address: its path is a
-  /// function of its two leaves, so a live message is one 64-bit word and
-  /// no hop list exists (DESIGN.md §5, "Address codec").
+  /// odd) channel above heap node c / 2, staged as that builder does it.
+  /// 0 for every other graph. On a tagged graph the lossy/tally engine
+  /// routes every message by address: its path is a function of its two
+  /// leaves, so a live message is one 64-bit word and no hop list exists
+  /// (DESIGN.md §5, "Address codec"). Only tree channels are usable there
+  /// (heap nodes 2 and up, c >= 4): the root's external-interface pair is
+  /// on no internal path.
   std::uint32_t tree_height = 0;
   /// Tallest taggable tree: the address word holds two heap nodes of
   /// kMaxTreeHeight + 1 bits and a 6-bit hop cursor.

@@ -23,10 +23,9 @@ std::uint64_t arbitration_seed(std::uint64_t seed, std::uint32_t cycle,
   return sm.next();
 }
 
-/// Below this much work a pooled step runs inline: waking the pool costs
-/// more than the work itself. A shard band counts its worklist entries
-/// (summed over shards), so late cycles drop back to inline as messages
-/// deliver; an injected batch counts its hops.
+/// Below this much work a shard band runs inline: waking the pool costs
+/// more than the work itself. A band counts its worklist entries (summed
+/// over shards), so late cycles drop back to inline as messages deliver.
 constexpr std::size_t kMinParallelWork = 4096;
 
 /// Restores ascending pending order before a bucket's lottery, for
@@ -308,9 +307,16 @@ class StreamBatchFeed final : public BatchFeed {
 /// With h (the turn depth) the bit length of src ^ dst, the path has 2h
 /// hops. Hop k < h is the up channel of src >> k, at stage k; hop k >= h
 /// is the down channel of dst >> (2h - 1 - k), at stage 2L - 2h + k —
-/// the builder's stages L - level and L - 1 + level. A channel's shard is
-/// its node's ancestor at the shard level. All of it is shifts, so a hop
-/// costs no table load.
+/// the builder's stages L - level and L - 1 + level. All of it is shifts,
+/// so a hop costs no table load.
+///
+/// The codec is also the sharded executor's only source of the partition.
+/// At shard level k, a channel's shard is its node's ancestor at level k
+/// (rebased to 0), and the channels above are the spine. Up channels of
+/// nodes at level >= k have stages 0 .. L - k, down ones L - 1 + k ..
+/// 2L - 1, and the spine channels fill the band [spine_lo, spine_hi). At
+/// k = 1 that band is empty: a crossing message hops from one shard's last
+/// up channel straight onto the other's root down channel.
 struct CycleEngine::AddressCodec {
   static constexpr unsigned kCursorBits = 6;
   static constexpr unsigned kNodeBits = ChannelGraph::kMaxTreeHeight + 1;
@@ -319,13 +325,17 @@ struct CycleEngine::AddressCodec {
                 "the address word holds two nodes and a cursor up to 2L");
   static constexpr std::uint64_t kCursorMask = (1u << kCursorBits) - 1;
   static constexpr std::uint64_t kNodeMask = (1ull << kNodeBits) - 1;
+  /// shard_of for a spine channel.
+  static constexpr std::uint32_t kSpine = 0xffffffffu;
 
   explicit AddressCodec(const CycleEngine& e)
       : height(e.graph_.tree_height),
         shard_level(e.graph_.num_shards > 1
                         ? static_cast<std::uint32_t>(
                               std::countr_zero(e.graph_.num_shards))
-                        : 0) {}
+                        : 0),
+        spine_lo(height - shard_level + 1),
+        spine_hi(height - 1 + shard_level) {}
 
   static std::uint64_t encode(std::uint32_t src, std::uint32_t dst) {
     return (static_cast<std::uint64_t>(src) << (kNodeBits + kCursorBits)) |
@@ -358,7 +368,7 @@ struct CycleEngine::AddressCodec {
     const auto level = static_cast<std::uint32_t>(std::bit_width(node)) - 1;
     return level >= shard_level
                ? (node >> (level - shard_level)) - (1u << shard_level)
-               : ChannelGraph::kNoShard;
+               : kSpine;
   }
   static std::uint64_t rewind(std::uint64_t v) { return v & ~kCursorMask; }
   /// The path's final channel: the destination leaf's down channel.
@@ -368,6 +378,9 @@ struct CycleEngine::AddressCodec {
 
   std::uint32_t height;
   std::uint32_t shard_level;  ///< lg num_shards on a sharded graph
+  /// The spine's stage band (read by the sharded executor only).
+  std::uint32_t spine_lo;
+  std::uint32_t spine_hi;
 };
 
 /// The u32 CSR reference codec, on every other graph: a message's hops
@@ -375,16 +388,15 @@ struct CycleEngine::AddressCodec {
 ///
 ///   [63 .. 32] begin   [31 .. 16] len   [15 .. 0] cursor
 ///
-/// Stage and shard come from the graph's tables. Rebuilt after every
-/// injection, since the hop buffer may move when it grows.
+/// Stages come from the graph's table. Rebuilt after every injection,
+/// since the hop buffer may move when it grows. An untagged graph has no
+/// shards, so this codec always runs serial.
 struct CycleEngine::CsrCodec {
   static constexpr std::uint64_t kCursorMask = 0xffff;
   static constexpr std::uint32_t kMaxLen = 0xffff;
 
   explicit CsrCodec(const CycleEngine& e)
-      : chan(e.chan_buf_.data()),
-        stage(e.graph_.stage.data()),
-        shard(e.graph_.shard.data()) {}
+      : chan(e.chan_buf_.data()), stage(e.graph_.stage.data()) {}
 
   static std::uint64_t encode(std::uint32_t begin, std::uint32_t len) {
     return (static_cast<std::uint64_t>(begin) << 32) |
@@ -398,8 +410,6 @@ struct CycleEngine::CsrCodec {
     const std::uint32_t c = chan[(v >> 32) + (v & kCursorMask)];
     return {c, stage[c]};
   }
-  std::uint32_t stage_of(std::uint32_t c) const { return stage[c]; }
-  std::uint32_t shard_of(std::uint32_t c) const { return shard[c]; }
   static std::uint64_t rewind(std::uint64_t v) { return v & ~kCursorMask; }
   std::uint32_t last_chan(std::uint64_t v) const {
     return chan[(v >> 32) + len(v) - 1];
@@ -407,77 +417,20 @@ struct CycleEngine::CsrCodec {
 
   const std::uint32_t* chan;
   const std::uint32_t* stage;
-  const std::uint32_t* shard;
 };
 
 CycleEngine::CycleEngine(ChannelGraph graph, const EngineOptions& opts)
     : graph_(std::move(graph)), opts_(opts) {
-  FT_CHECK_MSG(opts_.alpha > 0.0, "alpha must be positive");
-  // Admission limits are a pure function of (policy, alpha, capacity), all
-  // fixed at construction: resolve the floating-point math once here so
-  // the per-cycle loop is integer-only.
+  // An alpha above 1 would admit more than a channel's wires.
+  FT_CHECK_MSG(opts_.alpha > 0.0 && opts_.alpha <= 1.0,
+               "alpha must be in (0, 1]");
   const std::size_t num_channels = graph_.num_channels();
-  // Limits are clamped to 2^32 - 1; counts compared against them are
-  // bounded by the number of live messages, which is below 2^32, so the
-  // clamp never changes an admission decision (see the limit_ comment).
-  constexpr std::uint64_t kMaxLimit = 0xffffffffu;
-  limit_.resize(num_channels);
-  for (std::size_t c = 0; c < num_channels; ++c) {
-    switch (opts_.contention) {
-      case ContentionPolicy::Tally:
-        limit_[c] = static_cast<std::uint32_t>(kMaxLimit);
-        break;
-      case ContentionPolicy::Fifo:
-        limit_[c] = static_cast<std::uint32_t>(
-            std::min(graph_.capacity[c], kMaxLimit));
-        break;
-      case ContentionPolicy::RandomSubset:
-        limit_[c] = static_cast<std::uint32_t>(std::min(
-            kMaxLimit,
-            std::max<std::uint64_t>(
-                1, static_cast<std::uint64_t>(
-                       static_cast<double>(graph_.capacity[c]) *
-                       opts_.alpha))));
-        break;
-    }
-  }
-  check_tbl_.resize(num_channels);
-  for (std::size_t c = 0; c < num_channels; ++c) {
-    check_tbl_[c] = graph_.capacity[c] > 0 ? graph_.stage[c] + 1 : 0;
-  }
-  active_limit_ = limit_.data();
-  if (!graph_.shard.empty()) {
-    FT_CHECK_MSG(graph_.shard.size() == num_channels,
-                 "shard table must cover every channel");
-    FT_CHECK_MSG(graph_.spine_stage_lo <= graph_.spine_stage_hi &&
-                     graph_.spine_stage_hi <= graph_.num_stages,
-                 "spine stage band out of range");
-    for (std::size_t c = 0; c < num_channels; ++c) {
-      if (graph_.capacity[c] == 0) continue;
-      const std::uint32_t sh = graph_.shard[c];
-      if (sh == ChannelGraph::kNoShard) {
-        const bool in_spine = graph_.stage[c] >= graph_.spine_stage_lo &&
-                              graph_.stage[c] < graph_.spine_stage_hi;
-        if (!in_spine) {
-          // A channel outside both the shard partition and the spine band
-          // (the fat-tree root's external-interface pair) has no home in
-          // the sharded executor. No internal path uses such channels;
-          // poisoning the validation table turns any path that tries into
-          // an injection-time abort. Keyed on the graph, not the
-          // executor, so serial and sharded runs reject the same paths.
-          check_tbl_[c] = 0;
-        }
-      } else {
-        FT_CHECK_MSG(sh < graph_.num_shards, "shard id out of range");
-      }
-    }
-  }
-  if (graph_.tree_height != 0) {
-    // The address codec indexes channels and stages by formula, so the
-    // tag must describe this table: 2^(L+2) channel slots (heap nodes
+  const std::uint32_t L = graph_.tree_height;
+  if (L != 0) {
+    // The address codec indexes channels, stages and shards by formula, so
+    // the tag must describe this table: 2^(L+2) channel slots (heap nodes
     // below 2^(L+1), two directions), 2L stages, and a shard count that
     // is a power of two below the leaves.
-    const std::uint32_t L = graph_.tree_height;
     FT_CHECK_MSG(L <= ChannelGraph::kMaxTreeHeight &&
                      num_channels == std::size_t{4} << L &&
                      graph_.num_stages == 2 * L &&
@@ -485,16 +438,71 @@ CycleEngine::CycleEngine(ChannelGraph graph, const EngineOptions& opts)
                       (std::has_single_bit(graph_.num_shards) &&
                        graph_.num_shards < (1u << L))),
                  "tree tag does not match the channel graph");
-    // Tree channels are those of heap nodes 2 .. 2^(L+1) - 1; one scan
-    // proves leaf pairs need no per-hop check.
-    tree_usable_ = std::all_of(check_tbl_.begin() + 4, check_tbl_.end(),
-                               [](std::uint32_t v) { return v != 0; });
+  } else {
+    // Only the tag defines a shard partition.
+    FT_CHECK_MSG(graph_.num_shards == 0,
+                 "a shard count needs a tree-tagged channel graph");
   }
-  // Subtree sharding is the lossy/tally loop's only parallel executor: a
-  // graph without a shard partition runs serial, with no pool. FIFO mode
-  // has its own channel-range parallelism. The pool is built only when
-  // it can receive a batch: with one thread the sharded layout runs its
-  // shard loop inline.
+  // Admission limits are a pure function of (policy, alpha, capacity), all
+  // fixed at construction: resolve the floating-point math once here so
+  // the per-cycle loop is integer-only. Limits are clamped to 2^32 - 1;
+  // counts compared against them are bounded by the number of live
+  // messages, which is below 2^32, so the clamp never changes an
+  // admission decision (see the limit_ comment).
+  static constexpr std::uint64_t kMaxLimit = 0xffffffffu;
+  const double alpha = opts_.alpha;
+  // On a tagged graph a channel is known only if it is a tree channel
+  // (heap node >= 2): the root's external-interface pair is on no
+  // internal path, and has no home in the sharded executor. Keyed on the
+  // graph, not the executor, so every executor rejects the same paths.
+  const std::size_t first_known = L != 0 ? 4 : 0;
+  // One pass over the channel table, the contention rule resolved before
+  // it: fills limit_ and check_tbl_ and proves whether every tree channel
+  // is usable.
+  const auto fill = [&](auto limit_of) {
+    const std::uint64_t* const cap = graph_.capacity.data();
+    const std::uint32_t* const stage = graph_.stage.data();
+    limit_.resize(num_channels);
+    check_tbl_.resize(num_channels);
+    bool all_known = true;
+    for (std::size_t c = 0; c < num_channels; ++c) {
+      limit_[c] = limit_of(cap[c]);
+      const bool known = cap[c] > 0 && c >= first_known;
+      check_tbl_[c] = known ? stage[c] + 1 : 0;
+      all_known &= known || c < first_known;
+    }
+    return all_known;
+  };
+  bool all_known = false;
+  switch (opts_.contention) {
+    case ContentionPolicy::Tally:
+      all_known = fill([](std::uint64_t) {
+        return static_cast<std::uint32_t>(kMaxLimit);
+      });
+      break;
+    case ContentionPolicy::Fifo:
+      all_known = fill([](std::uint64_t cap) {
+        return static_cast<std::uint32_t>(std::min(cap, kMaxLimit));
+      });
+      break;
+    case ContentionPolicy::RandomSubset:
+      all_known = fill([alpha](std::uint64_t cap) {
+        return static_cast<std::uint32_t>(std::min(
+            kMaxLimit, std::max<std::uint64_t>(
+                           1, static_cast<std::uint64_t>(
+                                  static_cast<double>(cap) * alpha))));
+      });
+      break;
+  }
+  // Tagged graphs: every tree channel (heap nodes 2 .. 2^(L+1) - 1) usable
+  // means leaf pairs need no per-hop check.
+  tree_usable_ = L != 0 && all_known;
+  active_limit_ = limit_.data();
+  // Subtree sharding is the lossy/tally loop's only parallel executor, and
+  // it runs only on a tagged graph: any other graph runs serial, with no
+  // pool. FIFO mode has its own channel-range parallelism. The pool is
+  // built only when it can receive a batch: with one thread the sharded
+  // layout runs its shard loop inline.
   const bool fifo = opts_.contention == ContentionPolicy::Fifo;
   sharded_ = opts_.parallel && graph_.num_shards > 1 && !fifo;
   if (opts_.parallel && (sharded_ || fifo)) {
@@ -727,7 +735,7 @@ void CycleEngine::Band::reset(std::uint32_t num_stages) {
 }
 
 /// The landing rule: an entry lands on the band that owns its channel —
-/// the channel's shard band (the codec's shard_of) in the sharded
+/// the channel's shard band (the address codec's shard_of) in the sharded
 /// executor, the global band for spine channels and for every channel of
 /// the serial executor — and counts into the channel's bucket as it
 /// lands. Injection, compaction's reseed, the outbox landing and the
@@ -736,8 +744,9 @@ void CycleEngine::Band::reset(std::uint32_t num_stages) {
 /// never move during a run), which keeps the per-entry path in registers
 /// across the opaque push_back calls; reaching the bands through `this`
 /// would force member reloads on every entry (the same hoisting rule as
-/// the fused stage sweeps). Only the codec's shard_of is used, which
-/// never reads the hop buffer.
+/// the fused stage sweeps). The shard branch is compiled for the address
+/// codec only: the CSR codec runs on untagged graphs, which have no
+/// shards.
 template <typename Codec>
 struct CycleEngine::Lander {
   explicit Lander(CycleEngine& e)
@@ -757,11 +766,13 @@ struct CycleEngine::Lander {
   inline void operator()(std::uint32_t msg, Hop hop) const {
     auto* lst = g_lst;
     auto* touch = g_touch;
-    if (sharded) {
-      const std::uint32_t sh = codec.shard_of(hop.chan);
-      if (sh != ChannelGraph::kNoShard) {
-        lst = bands[sh].stage_list.data();
-        touch = bands[sh].stage_touched.data();
+    if constexpr (std::is_same_v<Codec, AddressCodec>) {
+      if (sharded) {
+        const std::uint32_t sh = codec.shard_of(hop.chan);
+        if (sh != AddressCodec::kSpine) {
+          lst = bands[sh].stage_list.data();
+          touch = bands[sh].stage_touched.data();
+        }
       }
     }
     if (bp[hop.chan]++ == 0) touch[hop.stage].push_back(hop.chan);
@@ -819,117 +830,122 @@ void CycleEngine::run_cycle(const Codec& codec, std::uint32_t cycle) {
     return;
   }
 
-  const std::uint32_t spine_lo = graph_.spine_stage_lo;
-  const std::uint32_t spine_hi = graph_.spine_stage_hi;
-  const std::size_t num_shards = bands_.size() - 1;
-  Band* const shards = bands_.data();
+  // The sharded executor runs only on tagged graphs, so it is compiled
+  // for the address codec alone, which supplies the spine band and every
+  // shard.
+  if constexpr (std::is_same_v<Codec, AddressCodec>) {
+    const std::uint32_t spine_lo = codec.spine_lo;
+    const std::uint32_t spine_hi = codec.spine_hi;
+    const std::size_t num_shards = bands_.size() - 1;
+    Band* const shards = bands_.data();
 
-  // A shard's stage band: the fused kernel on its own scratch. The
-  // forward rule is the shard invariant in code — below the spine a
-  // survivor's next channel is always ours, and so is every next channel
-  // in the down band (descent never leaves the subtree); after the up
-  // band's turn, anything not ours (spine channels, another shard's down
-  // channels) leaves through the outbox, because only the coordinating
-  // thread may land an entry on another band.
-  auto run_band = [&](Band& st, std::uint32_t my_shard,
-                      std::uint32_t s_begin, std::uint32_t s_end) {
-    std::uint32_t* const bp = bucket_pos_.data();
-    auto* const lst = st.stage_list.data();
-    auto* const touch = st.stage_touched.data();
-    const bool down = s_begin >= spine_hi;
-    for (std::uint32_t s = s_begin; s < s_end; ++s) {
-      if (lst[s].empty()) continue;
-      fused_stage(codec, cycle, st, s, [&](std::uint32_t i, Hop hop) {
-        const std::uint32_t nc = hop.chan;
-        if (down || hop.stage < spine_lo || codec.shard_of(nc) == my_shard) {
-          if (bp[nc]++ == 0) touch[hop.stage].push_back(nc);
-          lst[hop.stage].push_back(pack_entry(i, nc));
-        } else {
-          st.outbox.push_back(pack_entry(i, nc));
-        }
-      });
-    }
-  };
-
-  auto band_entries = [&](std::uint32_t s_begin, std::uint32_t s_end) {
-    std::size_t entries = 0;
-    for (std::size_t sh = 0; sh < num_shards; ++sh) {
+    // A shard's stage band: the fused kernel on its own scratch. The
+    // forward rule is the shard invariant in code — below the spine a
+    // survivor's next channel is always ours, and so is every next channel
+    // in the down band (descent never leaves the subtree); after the up
+    // band's turn, anything not ours (spine channels, another shard's down
+    // channels) leaves through the outbox, because only the coordinating
+    // thread may land an entry on another band.
+    auto run_band = [&](Band& st, std::uint32_t my_shard,
+                        std::uint32_t s_begin, std::uint32_t s_end) {
+      std::uint32_t* const bp = bucket_pos_.data();
+      auto* const lst = st.stage_list.data();
+      auto* const touch = st.stage_touched.data();
+      const bool down = s_begin >= spine_hi;
       for (std::uint32_t s = s_begin; s < s_end; ++s) {
-        entries += shards[sh].stage_list[s].size();
+        if (lst[s].empty()) continue;
+        fused_stage(codec, cycle, st, s, [&](std::uint32_t i, Hop hop) {
+          const std::uint32_t nc = hop.chan;
+          if (down || hop.stage < spine_lo || codec.shard_of(nc) == my_shard) {
+            if (bp[nc]++ == 0) touch[hop.stage].push_back(nc);
+            lst[hop.stage].push_back(pack_entry(i, nc));
+          } else {
+            st.outbox.push_back(pack_entry(i, nc));
+          }
+        });
       }
-    }
-    return entries;
-  };
+    };
 
-  // Small cycles, and every cycle of an engine without a pool, run the
-  // shard loop inline — same structure, same results, no pool wakeup
-  // (late cycles shrink below the threshold as messages deliver).
-  auto dispatch = [&](std::uint32_t s_begin, std::uint32_t s_end) {
-    if (pool_ != nullptr &&
-        band_entries(s_begin, s_end) >= kMinParallelWork) {
-      pool_->run_tasks(num_shards, [&](std::size_t sh) {
-        run_band(shards[sh], static_cast<std::uint32_t>(sh), s_begin, s_end);
-      });
-    } else {
+    auto band_entries = [&](std::uint32_t s_begin, std::uint32_t s_end) {
+      std::size_t entries = 0;
       for (std::size_t sh = 0; sh < num_shards; ++sh) {
-        run_band(shards[sh], static_cast<std::uint32_t>(sh), s_begin, s_end);
+        for (std::uint32_t s = s_begin; s < s_end; ++s) {
+          entries += shards[sh].stage_list[s].size();
+        }
       }
+      return entries;
+    };
+
+    // Small cycles, and every cycle of an engine without a pool, run the
+    // shard loop inline — same structure, same results, no pool wakeup
+    // (late cycles shrink below the threshold as messages deliver).
+    auto dispatch = [&](std::uint32_t s_begin, std::uint32_t s_end) {
+      if (pool_ != nullptr &&
+          band_entries(s_begin, s_end) >= kMinParallelWork) {
+        pool_->run_tasks(num_shards, [&](std::size_t sh) {
+          run_band(shards[sh], static_cast<std::uint32_t>(sh), s_begin, s_end);
+        });
+      } else {
+        for (std::size_t sh = 0; sh < num_shards; ++sh) {
+          run_band(shards[sh], static_cast<std::uint32_t>(sh), s_begin, s_end);
+        }
+      }
+    };
+
+    // Phase timing splits the sweep at its three natural seams: the two
+    // shard-parallel dispatches and the serial middle (outbox landing and
+    // spine band) between them.
+    PhaseClock::time_point pt0, pt1, pt2;
+    if (time_phases_) pt0 = PhaseClock::now();
+
+    // Up phase: shard-parallel.
+    dispatch(0, spine_lo);
+
+    if (time_phases_) pt1 = PhaseClock::now();
+
+    // Outbox landing, serial: each crossing survivor lands on the band that
+    // owns its next channel — the global band's spine worklists or its
+    // destination shard's down worklists.
+    for (std::size_t sh = 0; sh < num_shards; ++sh) {
+      std::vector<std::uint64_t>& outbox = shards[sh].outbox;
+      for (const std::uint64_t e : outbox) {
+        const std::uint32_t nc = entry_chan(e);
+        land(entry_msg(e), {nc, codec.stage_of(nc)});
+      }
+      outbox.clear();
     }
-  };
 
-  // Phase timing splits the sweep at its three natural seams: the two
-  // shard-parallel dispatches and the serial middle (outbox landing and
-  // spine band) between them.
-  PhaseClock::time_point pt0, pt1, pt2;
-  if (time_phases_) pt0 = PhaseClock::now();
+    // Spine stages, on the global band: the only arbitration that crosses
+    // shards. Empty when the shard roots sit directly under the fat-tree
+    // root (shard level 1). The spine stays on the coordinating thread:
+    // arbitrating its buckets on the pool measured no faster than this
+    // serial pass (DESIGN.md, "Measured dead ends").
+    run_global(spine_lo, spine_hi);
 
-  // Up phase: shard-parallel.
-  dispatch(0, spine_lo);
+    if (time_phases_) pt2 = PhaseClock::now();
 
-  if (time_phases_) pt1 = PhaseClock::now();
+    // Down phase: shard-parallel; descent never leaves the subtree, so no
+    // outbox entries can appear.
+    dispatch(spine_hi, num_stages);
 
-  // Outbox landing, serial: each crossing survivor lands on the band that
-  // owns its next channel — the global band's spine worklists or its
-  // destination shard's down worklists.
-  for (std::size_t sh = 0; sh < num_shards; ++sh) {
-    std::vector<std::uint64_t>& outbox = shards[sh].outbox;
-    for (const std::uint64_t e : outbox) {
-      const std::uint32_t nc = entry_chan(e);
-      land(entry_msg(e), {nc, codec.stage_of(nc)});
+    if (time_phases_) {
+      const auto pt3 = PhaseClock::now();
+      ph_up_ += phase_delta(pt0, pt1);
+      ph_spine_ += phase_delta(pt1, pt2);
+      ph_down_ += phase_delta(pt2, pt3);
     }
-    outbox.clear();
-  }
 
-  // Spine stages, on the global band: the only arbitration that crosses
-  // shards. Empty when the shard roots sit directly under the fat-tree
-  // root (shard level 1). The spine stays on the coordinating thread:
-  // arbitrating its buckets on the pool measured no faster than this
-  // serial pass (DESIGN.md, "Measured dead ends").
-  run_global(spine_lo, spine_hi);
-
-  if (time_phases_) pt2 = PhaseClock::now();
-
-  // Down phase: shard-parallel; descent never leaves the subtree, so no
-  // outbox entries can appear.
-  dispatch(spine_hi, num_stages);
-
-  if (time_phases_) {
-    const auto pt3 = PhaseClock::now();
-    ph_up_ += phase_delta(pt0, pt1);
-    ph_spine_ += phase_delta(pt1, pt2);
-    ph_down_ += phase_delta(pt2, pt3);
-  }
-
-  // The shards' counters and channel state fold into the global band
-  // (the lists are empty on cycles without channel state).
-  for (std::size_t sh = 0; sh < num_shards; ++sh) {
-    Band& st = shards[sh];
-    global.losses += st.losses;
-    global.hops += st.hops;
-    st.losses = 0;
-    st.hops = 0;
-    global.loads.insert(global.loads.end(), st.loads.begin(), st.loads.end());
-    st.loads.clear();
+    // The shards' counters and channel state fold into the global band
+    // (the lists are empty on cycles without channel state).
+    for (std::size_t sh = 0; sh < num_shards; ++sh) {
+      Band& st = shards[sh];
+      global.losses += st.losses;
+      global.hops += st.hops;
+      st.losses = 0;
+      st.hops = 0;
+      global.loads.insert(global.loads.end(), st.loads.begin(), st.loads.end());
+      st.loads.clear();
+    }
   }
 }
 
@@ -1123,93 +1139,62 @@ EngineResult CycleEngine::run_lossy_t(BatchFeed& feed,
     std::uint32_t backoffs_now = 0;
     std::uint32_t gave_up_now = 0;
 
-    // Injects one batch of `num` messages, whatever its input. A message
-    // is routed when routed(p) holds, and then encode(p) checks it and
-    // returns its word; otherwise encode(p) only checks it, and the
-    // message is a local delivery that takes an id but no message index.
-    // The batch splits into ranges, four per pool participant (the
-    // workers and this thread) when its `work` pays for a pool wakeup,
-    // otherwise one range run inline. A serial count of each range's
-    // routed messages gives the range its first message index, so
-    // indices — like ids, one per message — keep arrival order whichever
-    // thread fills them.
-    const auto inject = [&](std::size_t num, std::size_t work,
-                            const auto& routed, const auto& encode) {
+    // Injects one batch of `num` messages, whatever its input, in one
+    // serial pass in arrival order. A message is routed when routed(p)
+    // holds, and then encode(p) checks it and returns its word, which is
+    // stored, landed and traced at once; otherwise encode(p) only checks
+    // it, and the message is a local delivery that takes an id (next_id +
+    // p) but no message index. Indices therefore keep arrival order, and
+    // the seeds land in ascending index order, as compaction's reseed
+    // does.
+    const auto inject = [&](std::size_t num, const auto& routed,
+                            const auto& encode) {
       FT_CHECK_MSG(ce_.size() + num < 0xffffffffULL &&
                        next_id + static_cast<std::uint64_t>(num) <
                            0xffffffffULL,
                    "live message count overflows 32-bit message indices");
-      const std::size_t num_ranges =
-          pool_ != nullptr && work >= kMinParallelWork
-              ? std::min(num, 4 * (pool_->size() + 1))
-              : 1;
-      const auto lo = [&](std::size_t r) { return r * num / num_ranges; };
-      range_first_.resize(num_ranges);
       const auto first = static_cast<std::uint32_t>(ce_.size());
-      std::uint32_t routed_end = first;
-      for (std::size_t r = 0; r < num_ranges; ++r) {
-        range_first_[r] = routed_end;
-        for (std::size_t p = lo(r); p < lo(r + 1); ++p) {
-          routed_end += routed(p) ? 1 : 0;
-        }
-      }
-      ce_.resize(routed_end);
-      id_.resize(routed_end);
-      if (retry_on) {
-        attempts_.resize(routed_end, 1);
-        wake_.resize(routed_end, cycle);
-      }
-      if (lat_on) inject_cycle_.resize(routed_end, cycle);
-
-      const std::uint32_t* const rf = range_first_.data();
+      ce_.resize(first + num);
+      id_.resize(first + num);
       std::uint64_t* const ce = ce_.data();
       std::uint32_t* const ids = id_.data();
       const std::uint32_t id0 = next_id;
-      const auto inject_range = [&](std::size_t r) {
-        std::uint32_t i = rf[r];
-        for (std::size_t p = lo(r); p < lo(r + 1); ++p) {
-          const std::uint64_t w = encode(p);
-          if (!routed(p)) continue;
-          ce[i] = w;
-          ids[i] = id0 + static_cast<std::uint32_t>(p);
-          ++i;
-        }
-      };
-      if (num_ranges > 1) {
-        pool_->run_tasks(num_ranges, inject_range);
-      } else {
-        inject_range(0);
-      }
-
-      // After the join the coordinating thread lands the seeds in
-      // ascending index order, so every worklist holds what a serial
-      // injection loop would have seeded, then settles the local
-      // messages and emits the batch's events in id order.
       const Codec codec(*this);
-      for (std::uint32_t i = first; i < routed_end; ++i) {
-        land(i, codec.hop(ce[i]));
-      }
-      contenders += routed_end - first;
-      const auto locals =
-          static_cast<std::uint32_t>(num - (routed_end - first));
-      delivered_now += locals;
-      if (lat_on) {
-        lat_samples_.insert(lat_samples_.end(), locals, LatencySample{1, 1});
-      }
-      if (trace) {
-        std::uint32_t i = first;
-        for (std::size_t p = 0; p < num; ++p) {
-          const std::uint32_t id = id0 + static_cast<std::uint32_t>(p);
-          if (!routed(p)) {
+      std::uint32_t i = first;
+      for (std::size_t p = 0; p < num; ++p) {
+        const std::uint64_t w = encode(p);
+        const std::uint32_t id = id0 + static_cast<std::uint32_t>(p);
+        if (!routed(p)) {
+          if (trace) {
             observer->on_message_event(
                 {MessageEventKind::Inject, id, cycle, kNoChannel});
             observer->on_message_event(
                 {MessageEventKind::Deliver, id, cycle, kNoChannel});
-          } else {
-            observer->on_message_event(
-                {MessageEventKind::Inject, id, cycle, codec.hop(ce[i++]).chan});
           }
+          continue;
         }
+        ce[i] = w;
+        ids[i] = id;
+        const Hop hop = codec.hop(w);
+        land(i, hop);
+        if (trace) {
+          observer->on_message_event(
+              {MessageEventKind::Inject, id, cycle, hop.chan});
+        }
+        ++i;
+      }
+      ce_.resize(i);
+      id_.resize(i);
+      if (retry_on) {
+        attempts_.resize(i, 1);
+        wake_.resize(i, cycle);
+      }
+      if (lat_on) inject_cycle_.resize(i, cycle);
+      contenders += i - first;
+      const auto locals = static_cast<std::uint32_t>(num - (i - first));
+      delivered_now += locals;
+      if (lat_on) {
+        lat_samples_.insert(lat_samples_.end(), locals, LatencySample{1, 1});
       }
       next_id += static_cast<std::uint32_t>(num);
     };
@@ -1223,7 +1208,7 @@ EngineResult CycleEngine::run_lossy_t(BatchFeed& feed,
           const AddressCodec codec(*this);
           const bool check_hops = !tree_usable_;
           inject(
-              batch.pairs->size(), batch.pairs->size(),
+              batch.pairs->size(),
               [pairs](std::size_t p) { return pairs[p].src != pairs[p].dst; },
               [&](std::size_t p) {
                 const LeafPair q = pairs[p];
@@ -1232,8 +1217,8 @@ EngineResult CycleEngine::run_lossy_t(BatchFeed& feed,
                 const std::uint64_t w =
                     AddressCodec::encode(leaf0 + q.src, leaf0 + q.dst);
                 if (check_hops) {
-                  // A zero-capacity channel exists (the constructor's
-                  // scan), so this path is checked hop by hop, as a
+                  // Some tree channel is unknown (the constructor's
+                  // pass), so this path is checked hop by hop, as a
                   // PathSet path is.
                   for (std::uint64_t v = w; AddressCodec::more(v); ++v) {
                     FT_CHECK_MSG(ctbl[codec.hop(v).chan] != 0,
@@ -1259,7 +1244,7 @@ EngineResult CycleEngine::run_lossy_t(BatchFeed& feed,
         // as that word.
         const std::uint32_t leaf0 = 1u << graph_.tree_height;
         const AddressCodec codec(*this);
-        inject(set.size(), set.total_hops(), routed, [&](std::size_t p) {
+        inject(set.size(), routed, [&](std::size_t p) {
           const std::uint32_t off = offs[p];
           const std::uint32_t len = offs[p + 1] - off;
           check_path(ctbl, nch, chans + off, len);
@@ -1288,7 +1273,7 @@ EngineResult CycleEngine::run_lossy_t(BatchFeed& feed,
                      "injected hop buffer overflows 32-bit offsets");
         chan_buf_.grow_to(base + hops);
         std::uint32_t* const dst = chan_buf_.data() + base;
-        inject(set.size(), hops, routed, [&](std::size_t p) {
+        inject(set.size(), routed, [&](std::size_t p) {
           const std::uint32_t off = offs[p];
           const std::uint32_t len = offs[p + 1] - off;
           check_path(ctbl, nch, chans + off, len);

@@ -22,10 +22,10 @@
 // The lossy and tally modes have one stage kernel (fused_stage), two path
 // codecs — by address on a fat-tree graph (ChannelGraph::tree_height),
 // the u32 CSR hop buffer on any other — and two executors: serial, and —
-// on graphs that carry a subtree-shard partition — the sharded executor,
-// whose shards sweep the up and down stage bands on a persistent thread
-// pool, where large injected batches are also validated and encoded in
-// ranges. FIFO mode resolves channel ranges on the pool. Results are
+// on a fat-tree graph with a shard count — the sharded executor, whose
+// shards, derived from the tree tag, sweep the up and down stage bands on
+// a persistent thread pool. Injection is one serial pass in arrival order
+// in both. FIFO mode resolves channel ranges on the pool. Results are
 // identical to serial mode: every random arbitration draws from a private
 // stream seeded by (seed, cycle, channel), so no decision depends on
 // thread scheduling, and FIFO arrivals are merged in channel-index order.
@@ -121,7 +121,7 @@ struct EngineOptions {
   ContentionPolicy contention = ContentionPolicy::RandomSubset;
   /// RandomSubset: a channel of capacity c accepts floor(alpha * c)
   /// messages per cycle, floor 1 (alpha = 1 is the ideal concentrator,
-  /// 3/4 the partial concentrators of Section IV).
+  /// 3/4 the partial concentrators of Section IV). Must lie in (0, 1].
   double alpha = 1.0;
   /// Wire-assignment discipline for contended RandomSubset channels.
   /// ObliviousRandom reproduces the pre-seam engine bit for bit; the
@@ -134,9 +134,9 @@ struct EngineOptions {
   std::uint32_t max_cycles = 0;
   /// Seed for RandomSubset arbitration streams.
   std::uint64_t seed = 0;
-  /// Run on a thread pool: the sharded executor when the graph carries a
-  /// shard partition (lossy/tally), channel ranges in FIFO mode. A
-  /// lossy/tally graph without a partition runs serial, with no pool.
+  /// Run on a thread pool: the sharded executor when the graph is a
+  /// fat-tree graph with a shard count (lossy/tally), channel ranges in
+  /// FIFO mode. Any other lossy/tally graph runs serial, with no pool.
   /// Identical results to serial mode at any thread count.
   bool parallel = false;
   /// Worker threads for parallel mode (0 = hardware concurrency). A
@@ -254,7 +254,7 @@ class CycleEngine {
   /// grows by realloc and leaves new elements uninitialized.
   /// std::vector::resize zero-fills the new tail and copies the whole
   /// buffer on every doubling; glibc grows the large (mmap-served) blocks
-  /// with mremap instead, and the injection ranges that fill the tail are
+  /// with mremap instead, and the injection pass that fills the tail is
   /// the first to touch its pages. clear() keeps the capacity.
   template <typename T>
   class HopBuffer {
@@ -295,10 +295,11 @@ class CycleEngine {
   };
 
   /// One stage band's execution state. The global band owns the spine
-  /// channels of a partitioned graph, and every channel in the serial
-  /// executor; each shard band owns the channels the graph's shard table
-  /// assigns to it, so the up- and down-phase sweeps of one cycle run
-  /// shard-parallel with no shared mutable state. An entry always lands
+  /// channels of a sharded graph, and every channel in the serial
+  /// executor; each shard band owns the channels of its subtree (the
+  /// address codec's shard_of: the partition is the tree tag's), so the
+  /// up- and down-phase sweeps of one cycle run shard-parallel with no
+  /// shared mutable state. An entry always lands
   /// on the band that owns its channel (Lander, engine.cpp), except that a
   /// shard sweeping on a pool worker parks survivors bound for another
   /// band in its outbox, which the coordinating thread lands between
@@ -352,9 +353,10 @@ class CycleEngine {
   /// The two path codecs (defined in engine.cpp): how a live message's ce_
   /// word names its hops. AddressCodec, on a tagged fat-tree graph, packs
   /// the message's source and destination heap nodes with its hop cursor
-  /// and derives every hop's channel, stage and shard with shifts;
-  /// CsrCodec packs (begin, length, cursor) into the u32 hop buffer and
-  /// reads the graph's stage and shard tables.
+  /// and derives every hop's channel, stage and shard with shifts, and the
+  /// spine's stage band from the shard count; CsrCodec packs (begin,
+  /// length, cursor) into the u32 hop buffer and reads the graph's stage
+  /// table.
   struct AddressCodec;
   struct CsrCodec;
   /// One hop of a path: its channel and that channel's stage.
@@ -415,8 +417,8 @@ class CycleEngine {
   EngineOptions opts_;
   std::unique_ptr<ThreadPool> pool_;  ///< null unless 2+ threads
 
-  /// The sharded executor: engaged when the graph carries a shard
-  /// partition, the engine is parallel and the policy is lossy or tally.
+  /// The sharded executor: engaged when a tagged graph carries a shard
+  /// count, the engine is parallel and the policy is lossy or tally.
   /// Serial and sharded runs are bit-identical — every channel's
   /// contender set and pinned (seed, cycle, channel) lottery are the same
   /// — so this is purely an execution strategy, not a model change.
@@ -447,17 +449,17 @@ class CycleEngine {
   std::vector<std::uint32_t> wake_;
 
   /// Path validation table: stage + 1 for a usable channel, 0 for an
-  /// unknown one (zero capacity, or outside both the shard partition and
-  /// the spine band of a partitioned graph). Injection validates each hop
-  /// with one 32-bit lookup: the channel is known, and its stage + 1
-  /// exceeds the previous hop's, which holds exactly when the stages
-  /// strictly increase — the worklist invariant that buckets each message
-  /// once per cycle.
+  /// unknown one (zero capacity, or, on a tagged graph, not a tree
+  /// channel: heap node 0 or the root's external-interface pair, c < 4).
+  /// Injection validates each hop with one 32-bit lookup: the channel is
+  /// known, and its stage + 1 exceeds the previous hop's, which holds
+  /// exactly when the stages strictly increase — the worklist invariant
+  /// that buckets each message once per cycle. FIFO checks known only.
   std::vector<std::uint32_t> check_tbl_;
   /// Tagged graphs: every tree channel (heap nodes 2 .. 2^(L+1) - 1) is
-  /// usable, proved by one scan at construction. Leaf pairs then inject
-  /// with no per-hop check; otherwise each pair's hops are checked as a
-  /// path's are.
+  /// usable, proved by the constructor's one pass over the channel table.
+  /// Leaf pairs then inject with no per-hop check; otherwise each pair's
+  /// hops are checked as a path's are.
   bool tree_usable_ = false;
 
   // All per-run/per-cycle scratch below (and the bands' scratch above) is
@@ -466,9 +468,6 @@ class CycleEngine {
   // lists recycle their blocks through the band pools, which keep every
   // block they have allocated.
   HopBuffer<std::uint32_t> chan_buf_;  ///< injected hops (CSR codec)
-  /// The first message index of each injection range of the current
-  /// batch (run_lossy_t).
-  std::vector<std::uint32_t> range_first_;
   /// Live messages, injection order, struct-of-arrays. The stage sweeps
   /// index messages randomly but only ever touch the codec's packed word,
   /// whose low bits are the hop cursor — advance is one 64-bit increment

@@ -22,16 +22,7 @@ ChannelGraph fat_tree_channel_graph(const FatTreeTopology& topo,
     FT_CHECK_MSG(shard_level < L,
                  "shard_level must leave at least the leaf level inside "
                  "each shard");
-    g.shard.assign(bound, ChannelGraph::kNoShard);
     g.num_shards = 1u << shard_level;
-    // Up channels of nodes at level >= shard_level have stages
-    // 0 .. L - shard_level, down ones L - 1 + shard_level .. 2L - 1; the
-    // channels of the spine nodes above fill the band in between. At
-    // shard_level 1 the band is empty: crossing messages hop from one
-    // shard's last up channel straight onto the other's root down
-    // channel.
-    g.spine_stage_lo = L - shard_level + 1;
-    g.spine_stage_hi = (L - 1) + shard_level;
   }
 
   for (NodeId v = 1; v <= topo.num_nodes(); ++v) {
@@ -43,11 +34,6 @@ ChannelGraph fat_tree_channel_graph(const FatTreeTopology& topo,
       if (v == 1) continue;  // external interface: no stage, no budget
       g.stage[idx] = dir == Direction::Up ? L - level : (L - 1) + level;
       g.in_wire_budget[idx] = 1;
-      if (shard_level > 0 && topo.level(v) >= shard_level) {
-        // Owning shard: the ancestor at shard_level, rebased to 0.
-        g.shard[idx] = static_cast<std::uint32_t>(
-            (v >> (topo.level(v) - shard_level)) - (NodeId{1} << shard_level));
-      }
     }
   }
   return g;

@@ -10,7 +10,9 @@
 // cycle: up channels from the leaves toward the root (stage = L - level),
 // then down channels back out (stage = L - 1 + level), 2L stages total.
 // The root's external-interface channel is never on an internal path; it
-// is kept out of the wire budget (utilization denominators).
+// is kept out of the wire budget (utilization denominators), and the
+// engine treats it as unknown on the tagged graph. The tag also fixes the
+// shard partition, so the graph carries only the shard count.
 #pragma once
 
 #include <vector>
@@ -25,13 +27,13 @@
 
 namespace ft {
 
-/// `shard_level` > 0 additionally partitions the graph for the engine's
-/// subtree-sharded parallel mode: the 2^shard_level subtrees rooted at
-/// heap level shard_level become shards owning every channel at or below
-/// their root, and the channels above (levels 1..shard_level-1) form the
-/// serially-arbitrated spine. Must satisfy 1 <= shard_level < height when
-/// nonzero; 0 (the default) attaches no shard metadata, and the engine
-/// behaves exactly as before.
+/// `shard_level` > 0 sets the shard count for the engine's subtree-sharded
+/// parallel mode: the 2^shard_level subtrees rooted at heap level
+/// shard_level become shards owning every channel at or below their root,
+/// and the channels above (levels 1..shard_level-1) form the serially
+/// arbitrated spine. The engine derives both from the tree tag, so the
+/// graph stores no per-channel shard. Must satisfy 1 <= shard_level <
+/// height when nonzero; 0 (the default) leaves the graph unsharded.
 ChannelGraph fat_tree_channel_graph(const FatTreeTopology& topo,
                                     const CapacityProfile& caps,
                                     std::uint32_t shard_level = 0);

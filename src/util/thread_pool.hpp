@@ -1,6 +1,6 @@
 // A small fixed-size work-stealing pool: the delivery-cycle engine's
-// batch executor. The engine dispatches one batch per shard band,
-// injected batch or FIFO round — thousands of batches per second. Each
+// batch executor. The engine dispatches one batch per shard band or
+// FIFO round — thousands of batches per second. Each
 // batch is published by bumping an epoch counter; parked workers wake,
 // claim chunks of the index range from per-slot atomic cursors, and
 // steal from other slots when their own runs dry. No per-task lock

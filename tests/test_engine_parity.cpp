@@ -5,6 +5,7 @@
 // must reproduce a schedule exactly.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
 #include <string>
 
@@ -753,6 +754,28 @@ TEST(EngineDeathTest, FifoRejectsUnknownChannel) {
         engine.run(paths);
       },
       "path uses an unknown channel");
+}
+
+// RandomSubset admits floor(alpha * capacity) per channel, so alpha must
+// lie in (0, 1]: above 1 a channel would admit more than its wires, and a
+// huge alpha would overflow the limit's conversion to an integer. Every
+// policy rejects it at construction, with one message.
+TEST(EngineDeathTest, AlphaOutsideUnitIntervalIsRejected) {
+  for (const double alpha : {0.0, -0.5, 2.0,
+                             std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()}) {
+    for (const ContentionPolicy contention :
+         {ContentionPolicy::RandomSubset, ContentionPolicy::Fifo,
+          ContentionPolicy::Tally}) {
+      EngineOptions opts;
+      opts.alpha = alpha;
+      opts.contention = contention;
+      EXPECT_DEATH(
+          { CycleEngine engine(ChannelGraph::flat({1, 4}), opts); },
+          "alpha must be in")
+          << "alpha " << alpha;
+    }
+  }
 }
 
 }  // namespace

@@ -261,7 +261,8 @@ TEST(Scaleout, KaryStreamMatchesMaterialized) {
 // --- Address codec ≡ CSR codec -------------------------------------------
 
 /// The same graph with its tree tag cleared: the engine then routes every
-/// message through the u32 CSR hop buffer and the graph's tables.
+/// message through the u32 CSR hop buffer and the graph's tables. Only an
+/// unsharded graph may be untagged (the shard partition is the tag's).
 ChannelGraph untagged(ChannelGraph g) {
   g.tree_height = 0;
   return g;
@@ -277,10 +278,11 @@ void expect_same_faults(const EngineResult& a, const EngineResult& b,
 
 // On a tagged fat-tree graph the engine keeps each message as one word
 // and derives every hop by address; clearing the tag runs the same paths
-// through the CSR codec. Both must agree bit for bit — every result field
-// and the traced event stream — on the golden workloads and stacked
-// permutations, under every lossy policy and tally, with and without
-// faults and retry, serial and pooled-sharded.
+// through the CSR codec, which always runs serial. The address codec,
+// serial and pooled-sharded, must agree with that reference bit for bit —
+// every result field and the traced event stream — on the golden
+// workloads and stacked permutations, under every lossy policy and tally,
+// with and without faults and retry.
 TEST(Scaleout, AddressCodecMatchesCsrCodec) {
   Rng gen(61);
   const struct {
@@ -320,29 +322,29 @@ TEST(Scaleout, AddressCodecMatchesCsrCodec) {
     plan.set_flaps({0.02, 0.3});
     plan.set_domains(fat_tree_subtree_domains(topo, 2));
     plan.add_subtree_kill({/*node=*/5, /*at_cycle=*/2, /*duration=*/3});
+    const ChannelGraph csr_graph = untagged(fat_tree_channel_graph(topo, caps));
     for (const Mode& mode : modes) {
       for (const bool faulted : {false, true}) {
+        EngineOptions opts;
+        opts.seed = 4242;
+        opts.contention = mode.contention;
+        opts.policy = mode.policy;
+        opts.max_cycles = c.max_cycles;
+        if (faulted) {
+          opts.fault_plan = &plan;
+          opts.retry.exponential_backoff = true;
+          opts.retry.deadline_cycles = 24;
+        }
+        CycleEngine csr(csr_graph, opts);
+        TraceSink csr_trace;
+        const EngineResult b = csr.run(paths, &csr_trace);
         for (const bool pooled : {false, true}) {
-          EngineOptions opts;
-          opts.seed = 4242;
-          opts.contention = mode.contention;
-          opts.policy = mode.policy;
-          opts.max_cycles = c.max_cycles;
           opts.parallel = pooled;
           opts.threads = 4;
-          if (faulted) {
-            opts.fault_plan = &plan;
-            opts.retry.exponential_backoff = true;
-            opts.retry.deadline_cycles = 24;
-          }
-          const ChannelGraph g =
-              fat_tree_channel_graph(topo, caps, pooled ? 2 : 0);
-          CycleEngine address(g, opts);
-          CycleEngine csr(untagged(g), opts);
+          CycleEngine address(
+              fat_tree_channel_graph(topo, caps, pooled ? 2 : 0), opts);
           TraceSink address_trace;
-          TraceSink csr_trace;
           const EngineResult a = address.run(paths, &address_trace);
-          const EngineResult b = csr.run(paths, &csr_trace);
           const std::string label = std::string(c.name) + " " + mode.name +
                                     (faulted ? " faulted" : "") +
                                     (pooled ? " pooled" : " serial");
@@ -482,8 +484,8 @@ TEST(Scaleout, NarrowWideBoundaryIsSeamless) {
 // channel and has the tree path's length, and its stages strictly
 // increase, but its second hop climbs above leaf 2 instead of leaf 0. The
 // second is the tree path between internal nodes 5 and 6, which the
-// address word cannot stage. Serial and pooled injection reject both with
-// the same message.
+// address word cannot stage. The serial and the sharded executor reject
+// both with the same message.
 TEST(ScaleoutDeathTest, NonTreePathIsRejectedOnTreeGraph) {
   const std::uint32_t n = 4096;
   FatTreeTopology topo(n);
@@ -551,9 +553,9 @@ TEST(ScaleoutDeathTest, CheckedNarrowingAbortsPastU32) {
                "counter overflows 32 bits");
 }
 
-// The fat-tree root's external-interface channels belong to neither a
-// shard nor the spine band of a partitioned graph, so no internal path
-// uses them. Validation is keyed on the graph: the serial and the sharded
+// The fat-tree root's external-interface channels are on no internal path
+// and belong to neither a shard nor the spine. On a tagged graph only
+// tree channels are known, sharded or not: the serial and the sharded
 // executor both reject such a path at injection, with the same message.
 TEST(ScaleoutDeathTest, RootExternalChannelIsRejectedByEveryExecutor) {
   FatTreeTopology topo(64);
@@ -561,24 +563,48 @@ TEST(ScaleoutDeathTest, RootExternalChannelIsRejectedByEveryExecutor) {
   const auto root_up = static_cast<std::uint32_t>(
       channel_index(ChannelId{1, Direction::Up}));
   const std::vector<EnginePath> paths = {{root_up}};
-  for (const bool parallel : {false, true}) {
-    EngineOptions opts;
-    opts.parallel = parallel;
-    opts.threads = 2;
-    EXPECT_DEATH(
-        {
-          CycleEngine engine(fat_tree_channel_graph(topo, caps, 2), opts);
-          engine.run(paths);
-        },
-        "path uses an unknown channel")
-        << "parallel " << parallel;
+  for (const std::uint32_t shard_level : {0u, 2u}) {
+    for (const bool parallel : {false, true}) {
+      EngineOptions opts;
+      opts.parallel = parallel;
+      opts.threads = 2;
+      EXPECT_DEATH(
+          {
+            CycleEngine engine(fat_tree_channel_graph(topo, caps, shard_level),
+                               opts);
+            engine.run(paths);
+          },
+          "path uses an unknown channel")
+          << "shard level " << shard_level << " parallel " << parallel;
+    }
   }
 }
 
-// A batch of at least 4096 hops (the engine's inline threshold) is
-// validated in ranges on the pool, so the check can fail on a worker
-// thread. One bad path in the middle of a 4096-leaf permutation aborts
-// with the same message whichever executor validates it.
+// The shard partition is the tree tag's, so a graph that carries a shard
+// count without a tag — a flat graph, or a sharded fat-tree graph with its
+// tag cleared — is rejected at construction by every executor.
+TEST(ScaleoutDeathTest, ShardCountOnUntaggedGraphIsRejected) {
+  FatTreeTopology topo(64);
+  ChannelGraph flat = ChannelGraph::flat({1, 1, 1, 1});
+  flat.num_shards = 2;
+  ChannelGraph cleared = untagged(
+      fat_tree_channel_graph(topo, CapacityProfile::universal(topo, 16), 2));
+  for (const ChannelGraph* g : {&flat, &cleared}) {
+    for (const bool parallel : {false, true}) {
+      EngineOptions opts;
+      opts.parallel = parallel;
+      opts.threads = 2;
+      EXPECT_DEATH({ CycleEngine engine(*g, opts); },
+                   "a shard count needs a tree-tagged channel graph")
+          << "parallel " << parallel;
+    }
+  }
+}
+
+// Injection checks every path in one serial pass on the coordinating
+// thread, whichever executor sweeps the cycle, so no check runs on a pool
+// worker. One bad path in the middle of a 4096-leaf permutation aborts
+// with the same message serial and sharded.
 TEST(ScaleoutDeathTest, InvalidPathInPooledBatchIsRejectedByEveryExecutor) {
   const std::uint32_t n = 4096;
   FatTreeTopology topo(n);
