@@ -49,14 +49,18 @@ CapacityProfile CapacityProfile::doubling(const FatTreeTopology& topo) {
 
 CapacityProfile CapacityProfile::with_channel_capacity(
     const FatTreeTopology& topo, NodeId node, std::uint64_t capacity) const {
+  CapacityProfile out = *this;
+  out.set_channel_capacity(topo, node, capacity);
+  return out;
+}
+
+void CapacityProfile::set_channel_capacity(const FatTreeTopology& topo,
+                                           NodeId node,
+                                           std::uint64_t capacity) {
   FT_CHECK(node >= 1 && node <= topo.num_nodes());
   FT_CHECK_MSG(capacity >= 1, "a channel must keep at least one wire");
-  CapacityProfile out = *this;
-  if (out.overrides_.empty()) {
-    out.overrides_.assign(topo.num_nodes() + 1, 0);
-  }
-  out.overrides_[node] = capacity;
-  return out;
+  if (overrides_.empty()) overrides_.assign(topo.num_nodes() + 1, 0);
+  overrides_[node] = capacity;
 }
 
 std::uint64_t CapacityProfile::total_wires(const FatTreeTopology& topo) const {

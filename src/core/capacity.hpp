@@ -66,6 +66,10 @@ class CapacityProfile {
   CapacityProfile with_channel_capacity(const FatTreeTopology& topo,
                                         NodeId node,
                                         std::uint64_t capacity) const;
+  /// with_channel_capacity in place: degrading many channels this way
+  /// costs one override table, not one profile copy per channel.
+  void set_channel_capacity(const FatTreeTopology& topo, NodeId node,
+                            std::uint64_t capacity);
 
   std::uint64_t root_capacity() const { return cap_by_level_[0]; }
 

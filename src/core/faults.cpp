@@ -25,7 +25,7 @@ CapacityProfile inject_wire_faults(const FatTreeTopology& topo,
     if (degraded < cap) {
       ++r.channels_degraded;
       if (degraded == 1 && cap > 1) ++r.channels_at_floor;
-      out = out.with_channel_capacity(topo, v, degraded);
+      out.set_channel_capacity(topo, v, degraded);
     }
   }
   if (report != nullptr) *report = r;
@@ -55,7 +55,7 @@ CapacityProfile fail_random_channels(const FatTreeTopology& topo,
     if (out.capacity(topo, v) > 1) {
       ++r.channels_degraded;
       ++r.channels_at_floor;
-      out = out.with_channel_capacity(topo, v, 1);
+      out.set_channel_capacity(topo, v, 1);
     }
   }
   for (NodeId v = 1; v <= topo.num_nodes(); ++v) {

@@ -54,6 +54,7 @@ JobResult run_job(const JobSpec& spec, const JobHooks& hooks) {
   CapacityProfile caps = CapacityProfile::universal(
       topo, spec.w != 0 ? spec.w : default_root_capacity(spec.n));
   if (spec.faults > 0.0) {
+    const auto t = phase(hooks.timers, "faults");
     Rng rng(spec.seed ^ kWireFaultSeedMix);
     caps = inject_wire_faults(topo, caps, spec.faults, rng);
   }

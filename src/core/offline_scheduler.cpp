@@ -1,10 +1,10 @@
 #include "core/offline_scheduler.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <unordered_map>
 
 #include "core/cycle_loads.hpp"
 #include "core/replay.hpp"
@@ -154,6 +154,133 @@ std::map<NodeId, std::vector<MessageSet>> partition_all_nodes(
   return parts;
 }
 
+/// Channel loads keyed (cycle << 32) | channel, in one open-addressing
+/// table (linear probing, at most half full), so a load costs no heap
+/// allocation of its own.
+class SparseLoads {
+ public:
+  std::uint32_t get(std::uint64_t key) const {
+    return keys_.empty() ? 0 : vals_[find(key)];
+  }
+
+  void add(std::uint64_t key, std::uint32_t k) {
+    if (2 * (size_ + 1) > keys_.size()) grow();
+    const std::size_t i = find(key);
+    size_ += keys_[i] == kEmpty;
+    keys_[i] = key;
+    vals_[i] += k;
+  }
+
+ private:
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+
+  /// The slot holding `key`, or the empty slot where it would go (whose
+  /// value is 0).
+  std::size_t find(std::uint64_t key) const {
+    std::size_t i = (key * 0x9e3779b97f4a7c15ull) >> shift_;
+    while (keys_[i] != key && keys_[i] != kEmpty) {
+      i = (i + 1) & (keys_.size() - 1);
+    }
+    return i;
+  }
+
+  void grow() {
+    std::vector<std::uint64_t> keys(
+        std::max<std::size_t>(64, 2 * keys_.size()), kEmpty);
+    std::vector<std::uint32_t> vals(keys.size(), 0);
+    keys.swap(keys_);
+    vals.swap(vals_);
+    shift_ = 64 - static_cast<unsigned>(std::countr_zero(keys_.size()));
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      if (keys[i] == kEmpty) continue;
+      const std::size_t j = find(keys[i]);
+      keys_[j] = keys[i];
+      vals_[j] = vals[i];
+    }
+  }
+
+  std::vector<std::uint64_t> keys_;
+  std::vector<std::uint32_t> vals_;
+  std::size_t size_ = 0;
+  unsigned shift_ = 64;
+};
+
+/// First-fit placement of message sets into delivery cycles:
+/// schedule_greedy places each message as a set of one, and
+/// schedule_offline_packed each per-node part. A set fits a cycle when
+/// every channel its paths use keeps its load within capacity, counting
+/// the set's messages together. No dense load table per cycle exists.
+/// frontier_[c] is the first cycle that may still have room on channel
+/// c: loads only grow, so every earlier cycle is full there, and a set's
+/// first fit cannot lie below the largest frontier on its channels. Loads
+/// are kept only for the (cycle, channel) pairs some set touched, so
+/// memory follows the schedule's hops instead of cycles × channels.
+class FirstFit {
+ public:
+  FirstFit(const FatTreeTopology& topo, const CapacityProfile& caps)
+      : topo_(topo),
+        caps_(caps),
+        frontier_(channel_index_bound(topo), 0),
+        need_(channel_index_bound(topo), 0) {}
+
+  /// Appends [first, last) to the first cycle of `s` that fits it, or to
+  /// a new cycle; the set must fit an empty cycle.
+  void place(const Message* first, const Message* last, Schedule& s) {
+    chans_.clear();
+    for (const Message* m = first; m != last; ++m) {
+      topo_.for_each_channel_on_path(m->src, m->dst, [&](ChannelId id) {
+        const auto c = static_cast<std::uint32_t>(channel_index(id));
+        if (need_[c]++ == 0) {
+          chans_.push_back({c, caps_.capacity(topo_, id.node)});
+        }
+      });
+    }
+    std::uint32_t cycle = 0;
+    for (const Chan& ch : chans_) cycle = std::max(cycle, frontier_[ch.c]);
+    for (;; ++cycle) {
+      if (cycle == s.cycles.size()) {
+        FT_CHECK(std::all_of(
+            chans_.begin(), chans_.end(),
+            [&](const Chan& ch) { return need_[ch.c] <= ch.cap; }));
+        s.cycles.emplace_back();
+        break;
+      }
+      const bool fits =
+          std::all_of(chans_.begin(), chans_.end(), [&](const Chan& ch) {
+            return loads_.get(key(cycle, ch.c)) +
+                       std::uint64_t{need_[ch.c]} <=
+                   ch.cap;
+          });
+      if (fits) break;
+    }
+    for (const Chan& ch : chans_) {
+      loads_.add(key(cycle, ch.c), need_[ch.c]);
+      need_[ch.c] = 0;
+      std::uint32_t& f = frontier_[ch.c];
+      while (f < s.cycles.size() && loads_.get(key(f, ch.c)) >= ch.cap) ++f;
+    }
+    MessageSet& cyc = s.cycles[cycle];
+    cyc.insert(cyc.end(), first, last);
+  }
+
+ private:
+  struct Chan {
+    std::uint32_t c;
+    std::uint64_t cap;
+  };
+
+  static std::uint64_t key(std::uint32_t cycle, std::uint32_t c) {
+    return (static_cast<std::uint64_t>(cycle) << 32) | c;
+  }
+
+  const FatTreeTopology& topo_;
+  const CapacityProfile& caps_;
+  std::vector<std::uint32_t> frontier_;
+  std::vector<std::uint32_t> need_;  ///< the set's count per channel
+  std::vector<Chan> chans_;          ///< the set's distinct channels
+  SparseLoads loads_;
+};
+
 }  // namespace
 
 EvenSplit split_crossing_messages(const FatTreeTopology& topo, NodeId v,
@@ -272,24 +399,11 @@ Schedule schedule_offline_packed(const FatTreeTopology& topo,
   // from a deep node often coexists with sets from other levels because
   // their channel footprints overlap without exceeding capacity.
   Schedule schedule;
-  std::vector<CycleLoads> cycle_loads;
-  for (auto& [v, sets] : parts) {
+  FirstFit fit(topo, caps);
+  for (const auto& [v, sets] : parts) {
     (void)v;
-    for (auto& set : sets) {
-      bool placed = false;
-      for (std::size_t c = 0; c < schedule.cycles.size(); ++c) {
-        if (cycle_loads[c].try_add(topo, caps, set, /*commit=*/true)) {
-          auto& cyc = schedule.cycles[c];
-          cyc.insert(cyc.end(), set.begin(), set.end());
-          placed = true;
-          break;
-        }
-      }
-      if (!placed) {
-        cycle_loads.emplace_back(topo);
-        FT_CHECK(cycle_loads.back().try_add(topo, caps, set, true));
-        schedule.cycles.push_back(std::move(set));
-      }
+    for (const MessageSet& set : sets) {
+      fit.place(set.data(), set.data() + set.size(), schedule);
     }
   }
 
@@ -303,58 +417,9 @@ Schedule schedule_offline_packed(const FatTreeTopology& topo,
 
 Schedule schedule_greedy(const FatTreeTopology& topo,
                          const CapacityProfile& caps, const MessageSet& m) {
-  // First fit without a dense load table per cycle. frontier[c] is the
-  // first cycle that may still have room on channel c: loads only grow,
-  // so every earlier cycle is full there, and a message's first fit
-  // cannot lie below the largest frontier on its path. Loads are kept
-  // only for the (cycle, channel) pairs some message touched, keyed
-  // (cycle << 32) | channel, so memory follows the schedule's hops
-  // instead of cycles × channels.
   Schedule schedule;
-  std::vector<std::uint32_t> frontier(channel_index_bound(topo), 0);
-  std::unordered_map<std::uint64_t, std::uint32_t> loads;
-  const auto key = [](std::uint32_t cycle, std::uint32_t c) {
-    return (static_cast<std::uint64_t>(cycle) << 32) | c;
-  };
-  const auto load = [&](std::uint32_t cycle, std::uint32_t c) {
-    const auto it = loads.find(key(cycle, c));
-    return it == loads.end() ? 0u : it->second;
-  };
-  std::vector<std::uint32_t> path;
-  std::vector<std::uint64_t> cap;
-  for (const auto& msg : m) {
-    path.clear();
-    cap.clear();
-    topo.for_each_channel_on_path(msg.src, msg.dst, [&](ChannelId c) {
-      path.push_back(static_cast<std::uint32_t>(channel_index(c)));
-      cap.push_back(caps.capacity(topo, c.node));
-    });
-    std::uint32_t cycle = 0;
-    for (const std::uint32_t c : path) cycle = std::max(cycle, frontier[c]);
-    for (;; ++cycle) {
-      if (cycle == schedule.cycles.size()) {
-        // A fresh cycle fits any path whose channels all exist.
-        FT_CHECK(std::all_of(cap.begin(), cap.end(),
-                             [](std::uint64_t k) { return k > 0; }));
-        schedule.cycles.emplace_back();
-        break;
-      }
-      bool fits = true;
-      for (std::size_t h = 0; fits && h < path.size(); ++h) {
-        fits = load(cycle, path[h]) < cap[h];
-      }
-      if (fits) break;
-    }
-    for (std::size_t h = 0; h < path.size(); ++h) {
-      const std::uint32_t c = path[h];
-      ++loads[key(cycle, c)];
-      while (frontier[c] < schedule.cycles.size() &&
-             load(frontier[c], c) >= cap[h]) {
-        ++frontier[c];
-      }
-    }
-    schedule.cycles[cycle].push_back(msg);
-  }
+  FirstFit fit(topo, caps);
+  for (const Message& msg : m) fit.place(&msg, &msg + 1, schedule);
   return schedule;
 }
 

@@ -111,13 +111,6 @@ struct ChannelGraph {
   /// Wires (messages per delivery cycle) of each channel; 0 = no channel.
   std::vector<std::uint64_t> capacity;
 
-  /// Arbitration stage of each channel (lossy mode only). Stages are the
-  /// engine's causal order: a path's channels must have strictly
-  /// increasing stages, and channels that share a stage are independent —
-  /// no message uses two of them in one cycle — which is exactly what the
-  /// parallel mode exploits. FIFO mode ignores stages.
-  std::vector<std::uint32_t> stage;
-
   /// Instrumentation tag of each channel (fat-tree level; 0 for flat
   /// graphs). Per-level utilization observers aggregate over this.
   std::vector<std::uint32_t> level;
@@ -127,7 +120,6 @@ struct ChannelGraph {
   /// external-interface channel, which internal traffic can never use.
   std::vector<std::uint8_t> in_wire_budget;
 
-  std::uint32_t num_stages = 1;
   std::uint32_t num_levels = 1;
 
   /// Subtree shards for the parallel lossy engine: 2^k on a tree-tagged
@@ -139,13 +131,16 @@ struct ChannelGraph {
 
   /// Heap-indexed tree tag, set only by fat_tree_channel_graph: the
   /// height L of a fat-tree whose channel c is the up (c even) or down (c
-  /// odd) channel above heap node c / 2, staged as that builder does it.
-  /// 0 for every other graph. On a tagged graph the lossy/tally engine
+  /// odd) channel above heap node c / 2. 0 for every other graph. The
+  /// lossy and tally modes run only on a tagged graph, where the engine
   /// routes every message by address: its path is a function of its two
-  /// leaves, so a live message is one 64-bit word and no hop list exists
-  /// (DESIGN.md §5, "Address codec"). Only tree channels are usable there
-  /// (heap nodes 2 and up, c >= 4): the root's external-interface pair is
-  /// on no internal path.
+  /// leaves, so a live message is one 64-bit word and no hop list exists,
+  /// and each channel's arbitration stage — the engine's causal order
+  /// within a delivery cycle — is a function of its id
+  /// (engine/address_codec.hpp; DESIGN.md §5, "Address codec"). Only tree
+  /// channels are usable there (heap nodes 2 and up, c >= 4): the root's
+  /// external-interface pair is on no internal path. Untagged graphs run
+  /// FIFO only.
   std::uint32_t tree_height = 0;
   /// Tallest taggable tree: the address word holds two heap nodes of
   /// kMaxTreeHeight + 1 bits and a 6-bit hop cursor.
@@ -178,16 +173,14 @@ struct ChannelGraph {
     return cap;
   }
 
-  /// Uniform-metadata constructor for flat link graphs (Network, k-ary):
-  /// one stage, one level, every channel in the wire budget.
+  /// Uniform-metadata constructor for flat link graphs (Network, k-ary),
+  /// which run FIFO: one level, every channel in the wire budget.
   static ChannelGraph flat(std::vector<std::uint64_t> caps) {
     ChannelGraph g;
     const std::size_t n = caps.size();
     g.capacity = std::move(caps);
-    g.stage.assign(n, 0);
     g.level.assign(n, 0);
     g.in_wire_budget.assign(n, 1);
-    g.num_stages = 1;
     g.num_levels = 1;
     return g;
   }

@@ -4,7 +4,6 @@
 #include <bit>
 #include <chrono>
 #include <memory>
-#include <type_traits>
 
 #include "engine/chunked_ring.hpp"
 #include "util/check.hpp"
@@ -114,13 +113,11 @@ struct WireClaims {
 /// static-path pathology the adversarial traffic generators target.
 /// Depends only on the sorted bucket, ce, limit and the pinned stream,
 /// so every executor computes the same winner set.
-template <typename Codec>
 std::uint32_t select_policy_winners(RoutingPolicy pol, std::uint32_t* b,
                                     std::size_t size, std::uint64_t limit,
                                     std::uint64_t seed, std::uint32_t cycle,
                                     std::uint32_t channel,
-                                    const std::uint64_t* ce,
-                                    const Codec& codec) {
+                                    const std::uint64_t* ce) {
   if (limit == 0) return 0;
   thread_local WireClaims wc;
   if (wc.taken.size() < limit) wc.taken.resize(limit, 0);
@@ -131,7 +128,8 @@ std::uint32_t select_policy_winners(RoutingPolicy pol, std::uint32_t* b,
     const std::uint32_t i = b[t];
     std::uint64_t wire;
     if (pol == RoutingPolicy::DeterministicDmod) {
-      wire = static_cast<std::uint64_t>(codec.last_chan(ce[i])) % limit;
+      wire = static_cast<std::uint64_t>(AddressCodec::last_chan(ce[i])) %
+             limit;
     } else {
       SplitMix64 h(arb ^
                    (static_cast<std::uint64_t>(i) * 0x9e3779b97f4a7c15ull));
@@ -162,9 +160,9 @@ inline std::uint32_t entry_chan(std::uint64_t e) {
   return static_cast<std::uint32_t>(e);
 }
 
-/// Injection's check of one path's hops (PathSet input, every codec): a
-/// known channel (check_tbl_ != 0), in strictly increasing stage order —
-/// check_tbl_ holds stage + 1, so one lookup per hop tests both.
+/// Injection's check of one path's hops (PathSet input): a known channel
+/// (check_tbl_ != 0), in strictly increasing stage order — check_tbl_
+/// holds stage + 1, so one lookup per hop tests both.
 inline void check_path(const std::uint32_t* ctbl, std::uint32_t nch,
                        const std::uint32_t* hops, std::uint32_t len) {
   std::uint32_t prev = 0;
@@ -298,127 +296,6 @@ class StreamBatchFeed final : public BatchFeed {
 
 }  // namespace
 
-/// The address codec, on a tagged fat-tree graph of height L. A message's
-/// word holds its source and destination heap nodes (kNodeBits each) and
-/// its hop cursor k in the low kCursorBits:
-///
-///   [63 .. 35] src node   [34 .. 6] dst node   [5 .. 0] cursor k
-///
-/// With h (the turn depth) the bit length of src ^ dst, the path has 2h
-/// hops. Hop k < h is the up channel of src >> k, at stage k; hop k >= h
-/// is the down channel of dst >> (2h - 1 - k), at stage 2L - 2h + k —
-/// the builder's stages L - level and L - 1 + level. All of it is shifts,
-/// so a hop costs no table load.
-///
-/// The codec is also the sharded executor's only source of the partition.
-/// At shard level k, a channel's shard is its node's ancestor at level k
-/// (rebased to 0), and the channels above are the spine. Up channels of
-/// nodes at level >= k have stages 0 .. L - k, down ones L - 1 + k ..
-/// 2L - 1, and the spine channels fill the band [spine_lo, spine_hi). At
-/// k = 1 that band is empty: a crossing message hops from one shard's last
-/// up channel straight onto the other's root down channel.
-struct CycleEngine::AddressCodec {
-  static constexpr unsigned kCursorBits = 6;
-  static constexpr unsigned kNodeBits = ChannelGraph::kMaxTreeHeight + 1;
-  static_assert(2 * kNodeBits + kCursorBits <= 64 &&
-                    2 * ChannelGraph::kMaxTreeHeight < (1u << kCursorBits),
-                "the address word holds two nodes and a cursor up to 2L");
-  static constexpr std::uint64_t kCursorMask = (1u << kCursorBits) - 1;
-  static constexpr std::uint64_t kNodeMask = (1ull << kNodeBits) - 1;
-  /// shard_of for a spine channel.
-  static constexpr std::uint32_t kSpine = 0xffffffffu;
-
-  explicit AddressCodec(const CycleEngine& e)
-      : height(e.graph_.tree_height),
-        shard_level(e.graph_.num_shards > 1
-                        ? static_cast<std::uint32_t>(
-                              std::countr_zero(e.graph_.num_shards))
-                        : 0),
-        spine_lo(height - shard_level + 1),
-        spine_hi(height - 1 + shard_level) {}
-
-  static std::uint64_t encode(std::uint32_t src, std::uint32_t dst) {
-    return (static_cast<std::uint64_t>(src) << (kNodeBits + kCursorBits)) |
-           (static_cast<std::uint64_t>(dst) << kCursorBits);
-  }
-  static std::uint32_t src(std::uint64_t v) {
-    return static_cast<std::uint32_t>(v >> (kNodeBits + kCursorBits));
-  }
-  static std::uint32_t dst(std::uint64_t v) {
-    return static_cast<std::uint32_t>((v >> kCursorBits) & kNodeMask);
-  }
-  /// The turn depth h: the path climbs h levels, then descends h.
-  static std::uint32_t turn(std::uint64_t v) {
-    return static_cast<std::uint32_t>(std::bit_width(src(v) ^ dst(v)));
-  }
-  /// True while the cursor names a hop (the message is undelivered).
-  static bool more(std::uint64_t v) { return (v & kCursorMask) < 2 * turn(v); }
-  Hop hop(std::uint64_t v) const {
-    const auto k = static_cast<std::uint32_t>(v & kCursorMask);
-    const std::uint32_t h = turn(v);
-    if (k < h) return {(src(v) >> k) << 1, k};
-    return {((dst(v) >> (2 * h - 1 - k)) << 1) | 1u, 2 * (height - h) + k};
-  }
-  std::uint32_t stage_of(std::uint32_t c) const {
-    const auto level = static_cast<std::uint32_t>(std::bit_width(c >> 1)) - 1;
-    return (c & 1u) != 0 ? height - 1 + level : height - level;
-  }
-  std::uint32_t shard_of(std::uint32_t c) const {
-    const std::uint32_t node = c >> 1;
-    const auto level = static_cast<std::uint32_t>(std::bit_width(node)) - 1;
-    return level >= shard_level
-               ? (node >> (level - shard_level)) - (1u << shard_level)
-               : kSpine;
-  }
-  static std::uint64_t rewind(std::uint64_t v) { return v & ~kCursorMask; }
-  /// The path's final channel: the destination leaf's down channel.
-  static std::uint32_t last_chan(std::uint64_t v) {
-    return (dst(v) << 1) | 1u;
-  }
-
-  std::uint32_t height;
-  std::uint32_t shard_level;  ///< lg num_shards on a sharded graph
-  /// The spine's stage band (read by the sharded executor only).
-  std::uint32_t spine_lo;
-  std::uint32_t spine_hi;
-};
-
-/// The u32 CSR reference codec, on every other graph: a message's hops
-/// are chan_buf_[begin, begin + len), and its word is
-///
-///   [63 .. 32] begin   [31 .. 16] len   [15 .. 0] cursor
-///
-/// Stages come from the graph's table. Rebuilt after every injection,
-/// since the hop buffer may move when it grows. An untagged graph has no
-/// shards, so this codec always runs serial.
-struct CycleEngine::CsrCodec {
-  static constexpr std::uint64_t kCursorMask = 0xffff;
-  static constexpr std::uint32_t kMaxLen = 0xffff;
-
-  explicit CsrCodec(const CycleEngine& e)
-      : chan(e.chan_buf_.data()), stage(e.graph_.stage.data()) {}
-
-  static std::uint64_t encode(std::uint32_t begin, std::uint32_t len) {
-    return (static_cast<std::uint64_t>(begin) << 32) |
-           (static_cast<std::uint64_t>(len) << 16);
-  }
-  static std::uint32_t len(std::uint64_t v) {
-    return static_cast<std::uint32_t>(v >> 16) & kMaxLen;
-  }
-  static bool more(std::uint64_t v) { return (v & kCursorMask) < len(v); }
-  Hop hop(std::uint64_t v) const {
-    const std::uint32_t c = chan[(v >> 32) + (v & kCursorMask)];
-    return {c, stage[c]};
-  }
-  static std::uint64_t rewind(std::uint64_t v) { return v & ~kCursorMask; }
-  std::uint32_t last_chan(std::uint64_t v) const {
-    return chan[(v >> 32) + len(v) - 1];
-  }
-
-  const std::uint32_t* chan;
-  const std::uint32_t* stage;
-};
-
 CycleEngine::CycleEngine(ChannelGraph graph, const EngineOptions& opts)
     : graph_(std::move(graph)), opts_(opts) {
   // An alpha above 1 would admit more than a channel's wires.
@@ -429,19 +306,21 @@ CycleEngine::CycleEngine(ChannelGraph graph, const EngineOptions& opts)
   if (L != 0) {
     // The address codec indexes channels, stages and shards by formula, so
     // the tag must describe this table: 2^(L+2) channel slots (heap nodes
-    // below 2^(L+1), two directions), 2L stages, and a shard count that
-    // is a power of two below the leaves.
+    // below 2^(L+1), two directions) and a shard count that is a power of
+    // two below the leaves.
     FT_CHECK_MSG(L <= ChannelGraph::kMaxTreeHeight &&
                      num_channels == std::size_t{4} << L &&
-                     graph_.num_stages == 2 * L &&
                      (graph_.num_shards == 0 ||
                       (std::has_single_bit(graph_.num_shards) &&
                        graph_.num_shards < (1u << L))),
                  "tree tag does not match the channel graph");
   } else {
-    // Only the tag defines a shard partition.
+    // Only the tag defines a shard partition, and only the address codec
+    // routes a lossy or tally message.
     FT_CHECK_MSG(graph_.num_shards == 0,
                  "a shard count needs a tree-tagged channel graph");
+    FT_CHECK_MSG(opts_.contention == ContentionPolicy::Fifo,
+                 "lossy and tally runs need a tree-tagged channel graph");
   }
   // Admission limits are a pure function of (policy, alpha, capacity), all
   // fixed at construction: resolve the floating-point math once here so
@@ -458,17 +337,24 @@ CycleEngine::CycleEngine(ChannelGraph graph, const EngineOptions& opts)
   const std::size_t first_known = L != 0 ? 4 : 0;
   // One pass over the channel table, the contention rule resolved before
   // it: fills limit_ and check_tbl_ and proves whether every tree channel
-  // is usable.
+  // is usable. A known channel's check entry is its stage + 1, the codec's
+  // stage on a tagged graph; an untagged graph runs FIFO, which checks
+  // known only.
+  const AddressCodec tree = tree_codec();
   const auto fill = [&](auto limit_of) {
     const std::uint64_t* const cap = graph_.capacity.data();
-    const std::uint32_t* const stage = graph_.stage.data();
     limit_.resize(num_channels);
     check_tbl_.resize(num_channels);
     bool all_known = true;
     for (std::size_t c = 0; c < num_channels; ++c) {
       limit_[c] = limit_of(cap[c]);
       const bool known = cap[c] > 0 && c >= first_known;
-      check_tbl_[c] = known ? stage[c] + 1 : 0;
+      if (!known) {
+        check_tbl_[c] = 0;
+      } else {
+        check_tbl_[c] =
+            L != 0 ? tree.stage_of(static_cast<std::uint32_t>(c)) + 1 : 1;
+      }
       all_known &= known || c < first_known;
     }
     return all_known;
@@ -499,10 +385,10 @@ CycleEngine::CycleEngine(ChannelGraph graph, const EngineOptions& opts)
   tree_usable_ = L != 0 && all_known;
   active_limit_ = limit_.data();
   // Subtree sharding is the lossy/tally loop's only parallel executor, and
-  // it runs only on a tagged graph: any other graph runs serial, with no
-  // pool. FIFO mode has its own channel-range parallelism. The pool is
-  // built only when it can receive a batch: with one thread the sharded
-  // layout runs its shard loop inline.
+  // it needs a shard count: an unsharded graph runs serial, with no pool.
+  // FIFO mode has its own channel-range parallelism. The pool is built
+  // only when it can receive a batch: with one thread the sharded layout
+  // runs its shard loop inline.
   const bool fifo = opts_.contention == ContentionPolicy::Fifo;
   sharded_ = opts_.parallel && graph_.num_shards > 1 && !fifo;
   if (opts_.parallel && (sharded_ || fifo)) {
@@ -556,8 +442,8 @@ EngineResult CycleEngine::run_batched_stream(MessageSource& source,
 
 EngineResult CycleEngine::run_stream(PairSource& source,
                                      EngineObserver* observer) {
-  FT_CHECK_MSG(graph_.tree_height != 0 &&
-                   opts_.contention != ContentionPolicy::Fifo,
+  // A lossy or tally engine is on a fat-tree graph (the constructor's rule).
+  FT_CHECK_MSG(opts_.contention != ContentionPolicy::Fifo,
                "leaf pairs require a fat-tree graph and a lossy or tally "
                "policy");
   StreamAllFeed<PairSource, std::vector<LeafPair>> feed(source);
@@ -566,8 +452,8 @@ EngineResult CycleEngine::run_stream(PairSource& source,
 
 EngineResult CycleEngine::run_batched_stream(PairSource& source,
                                              EngineObserver* observer) {
-  FT_CHECK_MSG(graph_.tree_height != 0 &&
-                   opts_.contention != ContentionPolicy::Fifo,
+  // A lossy or tally engine is on a fat-tree graph (the constructor's rule).
+  FT_CHECK_MSG(opts_.contention != ContentionPolicy::Fifo,
                "leaf pairs require a fat-tree graph and a lossy or tally "
                "policy");
   StreamBatchFeed<PairSource, std::vector<LeafPair>> feed(source);
@@ -603,8 +489,8 @@ EngineResult CycleEngine::run_batched(
 /// worklists fed the stage: contended buckets sort to pending order
 /// before the pinned lottery, and worklist order is unobservable (see
 /// Band::stage_list).
-template <typename Codec, typename Forward>
-void CycleEngine::fused_stage(const Codec& codec, std::uint32_t cycle,
+template <typename Forward>
+void CycleEngine::fused_stage(const AddressCodec& codec, std::uint32_t cycle,
                               Band& band, std::uint32_t stage,
                               Forward&& forward) {
   // bucket_pos_ sentinel for channels that stay under their limit; arena
@@ -673,7 +559,7 @@ void CycleEngine::fused_stage(const Codec& codec, std::uint32_t cycle,
     std::uint64_t winners = limit;
     if (wire_sel) {
       winners = select_policy_winners(pol, b, ob.count, limit, opts_.seed,
-                                      cycle, ob.chan, ce, codec);
+                                      cycle, ob.chan, ce);
     } else {
       // Adaptive run stamps are per-channel; channels of one stage are
       // disjoint across shards, so a worker's write never races.
@@ -744,13 +630,10 @@ void CycleEngine::Band::reset(std::uint32_t num_stages) {
 /// never move during a run), which keeps the per-entry path in registers
 /// across the opaque push_back calls; reaching the bands through `this`
 /// would force member reloads on every entry (the same hoisting rule as
-/// the fused stage sweeps). The shard branch is compiled for the address
-/// codec only: the CSR codec runs on untagged graphs, which have no
-/// shards.
-template <typename Codec>
+/// the fused stage sweeps).
 struct CycleEngine::Lander {
   explicit Lander(CycleEngine& e)
-      : codec(e),
+      : codec(e.tree_codec()),
         bp(e.bucket_pos_.data()),
         sharded(e.sharded_),
         bands(e.bands_.data()),
@@ -766,20 +649,18 @@ struct CycleEngine::Lander {
   inline void operator()(std::uint32_t msg, Hop hop) const {
     auto* lst = g_lst;
     auto* touch = g_touch;
-    if constexpr (std::is_same_v<Codec, AddressCodec>) {
-      if (sharded) {
-        const std::uint32_t sh = codec.shard_of(hop.chan);
-        if (sh != AddressCodec::kSpine) {
-          lst = bands[sh].stage_list.data();
-          touch = bands[sh].stage_touched.data();
-        }
+    if (sharded) {
+      const std::uint32_t sh = codec.shard_of(hop.chan);
+      if (sh != AddressCodec::kSpine) {
+        lst = bands[sh].stage_list.data();
+        touch = bands[sh].stage_touched.data();
       }
     }
     if (bp[hop.chan]++ == 0) touch[hop.stage].push_back(hop.chan);
     lst[hop.stage].push_back(pack_entry(msg, hop.chan));
   }
 
-  Codec codec;
+  AddressCodec codec;
   std::uint32_t* bp;
   bool sharded;  ///< false in the serial executor
   Band* bands;
@@ -799,7 +680,6 @@ struct CycleEngine::Lander {
 /// set is assembled from the same messages, restored to ascending pending
 /// order before its pinned (seed, cycle, channel) lottery, and under-limit
 /// buckets admit everyone regardless of order.
-template <typename Codec>
 #if defined(__GNUC__) && !defined(__clang__)
 // Past GCC's unit-growth inlining budget the inliner leaves the
 // push_back fast paths of the forward closures below as out-of-line
@@ -808,10 +688,10 @@ template <typename Codec>
 // the unit budget.
 __attribute__((flatten))
 #endif
-void CycleEngine::run_cycle(const Codec& codec, std::uint32_t cycle) {
-  const std::uint32_t num_stages = graph_.num_stages;
+void CycleEngine::run_cycle(const AddressCodec& codec, std::uint32_t cycle) {
+  const std::uint32_t num_stages = codec.num_stages();
   Band& global = bands_.back();
-  const Lander<Codec> land(*this);
+  const Lander land(*this);
 
   // The global band: the fused kernel on the coordinating thread.
   auto run_global = [&](std::uint32_t s_begin, std::uint32_t s_end) {
@@ -830,122 +710,117 @@ void CycleEngine::run_cycle(const Codec& codec, std::uint32_t cycle) {
     return;
   }
 
-  // The sharded executor runs only on tagged graphs, so it is compiled
-  // for the address codec alone, which supplies the spine band and every
-  // shard.
-  if constexpr (std::is_same_v<Codec, AddressCodec>) {
-    const std::uint32_t spine_lo = codec.spine_lo;
-    const std::uint32_t spine_hi = codec.spine_hi;
-    const std::size_t num_shards = bands_.size() - 1;
-    Band* const shards = bands_.data();
+  const std::uint32_t spine_lo = codec.spine_lo;
+  const std::uint32_t spine_hi = codec.spine_hi;
+  const std::size_t num_shards = bands_.size() - 1;
+  Band* const shards = bands_.data();
 
-    // A shard's stage band: the fused kernel on its own scratch. The
-    // forward rule is the shard invariant in code — below the spine a
-    // survivor's next channel is always ours, and so is every next channel
-    // in the down band (descent never leaves the subtree); after the up
-    // band's turn, anything not ours (spine channels, another shard's down
-    // channels) leaves through the outbox, because only the coordinating
-    // thread may land an entry on another band.
-    auto run_band = [&](Band& st, std::uint32_t my_shard,
-                        std::uint32_t s_begin, std::uint32_t s_end) {
-      std::uint32_t* const bp = bucket_pos_.data();
-      auto* const lst = st.stage_list.data();
-      auto* const touch = st.stage_touched.data();
-      const bool down = s_begin >= spine_hi;
+  // A shard's stage band: the fused kernel on its own scratch. The
+  // forward rule is the shard invariant in code — below the spine a
+  // survivor's next channel is always ours, and so is every next channel
+  // in the down band (descent never leaves the subtree); after the up
+  // band's turn, anything not ours (spine channels, another shard's down
+  // channels) leaves through the outbox, because only the coordinating
+  // thread may land an entry on another band.
+  auto run_band = [&](Band& st, std::uint32_t my_shard,
+                      std::uint32_t s_begin, std::uint32_t s_end) {
+    std::uint32_t* const bp = bucket_pos_.data();
+    auto* const lst = st.stage_list.data();
+    auto* const touch = st.stage_touched.data();
+    const bool down = s_begin >= spine_hi;
+    for (std::uint32_t s = s_begin; s < s_end; ++s) {
+      if (lst[s].empty()) continue;
+      fused_stage(codec, cycle, st, s, [&](std::uint32_t i, Hop hop) {
+        const std::uint32_t nc = hop.chan;
+        if (down || hop.stage < spine_lo || codec.shard_of(nc) == my_shard) {
+          if (bp[nc]++ == 0) touch[hop.stage].push_back(nc);
+          lst[hop.stage].push_back(pack_entry(i, nc));
+        } else {
+          st.outbox.push_back(pack_entry(i, nc));
+        }
+      });
+    }
+  };
+
+  auto band_entries = [&](std::uint32_t s_begin, std::uint32_t s_end) {
+    std::size_t entries = 0;
+    for (std::size_t sh = 0; sh < num_shards; ++sh) {
       for (std::uint32_t s = s_begin; s < s_end; ++s) {
-        if (lst[s].empty()) continue;
-        fused_stage(codec, cycle, st, s, [&](std::uint32_t i, Hop hop) {
-          const std::uint32_t nc = hop.chan;
-          if (down || hop.stage < spine_lo || codec.shard_of(nc) == my_shard) {
-            if (bp[nc]++ == 0) touch[hop.stage].push_back(nc);
-            lst[hop.stage].push_back(pack_entry(i, nc));
-          } else {
-            st.outbox.push_back(pack_entry(i, nc));
-          }
-        });
+        entries += shards[sh].stage_list[s].size();
       }
-    };
+    }
+    return entries;
+  };
 
-    auto band_entries = [&](std::uint32_t s_begin, std::uint32_t s_end) {
-      std::size_t entries = 0;
+  // Small cycles, and every cycle of an engine without a pool, run the
+  // shard loop inline — same structure, same results, no pool wakeup
+  // (late cycles shrink below the threshold as messages deliver).
+  auto dispatch = [&](std::uint32_t s_begin, std::uint32_t s_end) {
+    if (pool_ != nullptr &&
+        band_entries(s_begin, s_end) >= kMinParallelWork) {
+      pool_->run_tasks(num_shards, [&](std::size_t sh) {
+        run_band(shards[sh], static_cast<std::uint32_t>(sh), s_begin, s_end);
+      });
+    } else {
       for (std::size_t sh = 0; sh < num_shards; ++sh) {
-        for (std::uint32_t s = s_begin; s < s_end; ++s) {
-          entries += shards[sh].stage_list[s].size();
-        }
+        run_band(shards[sh], static_cast<std::uint32_t>(sh), s_begin, s_end);
       }
-      return entries;
-    };
-
-    // Small cycles, and every cycle of an engine without a pool, run the
-    // shard loop inline — same structure, same results, no pool wakeup
-    // (late cycles shrink below the threshold as messages deliver).
-    auto dispatch = [&](std::uint32_t s_begin, std::uint32_t s_end) {
-      if (pool_ != nullptr &&
-          band_entries(s_begin, s_end) >= kMinParallelWork) {
-        pool_->run_tasks(num_shards, [&](std::size_t sh) {
-          run_band(shards[sh], static_cast<std::uint32_t>(sh), s_begin, s_end);
-        });
-      } else {
-        for (std::size_t sh = 0; sh < num_shards; ++sh) {
-          run_band(shards[sh], static_cast<std::uint32_t>(sh), s_begin, s_end);
-        }
-      }
-    };
-
-    // Phase timing splits the sweep at its three natural seams: the two
-    // shard-parallel dispatches and the serial middle (outbox landing and
-    // spine band) between them.
-    PhaseClock::time_point pt0, pt1, pt2;
-    if (time_phases_) pt0 = PhaseClock::now();
-
-    // Up phase: shard-parallel.
-    dispatch(0, spine_lo);
-
-    if (time_phases_) pt1 = PhaseClock::now();
-
-    // Outbox landing, serial: each crossing survivor lands on the band that
-    // owns its next channel — the global band's spine worklists or its
-    // destination shard's down worklists.
-    for (std::size_t sh = 0; sh < num_shards; ++sh) {
-      std::vector<std::uint64_t>& outbox = shards[sh].outbox;
-      for (const std::uint64_t e : outbox) {
-        const std::uint32_t nc = entry_chan(e);
-        land(entry_msg(e), {nc, codec.stage_of(nc)});
-      }
-      outbox.clear();
     }
+  };
 
-    // Spine stages, on the global band: the only arbitration that crosses
-    // shards. Empty when the shard roots sit directly under the fat-tree
-    // root (shard level 1). The spine stays on the coordinating thread:
-    // arbitrating its buckets on the pool measured no faster than this
-    // serial pass (DESIGN.md, "Measured dead ends").
-    run_global(spine_lo, spine_hi);
+  // Phase timing splits the sweep at its three natural seams: the two
+  // shard-parallel dispatches and the serial middle (outbox landing and
+  // spine band) between them.
+  PhaseClock::time_point pt0, pt1, pt2;
+  if (time_phases_) pt0 = PhaseClock::now();
 
-    if (time_phases_) pt2 = PhaseClock::now();
+  // Up phase: shard-parallel.
+  dispatch(0, spine_lo);
 
-    // Down phase: shard-parallel; descent never leaves the subtree, so no
-    // outbox entries can appear.
-    dispatch(spine_hi, num_stages);
+  if (time_phases_) pt1 = PhaseClock::now();
 
-    if (time_phases_) {
-      const auto pt3 = PhaseClock::now();
-      ph_up_ += phase_delta(pt0, pt1);
-      ph_spine_ += phase_delta(pt1, pt2);
-      ph_down_ += phase_delta(pt2, pt3);
+  // Outbox landing, serial: each crossing survivor lands on the band that
+  // owns its next channel — the global band's spine worklists or its
+  // destination shard's down worklists.
+  for (std::size_t sh = 0; sh < num_shards; ++sh) {
+    std::vector<std::uint64_t>& outbox = shards[sh].outbox;
+    for (const std::uint64_t e : outbox) {
+      const std::uint32_t nc = entry_chan(e);
+      land(entry_msg(e), {nc, codec.stage_of(nc)});
     }
+    outbox.clear();
+  }
 
-    // The shards' counters and channel state fold into the global band
-    // (the lists are empty on cycles without channel state).
-    for (std::size_t sh = 0; sh < num_shards; ++sh) {
-      Band& st = shards[sh];
-      global.losses += st.losses;
-      global.hops += st.hops;
-      st.losses = 0;
-      st.hops = 0;
-      global.loads.insert(global.loads.end(), st.loads.begin(), st.loads.end());
-      st.loads.clear();
-    }
+  // Spine stages, on the global band: the only arbitration that crosses
+  // shards. Empty when the shard roots sit directly under the fat-tree
+  // root (shard level 1). The spine stays on the coordinating thread:
+  // arbitrating its buckets on the pool measured no faster than this
+  // serial pass (DESIGN.md, "Measured dead ends").
+  run_global(spine_lo, spine_hi);
+
+  if (time_phases_) pt2 = PhaseClock::now();
+
+  // Down phase: shard-parallel; descent never leaves the subtree, so no
+  // outbox entries can appear.
+  dispatch(spine_hi, num_stages);
+
+  if (time_phases_) {
+    const auto pt3 = PhaseClock::now();
+    ph_up_ += phase_delta(pt0, pt1);
+    ph_spine_ += phase_delta(pt1, pt2);
+    ph_down_ += phase_delta(pt2, pt3);
+  }
+
+  // The shards' counters and channel state fold into the global band
+  // (the lists are empty on cycles without channel state).
+  for (std::size_t sh = 0; sh < num_shards; ++sh) {
+    Band& st = shards[sh];
+    global.losses += st.losses;
+    global.hops += st.hops;
+    st.losses = 0;
+    st.hops = 0;
+    global.loads.insert(global.loads.end(), st.loads.begin(), st.loads.end());
+    st.loads.clear();
   }
 }
 
@@ -1083,24 +958,15 @@ EngineResult CycleEngine::end_run(Frame& f) {
 }
 
 EngineResult CycleEngine::run_lossy(BatchFeed& feed, EngineObserver* observer) {
-  if (graph_.tree_height != 0) {
-    return run_lossy_t<AddressCodec>(feed, observer);
-  }
-  return run_lossy_t<CsrCodec>(feed, observer);
-}
-
-template <typename Codec>
-EngineResult CycleEngine::run_lossy_t(BatchFeed& feed,
-                                      EngineObserver* observer) {
-  constexpr bool kAddress = std::is_same_v<Codec, AddressCodec>;
   Frame f = begin_run(observer);
   EngineResult& result = f.result;
   const bool trace = f.trace;
   const bool lat_on = f.lat_on;
   const std::size_t num_channels = graph_.num_channels();
+  // The constructor admits a lossy or tally engine on a tagged graph only.
+  const AddressCodec codec = tree_codec();
   bucket_pos_.assign(num_channels, 0);
-  for (Band& b : bands_) b.reset(graph_.num_stages);
-  chan_buf_.clear();
+  for (Band& b : bands_) b.reset(codec.num_stages());
   ce_.clear();
   id_.clear();
   attempts_.clear();
@@ -1110,7 +976,7 @@ EngineResult CycleEngine::run_lossy_t(BatchFeed& feed,
   std::uint32_t next_id = 0;
   // Every worklist seed — injection, and compaction's reseed of retries —
   // lands on the band that owns the message's first channel.
-  const Lander<Codec> land(*this);
+  const Lander land(*this);
 
   // The retry policy is sampled once per run; with it off, compaction
   // reseeds every loser for the next cycle.
@@ -1159,7 +1025,6 @@ EngineResult CycleEngine::run_lossy_t(BatchFeed& feed,
       std::uint64_t* const ce = ce_.data();
       std::uint32_t* const ids = id_.data();
       const std::uint32_t id0 = next_id;
-      const Codec codec(*this);
       std::uint32_t i = first;
       for (std::size_t p = 0; p < num; ++p) {
         const std::uint64_t w = encode(p);
@@ -1199,94 +1064,60 @@ EngineResult CycleEngine::run_lossy_t(BatchFeed& feed,
       next_id += static_cast<std::uint32_t>(num);
     };
 
+    const std::uint32_t leaf0 = 1u << codec.height;
     while (const Batch batch = feed.next(cycle)) {
       if (batch.pairs != nullptr) {
-        // Leaf pairs (tagged graphs only; the entry points check it).
-        if constexpr (kAddress) {
-          const LeafPair* const pairs = batch.pairs->data();
-          const std::uint32_t leaf0 = 1u << graph_.tree_height;
-          const AddressCodec codec(*this);
-          const bool check_hops = !tree_usable_;
-          inject(
-              batch.pairs->size(),
-              [pairs](std::size_t p) { return pairs[p].src != pairs[p].dst; },
-              [&](std::size_t p) {
-                const LeafPair q = pairs[p];
-                FT_CHECK_MSG(q.src < leaf0 && q.dst < leaf0,
-                             "leaf pair outside the tree");
-                const std::uint64_t w =
-                    AddressCodec::encode(leaf0 + q.src, leaf0 + q.dst);
-                if (check_hops) {
-                  // Some tree channel is unknown (the constructor's
-                  // pass), so this path is checked hop by hop, as a
-                  // PathSet path is.
-                  for (std::uint64_t v = w; AddressCodec::more(v); ++v) {
-                    FT_CHECK_MSG(ctbl[codec.hop(v).chan] != 0,
-                                 "path uses an unknown channel");
-                  }
+        const LeafPair* const pairs = batch.pairs->data();
+        const bool check_hops = !tree_usable_;
+        inject(
+            batch.pairs->size(),
+            [pairs](std::size_t p) { return pairs[p].src != pairs[p].dst; },
+            [&](std::size_t p) {
+              const LeafPair q = pairs[p];
+              FT_CHECK_MSG(q.src < leaf0 && q.dst < leaf0,
+                           "leaf pair outside the tree");
+              const std::uint64_t w =
+                  AddressCodec::encode(leaf0 + q.src, leaf0 + q.dst);
+              if (check_hops) {
+                // Some tree channel is unknown (the constructor's pass),
+                // so this path is checked hop by hop, as a PathSet path
+                // is.
+                for (std::uint64_t v = w; AddressCodec::more(v); ++v) {
+                  FT_CHECK_MSG(ctbl[codec.hop(v).chan] != 0,
+                               "path uses an unknown channel");
                 }
-                return w;
-              });
-        }
+              }
+              return w;
+            });
         continue;
       }
+      // A PathSet is checked against check_tbl_, then must be its
+      // endpoints' tree path: its first and last hops sit above leaves
+      // (the codec counts stages from the leaves), and every hop is the
+      // one the address word names. It then encodes as that word.
       const PathSet& set = *batch.paths;
       const std::uint32_t* const chans = set.channels().data();
       const std::uint32_t* const offs = set.offsets().data();
-      const auto routed = [offs](std::size_t p) {
-        return offs[p] != offs[p + 1];
-      };
-      if constexpr (kAddress) {
-        // A PathSet on a tagged graph is checked as on any graph, then
-        // must be its endpoints' tree path: its first and last hops sit
-        // above leaves (the codec counts stages from the leaves), and
-        // every hop is the one the address word names. It then encodes
-        // as that word.
-        const std::uint32_t leaf0 = 1u << graph_.tree_height;
-        const AddressCodec codec(*this);
-        inject(set.size(), routed, [&](std::size_t p) {
-          const std::uint32_t off = offs[p];
-          const std::uint32_t len = offs[p + 1] - off;
-          check_path(ctbl, nch, chans + off, len);
-          if (len == 0) return std::uint64_t{0};
-          const std::uint32_t c0 = chans[off];
-          const std::uint32_t cl = chans[off + len - 1];
-          const std::uint64_t w = AddressCodec::encode(c0 >> 1, cl >> 1);
-          bool tree = (c0 >> 1) >= leaf0 && (cl >> 1) >= leaf0 &&
-                      len == 2 * AddressCodec::turn(w);
-          for (std::uint32_t k = 0; tree && k < len; ++k) {
-            tree = codec.hop(w + k).chan == chans[off + k];
-          }
-          FT_CHECK_MSG(tree, "path is not its endpoints' tree path");
-          return w;
-        });
-      } else {
-        // The batch's hops are copied into the hop buffer at base; each
-        // path's word names its slice there. Streamed sources can
-        // concatenate past the single-PathSet bound, so the combined
-        // buffer re-proves the 32-bit offset invariant every batch.
-        const std::uint32_t base =
-            checked_u32(chan_buf_.size(), "injected hop buffer overflows "
-                                          "32-bit offsets");
-        const std::size_t hops = set.total_hops();
-        FT_CHECK_MSG(base + static_cast<std::uint64_t>(hops) < 0xffffffffULL,
-                     "injected hop buffer overflows 32-bit offsets");
-        chan_buf_.grow_to(base + hops);
-        std::uint32_t* const dst = chan_buf_.data() + base;
-        inject(set.size(), routed, [&](std::size_t p) {
-          const std::uint32_t off = offs[p];
-          const std::uint32_t len = offs[p + 1] - off;
-          check_path(ctbl, nch, chans + off, len);
-          FT_CHECK_MSG(len <= CsrCodec::kMaxLen,
-                       "path longer than 65535 hops");
-          std::copy(chans + off, chans + off + len, dst + off);
-          return CsrCodec::encode(base + off, len);
-        });
-      }
+      inject(
+          set.size(),
+          [offs](std::size_t p) { return offs[p] != offs[p + 1]; },
+          [&](std::size_t p) {
+            const std::uint32_t off = offs[p];
+            const std::uint32_t len = offs[p + 1] - off;
+            check_path(ctbl, nch, chans + off, len);
+            if (len == 0) return std::uint64_t{0};
+            const std::uint32_t c0 = chans[off];
+            const std::uint32_t cl = chans[off + len - 1];
+            const std::uint64_t w = AddressCodec::encode(c0 >> 1, cl >> 1);
+            bool tree = (c0 >> 1) >= leaf0 && (cl >> 1) >= leaf0 &&
+                        len == 2 * AddressCodec::turn(w);
+            for (std::uint32_t k = 0; tree && k < len; ++k) {
+              tree = codec.hop(w + k).chan == chans[off + k];
+            }
+            FT_CHECK_MSG(tree, "path is not its endpoints' tree path");
+            return w;
+          });
     }
-    // Injection may have moved the hop buffer: the sweep and compaction
-    // read hops through a codec built after it.
-    const Codec codec(*this);
     const std::size_t pending_before = ce_.size();
     // Messages parked in backoff are alive but do not contend; without a
     // retry policy every pending message was seeded, so contenders ==
@@ -1432,7 +1263,7 @@ EngineResult CycleEngine::run_lossy_t(BatchFeed& feed,
           }
         }
         // Rewind the cursor to the first hop; the rest of the word stays.
-        const std::uint64_t r = Codec::rewind(v);
+        const std::uint64_t r = AddressCodec::rewind(v);
         ce[kept] = r;
         if (trace) ids[kept] = ids[i];  // ids are only read when tracing
         if (lat_on) ic[kept] = ic[i];

@@ -19,29 +19,29 @@
 //   * Channel model — the ChannelGraph handed to the constructor
 //     (engine/fat_tree_model.hpp, nets/Network, kary/KaryTree adapters).
 //
-// The lossy and tally modes have one stage kernel (fused_stage), two path
-// codecs — by address on a fat-tree graph (ChannelGraph::tree_height),
-// the u32 CSR hop buffer on any other — and two executors: serial, and —
-// on a fat-tree graph with a shard count — the sharded executor, whose
-// shards, derived from the tree tag, sweep the up and down stage bands on
-// a persistent thread pool. Injection is one serial pass in arrival order
-// in both. FIFO mode resolves channel ranges on the pool. Results are
-// identical to serial mode: every random arbitration draws from a private
-// stream seeded by (seed, cycle, channel), so no decision depends on
-// thread scheduling, and FIFO arrivals are merged in channel-index order.
+// The lossy and tally modes run on fat-tree graphs only (a tree-tagged
+// ChannelGraph: the constructor rejects them on any other graph), with
+// one stage kernel (fused_stage), one path codec — each message routed by
+// address (engine/address_codec.hpp) — and two executors: serial, and —
+// on a graph with a shard count — the sharded executor, whose shards,
+// derived from the tree tag, sweep the up and down stage bands on a
+// persistent thread pool. Injection is one serial pass in arrival order
+// in both. FIFO mode runs on any graph and resolves channel ranges on the
+// pool. Results are identical to serial mode: every random arbitration
+// draws from a private stream seeded by (seed, cycle, channel), so no
+// decision depends on thread scheduling, and FIFO arrivals are merged in
+// channel-index order.
 // Lossy cycles and FIFO rounds run in one cycle frame (begin_run ..
 // end_run), so fault transitions, the snapshot and phase timing exist
 // once.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <string_view>
 #include <vector>
 
+#include "engine/address_codec.hpp"
 #include "engine/block_list.hpp"
 #include "engine/channel_graph.hpp"
 #include "engine/fault_plan.hpp"
@@ -134,10 +134,10 @@ struct EngineOptions {
   std::uint32_t max_cycles = 0;
   /// Seed for RandomSubset arbitration streams.
   std::uint64_t seed = 0;
-  /// Run on a thread pool: the sharded executor when the graph is a
-  /// fat-tree graph with a shard count (lossy/tally), channel ranges in
-  /// FIFO mode. Any other lossy/tally graph runs serial, with no pool.
-  /// Identical results to serial mode at any thread count.
+  /// Run on a thread pool: the sharded executor when the graph carries a
+  /// shard count (lossy/tally), channel ranges in FIFO mode. An unsharded
+  /// lossy/tally graph runs serial, with no pool. Identical results to
+  /// serial mode at any thread count.
   bool parallel = false;
   /// Worker threads for parallel mode (0 = hardware concurrency). A
   /// resolved count of 1 builds no pool: the sharded layout then runs
@@ -250,42 +250,6 @@ class CycleEngine {
                                   EngineObserver* observer = nullptr);
 
  private:
-  /// The CSR codec's injected hop buffer: a trivially copyable array that
-  /// grows by realloc and leaves new elements uninitialized.
-  /// std::vector::resize zero-fills the new tail and copies the whole
-  /// buffer on every doubling; glibc grows the large (mmap-served) blocks
-  /// with mremap instead, and the injection pass that fills the tail is
-  /// the first to touch its pages. clear() keeps the capacity.
-  template <typename T>
-  class HopBuffer {
-   public:
-    HopBuffer() = default;
-    ~HopBuffer() { std::free(data_); }
-    HopBuffer(const HopBuffer&) = delete;
-    HopBuffer& operator=(const HopBuffer&) = delete;
-
-    T* data() { return data_; }
-    const T* data() const { return data_; }
-    std::size_t size() const { return size_; }
-    void clear() { size_ = 0; }
-    /// Sets the size to n; elements past the old size are uninitialized.
-    void grow_to(std::size_t n) {
-      if (n > cap_) {
-        const std::size_t cap = std::max(n, 2 * cap_);
-        void* p = std::realloc(data_, cap * sizeof(T));
-        if (p == nullptr) throw std::bad_alloc();
-        data_ = static_cast<T*>(p);
-        cap_ = cap;
-      }
-      size_ = n;
-    }
-
-   private:
-    T* data_ = nullptr;
-    std::size_t size_ = 0;
-    std::size_t cap_ = 0;
-  };
-
   /// One contended (over-limit) bucket in fused_stage: channel plus its
   /// [off, off + count) slice of the arena.
   struct OverBucket {
@@ -350,24 +314,14 @@ class CycleEngine {
     /// max_cycles stopped left in its lists.
     void reset(std::uint32_t num_stages);
   };
-  /// The two path codecs (defined in engine.cpp): how a live message's ce_
-  /// word names its hops. AddressCodec, on a tagged fat-tree graph, packs
-  /// the message's source and destination heap nodes with its hop cursor
-  /// and derives every hop's channel, stage and shard with shifts, and the
-  /// spine's stage band from the shard count; CsrCodec packs (begin,
-  /// length, cursor) into the u32 hop buffer and reads the graph's stage
-  /// table.
-  struct AddressCodec;
-  struct CsrCodec;
-  /// One hop of a path: its channel and that channel's stage.
-  struct Hop {
-    std::uint32_t chan;
-    std::uint32_t stage;
-  };
+  using Hop = AddressCodec::Hop;
+  /// The graph's codec, from its tree tag (lossy and tally runs only).
+  AddressCodec tree_codec() const {
+    return {graph_.tree_height, graph_.num_shards};
+  }
   /// The landing rule over hoisted band pointers (defined in engine.cpp).
-  template <typename Codec>
   struct Lander;
-  /// The cycle frame run_lossy_t and run_fifo share (defined in
+  /// The cycle frame run_lossy and run_fifo share (defined in
   /// engine.cpp): the observer's per-run opt-ins, the run's FaultState,
   /// the current cycle's fault transitions and the phase accounting.
   struct Frame;
@@ -382,22 +336,19 @@ class CycleEngine {
   /// by reference, and an out-of-line instantiation reads them through
   /// the closure on every inner-loop iteration (measured ~25% of lossy
   /// throughput when the compiler declined on size alone).
-  template <typename Codec, typename Forward>
+  template <typename Forward>
 #if defined(__GNUC__) || defined(__clang__)
   __attribute__((always_inline))
 #endif
-  inline void fused_stage(const Codec& codec, std::uint32_t cycle,
+  inline void fused_stage(const AddressCodec& codec, std::uint32_t cycle,
                           Band& band, std::uint32_t stage, Forward&& forward);
   /// One full cycle's stage sweep: every stage on the global band
   /// (serial), or parallel shard up phases, the serial outbox landing +
   /// spine band, parallel shard down phases and a fold of the shards'
   /// counters and lists into the global band (sharded; see DESIGN.md,
   /// "Scale-out").
-  template <typename Codec>
-  void run_cycle(const Codec& codec, std::uint32_t cycle);
+  void run_cycle(const AddressCodec& codec, std::uint32_t cycle);
   EngineResult run_lossy(BatchFeed& feed, EngineObserver* observer);
-  template <typename Codec>
-  EngineResult run_lossy_t(BatchFeed& feed, EngineObserver* observer);
   EngineResult run_fifo(const PathSet& paths, EngineObserver* observer);
 
   /// The cycle frame's four steps. begin_run samples the observer's
@@ -448,13 +399,15 @@ class CycleEngine {
   std::vector<std::uint32_t> attempts_;
   std::vector<std::uint32_t> wake_;
 
-  /// Path validation table: stage + 1 for a usable channel, 0 for an
-  /// unknown one (zero capacity, or, on a tagged graph, not a tree
-  /// channel: heap node 0 or the root's external-interface pair, c < 4).
-  /// Injection validates each hop with one 32-bit lookup: the channel is
-  /// known, and its stage + 1 exceeds the previous hop's, which holds
-  /// exactly when the stages strictly increase — the worklist invariant
-  /// that buckets each message once per cycle. FIFO checks known only.
+  /// Path validation table: 0 for an unknown channel (zero capacity, or,
+  /// on a tagged graph, not a tree channel: heap node 0 or the root's
+  /// external-interface pair, c < 4). A known channel holds the codec's
+  /// stage_of(c) + 1 on a tagged graph, and 1 on an untagged (FIFO-only)
+  /// one. Injection validates each hop with one 32-bit lookup: the
+  /// channel is known, and its stage + 1 exceeds the previous hop's, which
+  /// holds exactly when the stages strictly increase — the worklist
+  /// invariant that buckets each message once per cycle. FIFO checks
+  /// known only.
   std::vector<std::uint32_t> check_tbl_;
   /// Tagged graphs: every tree channel (heap nodes 2 .. 2^(L+1) - 1) is
   /// usable, proved by the constructor's one pass over the channel table.
@@ -467,7 +420,6 @@ class CycleEngine {
   // with no allocation: vectors are cleared, never shrunk, and the stage
   // lists recycle their blocks through the band pools, which keep every
   // block they have allocated.
-  HopBuffer<std::uint32_t> chan_buf_;  ///< injected hops (CSR codec)
   /// Live messages, injection order, struct-of-arrays. The stage sweeps
   /// index messages randomly but only ever touch the codec's packed word,
   /// whose low bits are the hop cursor — advance is one 64-bit increment

@@ -10,10 +10,8 @@ ChannelGraph fat_tree_channel_graph(const FatTreeTopology& topo,
 
   ChannelGraph g;
   g.capacity.assign(bound, 0);
-  g.stage.assign(bound, 0);
   g.level.assign(bound, 0);
   g.in_wire_budget.assign(bound, 0);
-  g.num_stages = 2 * L;
   g.num_levels = L + 1;
   FT_CHECK_MSG(L <= ChannelGraph::kMaxTreeHeight,
                "fat-tree too tall for the engine's address word");
@@ -31,9 +29,8 @@ ChannelGraph fat_tree_channel_graph(const FatTreeTopology& topo,
       const std::size_t idx = channel_index(ChannelId{v, dir});
       g.capacity[idx] = caps.capacity(topo, v);
       g.level[idx] = level;
-      if (v == 1) continue;  // external interface: no stage, no budget
-      g.stage[idx] = dir == Direction::Up ? L - level : (L - 1) + level;
-      g.in_wire_budget[idx] = 1;
+      // The root's external interface is outside the wire budget.
+      g.in_wire_budget[idx] = v != 1;
     }
   }
   return g;

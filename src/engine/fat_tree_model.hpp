@@ -6,13 +6,15 @@
 // direction), so per-channel counters line up with the rest of the core
 // layer.
 //
-// Arbitration stages encode the paper's causal order within a delivery
-// cycle: up channels from the leaves toward the root (stage = L - level),
-// then down channels back out (stage = L - 1 + level), 2L stages total.
+// The tag fixes everything else the engine needs by formula
+// (engine/address_codec.hpp): each channel's arbitration stage, the
+// paper's causal order within a delivery cycle — up channels from the
+// leaves toward the root (stage = L - level), then down channels back out
+// (stage = L - 1 + level), 2L stages total — and the shard partition, so
+// the graph stores no per-channel stage or shard, only the shard count.
 // The root's external-interface channel is never on an internal path; it
 // is kept out of the wire budget (utilization denominators), and the
-// engine treats it as unknown on the tagged graph. The tag also fixes the
-// shard partition, so the graph carries only the shard count.
+// engine treats it as unknown on the tagged graph.
 #pragma once
 
 #include <vector>

@@ -12,8 +12,10 @@
 // with FT_GOLDEN_PRINT=1 and paste the printed rows over the tables.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdlib>
 #include <iostream>
+#include <iterator>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -30,6 +32,7 @@
 #include "nets/builders.hpp"
 #include "nets/routing.hpp"
 #include "nets/store_forward.hpp"
+#include "obs/trace.hpp"
 
 namespace ft {
 namespace {
@@ -240,8 +243,9 @@ TEST(EngineGolden, RoutingPolicies) {
 }
 
 // Congestion feedback never acts on a channel outside the wire budget
-// (ChannelGraph::in_budget): 64 messages contend for one single-wire
-// channel, and only the in-budget variant parks its losers.
+// (ChannelGraph::in_budget): 64 messages from leaf 0 to leaf 1 of a
+// two-leaf tree of single-wire channels contend for leaf 0's up channel,
+// and only the variant that keeps it in the budget parks its losers.
 TEST(EngineGolden, AdaptiveIgnoresOutOfBudgetChannels) {
   struct Case {
     std::uint8_t in_budget;
@@ -250,11 +254,13 @@ TEST(EngineGolden, AdaptiveIgnoresOutOfBudgetChannels) {
     std::uint64_t losses;
     std::uint64_t backoffs;
   };
-  const Case cases[] = {{0, 64, 2080, 2016, 0}, {1, 84, 1442, 1378, 650}};
-  const std::vector<EnginePath> paths(64, EnginePath{0});
+  const Case cases[] = {{0, 64, 2080, 2016, 0}, {1, 84, 1450, 1386, 650}};
+  FatTreeTopology t(2);
+  const std::vector<EnginePath> paths(64, fat_tree_engine_path(t, 0, 1));
   for (const Case& c : cases) {
-    ChannelGraph graph = ChannelGraph::flat({1});
-    graph.in_wire_budget[0] = c.in_budget;
+    ChannelGraph graph =
+        fat_tree_channel_graph(t, CapacityProfile::constant(t, 1));
+    graph.in_wire_budget[paths[0][0]] = c.in_budget;
     EngineOptions opts;
     opts.policy = RoutingPolicy::AdaptiveOccupancy;
     opts.seed = 5;
@@ -273,7 +279,191 @@ TEST(EngineGolden, AdaptiveIgnoresOutOfBudgetChannels) {
     EXPECT_EQ(r.total_attempts, c.attempts) << at;
     EXPECT_EQ(r.total_losses, c.losses) << at;
     EXPECT_EQ(r.total_backoffs, c.backoffs) << at;
+    EXPECT_EQ(r.total_backoffs > 0, c.in_budget != 0) << at;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Codec cases: the golden workloads and a 4096-leaf stacked permutation
+// under every lossy policy and tally, with and without faults and retry.
+// Each row fingerprints every EngineResult field and the traced event
+// stream of one run. The rows were recorded from the CSR hop-buffer codec
+// (the engine's reference for untagged graphs, since deleted), which the
+// address codec matched bit for bit at the time; the serial and the
+// pooled-sharded executor must both reproduce every row.
+
+/// FNV-1a over 64-bit words: every EngineResult field of a run without
+/// phase timing, then every traced event in order.
+std::uint64_t run_fingerprint(const EngineResult& r, const TraceSink& trace) {
+  std::uint64_t h = 14695981039346656037ULL;
+  const auto mix = [&h](std::uint64_t v) { h = (h ^ v) * 1099511628211ULL; };
+  for (const std::uint64_t v :
+       {r.cycles, std::uint64_t{r.gave_up}, r.delivered, r.total_attempts,
+        r.total_losses, r.total_hops,
+        std::bit_cast<std::uint64_t>(r.latency_sum),
+        std::uint64_t{r.max_queue}, r.messages_given_up, r.total_backoffs,
+        r.fault_down_events, r.fault_up_events, r.subtree_kill_events,
+        r.degraded_channel_cycles}) {
+    mix(v);
+  }
+  for (const std::uint32_t d : r.delivered_per_cycle) mix(d);
+  for (const MessageEvent& e : trace.message_events()) {
+    mix(static_cast<std::uint64_t>(e.kind));
+    mix(e.message);
+    mix(e.cycle);
+    mix(e.channel);
+  }
+  return h;
+}
+
+struct CodecGolden {
+  const char* workload;
+  const char* mode;
+  bool faulted;
+  std::uint64_t fingerprint;
+};
+
+constexpr CodecGolden kCodecGolden[] = {
+    {"golden-lossy", "oblivious", false, 0xe1855d275ecec66aULL},
+    {"golden-lossy", "oblivious", true, 0xaa269eb15ada94ecULL},
+    {"golden-lossy", "dmod", false, 0xeefacf1d83d3716aULL},
+    {"golden-lossy", "dmod", true, 0x634be9c930ad7faULL},
+    {"golden-lossy", "rlb", false, 0x9d8137f902a49233ULL},
+    {"golden-lossy", "rlb", true, 0x1e8f8820382912efULL},
+    {"golden-lossy", "adaptive", false, 0xe3f1dff737e2a8eaULL},
+    {"golden-lossy", "adaptive", true, 0xaa269eb15ada94ecULL},
+    {"golden-lossy", "tally", false, 0xf51d74539dea682dULL},
+    {"golden-lossy", "tally", true, 0x144e3c5e98a46eb1ULL},
+    {"golden-giveup", "oblivious", false, 0xe7e194174f352defULL},
+    {"golden-giveup", "oblivious", true, 0x3b407068fdf41323ULL},
+    {"golden-giveup", "dmod", false, 0xa75aa844a044dae0ULL},
+    {"golden-giveup", "dmod", true, 0xb310562fa095ff01ULL},
+    {"golden-giveup", "rlb", false, 0xa75aa844a044dae0ULL},
+    {"golden-giveup", "rlb", true, 0xb310562fa095ff01ULL},
+    {"golden-giveup", "adaptive", false, 0x96338a6545a6ea67ULL},
+    {"golden-giveup", "adaptive", true, 0x3b407068fdf41323ULL},
+    {"golden-giveup", "tally", false, 0xd44c6a9e315b3a63ULL},
+    {"golden-giveup", "tally", true, 0x34b62e8a202df328ULL},
+    {"golden-online", "oblivious", false, 0xc3731b9458dd815bULL},
+    {"golden-online", "oblivious", true, 0x5f9a0f5329003558ULL},
+    {"golden-online", "dmod", false, 0x9c50c76b14e4712dULL},
+    {"golden-online", "dmod", true, 0x73a87469a870f929ULL},
+    {"golden-online", "rlb", false, 0xab176706525fe6afULL},
+    {"golden-online", "rlb", true, 0x213cbfb12e2d24f8ULL},
+    {"golden-online", "adaptive", false, 0xa594ec164920ca1fULL},
+    {"golden-online", "adaptive", true, 0x5f9a0f5329003558ULL},
+    {"golden-online", "tally", false, 0x9225e4ec8b62d5edULL},
+    {"golden-online", "tally", true, 0x9b8a710e5d4bf20fULL},
+    {"golden-policies", "oblivious", false, 0xacd2d7c2277124b4ULL},
+    {"golden-policies", "oblivious", true, 0x2803f04a4a35eae6ULL},
+    {"golden-policies", "dmod", false, 0x8c9e9237007ddcccULL},
+    {"golden-policies", "dmod", true, 0x49c811034cc91705ULL},
+    {"golden-policies", "rlb", false, 0x5c6be11b19dcf35dULL},
+    {"golden-policies", "rlb", true, 0xc7786b4ef40fc4a1ULL},
+    {"golden-policies", "adaptive", false, 0x6716229e88ec40a6ULL},
+    {"golden-policies", "adaptive", true, 0x2803f04a4a35eae6ULL},
+    {"golden-policies", "tally", false, 0xcb0702f14b4f512cULL},
+    {"golden-policies", "tally", true, 0x38649e5c3a02bbd7ULL},
+    {"stacked-4096", "oblivious", false, 0xb3b3feb7f2fc29c7ULL},
+    {"stacked-4096", "oblivious", true, 0xe5f86c5a68f1c886ULL},
+    {"stacked-4096", "dmod", false, 0xfa86e6b903985778ULL},
+    {"stacked-4096", "dmod", true, 0x561b75e27e78ad35ULL},
+    {"stacked-4096", "rlb", false, 0x589b1be6015d0585ULL},
+    {"stacked-4096", "rlb", true, 0x860c05ee8596fe4aULL},
+    {"stacked-4096", "adaptive", false, 0xab1e5c7018f76364ULL},
+    {"stacked-4096", "adaptive", true, 0xe5f86c5a68f1c886ULL},
+    {"stacked-4096", "tally", false, 0xab596a1435f37da0ULL},
+    {"stacked-4096", "tally", true, 0x230448c4ed00b536ULL},
+};
+
+TEST(EngineGolden, CodecCasesMatchCsrReference) {
+  Rng gen(61);
+  const struct {
+    const char* name;
+    std::uint32_t n;
+    std::uint64_t w;  ///< universal(w); 0 = constant(1)
+    MessageSet m;
+    std::uint32_t max_cycles;
+  } cases[] = {
+      {"golden-lossy", 128, 32, stacked_permutations(128, 4, gen), 0},
+      {"golden-giveup", 64, 0, stacked_permutations(64, 6, gen), 4},
+      {"golden-online", 64, 16, stacked_permutations(64, 3, gen), 0},
+      {"golden-policies", 1024, 64,
+       persistent_hotspot_traffic(1024, 341, 128, 4096, gen), 0},
+      {"stacked-4096", 4096, 256, stacked_permutations(4096, 2, gen), 0},
+  };
+  struct Mode {
+    ContentionPolicy contention;
+    RoutingPolicy policy;
+    const char* name;
+  };
+  std::vector<Mode> modes;
+  for (const RoutingPolicyName& pol : kRoutingPolicies) {
+    modes.push_back({ContentionPolicy::RandomSubset, pol.policy, pol.name});
+  }
+  modes.push_back(
+      {ContentionPolicy::Tally, RoutingPolicy::ObliviousRandom, "tally"});
+  const CodecGolden* row = kCodecGolden;
+  std::uint64_t backoffs = 0;
+  std::uint64_t given_up = 0;
+  for (const auto& c : cases) {
+    FatTreeTopology topo(c.n);
+    const CapacityProfile caps = c.w == 0
+                                     ? CapacityProfile::constant(topo, 1)
+                                     : CapacityProfile::universal(topo, c.w);
+    const PathSet paths = fat_tree_path_set(topo, c.m);
+    FaultPlan plan(77);
+    plan.set_flaps({0.02, 0.3});
+    plan.set_domains(fat_tree_subtree_domains(topo, 2));
+    plan.add_subtree_kill({/*node=*/5, /*at_cycle=*/2, /*duration=*/3});
+    for (const Mode& mode : modes) {
+      for (const bool faulted : {false, true}) {
+        EngineOptions opts;
+        opts.seed = 4242;
+        opts.contention = mode.contention;
+        opts.policy = mode.policy;
+        opts.max_cycles = c.max_cycles;
+        opts.threads = 4;
+        if (faulted) {
+          opts.fault_plan = &plan;
+          opts.retry.exponential_backoff = true;
+          opts.retry.deadline_cycles = 24;
+        }
+        for (const bool pooled : {false, true}) {
+          opts.parallel = pooled;
+          CycleEngine engine(
+              fat_tree_channel_graph(topo, caps, pooled ? 2 : 0), opts);
+          TraceSink trace;
+          const EngineResult r = engine.run(paths, &trace);
+          const std::uint64_t fp = run_fingerprint(r, trace);
+          if (print_mode()) {
+            if (!pooled) {
+              std::cout << "    {\"" << c.name << "\", \"" << mode.name
+                        << "\", " << (faulted ? "true" : "false") << ", 0x"
+                        << std::hex << fp << std::dec << "ULL},\n";
+            }
+            continue;
+          }
+          const std::string at = std::string(c.name) + " " + mode.name +
+                                 (faulted ? " faulted" : "") +
+                                 (pooled ? " pooled" : " serial");
+          ASSERT_LT(row - kCodecGolden, std::ssize(kCodecGolden)) << at;
+          EXPECT_STREQ(row->workload, c.name) << at;
+          EXPECT_STREQ(row->mode, mode.name) << at;
+          EXPECT_EQ(row->faulted, faulted) << at;
+          EXPECT_EQ(fp, row->fingerprint) << at;
+          backoffs += r.total_backoffs;
+          given_up += r.messages_given_up;
+        }
+        ++row;
+      }
+    }
+  }
+  if (print_mode()) return;
+  EXPECT_EQ(row - kCodecGolden, std::ssize(kCodecGolden));
+  // The retry machinery ran: messages backed off and deadlines expired.
+  EXPECT_GT(backoffs, 0u);
+  EXPECT_GT(given_up, 0u);
 }
 
 // ---------------------------------------------------------------------------

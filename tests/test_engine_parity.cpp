@@ -756,6 +756,32 @@ TEST(EngineDeathTest, FifoRejectsUnknownChannel) {
       "path uses an unknown channel");
 }
 
+// Only the address codec routes a lossy or tally message, so the engine
+// rejects both on an untagged graph at construction, serial or parallel;
+// FIFO runs on the same graph.
+TEST(EngineDeathTest, LossyAndTallyNeedATreeTaggedGraph) {
+  for (const ContentionPolicy contention :
+       {ContentionPolicy::RandomSubset, ContentionPolicy::Tally}) {
+    for (const bool parallel : {false, true}) {
+      EngineOptions opts;
+      opts.contention = contention;
+      opts.parallel = parallel;
+      opts.threads = 2;
+      EXPECT_DEATH({ CycleEngine engine(ChannelGraph::flat({1, 1}), opts); },
+                   "lossy and tally runs need a tree-tagged channel graph")
+          << "contention " << static_cast<int>(contention) << " parallel "
+          << parallel;
+    }
+  }
+  EngineOptions fifo;
+  fifo.contention = ContentionPolicy::Fifo;
+  const std::vector<EnginePath> paths = {{0}, {0, 1}, {1}};
+  const EngineResult r =
+      CycleEngine(ChannelGraph::flat({1, 1}), fifo).run(paths);
+  EXPECT_EQ(r.delivered, paths.size());
+  EXPECT_FALSE(r.gave_up);
+}
+
 // RandomSubset admits floor(alpha * capacity) per channel, so alpha must
 // lie in (0, 1]: above 1 a channel would admit more than its wires, and a
 // huge alpha would overflow the limit's conversion to an integer. Every

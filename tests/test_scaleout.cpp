@@ -1,9 +1,10 @@
 // Scale-out regression tests: streamed message sets are bit-identical to
-// materialized ones (results and trace streams), the address codec of
-// fat-tree graphs matches the CSR codec, unused channels change nothing,
-// checked narrowing aborts at the 32-bit boundary, and the subtree-sharded
-// parallel executor matches the serial engine on every workload shape —
-// including faults and retry policies. See DESIGN.md "Scale-out".
+// materialized ones (results and trace streams), the address codec names
+// every hop, stage and shard of the compiled tree paths, unused channels
+// change nothing, checked narrowing aborts at the 32-bit boundary, and the
+// subtree-sharded parallel executor matches the serial engine on every
+// workload shape — including faults and retry policies. See DESIGN.md
+// "Scale-out". test_engine_golden pins the codec's runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 #include "core/online_router.hpp"
 #include "core/topology.hpp"
 #include "core/traffic.hpp"
+#include "engine/address_codec.hpp"
 #include "engine/engine.hpp"
 #include "engine/fat_tree_model.hpp"
 #include "engine/kary_model.hpp"
@@ -258,110 +260,105 @@ TEST(Scaleout, KaryStreamMatchesMaterialized) {
   EXPECT_EQ(streamed.mean_link_load, tracker.mean_positive_load());
 }
 
-// --- Address codec ≡ CSR codec -------------------------------------------
+// --- Address codec ----------------------------------------------------------
 
-/// The same graph with its tree tag cleared: the engine then routes every
-/// message through the u32 CSR hop buffer and the graph's tables. Only an
-/// unsharded graph may be untagged (the shard partition is the tag's).
-ChannelGraph untagged(ChannelGraph g) {
-  g.tree_height = 0;
-  return g;
+/// The builder's stage rule for channel c, the up (c even) or down
+/// channel above heap node c / 2: L - level going up, L - 1 + level going
+/// down.
+std::uint32_t builder_stage(const FatTreeTopology& topo, std::uint32_t c) {
+  const std::uint32_t level = topo.channel_level(c >> 1);
+  return (c & 1u) == 0 ? topo.height() - level : topo.height() - 1 + level;
 }
 
-void expect_same_faults(const EngineResult& a, const EngineResult& b,
-                        const char* label) {
-  EXPECT_EQ(a.fault_down_events, b.fault_down_events) << label;
-  EXPECT_EQ(a.fault_up_events, b.fault_up_events) << label;
-  EXPECT_EQ(a.subtree_kill_events, b.subtree_kill_events) << label;
-  EXPECT_EQ(a.degraded_channel_cycles, b.degraded_channel_cycles) << label;
-}
-
-// On a tagged fat-tree graph the engine keeps each message as one word
-// and derives every hop by address; clearing the tag runs the same paths
-// through the CSR codec, which always runs serial. The address codec,
-// serial and pooled-sharded, must agree with that reference bit for bit —
-// every result field and the traced event stream — on the golden
-// workloads and stacked permutations, under every lossy policy and tally,
-// with and without faults and retry.
-TEST(Scaleout, AddressCodecMatchesCsrCodec) {
-  Rng gen(61);
-  const struct {
-    const char* name;
-    std::uint32_t n;
-    std::uint64_t w;  ///< universal(w); 0 = constant(1)
-    MessageSet m;
-    std::uint32_t max_cycles;
-  } cases[] = {
-      {"golden-lossy", 128, 32, stacked_permutations(128, 4, gen), 0},
-      {"golden-giveup", 64, 0, stacked_permutations(64, 6, gen), 4},
-      {"golden-online", 64, 16, stacked_permutations(64, 3, gen), 0},
-      {"golden-policies", 1024, 64,
-       persistent_hotspot_traffic(1024, 341, 128, 4096, gen), 0},
-      {"stacked-4096", 4096, 256, stacked_permutations(4096, 2, gen), 0},
+/// Checks the codec's word for the pair (src, dst) against the compiled
+/// tree path: hop k names the path's k-th channel at the builder's stage,
+/// the cursor runs out exactly after the last hop, rewind returns every
+/// cursor to the first hop, and the final channel is the path's last.
+void expect_codec_path(const FatTreeTopology& topo, const AddressCodec& codec,
+                       Leaf src, Leaf dst) {
+  const EnginePath path = fat_tree_engine_path(topo, src, dst);
+  const std::uint64_t w = AddressCodec::encode(topo.node_of_leaf(src),
+                                               topo.node_of_leaf(dst));
+  const auto at = [&] {
+    return "L=" + std::to_string(topo.height()) + " " + std::to_string(src) +
+           "->" + std::to_string(dst);
   };
-  struct Mode {
-    ContentionPolicy contention;
-    RoutingPolicy policy;
-    const char* name;
-  };
-  std::vector<Mode> modes;
-  for (const RoutingPolicyName& pol : kRoutingPolicies) {
-    modes.push_back({ContentionPolicy::RandomSubset, pol.policy, pol.name});
+  ASSERT_EQ(AddressCodec::src(w), topo.node_of_leaf(src)) << at();
+  ASSERT_EQ(AddressCodec::dst(w), topo.node_of_leaf(dst)) << at();
+  ASSERT_EQ(path.size(), 2 * AddressCodec::turn(w)) << at();
+  for (std::size_t k = 0; k < path.size(); ++k) {
+    const std::uint64_t v = w + k;
+    ASSERT_TRUE(AddressCodec::more(v)) << at() << " hop " << k;
+    const AddressCodec::Hop hop = codec.hop(v);
+    ASSERT_EQ(hop.chan, path[k]) << at() << " hop " << k;
+    ASSERT_EQ(hop.stage, builder_stage(topo, path[k])) << at() << " hop " << k;
+    ASSERT_EQ(AddressCodec::rewind(v), w) << at() << " hop " << k;
+    ASSERT_EQ(AddressCodec::last_chan(v), path.back()) << at() << " hop " << k;
   }
-  modes.push_back(
-      {ContentionPolicy::Tally, RoutingPolicy::ObliviousRandom, "tally"});
-  std::uint64_t backoffs = 0;
-  std::uint64_t given_up = 0;
-  for (const auto& c : cases) {
-    FatTreeTopology topo(c.n);
-    const CapacityProfile caps = c.w == 0
-                                     ? CapacityProfile::constant(topo, 1)
-                                     : CapacityProfile::universal(topo, c.w);
-    const PathSet paths = fat_tree_path_set(topo, c.m);
-    FaultPlan plan(77);
-    plan.set_flaps({0.02, 0.3});
-    plan.set_domains(fat_tree_subtree_domains(topo, 2));
-    plan.add_subtree_kill({/*node=*/5, /*at_cycle=*/2, /*duration=*/3});
-    const ChannelGraph csr_graph = untagged(fat_tree_channel_graph(topo, caps));
-    for (const Mode& mode : modes) {
-      for (const bool faulted : {false, true}) {
-        EngineOptions opts;
-        opts.seed = 4242;
-        opts.contention = mode.contention;
-        opts.policy = mode.policy;
-        opts.max_cycles = c.max_cycles;
-        if (faulted) {
-          opts.fault_plan = &plan;
-          opts.retry.exponential_backoff = true;
-          opts.retry.deadline_cycles = 24;
-        }
-        CycleEngine csr(csr_graph, opts);
-        TraceSink csr_trace;
-        const EngineResult b = csr.run(paths, &csr_trace);
-        for (const bool pooled : {false, true}) {
-          opts.parallel = pooled;
-          opts.threads = 4;
-          CycleEngine address(
-              fat_tree_channel_graph(topo, caps, pooled ? 2 : 0), opts);
-          TraceSink address_trace;
-          const EngineResult a = address.run(paths, &address_trace);
-          const std::string label = std::string(c.name) + " " + mode.name +
-                                    (faulted ? " faulted" : "") +
-                                    (pooled ? " pooled" : " serial");
-          expect_same_result(a, b, label.c_str());
-          expect_same_faults(a, b, label.c_str());
-          EXPECT_EQ(event_fingerprint(address_trace),
-                    event_fingerprint(csr_trace))
-              << label;
-          backoffs += a.total_backoffs;
-          given_up += a.messages_given_up;
+  ASSERT_FALSE(AddressCodec::more(w + path.size())) << at();
+  ASSERT_EQ(AddressCodec::rewind(w + path.size()), w) << at();
+}
+
+// The codec against the independent path compiler, for every leaf pair of
+// every tree up to 256 leaves: each hop's channel is the compiled path's,
+// its stage the builder's rule, and more, rewind and last_chan agree.
+// stage_of gives every tree channel the builder's stage; at every shard
+// level each channel's shard is its node's ancestor at that level (the
+// spine above), and the spine band [spine_lo, spine_hi) holds exactly the
+// spine channels' stages. Edge pairs of the tallest taggable tree (2^28
+// leaves) check the word's widths.
+TEST(AddressCodec, MatchesCompiledTreePaths) {
+  for (std::uint32_t n = 2; n <= 256; n *= 2) {
+    const FatTreeTopology topo(n);
+    const std::uint32_t L = topo.height();
+    const AddressCodec codec(L, 0);
+    ASSERT_EQ(codec.num_stages(), 2 * L);
+    for (Leaf src = 0; src < n; ++src) {
+      for (Leaf dst = 0; dst < n; ++dst) {
+        if (src == dst) continue;
+        expect_codec_path(topo, codec, src, dst);
+        if (HasFatalFailure()) return;
+      }
+    }
+    for (NodeId v = 2; v <= topo.num_nodes(); ++v) {
+      for (const Direction dir : {Direction::Up, Direction::Down}) {
+        const auto c = static_cast<std::uint32_t>(channel_index({v, dir}));
+        ASSERT_EQ(codec.stage_of(c), builder_stage(topo, c))
+            << "n=" << n << " c=" << c;
+      }
+    }
+    for (std::uint32_t k = 1; k < L; ++k) {
+      const AddressCodec sharded(L, 1u << k);
+      ASSERT_EQ(sharded.shard_level, k);
+      for (NodeId v = 2; v <= topo.num_nodes(); ++v) {
+        NodeId root = v;
+        while (topo.level(root) > k) root = topo.parent(root);
+        const bool spine = topo.level(v) < k;
+        for (const Direction dir : {Direction::Up, Direction::Down}) {
+          const auto c = static_cast<std::uint32_t>(channel_index({v, dir}));
+          const std::string at = "n=" + std::to_string(n) +
+                                 " k=" + std::to_string(k) +
+                                 " c=" + std::to_string(c);
+          ASSERT_EQ(sharded.shard_of(c),
+                    spine ? AddressCodec::kSpine : root - (NodeId{1} << k))
+              << at;
+          const std::uint32_t stage = builder_stage(topo, c);
+          ASSERT_EQ(stage >= sharded.spine_lo && stage < sharded.spine_hi,
+                    spine)
+              << at;
         }
       }
     }
   }
-  // The retry machinery ran: messages backed off and deadlines expired.
-  EXPECT_GT(backoffs, 0u);
-  EXPECT_GT(given_up, 0u);
+  const FatTreeTopology tall(1u << ChannelGraph::kMaxTreeHeight);
+  const AddressCodec codec(tall.height(), 0);
+  const Leaf last = tall.num_processors() - 1;
+  const Leaf mid = tall.num_processors() / 2;
+  for (const auto& [src, dst] :
+       {std::pair<Leaf, Leaf>{0, last}, {last, 0}, {0, 1}, {last, last - 1},
+        {mid - 1, mid}, {mid, mid - 1}}) {
+    expect_codec_path(tall, codec, src, dst);
+  }
 }
 
 /// Yields one chunk of leaf pairs per message set.
@@ -435,18 +432,20 @@ TEST(Scaleout, LeafPairsMatchCompiledPaths) {
 
 // --- Unused channels --------------------------------------------------------
 
-// Arbitration streams are keyed by (seed, cycle, channel) only, so adding
-// unused channels — here across 2^16 — must not change any result bit.
+// Adding unused channels to a flat graph — here across 2^16 — must not
+// change any result bit. Flat graphs run FIFO, the one mode untagged
+// graphs keep.
 TEST(Scaleout, NarrowWideBoundaryIsSeamless) {
   const std::size_t kUsed = 100;
-  // Three contenders per channel, capacity 1: every channel runs a
-  // lottery every cycle until its bucket drains.
+  // Three contenders per channel, capacity 1: every channel forwards one
+  // message a round until its queue drains.
   std::vector<EnginePath> paths;
   for (std::uint32_t i = 0; i < 3 * kUsed; ++i) {
     paths.push_back({static_cast<std::uint32_t>(i % kUsed)});
   }
 
   EngineOptions opts;
+  opts.contention = ContentionPolicy::Fifo;
   opts.seed = 1234;
 
   EngineResult base;
@@ -587,8 +586,9 @@ TEST(ScaleoutDeathTest, ShardCountOnUntaggedGraphIsRejected) {
   FatTreeTopology topo(64);
   ChannelGraph flat = ChannelGraph::flat({1, 1, 1, 1});
   flat.num_shards = 2;
-  ChannelGraph cleared = untagged(
-      fat_tree_channel_graph(topo, CapacityProfile::universal(topo, 16), 2));
+  ChannelGraph cleared =
+      fat_tree_channel_graph(topo, CapacityProfile::universal(topo, 16), 2);
+  cleared.tree_height = 0;
   for (const ChannelGraph* g : {&flat, &cleared}) {
     for (const bool parallel : {false, true}) {
       EngineOptions opts;
