@@ -13,7 +13,7 @@ class ViolationCounter final : public EngineObserver {
   void on_cycle(const CycleSnapshot& s) override {
     if (s.graph == nullptr || s.loads == nullptr) return;
     for (const ChannelLoad& l : *s.loads) {
-      if (l.carried > s.graph->capacity[l.channel]) ++violations_;
+      if (l.carried > s.graph->capacity_of(l.channel)) ++violations_;
     }
   }
 

@@ -19,15 +19,15 @@ class UtilizationObserver final : public EngineObserver {
     const ChannelGraph& g = *s.graph;
     if (avail_by_level.empty()) {
       avail_by_level = g.budget_capacity_by_level();
-      used_by_level.assign(g.num_levels, 0);
+      used_by_level.assign(g.num_levels(), 0);
     }
     std::uint64_t used = 0;
     for (const ChannelLoad& l : *s.loads) {
       if (!g.in_budget(l.channel)) continue;
       const auto u =
-          std::min<std::uint64_t>(l.carried, g.capacity[l.channel]);
+          std::min<std::uint64_t>(l.carried, g.capacity_of(l.channel));
       used += u;
-      used_by_level[g.level[l.channel]] += u;
+      used_by_level[g.level_of(l.channel)] += u;
     }
     used_per_cycle.push_back(used);
   }

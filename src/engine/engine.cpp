@@ -160,18 +160,21 @@ inline std::uint32_t entry_chan(std::uint64_t e) {
   return static_cast<std::uint32_t>(e);
 }
 
-/// Injection's check of one path's hops (PathSet input): a known channel
-/// (check_tbl_ != 0), in strictly increasing stage order — check_tbl_
-/// holds stage + 1, so one lookup per hop tests both.
-inline void check_path(const std::uint32_t* ctbl, std::uint32_t nch,
+/// Injection's check of one path's hops (PathSet input, tagged graph): a
+/// channel a message may use (ChannelGraph::in_budget), in strictly
+/// increasing stage order — the worklist invariant that buckets each
+/// message once per cycle. Each hop's stage is the codec's.
+inline void check_path(const ChannelGraph& graph, const AddressCodec& codec,
                        const std::uint32_t* hops, std::uint32_t len) {
+  const std::size_t nch = graph.num_channels();
   std::uint32_t prev = 0;
   for (std::uint32_t h = 0; h < len; ++h) {
     const std::uint32_t c = hops[h];
-    const std::uint32_t v = c < nch ? ctbl[c] : 0;
-    FT_CHECK_MSG(v != 0, "path uses an unknown channel");
-    FT_CHECK_MSG(v > prev, "path stages must strictly increase");
-    prev = v;
+    FT_CHECK_MSG(c < nch && graph.in_budget(c),
+                 "path uses an unknown channel");
+    const std::uint32_t next = codec.stage_of(c) + 1;
+    FT_CHECK_MSG(next > prev, "path stages must strictly increase");
+    prev = next;
   }
 }
 
@@ -301,15 +304,17 @@ CycleEngine::CycleEngine(ChannelGraph graph, const EngineOptions& opts)
   // An alpha above 1 would admit more than a channel's wires.
   FT_CHECK_MSG(opts_.alpha > 0.0 && opts_.alpha <= 1.0,
                "alpha must be in (0, 1]");
-  const std::size_t num_channels = graph_.num_channels();
   const std::uint32_t L = graph_.tree_height;
   if (L != 0) {
     // The address codec indexes channels, stages and shards by formula, so
-    // the tag must describe this table: 2^(L+2) channel slots (heap nodes
-    // below 2^(L+1), two directions) and a shard count that is a power of
-    // two below the leaves.
+    // the tag must describe this graph: a capacity for each level 0 .. L,
+    // 2^(L+2) channel slots (heap nodes below 2^(L+1), two directions) in
+    // a per-channel table when there is one, and a shard count that is a
+    // power of two below the leaves.
     FT_CHECK_MSG(L <= ChannelGraph::kMaxTreeHeight &&
-                     num_channels == std::size_t{4} << L &&
+                     graph_.level_capacity.size() == L + 1 &&
+                     (graph_.capacity.empty() ||
+                      graph_.capacity.size() == std::size_t{4} << L) &&
                      (graph_.num_shards == 0 ||
                       (std::has_single_bit(graph_.num_shards) &&
                        graph_.num_shards < (1u << L))),
@@ -322,6 +327,7 @@ CycleEngine::CycleEngine(ChannelGraph graph, const EngineOptions& opts)
     FT_CHECK_MSG(opts_.contention == ContentionPolicy::Fifo,
                  "lossy and tally runs need a tree-tagged channel graph");
   }
+  const std::size_t num_channels = graph_.num_channels();
   // Admission limits are a pure function of (policy, alpha, capacity), all
   // fixed at construction: resolve the floating-point math once here so
   // the per-cycle loop is integer-only. Limits are clamped to 2^32 - 1;
@@ -330,49 +336,34 @@ CycleEngine::CycleEngine(ChannelGraph graph, const EngineOptions& opts)
   // admission decision (see the limit_ comment).
   static constexpr std::uint64_t kMaxLimit = 0xffffffffu;
   const double alpha = opts_.alpha;
-  // On a tagged graph a channel is known only if it is a tree channel
-  // (heap node >= 2): the root's external-interface pair is on no
-  // internal path, and has no home in the sharded executor. Keyed on the
-  // graph, not the executor, so every executor rejects the same paths.
-  const std::size_t first_known = L != 0 ? 4 : 0;
-  // One pass over the channel table, the contention rule resolved before
-  // it: fills limit_ and check_tbl_ and proves whether every tree channel
-  // is usable. A known channel's check entry is its stage + 1, the codec's
-  // stage on a tagged graph; an untagged graph runs FIFO, which checks
-  // known only.
-  const AddressCodec tree = tree_codec();
+  // One pass over the channels, the contention rule resolved before it:
+  // fills limit_ and proves that every channel a message may use
+  // (ChannelGraph::in_budget) has a wire, so no path or pair needs a
+  // capacity check at injection. On a tagged graph those are the tree
+  // channels, which a CapacityProfile never leaves wireless.
   const auto fill = [&](auto limit_of) {
-    const std::uint64_t* const cap = graph_.capacity.data();
     limit_.resize(num_channels);
-    check_tbl_.resize(num_channels);
-    bool all_known = true;
+    bool wired = true;
     for (std::size_t c = 0; c < num_channels; ++c) {
-      limit_[c] = limit_of(cap[c]);
-      const bool known = cap[c] > 0 && c >= first_known;
-      if (!known) {
-        check_tbl_[c] = 0;
-      } else {
-        check_tbl_[c] =
-            L != 0 ? tree.stage_of(static_cast<std::uint32_t>(c)) + 1 : 1;
-      }
-      all_known &= known || c < first_known;
+      const std::uint64_t cap = graph_.capacity_of(c);
+      limit_[c] = limit_of(cap);
+      wired &= cap != 0 || !graph_.in_budget(c);
     }
-    return all_known;
+    FT_CHECK_MSG(wired, "a tree channel has no wires");
   };
-  bool all_known = false;
   switch (opts_.contention) {
     case ContentionPolicy::Tally:
-      all_known = fill([](std::uint64_t) {
+      fill([](std::uint64_t) {
         return static_cast<std::uint32_t>(kMaxLimit);
       });
       break;
     case ContentionPolicy::Fifo:
-      all_known = fill([](std::uint64_t cap) {
+      fill([](std::uint64_t cap) {
         return static_cast<std::uint32_t>(std::min(cap, kMaxLimit));
       });
       break;
     case ContentionPolicy::RandomSubset:
-      all_known = fill([alpha](std::uint64_t cap) {
+      fill([alpha](std::uint64_t cap) {
         return static_cast<std::uint32_t>(std::min(
             kMaxLimit, std::max<std::uint64_t>(
                            1, static_cast<std::uint64_t>(
@@ -380,9 +371,6 @@ CycleEngine::CycleEngine(ChannelGraph graph, const EngineOptions& opts)
       });
       break;
   }
-  // Tagged graphs: every tree channel (heap nodes 2 .. 2^(L+1) - 1) usable
-  // means leaf pairs need no per-hop check.
-  tree_usable_ = L != 0 && all_known;
   active_limit_ = limit_.data();
   // Subtree sharding is the lossy/tally loop's only parallel executor, and
   // it needs a shard count: an unsharded graph runs serial, with no pool.
@@ -996,8 +984,6 @@ EngineResult CycleEngine::run_lossy(BatchFeed& feed, EngineObserver* observer) {
   // Messages seeded to contend in the current cycle; equals pending when
   // no retry policy parks anyone.
   std::uint64_t contenders = 0;
-  const std::uint32_t* const ctbl = check_tbl_.data();
-  const auto nch = static_cast<std::uint32_t>(num_channels);
 
   while (!feed.exhausted() || !ce_.empty()) {
     const std::uint32_t cycle = begin_cycle(f);
@@ -1067,8 +1053,9 @@ EngineResult CycleEngine::run_lossy(BatchFeed& feed, EngineObserver* observer) {
     const std::uint32_t leaf0 = 1u << codec.height;
     while (const Batch batch = feed.next(cycle)) {
       if (batch.pairs != nullptr) {
+        // A leaf pair's path is all tree channels, which the constructor
+        // proved wired, so only its leaves are checked.
         const LeafPair* const pairs = batch.pairs->data();
-        const bool check_hops = !tree_usable_;
         inject(
             batch.pairs->size(),
             [pairs](std::size_t p) { return pairs[p].src != pairs[p].dst; },
@@ -1076,23 +1063,12 @@ EngineResult CycleEngine::run_lossy(BatchFeed& feed, EngineObserver* observer) {
               const LeafPair q = pairs[p];
               FT_CHECK_MSG(q.src < leaf0 && q.dst < leaf0,
                            "leaf pair outside the tree");
-              const std::uint64_t w =
-                  AddressCodec::encode(leaf0 + q.src, leaf0 + q.dst);
-              if (check_hops) {
-                // Some tree channel is unknown (the constructor's pass),
-                // so this path is checked hop by hop, as a PathSet path
-                // is.
-                for (std::uint64_t v = w; AddressCodec::more(v); ++v) {
-                  FT_CHECK_MSG(ctbl[codec.hop(v).chan] != 0,
-                               "path uses an unknown channel");
-                }
-              }
-              return w;
+              return AddressCodec::encode(leaf0 + q.src, leaf0 + q.dst);
             });
         continue;
       }
-      // A PathSet is checked against check_tbl_, then must be its
-      // endpoints' tree path: its first and last hops sit above leaves
+      // A PathSet path's hops are checked (check_path), then it must be
+      // its endpoints' tree path: its first and last hops sit above leaves
       // (the codec counts stages from the leaves), and every hop is the
       // one the address word names. It then encodes as that word.
       const PathSet& set = *batch.paths;
@@ -1104,7 +1080,7 @@ EngineResult CycleEngine::run_lossy(BatchFeed& feed, EngineObserver* observer) {
           [&](std::size_t p) {
             const std::uint32_t off = offs[p];
             const std::uint32_t len = offs[p + 1] - off;
-            check_path(ctbl, nch, chans + off, len);
+            check_path(graph_, codec, chans + off, len);
             if (len == 0) return std::uint64_t{0};
             const std::uint32_t c0 = chans[off];
             const std::uint32_t cl = chans[off + len - 1];
@@ -1217,13 +1193,12 @@ EngineResult CycleEngine::run_lossy(BatchFeed& feed, EngineObserver* observer) {
                 // channel stays fed (about one waker per cycle) while
                 // upstream contention drops. The streak is the loss
                 // channel's run of over-limit cycles if that run reaches
-                // this cycle, and counts only on the in-budget channels
-                // the utilization observers watch.
+                // this cycle. The loss channel is a tree channel, so it
+                // is one of the in-budget channels the utilization
+                // observers watch.
                 const std::uint32_t c = codec.hop(v).chan;
                 const std::uint32_t streak =
-                    hot_last_[c] == cycle && graph_.in_budget(c)
-                        ? cycle - hot_start_[c] + 1
-                        : 0;
+                    hot_last_[c] == cycle ? cycle - hot_start_[c] + 1 : 0;
                 if (streak >= kAdaptiveHotStreak) {
                   const std::uint32_t window =
                       std::min(streak, kAdaptiveMaxDelay);
@@ -1311,11 +1286,11 @@ EngineResult CycleEngine::run_fifo(const PathSet& paths,
   const std::size_t num_channels = graph_.num_channels();
   const std::uint32_t* chans = paths.channels().data();
   const std::uint32_t* offs = paths.offsets().data();
-  // Every hop must be a known channel (check_tbl_, the lossy injection's
-  // test), checked once before round 1. FIFO queues ignore stage order.
-  const auto nch = static_cast<std::uint32_t>(num_channels);
+  // Every hop must be a channel a message may use (the lossy injection's
+  // test, ChannelGraph::in_budget), checked once before round 1. FIFO
+  // queues ignore stage order.
   for (const std::uint32_t c : paths.channels()) {
-    FT_CHECK_MSG(c < nch && check_tbl_[c] != 0,
+    FT_CHECK_MSG(c < num_channels && graph_.in_budget(c),
                  "path uses an unknown channel");
   }
   Frame f = begin_run(observer);

@@ -83,10 +83,9 @@ enum class RoutingPolicy : std::uint8_t {
   /// Oblivious winner selection plus congestion feedback (Rocher-Gonzalez
   /// et al., arXiv:2502.00597): each contended bucket stamps its channel's
   /// run of consecutive over-limit cycles at arbitration, and losers at a
-  /// channel that has been over its limit for long enough — and that
-  /// counts against the wire budget (ChannelGraph::in_budget) —
-  /// desynchronize their retries over a widening window. Engages the
-  /// retry machinery; see DESIGN.md, "Routing disciplines".
+  /// channel that has been over its limit for long enough desynchronize
+  /// their retries over a widening window. Engages the retry machinery;
+  /// see DESIGN.md, "Routing disciplines".
   AdaptiveOccupancy,
 };
 
@@ -203,8 +202,6 @@ class CycleEngine {
 
   CycleEngine(const CycleEngine&) = delete;
   CycleEngine& operator=(const CycleEngine&) = delete;
-
-  const ChannelGraph& graph() const { return graph_; }
 
   /// Runs one batch of messages to completion. Lossy/tally: all messages
   /// contend from cycle 1 and losers retry until delivered (or the engine
@@ -398,22 +395,6 @@ class CycleEngine {
   /// future cycle while parked in backoff). Compacted with ce_.
   std::vector<std::uint32_t> attempts_;
   std::vector<std::uint32_t> wake_;
-
-  /// Path validation table: 0 for an unknown channel (zero capacity, or,
-  /// on a tagged graph, not a tree channel: heap node 0 or the root's
-  /// external-interface pair, c < 4). A known channel holds the codec's
-  /// stage_of(c) + 1 on a tagged graph, and 1 on an untagged (FIFO-only)
-  /// one. Injection validates each hop with one 32-bit lookup: the
-  /// channel is known, and its stage + 1 exceeds the previous hop's, which
-  /// holds exactly when the stages strictly increase — the worklist
-  /// invariant that buckets each message once per cycle. FIFO checks
-  /// known only.
-  std::vector<std::uint32_t> check_tbl_;
-  /// Tagged graphs: every tree channel (heap nodes 2 .. 2^(L+1) - 1) is
-  /// usable, proved by the constructor's one pass over the channel table.
-  /// Leaf pairs then inject with no per-hop check; otherwise each pair's
-  /// hops are checked as a path's are.
-  bool tree_usable_ = false;
 
   // All per-run/per-cycle scratch below (and the bands' scratch above) is
   // a member so repeated run() calls on one engine reach a steady state

@@ -6,31 +6,25 @@ ChannelGraph fat_tree_channel_graph(const FatTreeTopology& topo,
                                     const CapacityProfile& caps,
                                     std::uint32_t shard_level) {
   const std::uint32_t L = topo.height();
-  const std::size_t bound = channel_index_bound(topo);
-
-  ChannelGraph g;
-  g.capacity.assign(bound, 0);
-  g.level.assign(bound, 0);
-  g.in_wire_budget.assign(bound, 0);
-  g.num_levels = L + 1;
   FT_CHECK_MSG(L <= ChannelGraph::kMaxTreeHeight,
                "fat-tree too tall for the engine's address word");
+  ChannelGraph g;
   g.tree_height = L;
+  g.level_capacity = caps.levels();
   if (shard_level > 0) {
     FT_CHECK_MSG(shard_level < L,
                  "shard_level must leave at least the leaf level inside "
                  "each shard");
     g.num_shards = 1u << shard_level;
   }
-
-  for (NodeId v = 1; v <= topo.num_nodes(); ++v) {
-    const std::uint32_t level = topo.channel_level(v);
-    for (const Direction dir : {Direction::Up, Direction::Down}) {
-      const std::size_t idx = channel_index(ChannelId{v, dir});
-      g.capacity[idx] = caps.capacity(topo, v);
-      g.level[idx] = level;
-      // The root's external interface is outside the wire budget.
-      g.in_wire_budget[idx] = v != 1;
+  // Static wire faults override single channels, so only then is a
+  // channel's capacity not its level's.
+  if (caps.has_overrides()) {
+    g.capacity.assign(channel_index_bound(topo), 0);
+    for (NodeId v = 1; v <= topo.num_nodes(); ++v) {
+      const std::uint64_t cap = caps.capacity(topo, v);
+      g.capacity[channel_index(ChannelId{v, Direction::Up})] = cap;
+      g.capacity[channel_index(ChannelId{v, Direction::Down})] = cap;
     }
   }
   return g;

@@ -1,20 +1,22 @@
 // Fat-tree channel model for the CycleEngine: compiles a FatTreeTopology +
-// CapacityProfile into the engine's flat ChannelGraph, tagged with the
-// tree's height so the engine routes leaf pairs by address, and message
-// sets into EnginePaths for callers that want explicit paths. Channel
-// indices reuse core/topology.hpp's channel_index() (node * 2 +
-// direction), so per-channel counters line up with the rest of the core
-// layer.
+// CapacityProfile into the engine's ChannelGraph — the tree's height (the
+// tag, so the engine routes leaf pairs by address) and the profile's
+// wires per level — and message sets into EnginePaths for callers that
+// want explicit paths. Channel indices reuse core/topology.hpp's
+// channel_index() (node * 2 + direction), so per-channel counters line up
+// with the rest of the core layer.
 //
-// The tag fixes everything else the engine needs by formula
-// (engine/address_codec.hpp): each channel's arbitration stage, the
-// paper's causal order within a delivery cycle — up channels from the
-// leaves toward the root (stage = L - level), then down channels back out
-// (stage = L - 1 + level), 2L stages total — and the shard partition, so
-// the graph stores no per-channel stage or shard, only the shard count.
-// The root's external-interface channel is never on an internal path; it
-// is kept out of the wire budget (utilization denominators), and the
-// engine treats it as unknown on the tagged graph.
+// The tag fixes everything else the engine needs by formula: each
+// channel's level (the heap depth of its node) and so its capacity, and
+// (engine/address_codec.hpp) its arbitration stage, the paper's causal
+// order within a delivery cycle — up channels from the leaves toward the
+// root (stage = L - level), then down channels back out (stage = L - 1 +
+// level), 2L stages total — and the shard partition. So the graph stores
+// no per-channel table, only the per-level capacities and the shard
+// count, unless static wire faults override single channels. The root's
+// external-interface channel is never on an internal path; it is kept out
+// of the wire budget (utilization denominators), and the engine treats it
+// as unknown on the tagged graph.
 #pragma once
 
 #include <vector>

@@ -30,7 +30,7 @@ FaultState::FaultState(const FaultPlan& plan, const ChannelGraph& graph)
     : plan_(plan), graph_(graph) {
   const std::size_t n = graph.num_channels();
   for (std::uint32_t c = 0; c < n; ++c) {
-    if (graph.capacity[c] > 0) usable_.push_back(c);
+    if (graph.capacity_of(c) > 0) usable_.push_back(c);
   }
   flap_down_.assign(n, 0);
   forced_down_until_.assign(n, 0);
@@ -148,7 +148,9 @@ const FaultState::CycleFaults& FaultState::begin_cycle(
       ++out_.channels_down;
     } else {
       for (const BrownoutWindow* w : active) {
-        if (w->level != kAllLevels && graph_.level[c] != w->level) continue;
+        if (w->level != kAllLevels && graph_.level_of(c) != w->level) {
+          continue;
+        }
         eff = std::max<std::uint32_t>(
             1, static_cast<std::uint32_t>(static_cast<double>(eff) *
                                           w->capacity_factor));

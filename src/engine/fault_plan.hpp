@@ -58,7 +58,7 @@ struct ChannelFlapModel {
   double up_prob = 0.0;    ///< per down-cycle P(channel repairs)
 };
 
-/// Matches every level tag (ChannelGraph::level) in a BrownoutWindow.
+/// Matches every level tag (ChannelGraph::level_of) in a BrownoutWindow.
 inline constexpr std::uint32_t kAllLevels = 0xffffffffu;
 
 /// Capacity brownout: admission limits scale by capacity_factor (floor 1)

@@ -28,19 +28,21 @@ void EngineMetrics::on_cycle(const CycleSnapshot& s) {
     // Aggregating over a different topology shape silently blends
     // incomparable per-level tallies; make the caller reset() first.
     FT_CHECK_MSG(
-        g.num_channels() == graph_channels_ && g.num_levels == graph_levels_,
+        g.num_channels() == graph_channels_ &&
+            g.num_levels() == graph_levels_,
         "EngineMetrics observed a different graph shape; call reset() "
         "between runs over different topologies");
   } else {
     graph_seen_ = true;
     graph_channels_ = g.num_channels();
-    graph_levels_ = g.num_levels;
-    carried_by_level_.assign(g.num_levels, 0);
+    graph_levels_ = g.num_levels();
+    carried_by_level_.assign(graph_levels_, 0);
     budget_by_level_ = g.budget_capacity_by_level();
     budget_channels_ = g.num_budget_channels();
-    usable_channels_ = static_cast<std::uint64_t>(
-        std::count_if(g.capacity.begin(), g.capacity.end(),
-                      [](std::uint64_t cap) { return cap > 0; }));
+    usable_channels_ = 0;
+    for (std::size_t c = 0; c < graph_channels_; ++c) {
+      usable_channels_ += g.capacity_of(c) > 0;
+    }
   }
 
   ++state_cycles_;
@@ -48,9 +50,9 @@ void EngineMetrics::on_cycle(const CycleSnapshot& s) {
   for (const ChannelLoad& l : *s.loads) {
     if (!g.in_budget(l.channel)) continue;
     ++busy;
-    carried_by_level_[g.level[l.channel]] += l.carried;
+    carried_by_level_[g.level_of(l.channel)] += l.carried;
     util_hist_.observe(static_cast<double>(l.carried) /
-                       static_cast<double>(g.capacity[l.channel]));
+                       static_cast<double>(g.capacity_of(l.channel)));
   }
   // The in-budget channels missing from the list carried nothing.
   util_hist_.observe(0.0, budget_channels_ - busy);

@@ -96,7 +96,7 @@ class EngineMetrics final : public EngineObserver {
   /// Cycles that carried channel state.
   std::uint64_t state_cycles_ = 0;
   // Per-level carried tallies over all cycles and per-cycle in-budget
-  // capacity, index = ChannelGraph::level.
+  // capacity, index = ChannelGraph::level_of.
   std::vector<std::uint64_t> carried_by_level_;
   std::vector<std::uint64_t> budget_by_level_;
   // Shape of the first graph observed since reset(); guards against

@@ -304,14 +304,15 @@ void TelemetryProbe::on_cycle(const CycleSnapshot& s) {
   const ChannelGraph& g = *s.graph;
   if (graph_seen_) {
     FT_CHECK_MSG(
-        g.num_channels() == graph_channels_ && g.num_levels == graph_levels_,
+        g.num_channels() == graph_channels_ &&
+            g.num_levels() == graph_levels_,
         "TelemetryProbe observed a different graph shape; call reset() "
         "between runs over different topologies");
   } else {
     graph_seen_ = true;
     graph_channels_ = g.num_channels();
-    graph_levels_ = g.num_levels;
-    level_carried_.assign(g.num_levels, TelemetryRing());
+    graph_levels_ = g.num_levels();
+    level_carried_.assign(graph_levels_, TelemetryRing());
     level_capacity_ = g.budget_capacity_by_level();
   }
 
@@ -326,7 +327,7 @@ void TelemetryProbe::on_cycle(const CycleSnapshot& s) {
   argmax_val_.assign(levels, 0);
   for (const ChannelLoad& l : *s.loads) {
     if (!g.in_budget(l.channel)) continue;
-    const std::uint32_t lvl = g.level[l.channel];
+    const std::uint32_t lvl = g.level_of(l.channel);
     level_sum_[lvl] += l.carried;
     if (l.carried > argmax_val_[lvl] ||
         (l.carried == argmax_val_[lvl] && l.channel < argmax_chan_[lvl])) {

@@ -79,9 +79,9 @@ void TraceSink::on_cycle(const CycleSnapshot& s) {
   rec.gave_up = s.gave_up;
   rec.events_end = events_.size();
   if (s.graph != nullptr && s.loads != nullptr) {
-    rec.carried_by_level.assign(s.graph->num_levels, 0);
+    rec.carried_by_level.assign(s.graph->num_levels(), 0);
     for (const ChannelLoad& l : *s.loads) {
-      rec.carried_by_level[s.graph->level[l.channel]] += l.carried;
+      rec.carried_by_level[s.graph->level_of(l.channel)] += l.carried;
     }
   }
   cycles_.push_back(std::move(rec));

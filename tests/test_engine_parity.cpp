@@ -76,8 +76,8 @@ class ChannelStateInvariants final : public EngineObserver {
       ++entries;
       if (last_listed_[l.channel] == s.cycle) ++duplicates;
       last_listed_[l.channel] = s.cycle;
-      if (g.capacity[l.channel] == 0) ++unusable;
-      if (l.carried > g.capacity[l.channel]) ++over_limit;
+      if (g.capacity_of(l.channel) == 0) ++unusable;
+      if (l.carried > g.capacity_of(l.channel)) ++over_limit;
     }
   }
 

@@ -25,7 +25,7 @@ namespace {
 std::vector<std::uint32_t> base_limits(const ChannelGraph& g) {
   std::vector<std::uint32_t> lim(g.num_channels());
   for (std::size_t c = 0; c < g.num_channels(); ++c) {
-    lim[c] = static_cast<std::uint32_t>(g.capacity[c]);
+    lim[c] = static_cast<std::uint32_t>(g.capacity_of(c));
   }
   return lim;
 }

@@ -1,10 +1,12 @@
 // Scale-out regression tests: streamed message sets are bit-identical to
 // materialized ones (results and trace streams), the address codec names
-// every hop, stage and shard of the compiled tree paths, unused channels
-// change nothing, checked narrowing aborts at the 32-bit boundary, and the
-// subtree-sharded parallel executor matches the serial engine on every
-// workload shape — including faults and retry policies. See DESIGN.md
-// "Scale-out". test_engine_golden pins the codec's runs.
+// every hop, stage and shard of the compiled tree paths, a fat-tree
+// channel graph's level profile answers as the per-channel builder's
+// tables did, unused channels change nothing, checked narrowing aborts at
+// the 32-bit boundary, and the subtree-sharded parallel executor matches
+// the serial engine on every workload shape — including faults and retry
+// policies. See DESIGN.md "Scale-out". test_engine_golden pins the
+// codec's runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +14,7 @@
 #include <vector>
 
 #include "core/capacity.hpp"
+#include "core/faults.hpp"
 #include "core/online_router.hpp"
 #include "core/topology.hpp"
 #include "core/traffic.hpp"
@@ -361,6 +364,109 @@ TEST(AddressCodec, MatchesCompiledTreePaths) {
   }
 }
 
+/// The per-channel tables fat_tree_channel_graph filled before a fat-tree
+/// graph became its level profile: each channel slot's capacity, level
+/// tag and wire-budget membership (heap node 0's pair unused, the root's
+/// external interface outside the budget).
+struct ChannelTables {
+  std::vector<std::uint64_t> capacity;
+  std::vector<std::uint32_t> level;
+  std::vector<std::uint8_t> in_budget;
+};
+
+ChannelTables builder_tables(const FatTreeTopology& topo,
+                             const CapacityProfile& caps) {
+  const std::size_t bound = channel_index_bound(topo);
+  ChannelTables t;
+  t.capacity.assign(bound, 0);
+  t.level.assign(bound, 0);
+  t.in_budget.assign(bound, 0);
+  for (NodeId v = 1; v <= topo.num_nodes(); ++v) {
+    for (const Direction dir : {Direction::Up, Direction::Down}) {
+      const std::size_t idx = channel_index(ChannelId{v, dir});
+      t.capacity[idx] = caps.capacity(topo, v);
+      t.level[idx] = topo.channel_level(v);
+      t.in_budget[idx] = t.capacity[idx] != 0 && v != 1;
+    }
+  }
+  return t;
+}
+
+// The graph's functions against the per-channel builder they replace, for
+// every tree of 2 .. 1024 leaves under four profiles: universal at two
+// root capacities, constant(1), and wire faults at p = 0.3, whose
+// overrides are the only case that keeps a per-channel table (a
+// million-leaf universal tree keeps none). Every channel's capacity,
+// level and budget membership match, and so do the level count, the
+// budget totals and FaultState's usable channels.
+TEST(ChannelGraph, LevelProfileMatchesPerChannelBuilder) {
+  bool saw_overrides = false;
+  for (std::uint32_t n = 2; n <= 1024; n *= 2) {
+    const FatTreeTopology topo(n);
+    const std::uint32_t L = topo.height();
+    Rng rng(n);
+    const CapacityProfile profiles[] = {
+        CapacityProfile::universal(topo, n),
+        CapacityProfile::universal(topo, std::max(1u, n / 8)),
+        CapacityProfile::constant(topo, 1),
+        inject_wire_faults(topo, CapacityProfile::universal(topo, n), 0.3,
+                           rng)};
+    for (std::size_t p = 0; p < std::size(profiles); ++p) {
+      const CapacityProfile& caps = profiles[p];
+      const std::string at = "n=" + std::to_string(n) +
+                             " profile=" + std::to_string(p);
+      const ChannelGraph g = fat_tree_channel_graph(topo, caps);
+      const ChannelTables ref = builder_tables(topo, caps);
+      saw_overrides |= caps.has_overrides();
+      EXPECT_EQ(g.capacity.empty(), !caps.has_overrides()) << at;
+      ASSERT_EQ(g.num_channels(), ref.capacity.size()) << at;
+      ASSERT_EQ(g.num_levels(), L + 1) << at;
+      std::size_t budget_channels = 0;
+      std::vector<std::uint64_t> budget_by_level(L + 1, 0);
+      std::uint32_t usable = 0;
+      for (std::size_t c = 0; c < ref.capacity.size(); ++c) {
+        ASSERT_EQ(g.capacity_of(c), ref.capacity[c]) << at << " c=" << c;
+        ASSERT_EQ(g.level_of(c), ref.level[c]) << at << " c=" << c;
+        ASSERT_EQ(g.in_budget(c), ref.in_budget[c] != 0) << at << " c=" << c;
+        budget_channels += ref.in_budget[c];
+        if (ref.in_budget[c] != 0) {
+          budget_by_level[ref.level[c]] += ref.capacity[c];
+        }
+        usable += ref.capacity[c] > 0;
+      }
+      EXPECT_EQ(g.num_budget_channels(), budget_channels) << at;
+      EXPECT_EQ(g.budget_capacity_by_level(), budget_by_level) << at;
+      const FaultPlan plan(1);
+      EXPECT_EQ(FaultState(plan, g).num_usable(), usable) << at;
+    }
+  }
+  EXPECT_TRUE(saw_overrides);
+  const FatTreeTopology million(1u << 20);
+  const ChannelGraph g = fat_tree_channel_graph(
+      million, CapacityProfile::universal(million, 1u << 14));
+  EXPECT_TRUE(g.capacity.empty());
+  EXPECT_EQ(g.level_capacity.size(), 21u);
+}
+
+// A flat graph (FIFO: Network and k-ary links) keeps its per-channel
+// table, at one level; a zero-capacity slot is no channel, outside the
+// budget and unusable.
+TEST(ChannelGraph, FlatGraphKeepsItsTable) {
+  const ChannelGraph g = ChannelGraph::flat({2, 0, 3});
+  ASSERT_EQ(g.num_channels(), 3u);
+  EXPECT_EQ(g.num_levels(), 1u);
+  const std::uint64_t caps[] = {2, 0, 3};
+  for (std::size_t c = 0; c < 3; ++c) {
+    EXPECT_EQ(g.capacity_of(c), caps[c]) << c;
+    EXPECT_EQ(g.level_of(c), 0u) << c;
+    EXPECT_EQ(g.in_budget(c), caps[c] != 0) << c;
+  }
+  EXPECT_EQ(g.num_budget_channels(), 2u);
+  EXPECT_EQ(g.budget_capacity_by_level(), std::vector<std::uint64_t>{5});
+  const FaultPlan plan(1);
+  EXPECT_EQ(FaultState(plan, g).num_usable(), 2u);
+}
+
 /// Yields one chunk of leaf pairs per message set.
 class PairBatchSource final : public PairSource {
  public:
@@ -523,26 +629,39 @@ TEST(ScaleoutDeathTest, NonTreePathIsRejectedOnTreeGraph) {
   }
 }
 
-// Leaf pairs skip the per-hop check only when every tree channel is
-// usable. With one zero-capacity channel, a pair whose tree path crosses
-// it is rejected at injection as a path through it is; a pair that
-// avoids it routes.
-TEST(ScaleoutDeathTest, LeafPairThroughZeroCapacityChannelIsRejected) {
+// A message may use every tree channel, so none may be wireless: the
+// constructor rejects, under every contention policy, a tagged graph
+// whose level profile has a 0 at some tree level and one whose overridden
+// per-channel table (static wire faults) has a 0 on one tree channel. No
+// leaf pair or path is checked for capacity at injection. A level
+// profile that does not cover levels 0 .. L does not match the tag.
+TEST(ScaleoutDeathTest, WirelessTreeChannelIsRejectedAtConstruction) {
   FatTreeTopology topo(64);
-  ChannelGraph g =
-      fat_tree_channel_graph(topo, CapacityProfile::universal(topo, 16));
-  g.capacity[channel_index(ChannelId{topo.node_of_leaf(5), Direction::Down})] =
-      0;
-  const std::vector<MessageSet> ok = {{{5, 9}}};
-  PairBatchSource ok_source(ok);
-  EXPECT_EQ(CycleEngine(g, {}).run_stream(ok_source).delivered, 1u);
-  const std::vector<MessageSet> bad = {{{9, 5}}};
-  EXPECT_DEATH(
-      {
-        PairBatchSource bad_source(bad);
-        CycleEngine(g, {}).run_stream(bad_source);
-      },
-      "path uses an unknown channel");
+  const auto caps = CapacityProfile::universal(topo, 16);
+  ChannelGraph level = fat_tree_channel_graph(topo, caps);
+  level.level_capacity[topo.height()] = 0;
+  Rng rng(7);
+  ChannelGraph overridden =
+      fat_tree_channel_graph(topo, inject_wire_faults(topo, caps, 0.3, rng));
+  ASSERT_FALSE(overridden.capacity.empty());
+  overridden.capacity[channel_index(
+      ChannelId{topo.node_of_leaf(5), Direction::Down})] = 0;
+  ChannelGraph short_profile = fat_tree_channel_graph(topo, caps);
+  short_profile.level_capacity.pop_back();
+  for (const ContentionPolicy policy :
+       {ContentionPolicy::RandomSubset, ContentionPolicy::Tally,
+        ContentionPolicy::Fifo}) {
+    EngineOptions opts;
+    opts.contention = policy;
+    for (const ChannelGraph* g : {&level, &overridden}) {
+      EXPECT_DEATH({ CycleEngine engine(*g, opts); },
+                   "a tree channel has no wires")
+          << "policy " << static_cast<int>(policy);
+    }
+    EXPECT_DEATH({ CycleEngine engine(short_profile, opts); },
+                 "tree tag does not match the channel graph")
+        << "policy " << static_cast<int>(policy);
+  }
 }
 
 TEST(ScaleoutDeathTest, CheckedNarrowingAbortsPastU32) {
