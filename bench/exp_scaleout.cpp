@@ -12,7 +12,8 @@
 // engine's measured Amdahl phase decomposition per run (the serial spine
 // band + coordination vs the shard-parallel sweeps), each run's seconds
 // outside that decomposition (graph build, engine construction and
-// teardown) and the telemetry parity check below.
+// teardown) with the minor page faults its route call took, and the
+// telemetry parity check below.
 //
 // Gates (exit 1 on failure):
 //   - every run delivers all n messages without giving up;
@@ -33,6 +34,10 @@
 #include <iostream>
 #include <string>
 #include <vector>
+
+#if defined(__unix__) || defined(__APPLE__)
+#include <sys/resource.h>
+#endif
 
 #include "core/capacity.hpp"
 #include "core/online_router.hpp"
@@ -55,10 +60,25 @@ struct SweepRow {
   double seconds = 0.0;
   double cycles_per_sec = 0.0;
   ft::EnginePhaseProfile phases;  // from the fastest repetition
+  /// Minor page faults of the fastest repetition's route call: what the
+  /// allocator made it first-touch.
+  std::uint64_t minor_faults = 0;
   /// Route call time outside the phase profile: graph build, engine
   /// construction and teardown, which the Amdahl line leaves out.
   double setup_seconds() const { return seconds - phases.total_seconds(); }
 };
+
+/// This process's minor page faults so far (getrusage), 0 where
+/// unavailable.
+std::uint64_t process_minor_faults() {
+#if defined(__unix__) || defined(__APPLE__)
+  struct rusage ru{};
+  if (getrusage(RUSAGE_SELF, &ru) != 0) return 0;
+  return static_cast<std::uint64_t>(ru.ru_minflt);
+#else
+  return 0;
+#endif
+}
 
 std::uint64_t fnv1a_u32(const std::vector<std::uint32_t>& v) {
   std::uint64_t h = 14695981039346656037ull;
@@ -87,10 +107,12 @@ SweepRow run_once(const ft::FatTreeTopology& topo,
     opts.threads = threads;
     opts.time_phases = true;
 
+    const std::uint64_t faults0 = process_minor_faults();
     const auto t0 = std::chrono::steady_clock::now();
     const auto r = ft::route_online_stream(topo, caps, stream,
                                            /*lambda_hint=*/1.0, rng, opts);
     const auto t1 = std::chrono::steady_clock::now();
+    const std::uint64_t faults = process_minor_faults() - faults0;
 
     row.cycles = r.delivery_cycles;
     row.losses = r.total_losses;
@@ -99,7 +121,10 @@ SweepRow run_once(const ft::FatTreeTopology& topo,
     if (r.gave_up) row.delivered = 0;  // a truncated run never passes gates
     row.histogram_fnv = fnv1a_u32(r.delivered_per_cycle);
     const double secs = std::chrono::duration<double>(t1 - t0).count();
-    if (secs < row.seconds) row.phases = r.phases;
+    if (secs < row.seconds) {
+      row.phases = r.phases;
+      row.minor_faults = faults;
+    }
     row.seconds = std::min(row.seconds, secs);
   }
   row.cycles_per_sec =
@@ -187,6 +212,7 @@ int main(int argc, char** argv) {
     run["messages_per_sec"] = msgs_per_sec;
     run["amdahl"] = ft::phase_profile_json(row.phases);
     run["setup_seconds"] = row.setup_seconds();
+    run["minor_faults"] = row.minor_faults;
   }
   table.print(std::cout,
               "n = " + std::to_string(n) + ", w = " + std::to_string(n / 2) +
@@ -208,10 +234,16 @@ int main(int argc, char** argv) {
               << (sf > 0 ? 1.0 / sf : 0.0) << "x\n";
     report.root()["amdahl"] = ft::phase_profile_json(par.phases);
     // Every timed row's serial time outside the profile: the speedup
-    // gate's timed region includes it, the ceiling above does not.
+    // gate's timed region includes it, the ceiling above does not. The
+    // minor faults beside it show how much of it is first-touch paging,
+    // which depends on what the allocator kept from earlier calls.
     std::cout << "setup outside the phase profile:";
     for (const SweepRow& row : rows) {
       std::cout << ' ' << row.mode << ' ' << row.setup_seconds() << 's';
+    }
+    std::cout << "\nminor page faults per route call:";
+    for (const SweepRow& row : rows) {
+      std::cout << ' ' << row.mode << ' ' << row.minor_faults;
     }
     std::cout << '\n';
   }

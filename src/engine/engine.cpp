@@ -146,6 +146,29 @@ std::uint32_t select_policy_winners(RoutingPolicy pol, std::uint32_t* b,
   return w;
 }
 
+/// A channel's admission limit, a pure function of (policy, alpha,
+/// capacity): floor(alpha * cap) floor 1 (RandomSubset), cap (Fifo),
+/// unlimited (Tally), clamped to 2^32 - 1. The clamp never changes an
+/// admission decision: counts compared against a limit are bounded by the
+/// number of live messages, which is below 2^32.
+inline std::uint32_t admission_limit(const EngineOptions& opts,
+                                     std::uint64_t cap) {
+  constexpr std::uint64_t kMaxLimit = 0xffffffffu;
+  switch (opts.contention) {
+    case ContentionPolicy::Tally:
+      return static_cast<std::uint32_t>(kMaxLimit);
+    case ContentionPolicy::Fifo:
+      return static_cast<std::uint32_t>(std::min(cap, kMaxLimit));
+    case ContentionPolicy::RandomSubset:
+      break;
+  }
+  return static_cast<std::uint32_t>(std::min(
+      kMaxLimit,
+      std::max<std::uint64_t>(
+          1, static_cast<std::uint64_t>(static_cast<double>(cap) *
+                                        opts.alpha))));
+}
+
 /// Worklist entry layout (see Band::stage_list): (msg, channel)
 /// packed into one 64-bit word. A 16+16-bit packing for small runs was
 /// tried and measured ~10% slower despite halving the stream, so the
@@ -327,57 +350,39 @@ CycleEngine::CycleEngine(ChannelGraph graph, const EngineOptions& opts)
     FT_CHECK_MSG(opts_.contention == ContentionPolicy::Fifo,
                  "lossy and tally runs need a tree-tagged channel graph");
   }
-  const std::size_t num_channels = graph_.num_channels();
-  // Admission limits are a pure function of (policy, alpha, capacity), all
-  // fixed at construction: resolve the floating-point math once here so
-  // the per-cycle loop is integer-only. Limits are clamped to 2^32 - 1;
-  // counts compared against them are bounded by the number of live
-  // messages, which is below 2^32, so the clamp never changes an
-  // admission decision (see the limit_ comment).
-  static constexpr std::uint64_t kMaxLimit = 0xffffffffu;
-  const double alpha = opts_.alpha;
-  // One pass over the channels, the contention rule resolved before it:
-  // fills limit_ and proves that every channel a message may use
-  // (ChannelGraph::in_budget) has a wire, so no path or pair needs a
-  // capacity check at injection. On a tagged graph those are the tree
-  // channels, which a CapacityProfile never leaves wireless.
-  const auto fill = [&](auto limit_of) {
-    limit_.resize(num_channels);
-    bool wired = true;
-    for (std::size_t c = 0; c < num_channels; ++c) {
-      const std::uint64_t cap = graph_.capacity_of(c);
-      limit_[c] = limit_of(cap);
-      wired &= cap != 0 || !graph_.in_budget(c);
+  // Every channel a message may use (ChannelGraph::in_budget) has a wire,
+  // so no path or pair needs a capacity check at injection. On a tagged
+  // graph those are the tree channels, levels 1 .. L, which a
+  // CapacityProfile never leaves wireless; a flat graph's in-budget
+  // channels have wires by definition.
+  bool wired = true;
+  if (L != 0) {
+    if (graph_.capacity.empty()) {
+      for (std::uint32_t k = 1; k <= L; ++k) {
+        wired &= graph_.level_capacity[k] != 0;
+      }
+    } else {
+      for (std::size_t c = 4; c < graph_.capacity.size(); ++c) {
+        wired &= graph_.capacity[c] != 0;
+      }
     }
-    FT_CHECK_MSG(wired, "a tree channel has no wires");
-  };
-  switch (opts_.contention) {
-    case ContentionPolicy::Tally:
-      fill([](std::uint64_t) {
-        return static_cast<std::uint32_t>(kMaxLimit);
-      });
-      break;
-    case ContentionPolicy::Fifo:
-      fill([](std::uint64_t cap) {
-        return static_cast<std::uint32_t>(std::min(cap, kMaxLimit));
-      });
-      break;
-    case ContentionPolicy::RandomSubset:
-      fill([alpha](std::uint64_t cap) {
-        return static_cast<std::uint32_t>(std::min(
-            kMaxLimit, std::max<std::uint64_t>(
-                           1, static_cast<std::uint64_t>(
-                                  static_cast<double>(cap) * alpha))));
-      });
-      break;
   }
-  active_limit_ = limit_.data();
+  FT_CHECK_MSG(wired, "a tree channel has no wires");
+  // The contention rule is resolved once per level, so the per-cycle loops
+  // are integer-only. The dense table exists only where a channel's own
+  // limit is read: FIFO rounds and a per-channel capacity table here, a
+  // fault plan's base at its run's start (begin_run).
+  level_limit_.resize(graph_.level_capacity.size());
+  for (std::size_t k = 0; k < level_limit_.size(); ++k) {
+    level_limit_[k] = admission_limit(opts_, graph_.level_capacity[k]);
+  }
+  const bool fifo = opts_.contention == ContentionPolicy::Fifo;
+  if (fifo || !graph_.capacity.empty()) fill_limits();
   // Subtree sharding is the lossy/tally loop's only parallel executor, and
   // it needs a shard count: an unsharded graph runs serial, with no pool.
   // FIFO mode has its own channel-range parallelism. The pool is built
   // only when it can receive a batch: with one thread the sharded layout
   // runs its shard loop inline.
-  const bool fifo = opts_.contention == ContentionPolicy::Fifo;
   sharded_ = opts_.parallel && graph_.num_shards > 1 && !fifo;
   if (opts_.parallel && (sharded_ || fifo)) {
     // Resolved only here: a serial engine (every ftd job) pays for no
@@ -389,6 +394,13 @@ CycleEngine::CycleEngine(ChannelGraph graph, const EngineOptions& opts)
 }
 
 CycleEngine::~CycleEngine() = default;
+
+void CycleEngine::fill_limits() {
+  limit_.resize(graph_.num_channels());
+  for (std::size_t c = 0; c < limit_.size(); ++c) {
+    limit_[c] = admission_limit(opts_, graph_.capacity_of(c));
+  }
+}
 
 EngineResult CycleEngine::run(const PathSet& paths, EngineObserver* observer) {
   if (opts_.contention == ContentionPolicy::Fifo) {
@@ -497,13 +509,21 @@ void CycleEngine::fused_stage(const AddressCodec& codec, std::uint32_t cycle,
   std::vector<ChannelLoad>& loads = band.loads;
   std::uint32_t* const bp = bucket_pos_.data();
   const std::uint32_t* const lim = active_limit_;
+  // Without a per-channel table every channel of the stage has one limit:
+  // a stage is one level and direction, up stage s at level L - s and
+  // down stage s at level s - L + 1.
+  const std::uint32_t stage_lim =
+      lim != nullptr ? 0
+                     : level_limit_[stage < codec.height
+                                        ? codec.height - stage
+                                        : stage - codec.height + 1];
   std::uint64_t hops = 0;
   std::uint64_t losses = 0;
   over.clear();
   std::uint32_t total = 0;
   touched.for_each([&](std::uint32_t c) {
     const std::uint32_t count = bp[c];
-    if (count > lim[c]) {
+    if (count > (lim != nullptr ? lim[c] : stage_lim)) {
       over.push_back({c, total, count});
       bp[c] = total;  // fill cursor for the sweep below
       total += count;
@@ -534,7 +554,7 @@ void CycleEngine::fused_stage(const AddressCodec& codec, std::uint32_t cycle,
   const bool adaptive = pol == RoutingPolicy::AdaptiveOccupancy;
   for (const OverBucket& ob : over) {
     std::uint32_t* b = ar + ob.off;
-    const std::uint64_t limit = lim[ob.chan];
+    const std::uint64_t limit = lim != nullptr ? lim[ob.chan] : stage_lim;
     // The pinned lottery saw contenders in ascending pending index (the
     // original engine scanned messages in order); worklist forwarding
     // scrambles that, so restore the exact sequence first. Under-limit
@@ -838,12 +858,15 @@ CycleEngine::Frame CycleEngine::begin_run(EngineObserver* observer) {
   ph_up_ = ph_spine_ = ph_down_ = 0.0;
   // Dynamic faults evolve on the coordination path, once per cycle. A
   // down channel admits (lossy) or forwards (FIFO) nothing that cycle, a
-  // browned-out one less. Without a plan every limit read stays on
-  // limit_, the fault-free hot path.
+  // browned-out one less. The FaultState scales each channel's own base
+  // limit, so a faulted run needs the dense table. Without a plan every
+  // limit read stays on limit_, or on the stage's level limit when there
+  // is no dense table: the fault-free hot path.
   if (opts_.fault_plan != nullptr && !opts_.fault_plan->empty()) {
     f.faults = std::make_unique<FaultState>(*opts_.fault_plan, graph_);
+    if (limit_.empty()) fill_limits();
   }
-  active_limit_ = limit_.data();
+  active_limit_ = limit_.empty() ? nullptr : limit_.data();
   return f;
 }
 
@@ -1007,7 +1030,7 @@ EngineResult CycleEngine::run_lossy(BatchFeed& feed, EngineObserver* observer) {
                    "live message count overflows 32-bit message indices");
       const auto first = static_cast<std::uint32_t>(ce_.size());
       ce_.resize(first + num);
-      id_.resize(first + num);
+      if (trace) id_.resize(first + num);
       std::uint64_t* const ce = ce_.data();
       std::uint32_t* const ids = id_.data();
       const std::uint32_t id0 = next_id;
@@ -1025,7 +1048,7 @@ EngineResult CycleEngine::run_lossy(BatchFeed& feed, EngineObserver* observer) {
           continue;
         }
         ce[i] = w;
-        ids[i] = id;
+        if (trace) ids[i] = id;
         const Hop hop = codec.hop(w);
         land(i, hop);
         if (trace) {
@@ -1035,7 +1058,7 @@ EngineResult CycleEngine::run_lossy(BatchFeed& feed, EngineObserver* observer) {
         ++i;
       }
       ce_.resize(i);
-      id_.resize(i);
+      if (trace) id_.resize(i);
       if (retry_on) {
         attempts_.resize(i, 1);
         wake_.resize(i, cycle);
@@ -1255,7 +1278,7 @@ EngineResult CycleEngine::run_lossy(BatchFeed& feed, EngineObserver* observer) {
       }
     }
     ce_.resize(kept);
-    id_.resize(kept);
+    if (trace) id_.resize(kept);
     if (retry_on) {
       attempts_.resize(kept);
       wake_.resize(kept);

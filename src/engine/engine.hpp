@@ -346,6 +346,8 @@ class CycleEngine {
   /// "Scale-out").
   void run_cycle(const AddressCodec& codec, std::uint32_t cycle);
   EngineResult run_lossy(BatchFeed& feed, EngineObserver* observer);
+  /// Builds the dense limit_: each channel's admission limit.
+  void fill_limits();
   EngineResult run_fifo(const PathSet& paths, EngineObserver* observer);
 
   /// The cycle frame's four steps. begin_run samples the observer's
@@ -375,18 +377,27 @@ class CycleEngine {
   /// the global band (bands_.back()). Sized once at construction.
   std::vector<Band> bands_;
 
-  /// Per-channel admission limit, fixed for the engine's lifetime:
-  /// floor(alpha * capacity) floor 1 (RandomSubset), unlimited (Tally),
-  /// capacity (Fifo), all clamped to 2^32 - 1. The clamp is lossless:
-  /// contender counts and queue lengths are bounded by the number of live
-  /// messages, which is below 2^32. Precomputed so the per-cycle loops
-  /// never touch doubles, and 32-bit so the table is half as tall.
+  /// Admission limit of each level 0 .. L on a tagged graph (empty on a
+  /// flat one): floor(alpha * capacity) floor 1 (RandomSubset), unlimited
+  /// (Tally), capacity (Fifo), all clamped to 2^32 - 1. The clamp is
+  /// lossless: contender counts and queue lengths are bounded by the
+  /// number of live messages, which is below 2^32. Resolved at
+  /// construction so the per-cycle loops never touch doubles.
+  std::vector<std::uint32_t> level_limit_;
+
+  /// The same rule per channel, 32-bit so the table is half as tall.
+  /// Built only where a channel's own limit is read: FIFO rounds and a
+  /// graph with a per-channel capacity table (flat graphs, static wire
+  /// overrides) at construction, and the base of a faulted run's
+  /// FaultState at its start; empty otherwise (a fault-free, override-free
+  /// lossy or tally engine: 16 MiB at n = 2^20 it never reads).
   std::vector<std::uint32_t> limit_;
 
-  /// Admission limits in force for the current cycle: limit_.data()
-  /// without a fault plan, the FaultState's effective limits (0 = channel
-  /// down) with one. Every arbitration site reads limits through this
-  /// pointer, so the fault-free hot path is unchanged.
+  /// Admission limits in force for the current cycle: limit_.data() when
+  /// the dense table exists, the FaultState's effective limits (0 =
+  /// channel down) in a faulted run, and null otherwise, where fused_stage
+  /// compares each bucket with its stage's level limit. Every arbitration
+  /// site reads limits through this pointer.
   const std::uint32_t* active_limit_ = nullptr;
 
   /// Per-message retry state, maintained only when opts_.retry.enabled():
@@ -404,10 +415,13 @@ class CycleEngine {
   /// Live messages, injection order, struct-of-arrays. The stage sweeps
   /// index messages randomly but only ever touch the codec's packed word,
   /// whose low bits are the hop cursor — advance is one 64-bit increment
-  /// — and which names every hop, the first one (reseed) included. id_
-  /// (trace events) is read in index order once per cycle at most.
+  /// — and which names every hop, the first one (reseed) included.
   std::vector<std::uint64_t> ce_;  ///< the codec's word per message
-  std::vector<std::uint32_t> id_;  ///< injection-order message id
+  /// Injection-order message id, written, resized and compacted only in a
+  /// traced run: its only readers are the Inject, Attempt, Loss, Deliver,
+  /// Backoff and GiveUp events, each reading it in index order at most
+  /// once per cycle. Empty in an untraced run.
+  std::vector<std::uint32_t> id_;
   /// Bucket state, shared by every band (channels partition across bands
   /// and stages). Contender counts accumulate where an entry lands, so
   /// counts for a later stage are stable by the time it runs:

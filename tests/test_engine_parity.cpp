@@ -603,6 +603,110 @@ TEST(EngineParity, ReusedEngineAfterTruncatedRunMatchesFreshEngine) {
   }
 }
 
+// A fault-free, override-free lossy or tally engine keeps one admission
+// limit per level and compares each bucket with its stage's; a graph with
+// a per-channel capacity table takes the dense per-channel path. The same
+// wires must give the same run either way: the tagged graph against a
+// copy carrying a per-channel table filled from its own capacity_of,
+// under the four policies and Tally, at three alphas, serial and
+// pooled-sharded (the first cycles' bands hold more than
+// kMinParallelWork entries, so the pool dispatches), without faults and
+// under flaps plus a brownout (whose FaultState scales a dense table,
+// which the level graph's engine builds at the run's start).
+TEST(EngineParity, LevelLimitsMatchPerChannelLimits) {
+  const std::uint32_t n = 4096;
+  FatTreeTopology t(n);
+  const auto caps = CapacityProfile::universal(t, n / 8);
+  Rng gen(141);
+  const PathSet paths = fat_tree_path_set(t, stacked_permutations(n, 2, gen));
+
+  FaultPlan faults(142);
+  faults.set_flaps({0.01, 0.3});
+  faults.add_brownout({/*from_cycle=*/2, /*until_cycle=*/6, 0.5});
+  const FaultPlan* fault_cases[] = {nullptr, &faults};
+
+  struct Mode {
+    const char* name;
+    ContentionPolicy contention;
+    RoutingPolicy policy;
+  };
+  const Mode modes[] = {
+      {"oblivious", ContentionPolicy::RandomSubset,
+       RoutingPolicy::ObliviousRandom},
+      {"dmod", ContentionPolicy::RandomSubset,
+       RoutingPolicy::DeterministicDmod},
+      {"rlb", ContentionPolicy::RandomSubset,
+       RoutingPolicy::RandomLoadBalanced},
+      {"adaptive", ContentionPolicy::RandomSubset,
+       RoutingPolicy::AdaptiveOccupancy},
+      {"tally", ContentionPolicy::Tally, RoutingPolicy::ObliviousRandom},
+  };
+
+  struct Run {
+    EngineResult result;
+    std::uint64_t trace_fp = 0;
+  };
+  const auto run = [&](bool per_channel, const EngineOptions& opts,
+                       std::uint32_t shard_level) {
+    ChannelGraph g = fat_tree_channel_graph(t, caps, shard_level);
+    if (per_channel) {
+      std::vector<std::uint64_t> cap(g.num_channels());
+      for (std::size_t c = 0; c < cap.size(); ++c) cap[c] = g.capacity_of(c);
+      g.capacity = std::move(cap);
+    }
+    TraceSink trace;
+    CycleEngine engine(std::move(g), opts);
+    Run r;
+    r.result = engine.run(paths, &trace);
+    r.trace_fp = trace_fingerprint(trace);
+    return r;
+  };
+
+  for (const Mode& mode : modes) {
+    for (const double alpha : {1.0, 0.75, 0.3}) {
+      for (const FaultPlan* fp : fault_cases) {
+        for (const bool sharded : {false, true}) {
+          const std::string at =
+              std::string(mode.name) + " alpha " + std::to_string(alpha) +
+              (fp != nullptr ? " faulted" : " fault-free") +
+              (sharded ? " pooled-sharded" : " serial");
+          EngineOptions opts;
+          opts.seed = 143;
+          opts.contention = mode.contention;
+          opts.policy = mode.policy;
+          opts.alpha = alpha;
+          opts.fault_plan = fp;
+          opts.parallel = sharded;
+          opts.threads = 4;
+          const std::uint32_t shard_level = sharded ? 3 : 0;
+          const Run lv = run(false, opts, shard_level);
+          const Run pc = run(true, opts, shard_level);
+          const EngineResult& a = lv.result;
+          const EngineResult& b = pc.result;
+          if (mode.contention == ContentionPolicy::RandomSubset) {
+            EXPECT_GT(a.total_losses, 0u) << at;
+          }
+          EXPECT_EQ(a.delivered + a.messages_given_up, paths.size()) << at;
+          EXPECT_EQ(a.cycles, b.cycles) << at;
+          EXPECT_EQ(a.gave_up, b.gave_up) << at;
+          EXPECT_EQ(a.delivered, b.delivered) << at;
+          EXPECT_EQ(a.total_attempts, b.total_attempts) << at;
+          EXPECT_EQ(a.total_losses, b.total_losses) << at;
+          EXPECT_EQ(a.total_hops, b.total_hops) << at;
+          EXPECT_EQ(a.messages_given_up, b.messages_given_up) << at;
+          EXPECT_EQ(a.total_backoffs, b.total_backoffs) << at;
+          EXPECT_EQ(a.fault_down_events, b.fault_down_events) << at;
+          EXPECT_EQ(a.fault_up_events, b.fault_up_events) << at;
+          EXPECT_EQ(a.degraded_channel_cycles, b.degraded_channel_cycles)
+              << at;
+          EXPECT_EQ(a.delivered_per_cycle, b.delivered_per_cycle) << at;
+          EXPECT_EQ(lv.trace_fp, pc.trace_fp) << at;
+        }
+      }
+    }
+  }
+}
+
 // Golden determinism for correlated subtree kills: for two plan seeds the
 // full timeline — cycle count, kill/fault counters, and an FNV-1a
 // fingerprint of the traced event stream — is pinned, and serial and
