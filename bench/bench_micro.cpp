@@ -189,19 +189,27 @@ void BM_BalancedDecomposition(benchmark::State& state) {
 }
 BENCHMARK(BM_BalancedDecomposition)->Arg(64)->Arg(256);
 
+/// One all-at-once engine run of `sets` (a one-set vector) as leaf pairs,
+/// the input route_online hands the engine.
+ft::EngineResult run_pairs(ft::CycleEngine& engine,
+                           const std::vector<ft::MessageSet>& sets,
+                           ft::EngineObserver* observer = nullptr) {
+  ft::MessageSetPairs pairs(sets);
+  return engine.run_stream(pairs, observer);
+}
+
 void BM_EngineDeliveryCycles(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   ft::FatTreeTopology topo(n);
   const auto caps = ft::CapacityProfile::universal(topo, n / 4);
   ft::Rng gen(9000);
-  const auto m = ft::stacked_permutations(n, 4, gen);
-  const auto paths = ft::fat_tree_path_set(topo, m);
+  const std::vector<ft::MessageSet> sets{ft::stacked_permutations(n, 4, gen)};
   ft::EngineOptions opts;
   opts.seed = 42;
   ft::CycleEngine engine(ft::fat_tree_channel_graph(topo, caps), opts);
   std::uint64_t cycles = 0;
   for (auto _ : state) {
-    cycles += engine.run(paths).cycles;
+    cycles += run_pairs(engine, sets).cycles;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(cycles));
 }
@@ -243,14 +251,14 @@ constexpr struct {
 };
 
 /// Times the serial engine on one workload (min of kEngineMeasuredReps).
-/// Uses the engine's native PathSet entry point; the message-set-to-CSR
-/// conversion happens once, outside the timed region.
+/// The engine takes the messages as leaf pairs, as route_online hands
+/// them; each run copies the set into one pair chunk inside the timed
+/// region.
 EngineBenchRow time_engine(std::uint32_t n) {
   ft::FatTreeTopology topo(n);
   const auto caps = ft::CapacityProfile::universal(topo, n / 4);
   ft::Rng gen(9000 + n);
-  const auto m = ft::stacked_permutations(n, 4, gen);
-  const auto paths = ft::fat_tree_path_set(topo, m);
+  const std::vector<ft::MessageSet> sets{ft::stacked_permutations(n, 4, gen)};
 
   ft::EngineOptions opts;
   opts.seed = 42;
@@ -259,11 +267,13 @@ EngineBenchRow time_engine(std::uint32_t n) {
   EngineBenchRow row{n, "serial", 0, 1e300, 0.0, 0.0};
   std::uint64_t total_cycles = 0;
   std::uint64_t total_allocs = 0;
-  for (int rep = 0; rep < kEngineWarmupReps; ++rep) (void)engine.run(paths);
+  for (int rep = 0; rep < kEngineWarmupReps; ++rep) {
+    (void)run_pairs(engine, sets);
+  }
   for (int rep = 0; rep < kEngineMeasuredReps; ++rep) {
     const std::uint64_t a0 = heap_alloc_count();
     const auto t0 = std::chrono::steady_clock::now();
-    const auto r = engine.run(paths);
+    const auto r = run_pairs(engine, sets);
     const auto t1 = std::chrono::steady_clock::now();
     row.cycles = r.cycles;
     row.seconds =
@@ -290,8 +300,7 @@ std::pair<EngineBenchRow, EngineBenchRow> time_engine_telemetry(
   ft::FatTreeTopology topo(n);
   const auto caps = ft::CapacityProfile::universal(topo, n / 4);
   ft::Rng gen(9000 + n);
-  const auto m = ft::stacked_permutations(n, 4, gen);
-  const auto paths = ft::fat_tree_path_set(topo, m);
+  const std::vector<ft::MessageSet> sets{ft::stacked_permutations(n, 4, gen)};
   const auto graph = ft::fat_tree_channel_graph(topo, caps);
 
   ft::EngineOptions opts;
@@ -303,14 +312,14 @@ std::pair<EngineBenchRow, EngineBenchRow> time_engine_telemetry(
   EngineBenchRow telem{n, "serial+telemetry", 0, 1e300, 0.0, 0.0};
   const auto measure = [&](EngineBenchRow& row, ft::EngineObserver* obs) {
     const auto t0 = std::chrono::steady_clock::now();
-    const auto r = engine.run(paths, obs);
+    const auto r = run_pairs(engine, sets, obs);
     const auto t1 = std::chrono::steady_clock::now();
     row.cycles = r.cycles;
     row.seconds =
         std::min(row.seconds, std::chrono::duration<double>(t1 - t0).count());
   };
-  (void)engine.run(paths);
-  (void)engine.run(paths, &probe);
+  (void)run_pairs(engine, sets);
+  (void)run_pairs(engine, sets, &probe);
   probe.reset();
   for (int rep = 0; rep < reps; ++rep) {
     measure(bare, nullptr);
@@ -343,8 +352,7 @@ ThreadBenchRow time_engine_threads(std::uint32_t n, std::size_t threads,
   ft::FatTreeTopology topo(n);
   const auto caps = ft::CapacityProfile::universal(topo, n / 4);
   ft::Rng gen(9000 + n);
-  const auto m = ft::stacked_permutations(n, 4, gen);
-  const auto paths = ft::fat_tree_path_set(topo, m);
+  const std::vector<ft::MessageSet> sets{ft::stacked_permutations(n, 4, gen)};
   std::uint32_t lvl = 1;
   while ((std::size_t{1} << lvl) < threads * 2 && lvl < 6) ++lvl;
   lvl = std::min(lvl, topo.height() - 1);
@@ -361,10 +369,10 @@ ThreadBenchRow time_engine_threads(std::uint32_t n, std::size_t threads,
   row.n = n;
   row.threads = threads;
   row.seconds = 1e300;
-  (void)engine.run(paths);  // warmup: scratch to steady state
+  (void)run_pairs(engine, sets);  // warmup: scratch to steady state
   for (int rep = 0; rep < reps; ++rep) {
     const auto t0 = std::chrono::steady_clock::now();
-    const auto r = engine.run(paths);
+    const auto r = run_pairs(engine, sets);
     const auto t1 = std::chrono::steady_clock::now();
     const double secs = std::chrono::duration<double>(t1 - t0).count();
     row.cycles = r.cycles;

@@ -23,29 +23,6 @@ class ViolationCounter final : public EngineObserver {
   std::uint64_t violations_ = 0;
 };
 
-/// Streams the schedule into the engine as leaf pairs, one scheduled
-/// cycle per chunk. Self messages stay in their cycle's chunk: the engine
-/// delivers them locally.
-class ScheduleBatchSource final : public PairSource {
- public:
-  explicit ScheduleBatchSource(const Schedule& schedule)
-      : schedule_(schedule) {}
-
-  bool next_chunk(std::vector<LeafPair>& chunk) override {
-    chunk.clear();
-    if (next_ >= schedule_.cycles.size()) return false;
-    for (const auto& msg : schedule_.cycles[next_]) {
-      chunk.push_back({msg.src, msg.dst});
-    }
-    ++next_;
-    return true;
-  }
-
- private:
-  const Schedule& schedule_;
-  std::size_t next_ = 0;
-};
-
 }  // namespace
 
 ReplayResult replay_schedule(const FatTreeTopology& topo,
@@ -70,7 +47,9 @@ ReplayResult replay_schedule(const FatTreeTopology& topo,
   ObserverFanout fanout;
   fanout.add(&counter);
   fanout.add(observer);
-  ScheduleBatchSource source(schedule);
+  // One chunk of leaf pairs per scheduled cycle; self messages stay in
+  // their cycle's chunk, and the engine delivers them locally.
+  MessageSetPairs source(schedule.cycles);
   const EngineResult er = engine.run_batched_stream(source, &fanout);
 
   ReplayResult result;

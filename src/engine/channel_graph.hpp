@@ -33,19 +33,12 @@ class PathSet {
  public:
   PathSet() : offsets_{0} {}
 
-  void reserve(std::size_t paths, std::size_t hops) {
-    offsets_.reserve(paths + 1);
-    channels_.reserve(hops);
-  }
-
   /// Appends one complete path given as an iterator range of channel ids.
   template <typename It>
   void append(It first, It last) {
     channels_.insert(channels_.end(), first, last);
     close_path();
   }
-
-  void push_back(const EnginePath& path) { append(path.begin(), path.end()); }
 
   /// Streaming interface for builders that emit channels one at a time:
   /// push_channel() any number of times (possibly zero), then close_path().
@@ -78,18 +71,6 @@ class PathSet {
     for (std::size_t p = 0; p < other.size(); ++p) {
       offsets_.push_back(base + other.offsets_[p + 1]);
     }
-  }
-
-  /// One-shot conversion from any container of vector-like paths
-  /// (std::vector<EnginePath>, std::vector<Route>, std::vector<KaryRoute>).
-  template <typename Paths>
-  static PathSet from_paths(const Paths& paths) {
-    PathSet set;
-    std::size_t hops = 0;
-    for (const auto& p : paths) hops += p.size();
-    set.reserve(paths.size(), hops);
-    for (const auto& p : paths) set.append(p.begin(), p.end());
-    return set;
   }
 
   std::size_t size() const { return offsets_.size() - 1; }

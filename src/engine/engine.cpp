@@ -231,8 +231,8 @@ inline Batch as_batch(const std::vector<LeafPair>& pairs) {
 /// returned batch before the following call (so feeds may reuse one
 /// buffer). exhausted() must be accurate by the end of the cycle that
 /// injected the last batch: the loop's termination test reads it, and a
-/// late flip would cost a spurious empty cycle that the materialized
-/// engine would not run.
+/// late flip would cost a spurious empty cycle, which would make the run
+/// depend on how its input is chunked.
 class BatchFeed {
  public:
   virtual ~BatchFeed() = default;
@@ -242,32 +242,11 @@ class BatchFeed {
 
 namespace {
 
-/// Materialized batches: batch i is injected at cycle i + 1, one per
-/// cycle (the run() / run_batched() entry points).
-class VectorFeed final : public BatchFeed {
- public:
-  VectorFeed(const PathSet* const* batches, std::size_t count)
-      : batches_(batches), count_(count) {}
-
-  Batch next(std::uint32_t cycle) override {
-    if (next_ >= count_ || cycle == last_cycle_) return {};
-    last_cycle_ = cycle;
-    return as_batch(*batches_[next_++]);
-  }
-  bool exhausted() const override { return next_ >= count_; }
-
- private:
-  const PathSet* const* batches_;
-  std::size_t count_;
-  std::size_t next_ = 0;
-  std::uint32_t last_cycle_ = 0;
-};
-
 /// Streams every chunk of a source into cycle 1 (run_stream). One chunk
 /// buffer is refilled in place between next() calls; the first chunk is
 /// prefetched so an empty source is exhausted before the cycle loop starts
-/// (cycles == 0, matching run() on an empty set). Source is MessageSource
-/// with PathSet chunks, or PairSource with leaf-pair chunks.
+/// (cycles == 0). Source is MessageSource with PathSet chunks, or
+/// PairSource with leaf-pair chunks.
 template <typename Source, typename Chunk>
 class StreamAllFeed final : public BatchFeed {
  public:
@@ -293,13 +272,12 @@ class StreamAllFeed final : public BatchFeed {
   bool served_first_ = false;
 };
 
-/// Streams one chunk per cycle (run_batched_stream). The following chunk
-/// is prefetched as the current one is served, so exhausted() flips in
-/// the same cycle the last chunk is injected.
-template <typename Source, typename Chunk>
+/// Streams one leaf-pair chunk per cycle (run_batched_stream). The
+/// following chunk is prefetched as the current one is served, so
+/// exhausted() flips in the same cycle the last chunk is injected.
 class StreamBatchFeed final : public BatchFeed {
  public:
-  explicit StreamBatchFeed(Source& source) : source_(source) {
+  explicit StreamBatchFeed(PairSource& source) : source_(source) {
     pending_ = source_.next_chunk(cur_);
   }
 
@@ -313,9 +291,9 @@ class StreamBatchFeed final : public BatchFeed {
   bool exhausted() const override { return !pending_; }
 
  private:
-  Source& source_;
-  Chunk cur_;    ///< prefetched, served next
-  Chunk serve_;  ///< being consumed by the engine
+  PairSource& source_;
+  std::vector<LeafPair> cur_;    ///< prefetched, served next
+  std::vector<LeafPair> serve_;  ///< being consumed by the engine
   bool pending_ = false;
   std::uint32_t last_cycle_ = 0;
 };
@@ -402,21 +380,6 @@ void CycleEngine::fill_limits() {
   }
 }
 
-EngineResult CycleEngine::run(const PathSet& paths, EngineObserver* observer) {
-  if (opts_.contention == ContentionPolicy::Fifo) {
-    return run_fifo(paths, observer);
-  }
-  if (paths.empty()) return {};
-  const PathSet* one = &paths;
-  VectorFeed feed(&one, 1);
-  return run_lossy(feed, observer);
-}
-
-EngineResult CycleEngine::run(const std::vector<EnginePath>& paths,
-                              EngineObserver* observer) {
-  return run(PathSet::from_paths(paths), observer);
-}
-
 EngineResult CycleEngine::run_stream(MessageSource& source,
                                      EngineObserver* observer) {
   if (opts_.contention == ContentionPolicy::Fifo) {
@@ -429,14 +392,6 @@ EngineResult CycleEngine::run_stream(MessageSource& source,
     return run_fifo(all, observer);
   }
   StreamAllFeed<MessageSource, PathSet> feed(source);
-  return run_lossy(feed, observer);
-}
-
-EngineResult CycleEngine::run_batched_stream(MessageSource& source,
-                                             EngineObserver* observer) {
-  FT_CHECK_MSG(opts_.contention != ContentionPolicy::Fifo,
-               "batched injection requires a lossy or tally policy");
-  StreamBatchFeed<MessageSource, PathSet> feed(source);
   return run_lossy(feed, observer);
 }
 
@@ -456,28 +411,8 @@ EngineResult CycleEngine::run_batched_stream(PairSource& source,
   FT_CHECK_MSG(opts_.contention != ContentionPolicy::Fifo,
                "leaf pairs require a fat-tree graph and a lossy or tally "
                "policy");
-  StreamBatchFeed<PairSource, std::vector<LeafPair>> feed(source);
+  StreamBatchFeed feed(source);
   return run_lossy(feed, observer);
-}
-
-EngineResult CycleEngine::run_batched(const std::vector<PathSet>& batches,
-                                      EngineObserver* observer) {
-  FT_CHECK_MSG(opts_.contention != ContentionPolicy::Fifo,
-               "batched injection requires a lossy or tally policy");
-  std::vector<const PathSet*> ptrs;
-  ptrs.reserve(batches.size());
-  for (const PathSet& b : batches) ptrs.push_back(&b);
-  VectorFeed feed(ptrs.data(), ptrs.size());
-  return run_lossy(feed, observer);
-}
-
-EngineResult CycleEngine::run_batched(
-    const std::vector<std::vector<EnginePath>>& batches,
-    EngineObserver* observer) {
-  std::vector<PathSet> sets;
-  sets.reserve(batches.size());
-  for (const auto& b : batches) sets.push_back(PathSet::from_paths(b));
-  return run_batched(sets, observer);
 }
 
 /// The stage kernel: bucket building, arbitration, accounting and

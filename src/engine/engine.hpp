@@ -54,7 +54,7 @@ namespace ft {
 
 /// Internal injection schedule abstraction: hands run_lossy the next batch
 /// to inject, one cycle at a time (defined in engine.cpp; implementations
-/// wrap a batch vector or a MessageSource).
+/// wrap a MessageSource or a PairSource).
 class BatchFeed;
 
 enum class ContentionPolicy : std::uint8_t { RandomSubset, Fifo, Tally };
@@ -203,46 +203,28 @@ class CycleEngine {
   CycleEngine(const CycleEngine&) = delete;
   CycleEngine& operator=(const CycleEngine&) = delete;
 
-  /// Runs one batch of messages to completion. Lossy/tally: all messages
-  /// contend from cycle 1 and losers retry until delivered (or the engine
-  /// gives up). Fifo: synchronous store-and-forward rounds. The PathSet
-  /// overloads are the native (allocation-free) entry points; the
-  /// vector-of-paths overloads convert once and forward.
-  EngineResult run(const PathSet& paths, EngineObserver* observer = nullptr);
-  EngineResult run(const std::vector<EnginePath>& paths,
-                   EngineObserver* observer = nullptr);
-
-  /// Lossy/tally only: batch i is injected at cycle i+1 (the offline
-  /// schedule replay: one batch per scheduled delivery cycle). Losers of
-  /// batch i retry alongside batch i+1. Every batch opens a cycle, so a
-  /// valid offline schedule replays in exactly schedule.num_cycles()
-  /// cycles with zero losses.
-  EngineResult run_batched(const std::vector<PathSet>& batches,
-                           EngineObserver* observer = nullptr);
-  EngineResult run_batched(const std::vector<std::vector<EnginePath>>& batches,
-                           EngineObserver* observer = nullptr);
-
-  /// Streaming run(): consumes the source chunk by chunk, injecting every
-  /// path at cycle 1, bit-identical to run() on the concatenation of all
-  /// chunks — but peak memory is O(chunk) instead of O(total paths) in the
-  /// lossy/tally modes. FIFO mode needs every queue seeded before round 1,
-  /// so it ingests the stream into one PathSet first (still cheaper than a
-  /// vector-of-vectors route list: 4 bytes per hop, two allocations).
+  /// Runs a stream of paths to completion. FIFO: synchronous
+  /// store-and-forward rounds; every queue must be seeded before round 1,
+  /// so the stream is ingested into one PathSet first (4 bytes per hop,
+  /// two allocations). Lossy/tally: every path contends from cycle 1 and
+  /// losers retry until delivered (or the engine gives up), consumed chunk
+  /// by chunk in O(chunk) input memory. On the tree-tagged graph a lossy
+  /// or tally path must be its endpoints' tree path, and is routed as that
+  /// leaf pair, so the run is bit-identical to run_stream over the pairs.
   EngineResult run_stream(MessageSource& source,
                           EngineObserver* observer = nullptr);
 
-  /// Streaming run_batched(): chunk i is injected at cycle i + 1,
-  /// bit-identical to run_batched() on the materialized chunk vector.
-  EngineResult run_batched_stream(MessageSource& source,
-                                  EngineObserver* observer = nullptr);
-
-  /// The same two streaming runs over leaf pairs, on a fat-tree graph
+  /// The same all-at-once run over leaf pairs, on a fat-tree graph
   /// (tree_height != 0) in a lossy or tally mode: each pair is routed on
-  /// its tree path, bit-identical to the PathSet runs on the compiled
-  /// paths — a self pair is a local delivery with its own id, as an empty
-  /// path is.
+  /// its tree path, and a self pair is a local delivery with its own id.
   EngineResult run_stream(PairSource& source,
                           EngineObserver* observer = nullptr);
+
+  /// Leaf pairs in a lossy or tally mode, chunk i injected at cycle i + 1
+  /// (the offline schedule replay: one chunk per scheduled delivery
+  /// cycle). Losers of chunk i retry alongside chunk i + 1. Every chunk
+  /// opens a cycle, so a valid offline schedule replays in exactly
+  /// schedule.num_cycles() cycles with zero losses.
   EngineResult run_batched_stream(PairSource& source,
                                   EngineObserver* observer = nullptr);
 
@@ -408,7 +390,7 @@ class CycleEngine {
   std::vector<std::uint32_t> wake_;
 
   // All per-run/per-cycle scratch below (and the bands' scratch above) is
-  // a member so repeated run() calls on one engine reach a steady state
+  // a member so repeated runs on one engine reach a steady state
   // with no allocation: vectors are cleared, never shrunk, and the stage
   // lists recycle their blocks through the band pools, which keep every
   // block they have allocated.

@@ -101,23 +101,4 @@ void append_fat_tree_path(const FatTreeTopology& topo, Leaf src, Leaf dst,
   out.close_path();
 }
 
-PathSet fat_tree_path_set(const FatTreeTopology& topo, const MessageSet& m) {
-  PathSet paths;
-  paths.reserve(m.size(), m.size() * 2ull * topo.height());
-  for (const auto& msg : m) {
-    append_fat_tree_path(topo, msg.src, msg.dst, paths);
-  }
-  return paths;
-}
-
-std::vector<EnginePath> fat_tree_engine_paths(const FatTreeTopology& topo,
-                                              const MessageSet& m) {
-  std::vector<EnginePath> paths;
-  paths.reserve(m.size());
-  for (const auto& msg : m) {
-    paths.push_back(fat_tree_engine_path(topo, msg.src, msg.dst));
-  }
-  return paths;
-}
-
 }  // namespace ft

@@ -1,8 +1,8 @@
 // Fat-tree channel model for the CycleEngine: compiles a FatTreeTopology +
 // CapacityProfile into the engine's ChannelGraph — the tree's height (the
 // tag, so the engine routes leaf pairs by address) and the profile's
-// wires per level — and message sets into EnginePaths for callers that
-// want explicit paths. Channel indices reuse core/topology.hpp's
+// wires per level — and hands the engine message sets as leaf pairs
+// (MessageSetPairs). Channel indices reuse core/topology.hpp's
 // channel_index() (node * 2 + direction), so per-channel counters line up
 // with the rest of the core layer.
 //
@@ -65,22 +65,34 @@ EnginePath fat_tree_engine_path(const FatTreeTopology& topo, Leaf src,
 void append_fat_tree_path(const FatTreeTopology& topo, Leaf src, Leaf dst,
                           PathSet& out);
 
-/// CSR paths for a whole message set: the engine's native input format.
-/// Self messages become empty paths (local delivery, no bandwidth).
-PathSet fat_tree_path_set(const FatTreeTopology& topo, const MessageSet& m);
+/// Hands the engine message sets as leaf pairs, one chunk per set, self
+/// pairs included (the engine delivers them locally): an offline
+/// schedule's cycles through run_batched_stream (replay_schedule), or a
+/// one-set vector through run_stream for an all-at-once run.
+class MessageSetPairs final : public PairSource {
+ public:
+  explicit MessageSetPairs(const std::vector<MessageSet>& sets)
+      : sets_(sets) {}
 
-/// Paths for a whole message set as one heap vector per message; prefer
-/// fat_tree_path_set for anything hot.
-std::vector<EnginePath> fat_tree_engine_paths(const FatTreeTopology& topo,
-                                              const MessageSet& m);
+  bool next_chunk(std::vector<LeafPair>& chunk) override {
+    chunk.clear();
+    if (next_ >= sets_.size()) return false;
+    for (const Message& m : sets_[next_]) chunk.push_back({m.src, m.dst});
+    ++next_;
+    return true;
+  }
+
+ private:
+  const std::vector<MessageSet>& sets_;
+  std::size_t next_ = 0;
+};
 
 /// Streams fat-tree paths for a MessageStream workload, one chunk at a
 /// time: the full PathSet for an n = 2^20 permutation (~160 MiB of CSR)
 /// never exists; peak input memory is one chunk. Self messages become
-/// empty paths (local delivery), exactly as fat_tree_path_set emits them.
-/// The routers hand the engine leaf pairs instead; on the tagged graph a
-/// streamed path is checked against its leaves' tree path and routed as
-/// that pair.
+/// empty paths (local delivery). The routers hand the engine leaf pairs
+/// instead; on the tagged graph a streamed path is checked against its
+/// leaves' tree path and routed as that pair.
 class FatTreePathSource final : public MessageSource {
  public:
   FatTreePathSource(const FatTreeTopology& topo, MessageStream& messages,

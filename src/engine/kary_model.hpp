@@ -19,11 +19,6 @@ inline ChannelGraph kary_channel_graph(const KaryTree& tree) {
       std::vector<std::uint64_t>(tree.num_links(), 1));
 }
 
-/// Batch conversion of k-ary routes to the engine's CSR input.
-inline PathSet kary_path_set(const std::vector<KaryRoute>& routes) {
-  return PathSet::from_paths(routes);
-}
-
 /// Routes a permutation chunk by chunk as the engine consumes it: the
 /// full route vector for the permutation never exists. Routing draws on
 /// the shared `rng` and `tracker` in source order, exactly as the
@@ -44,8 +39,8 @@ class KaryRouteSource final : public MessageSource {
         chunk_paths_(chunk_paths == 0 ? 1 : chunk_paths) {}
 
   bool next_chunk(PathSet& chunk) override {
-    if (next_ >= perm_.size()) return false;
     chunk.clear();
+    if (next_ >= perm_.size()) return false;
     const std::size_t end = std::min<std::size_t>(perm_.size(),
                                                   next_ + chunk_paths_);
     for (; next_ < end; ++next_) {

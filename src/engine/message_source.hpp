@@ -9,7 +9,7 @@
 // false — leaving `chunk` cleared — when the source is exhausted. A source
 // is single-pass: once it returns false it keeps returning false. The
 // engine guarantees the concatenation of all chunks is consumed in order,
-// which is what makes streaming runs bit-identical to materialized ones.
+// which is what makes a run independent of how its input is chunked.
 #pragma once
 
 #include <cstddef>
@@ -52,8 +52,9 @@ class PairSource {
 };
 
 /// Adapts an already-materialized PathSet to the streaming interface by
-/// slicing it into chunks. Used by the parity tests and by callers that
-/// have a small set in hand but want the streaming code path.
+/// slicing it into chunks: how the tests hand the engine a PathSet built
+/// by hand (FIFO paths, tagged paths the injection checks must reject,
+/// and the chunk-size invariance checks).
 class PathSetSource final : public MessageSource {
  public:
   explicit PathSetSource(const PathSet& set,

@@ -21,30 +21,30 @@ inline ChannelGraph network_channel_graph(const Network& net) {
   return ChannelGraph::flat(std::move(caps));
 }
 
-/// Streams router output into the engine chunk by chunk (a Route is
-/// already an EnginePath, so this is pure re-chunking). The routes vector
-/// itself still exists — competitor routers materialize it — but the CSR
-/// copy never does.
+/// Streams router output into the engine in kDefaultChunkPaths chunks (a
+/// Route is already an EnginePath, so this is pure re-chunking): the FIFO
+/// input of simulate_store_forward, and of any vector of paths (a
+/// KaryRoute is one too). The routes vector itself still exists —
+/// competitor routers materialize it — and FIFO ingestion copies it into
+/// one CSR PathSet.
 class RouteChunkSource final : public MessageSource {
  public:
-  explicit RouteChunkSource(const std::vector<Route>& routes,
-                            std::size_t chunk_paths = kDefaultChunkPaths)
-      : routes_(routes), chunk_paths_(chunk_paths == 0 ? 1 : chunk_paths) {}
+  explicit RouteChunkSource(const std::vector<Route>& routes)
+      : routes_(routes) {}
 
   bool next_chunk(PathSet& chunk) override {
-    if (next_ >= routes_.size()) return false;
     chunk.clear();
-    const std::size_t end = std::min(routes_.size(), next_ + chunk_paths_);
+    if (next_ >= routes_.size()) return false;
+    const std::size_t end =
+        std::min(routes_.size(), next_ + kDefaultChunkPaths);
     for (; next_ < end; ++next_) {
-      for (const std::uint32_t c : routes_[next_]) chunk.push_channel(c);
-      chunk.close_path();
+      chunk.append(routes_[next_].begin(), routes_[next_].end());
     }
     return true;
   }
 
  private:
   const std::vector<Route>& routes_;
-  std::size_t chunk_paths_;
   std::size_t next_ = 0;
 };
 

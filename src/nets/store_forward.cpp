@@ -7,9 +7,9 @@
 
 namespace ft {
 
-StoreForwardResult simulate_store_forward_stream(
-    const Network& net, MessageSource& routes, std::size_t num_routes,
-    const StoreForwardOptions& opts) {
+StoreForwardResult simulate_store_forward(const Network& net,
+                                          const std::vector<Route>& routes,
+                                          const StoreForwardOptions& opts) {
   EngineOptions eopts;
   eopts.contention = ContentionPolicy::Fifo;
   eopts.parallel = opts.parallel;
@@ -18,7 +18,8 @@ StoreForwardResult simulate_store_forward_stream(
   eopts.max_cycles = opts.max_rounds;
 
   CycleEngine engine(network_channel_graph(net), eopts);
-  const EngineResult er = engine.run_stream(routes, opts.observer);
+  RouteChunkSource source(routes);
+  const EngineResult er = engine.run_stream(source, opts.observer);
 
   StoreForwardResult result;
   result.rounds = er.cycles;
@@ -29,18 +30,10 @@ StoreForwardResult simulate_store_forward_stream(
   result.fault_down_events = er.fault_down_events;
   result.fault_up_events = er.fault_up_events;
   result.subtree_kill_events = er.subtree_kill_events;
-  result.mean_latency = num_routes == 0
-                            ? 0.0
-                            : er.latency_sum /
-                                  static_cast<double>(num_routes);
+  result.mean_latency =
+      routes.empty() ? 0.0
+                     : er.latency_sum / static_cast<double>(routes.size());
   return result;
-}
-
-StoreForwardResult simulate_store_forward(const Network& net,
-                                          const std::vector<Route>& routes,
-                                          const StoreForwardOptions& opts) {
-  RouteChunkSource source(routes);
-  return simulate_store_forward_stream(net, source, routes.size(), opts);
 }
 
 std::uint32_t store_forward_lower_bound(const Network& net,

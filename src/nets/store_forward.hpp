@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "engine/fault_plan.hpp"
-#include "engine/message_source.hpp"
 #include "engine/observer.hpp"
 #include "nets/network.hpp"
 #include "nets/routing.hpp"
@@ -51,15 +50,6 @@ struct StoreForwardOptions {
 StoreForwardResult simulate_store_forward(const Network& net,
                                           const std::vector<Route>& routes,
                                           const StoreForwardOptions& opts = {});
-
-/// Streaming form: routes arrive as a MessageSource (see
-/// engine/network_model.hpp's RouteChunkSource) and are ingested chunk by
-/// chunk. `num_routes` is the total the source will yield (FIFO needs it
-/// only for mean_latency's denominator). Bit-identical to the vector form
-/// for the same routes in the same order.
-StoreForwardResult simulate_store_forward_stream(
-    const Network& net, MessageSource& routes, std::size_t num_routes,
-    const StoreForwardOptions& opts = {});
 
 /// Lower bound on delivery time: max(longest route, max per-link
 /// congestion / capacity). Useful as a sanity reference in experiments.

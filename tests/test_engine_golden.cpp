@@ -17,6 +17,7 @@
 #include <iostream>
 #include <iterator>
 #include <numeric>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -93,8 +94,7 @@ TEST(EngineGolden, LossyRandomSubset) {
   FatTreeTopology t(n);
   const auto caps = CapacityProfile::universal(t, 32);
   Rng gen(9);
-  const auto m = stacked_permutations(n, 4, gen);
-  const auto paths = fat_tree_engine_paths(t, m);
+  const std::vector<MessageSet> sets{stacked_permutations(n, 4, gen)};
   const auto graph = fat_tree_channel_graph(t, caps);
 
   for (const LossyGolden& g : kLossyGolden) {
@@ -104,7 +104,8 @@ TEST(EngineGolden, LossyRandomSubset) {
     opts.seed = g.seed;
     CycleEngine engine(graph, opts);
     CarriedSummer hops;
-    const EngineResult r = engine.run(paths, &hops);
+    MessageSetPairs pairs(sets);
+    const EngineResult r = engine.run_stream(pairs, &hops);
     if (print_mode()) {
       std::cout << "GOLDEN lossy {" << g.seed << ", " << g.alpha << ", "
                 << r.cycles << ", " << r.delivered << ", "
@@ -131,15 +132,15 @@ TEST(EngineGolden, LossyGiveUp) {
   FatTreeTopology t(n);
   const auto caps = CapacityProfile::constant(t, 1);
   Rng gen(13);
-  const auto m = stacked_permutations(n, 6, gen);
-  const auto paths = fat_tree_engine_paths(t, m);
+  const std::vector<MessageSet> sets{stacked_permutations(n, 6, gen)};
 
   EngineOptions opts;
   opts.contention = ContentionPolicy::RandomSubset;
   opts.seed = 5;
   opts.max_cycles = 4;
   CycleEngine engine(fat_tree_channel_graph(t, caps), opts);
-  const EngineResult r = engine.run(paths);
+  MessageSetPairs pairs(sets);
+  const EngineResult r = engine.run_stream(pairs);
   if (print_mode()) {
     std::cout << "GOLDEN giveup delivered=" << r.delivered
               << " losses=" << r.total_losses
@@ -249,20 +250,21 @@ TEST(EngineGolden, RoutingPolicies) {
 // and its losers are parked.
 TEST(EngineGolden, AdaptiveIgnoresOutOfBudgetChannels) {
   FatTreeTopology t(2);
-  const std::vector<EnginePath> paths(64, fat_tree_engine_path(t, 0, 1));
+  const std::vector<MessageSet> sets{MessageSet(64, Message{0, 1})};
   EngineOptions opts;
   opts.policy = RoutingPolicy::AdaptiveOccupancy;
   opts.seed = 5;
   CycleEngine engine(
       fat_tree_channel_graph(t, CapacityProfile::constant(t, 1)), opts);
-  const EngineResult r = engine.run(paths);
+  MessageSetPairs pairs(sets);
+  const EngineResult r = engine.run_stream(pairs);
   if (print_mode()) {
     std::cout << "GOLDEN in-budget {" << r.cycles << ", " << r.total_attempts
               << ", " << r.total_losses << ", " << r.total_backoffs << "}\n";
     return;
   }
   EXPECT_FALSE(r.gave_up);
-  EXPECT_EQ(r.delivered, paths.size());
+  EXPECT_EQ(r.delivered, sets[0].size());
   EXPECT_EQ(r.cycles, 84u);
   EXPECT_EQ(r.total_attempts, 1450u);
   EXPECT_EQ(r.total_losses, 1386u);
@@ -273,10 +275,14 @@ TEST(EngineGolden, AdaptiveIgnoresOutOfBudgetChannels) {
 // Codec cases: the golden workloads and a 4096-leaf stacked permutation
 // under every lossy policy and tally, with and without faults and retry.
 // Each row fingerprints every EngineResult field and the traced event
-// stream of one run. The rows were recorded from the CSR hop-buffer codec
-// (the engine's reference for untagged graphs, since deleted), which the
-// address codec matched bit for bit at the time; the serial and the
-// pooled-sharded executor must both reproduce every row.
+// stream of one run. The all-at-once rows were recorded from the CSR
+// hop-buffer codec (the engine's reference for untagged graphs, since
+// deleted), which the address codec matched bit for bit at the time; the
+// batched rows were recorded from the deleted run_batched on compiled
+// paths, each workload split into three batches injected at cycles 1, 2
+// and 3. Both now hold for the same messages as leaf pairs: run_stream
+// and run_batched_stream on the serial and the pooled-sharded executor
+// must reproduce every row.
 
 /// FNV-1a over 64-bit words: every EngineResult field of a run without
 /// phase timing, then every traced event in order.
@@ -362,6 +368,59 @@ constexpr CodecGolden kCodecGolden[] = {
     {"stacked-4096", "tally", true, 0x230448c4ed00b536ULL},
 };
 
+constexpr CodecGolden kCodecBatchedGolden[] = {
+    {"golden-lossy", "oblivious", false, 0x268064a2c24ca351ULL},
+    {"golden-lossy", "oblivious", true, 0x225adf5a4d6523b5ULL},
+    {"golden-lossy", "dmod", false, 0x9dde1fa1ee916a16ULL},
+    {"golden-lossy", "dmod", true, 0xea69043216192306ULL},
+    {"golden-lossy", "rlb", false, 0xe48fe42f237dc6edULL},
+    {"golden-lossy", "rlb", true, 0xfd7d590cd152a735ULL},
+    {"golden-lossy", "adaptive", false, 0x1977641fd0b178ecULL},
+    {"golden-lossy", "adaptive", true, 0x5c62ffdb29ce82abULL},
+    {"golden-lossy", "tally", false, 0xbffd62d8c79d21d7ULL},
+    {"golden-lossy", "tally", true, 0xc8dba201bad25ce5ULL},
+    {"golden-giveup", "oblivious", false, 0x769151941ddc1066ULL},
+    {"golden-giveup", "oblivious", true, 0x549c187caba11bbfULL},
+    {"golden-giveup", "dmod", false, 0x4c9c6836cc0163b5ULL},
+    {"golden-giveup", "dmod", true, 0x909851539dc245a7ULL},
+    {"golden-giveup", "rlb", false, 0x4c9c6836cc0163b5ULL},
+    {"golden-giveup", "rlb", true, 0x909851539dc245a7ULL},
+    {"golden-giveup", "adaptive", false, 0x60a859aff8f5af97ULL},
+    {"golden-giveup", "adaptive", true, 0xaa275c445b669807ULL},
+    {"golden-giveup", "tally", false, 0x7b88d2e4d654b90cULL},
+    {"golden-giveup", "tally", true, 0x35eda210e4f505c0ULL},
+    {"golden-online", "oblivious", false, 0xb109619b28281f08ULL},
+    {"golden-online", "oblivious", true, 0xd32991cfaa1f156dULL},
+    {"golden-online", "dmod", false, 0x473af12a9bc04751ULL},
+    {"golden-online", "dmod", true, 0x6acfa72f02152b19ULL},
+    {"golden-online", "rlb", false, 0xef66ea475c7a48b8ULL},
+    {"golden-online", "rlb", true, 0x42f9dce4522c3a7ULL},
+    {"golden-online", "adaptive", false, 0x706a5854e8807d67ULL},
+    {"golden-online", "adaptive", true, 0x2d168d7d17696103ULL},
+    {"golden-online", "tally", false, 0x60af9d4aaa47322fULL},
+    {"golden-online", "tally", true, 0xb3cc980e2779d6b8ULL},
+    {"golden-policies", "oblivious", false, 0xd6155d3385093fa6ULL},
+    {"golden-policies", "oblivious", true, 0x65ec5e32a3a205ceULL},
+    {"golden-policies", "dmod", false, 0xc43735681adc08b8ULL},
+    {"golden-policies", "dmod", true, 0xb4fce2d03a84383cULL},
+    {"golden-policies", "rlb", false, 0xd506942497222498ULL},
+    {"golden-policies", "rlb", true, 0xf96c4aa0f8eadc1aULL},
+    {"golden-policies", "adaptive", false, 0xf8b0e8ab8cd57bc4ULL},
+    {"golden-policies", "adaptive", true, 0xaada4d6fe6ffb98cULL},
+    {"golden-policies", "tally", false, 0xa75f2243d69ec4a5ULL},
+    {"golden-policies", "tally", true, 0x49cc685f39cd82edULL},
+    {"stacked-4096", "oblivious", false, 0x7a0c361deb739660ULL},
+    {"stacked-4096", "oblivious", true, 0xcfbdc506a1f64eb6ULL},
+    {"stacked-4096", "dmod", false, 0x22a1925a7e773b48ULL},
+    {"stacked-4096", "dmod", true, 0x2c92256a2ad08090ULL},
+    {"stacked-4096", "rlb", false, 0x193cd6d514046accULL},
+    {"stacked-4096", "rlb", true, 0x529395b2e7924ebfULL},
+    {"stacked-4096", "adaptive", false, 0x359df26dd9fb7acbULL},
+    {"stacked-4096", "adaptive", true, 0x4d906291371fe8e2ULL},
+    {"stacked-4096", "tally", false, 0xdbcdf1219b57631bULL},
+    {"stacked-4096", "tally", true, 0x3cd5cea401141308ULL},
+};
+
 TEST(EngineGolden, CodecCasesMatchCsrReference) {
   Rng gen(61);
   const struct {
@@ -389,7 +448,12 @@ TEST(EngineGolden, CodecCasesMatchCsrReference) {
   }
   modes.push_back(
       {ContentionPolicy::Tally, RoutingPolicy::ObliviousRandom, "tally"});
-  const CodecGolden* row = kCodecGolden;
+  // The two input shapes: the whole set at cycle 1, or its thirds at
+  // cycles 1, 2 and 3. Each walks its own table.
+  static_assert(std::size(kCodecBatchedGolden) == std::size(kCodecGolden));
+  const CodecGolden* const tables[] = {kCodecGolden, kCodecBatchedGolden};
+  std::size_t next_row[] = {0, 0};
+  std::string printed[2];
   std::uint64_t backoffs = 0;
   std::uint64_t given_up = 0;
   for (const auto& c : cases) {
@@ -397,7 +461,12 @@ TEST(EngineGolden, CodecCasesMatchCsrReference) {
     const CapacityProfile caps = c.w == 0
                                      ? CapacityProfile::constant(topo, 1)
                                      : CapacityProfile::universal(topo, c.w);
-    const PathSet paths = fat_tree_path_set(topo, c.m);
+    const std::vector<MessageSet> all{c.m};
+    std::vector<MessageSet> thirds;
+    for (std::size_t k = 0; k < 3; ++k) {
+      thirds.emplace_back(c.m.begin() + k * c.m.size() / 3,
+                          c.m.begin() + (k + 1) * c.m.size() / 3);
+    }
     FaultPlan plan(77);
     plan.set_flaps({0.02, 0.3});
     plan.set_domains(fat_tree_subtree_domains(topo, 2));
@@ -415,38 +484,53 @@ TEST(EngineGolden, CodecCasesMatchCsrReference) {
           opts.retry.exponential_backoff = true;
           opts.retry.deadline_cycles = 24;
         }
-        for (const bool pooled : {false, true}) {
-          opts.parallel = pooled;
-          CycleEngine engine(
-              fat_tree_channel_graph(topo, caps, pooled ? 2 : 0), opts);
-          TraceSink trace;
-          const EngineResult r = engine.run(paths, &trace);
-          const std::uint64_t fp = run_fingerprint(r, trace);
-          if (print_mode()) {
-            if (!pooled) {
-              std::cout << "    {\"" << c.name << "\", \"" << mode.name
-                        << "\", " << (faulted ? "true" : "false") << ", 0x"
-                        << std::hex << fp << std::dec << "ULL},\n";
+        for (const bool batched : {false, true}) {
+          for (const bool pooled : {false, true}) {
+            opts.parallel = pooled;
+            CycleEngine engine(
+                fat_tree_channel_graph(topo, caps, pooled ? 2 : 0), opts);
+            TraceSink trace;
+            MessageSetPairs pairs(batched ? thirds : all);
+            const EngineResult r =
+                batched ? engine.run_batched_stream(pairs, &trace)
+                        : engine.run_stream(pairs, &trace);
+            const std::uint64_t fp = run_fingerprint(r, trace);
+            if (print_mode()) {
+              if (!pooled) {
+                std::ostringstream line;
+                line << "    {\"" << c.name << "\", \"" << mode.name
+                     << "\", " << (faulted ? "true" : "false") << ", 0x"
+                     << std::hex << fp << "ULL},\n";
+                printed[batched] += line.str();
+              }
+              continue;
             }
-            continue;
+            const std::string at = std::string(c.name) + " " + mode.name +
+                                   (faulted ? " faulted" : "") +
+                                   (batched ? " batched" : "") +
+                                   (pooled ? " pooled" : " serial");
+            ASSERT_LT(next_row[batched], std::size(kCodecGolden)) << at;
+            const CodecGolden& row = tables[batched][next_row[batched]];
+            EXPECT_STREQ(row.workload, c.name) << at;
+            EXPECT_STREQ(row.mode, mode.name) << at;
+            EXPECT_EQ(row.faulted, faulted) << at;
+            EXPECT_EQ(fp, row.fingerprint) << at;
+            backoffs += r.total_backoffs;
+            given_up += r.messages_given_up;
           }
-          const std::string at = std::string(c.name) + " " + mode.name +
-                                 (faulted ? " faulted" : "") +
-                                 (pooled ? " pooled" : " serial");
-          ASSERT_LT(row - kCodecGolden, std::ssize(kCodecGolden)) << at;
-          EXPECT_STREQ(row->workload, c.name) << at;
-          EXPECT_STREQ(row->mode, mode.name) << at;
-          EXPECT_EQ(row->faulted, faulted) << at;
-          EXPECT_EQ(fp, row->fingerprint) << at;
-          backoffs += r.total_backoffs;
-          given_up += r.messages_given_up;
+          ++next_row[batched];
         }
-        ++row;
       }
     }
   }
-  if (print_mode()) return;
-  EXPECT_EQ(row - kCodecGolden, std::ssize(kCodecGolden));
+  if (print_mode()) {
+    std::cout << "kCodecGolden:\n"
+              << printed[0] << "kCodecBatchedGolden:\n"
+              << printed[1];
+    return;
+  }
+  EXPECT_EQ(next_row[0], std::size(kCodecGolden));
+  EXPECT_EQ(next_row[1], std::size(kCodecBatchedGolden));
   // The retry machinery ran: messages backed off and deadlines expired.
   EXPECT_GT(backoffs, 0u);
   EXPECT_GT(given_up, 0u);

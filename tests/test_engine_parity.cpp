@@ -15,6 +15,7 @@
 #include "core/traffic.hpp"
 #include "engine/engine.hpp"
 #include "engine/fat_tree_model.hpp"
+#include "engine/network_model.hpp"
 #include "kary/kary_sim.hpp"
 #include "nets/builders.hpp"
 #include "nets/routing.hpp"
@@ -449,8 +450,8 @@ TEST(EngineParity, PooledShardsMatchSerialForEveryPolicy) {
   FatTreeTopology t(n);
   const auto caps = CapacityProfile::universal(t, n / 8);
   Rng gen(121);
-  const PathSet paths = fat_tree_path_set(t, stacked_permutations(n, 2, gen));
-  const std::size_t routed = paths.size();
+  const std::vector<MessageSet> sets{stacked_permutations(n, 2, gen)};
+  const std::size_t routed = sets[0].size();
 
   FaultPlan flaps(122);
   flaps.set_flaps({0.01, 0.3});
@@ -474,8 +475,9 @@ TEST(EngineParity, PooledShardsMatchSerialForEveryPolicy) {
     fanout.add(&metrics);
     fanout.add(&invariants);
     CycleEngine engine(fat_tree_channel_graph(t, caps, shard_level), opts);
+    MessageSetPairs pairs(sets);
     Run r;
-    r.result = engine.run(paths, &fanout);
+    r.result = engine.run_stream(pairs, &fanout);
     r.trace_fp = trace_fingerprint(trace);
     r.telemetry_fp = probe.fingerprint();
     r.metrics_json = metrics.to_json().dump(0);
@@ -552,9 +554,9 @@ TEST(EngineParity, ReusedEngineAfterTruncatedRunMatchesFreshEngine) {
   const auto caps = CapacityProfile::universal(t, n / 8);
   Rng gen(131);
   // About 39 cycles to finish: far past the cap.
-  const PathSet cut = fat_tree_path_set(t, stacked_permutations(n, 8, gen));
+  const std::vector<MessageSet> cut{stacked_permutations(n, 8, gen)};
   // About 10 cycles: finishes under it.
-  const PathSet done = fat_tree_path_set(t, stacked_permutations(n, 2, gen));
+  const std::vector<MessageSet> done{stacked_permutations(n, 2, gen)};
 
   struct Run {
     EngineResult result;
@@ -562,8 +564,9 @@ TEST(EngineParity, ReusedEngineAfterTruncatedRunMatchesFreshEngine) {
   };
   const auto run_done = [&](CycleEngine& engine) {
     TraceSink trace;
+    MessageSetPairs pairs(done);
     Run r;
-    r.result = engine.run(done, &trace);
+    r.result = engine.run_stream(pairs, &trace);
     r.trace_fp = trace_fingerprint(trace);
     return r;
   };
@@ -583,9 +586,10 @@ TEST(EngineParity, ReusedEngineAfterTruncatedRunMatchesFreshEngine) {
     EXPECT_GT(want.result.total_losses, 0u) << at;
 
     CycleEngine reused(fat_tree_channel_graph(t, caps, shard_level), opts);
-    const EngineResult first = reused.run(cut);
+    MessageSetPairs cut_pairs(cut);
+    const EngineResult first = reused.run_stream(cut_pairs);
     ASSERT_TRUE(first.gave_up) << at;
-    ASSERT_LT(first.delivered, cut.size()) << at;
+    ASSERT_LT(first.delivered, cut[0].size()) << at;
     const Run got = run_done(reused);
 
     const EngineResult& a = want.result;
@@ -618,7 +622,7 @@ TEST(EngineParity, LevelLimitsMatchPerChannelLimits) {
   FatTreeTopology t(n);
   const auto caps = CapacityProfile::universal(t, n / 8);
   Rng gen(141);
-  const PathSet paths = fat_tree_path_set(t, stacked_permutations(n, 2, gen));
+  const std::vector<MessageSet> sets{stacked_permutations(n, 2, gen)};
 
   FaultPlan faults(142);
   faults.set_flaps({0.01, 0.3});
@@ -656,8 +660,9 @@ TEST(EngineParity, LevelLimitsMatchPerChannelLimits) {
     }
     TraceSink trace;
     CycleEngine engine(std::move(g), opts);
+    MessageSetPairs pairs(sets);
     Run r;
-    r.result = engine.run(paths, &trace);
+    r.result = engine.run_stream(pairs, &trace);
     r.trace_fp = trace_fingerprint(trace);
     return r;
   };
@@ -686,7 +691,7 @@ TEST(EngineParity, LevelLimitsMatchPerChannelLimits) {
           if (mode.contention == ContentionPolicy::RandomSubset) {
             EXPECT_GT(a.total_losses, 0u) << at;
           }
-          EXPECT_EQ(a.delivered + a.messages_given_up, paths.size()) << at;
+          EXPECT_EQ(a.delivered + a.messages_given_up, sets[0].size()) << at;
           EXPECT_EQ(a.cycles, b.cycles) << at;
           EXPECT_EQ(a.gave_up, b.gave_up) << at;
           EXPECT_EQ(a.delivered, b.delivered) << at;
@@ -855,9 +860,41 @@ TEST(EngineDeathTest, FifoRejectsUnknownChannel) {
   EXPECT_DEATH(
       {
         CycleEngine engine(ChannelGraph::flat({1, 1}), opts);
-        engine.run(paths);
+        RouteChunkSource source(paths);
+        engine.run_stream(source);
       },
       "path uses an unknown channel");
+}
+
+// Leaf pairs are routed by address, which only a lossy or tally engine
+// does: a FIFO engine given either pair entry point aborts, on a flat
+// graph and on a fat-tree graph alike.
+TEST(EngineDeathTest, FifoRejectsLeafPairs) {
+  FatTreeTopology t(4);
+  const ChannelGraph graphs[] = {
+      ChannelGraph::flat({1, 1}),
+      fat_tree_channel_graph(t, CapacityProfile::constant(t, 1))};
+  const std::vector<MessageSet> sets{MessageSet{{0, 1}}};
+  EngineOptions fifo;
+  fifo.contention = ContentionPolicy::Fifo;
+  for (const ChannelGraph& g : graphs) {
+    EXPECT_DEATH(
+        {
+          CycleEngine engine(g, fifo);
+          MessageSetPairs pairs(sets);
+          engine.run_stream(pairs);
+        },
+        "leaf pairs require a fat-tree graph and a lossy or tally policy")
+        << "tree height " << g.tree_height;
+    EXPECT_DEATH(
+        {
+          CycleEngine engine(g, fifo);
+          MessageSetPairs pairs(sets);
+          engine.run_batched_stream(pairs);
+        },
+        "leaf pairs require a fat-tree graph and a lossy or tally policy")
+        << "tree height " << g.tree_height;
+  }
 }
 
 // Only the address codec routes a lossy or tally message, so the engine
@@ -880,8 +917,9 @@ TEST(EngineDeathTest, LossyAndTallyNeedATreeTaggedGraph) {
   EngineOptions fifo;
   fifo.contention = ContentionPolicy::Fifo;
   const std::vector<EnginePath> paths = {{0}, {0, 1}, {1}};
+  RouteChunkSource source(paths);
   const EngineResult r =
-      CycleEngine(ChannelGraph::flat({1, 1}), fifo).run(paths);
+      CycleEngine(ChannelGraph::flat({1, 1}), fifo).run_stream(source);
   EXPECT_EQ(r.delivered, paths.size());
   EXPECT_FALSE(r.gave_up);
 }

@@ -1,12 +1,13 @@
-// Scale-out regression tests: streamed message sets are bit-identical to
-// materialized ones (results and trace streams), the address codec names
-// every hop, stage and shard of the compiled tree paths, a fat-tree
-// channel graph's level profile answers as the per-channel builder's
-// tables did, unused channels change nothing, checked narrowing aborts at
-// the 32-bit boundary, and the subtree-sharded parallel executor matches
-// the serial engine on every workload shape — including faults and retry
-// policies. See DESIGN.md "Scale-out". test_engine_golden pins the
-// codec's runs.
+// Scale-out regression tests: a run does not depend on how its input is
+// chunked (results and trace streams), every message source leaves its
+// chunk empty once drained, leaf pairs route as their compiled tree paths,
+// the address codec names every hop, stage and shard of those paths, a
+// fat-tree channel graph's level profile answers as the per-channel
+// builder's tables did, unused channels change nothing, checked narrowing
+// aborts at the 32-bit boundary, and the subtree-sharded parallel executor
+// matches the serial engine on every workload shape — including faults
+// and retry policies. See DESIGN.md "Scale-out". test_engine_golden pins
+// the codec's runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,7 +29,6 @@
 #include "kary/kary_tree.hpp"
 #include "nets/builders.hpp"
 #include "nets/routing.hpp"
-#include "nets/store_forward.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "util/check.hpp"
@@ -66,16 +66,26 @@ void expect_same_result(const EngineResult& a, const EngineResult& b,
 
 // --- Streaming vs materialized -------------------------------------------
 
-// run_stream over chunked slices of a PathSet must match run() on the
-// whole set, for every contention policy, including the traced event
-// stream — whatever the chunk size.
+/// The compiled tree paths of a message set, in order: the lossy PathSet
+/// input that FatTreePathSource streams, built whole for the tests that
+/// slice or edit it.
+PathSet tree_paths(const FatTreeTopology& topo, const MessageSet& m) {
+  PathSet paths;
+  for (const Message& msg : m) {
+    append_fat_tree_path(topo, msg.src, msg.dst, paths);
+  }
+  return paths;
+}
+
+// run_stream over chunked slices of a PathSet gives one run whatever the
+// chunk size (1, 7 and the default), for every contention policy,
+// including the traced event stream.
 TEST(Scaleout, StreamedRunMatchesMaterialized) {
   const std::uint32_t n = 128;
   FatTreeTopology topo(n);
   const auto caps = CapacityProfile::universal(topo, 16);
   Rng gen(11);
-  const auto m = stacked_permutations(n, 3, gen);
-  const PathSet paths = fat_tree_path_set(topo, m);
+  const PathSet paths = tree_paths(topo, stacked_permutations(n, 3, gen));
 
   for (const ContentionPolicy policy :
        {ContentionPolicy::RandomSubset, ContentionPolicy::Fifo,
@@ -83,71 +93,75 @@ TEST(Scaleout, StreamedRunMatchesMaterialized) {
     EngineOptions opts;
     opts.contention = policy;
     opts.seed = 99;
-
-    CycleEngine base_engine(fat_tree_channel_graph(topo, caps), opts);
-    TraceSink base_trace;
-    const EngineResult base = base_engine.run(paths, &base_trace);
-
-    for (const std::size_t chunk : {std::size_t{1}, std::size_t{7},
-                                    kDefaultChunkPaths}) {
+    const auto run_chunked = [&](std::size_t chunk, TraceSink& trace) {
       CycleEngine engine(fat_tree_channel_graph(topo, caps), opts);
       PathSetSource source(paths, chunk);
+      return engine.run_stream(source, &trace);
+    };
+
+    TraceSink base_trace;
+    const EngineResult base = run_chunked(kDefaultChunkPaths, base_trace);
+    EXPECT_EQ(base.delivered, paths.size());
+    for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}}) {
       TraceSink trace;
-      const EngineResult streamed = engine.run_stream(source, &trace);
-      expect_same_result(base, streamed, "run_stream");
+      expect_same_result(base, run_chunked(chunk, trace), "run_stream");
       EXPECT_EQ(event_fingerprint(base_trace), event_fingerprint(trace))
           << "policy " << static_cast<int>(policy) << " chunk " << chunk;
     }
   }
 }
 
-/// Yields a fixed sequence of PathSets, one per chunk — the streaming
-/// mirror of run_batched's batch vector.
-class BatchVectorSource final : public MessageSource {
- public:
-  explicit BatchVectorSource(const std::vector<PathSet>& batches)
-      : batches_(batches) {}
+// Every source keeps the MessageSource contract: once exhausted,
+// next_chunk returns false and leaves the chunk empty, whatever its
+// caller left in it. The pair source keeps PairSource's.
+TEST(Scaleout, ExhaustedSourcesLeaveTheChunkEmpty) {
+  const auto drain = [](MessageSource& source, const char* name) {
+    PathSet chunk;
+    chunk.push_channel(7);  // a stale path
+    chunk.close_path();
+    std::size_t chunks = 0;
+    while (source.next_chunk(chunk)) ++chunks;
+    EXPECT_GT(chunks, 1u) << name;
+    EXPECT_TRUE(chunk.empty()) << name;
+    EXPECT_EQ(chunk.total_hops(), 0u) << name;
+    EXPECT_FALSE(source.next_chunk(chunk)) << name;
+  };
 
-  bool next_chunk(PathSet& chunk) override {
-    chunk.clear();
-    if (next_ >= batches_.size()) return false;
-    chunk.append_set(batches_[next_++]);
-    return true;
-  }
+  const auto net = build_mesh2d(6, 6);
+  Rng rng(5);
+  const auto routes = route_all_bfs(
+      net, uniform_random_traffic(36, 2 * kDefaultChunkPaths, rng));
+  RouteChunkSource route_source(routes);
+  drain(route_source, "RouteChunkSource");
 
- private:
-  const std::vector<PathSet>& batches_;
-  std::size_t next_ = 0;
-};
+  const KaryTree tree(/*k=*/2, /*levels=*/14);
+  std::vector<std::uint32_t> perm(tree.num_processors());
+  std::iota(perm.begin(), perm.end(), 0u);
+  std::reverse(perm.begin(), perm.end());
+  Rng kary_rng(6);
+  KaryLoadTracker tracker(tree);
+  KaryRouteSource kary_source(tree, perm, AscentPolicy::Random, kary_rng,
+                              tracker);
+  drain(kary_source, "KaryRouteSource");
 
-TEST(Scaleout, StreamedBatchesMatchRunBatched) {
-  const std::uint32_t n = 64;
-  FatTreeTopology topo(n);
-  const auto caps = CapacityProfile::universal(topo, 16);
+  const FatTreeTopology topo(64);
+  Rng gen(7);
+  const MessageSet m = random_permutation_traffic(64, gen);
+  const PathSet paths = tree_paths(topo, m);
+  PathSetSource set_source(paths, 5);
+  drain(set_source, "PathSetSource");
+  MessageSetStream stream(m);
+  FatTreePathSource tree_source(topo, stream, 5);
+  drain(tree_source, "FatTreePathSource");
 
-  std::vector<PathSet> batches;
-  for (std::uint32_t k = 0; k < 5; ++k) {
-    Rng gen(50 + k);
-    batches.push_back(fat_tree_path_set(topo, random_permutation_traffic(n, gen)));
-  }
-
-  for (const ContentionPolicy policy :
-       {ContentionPolicy::RandomSubset, ContentionPolicy::Tally}) {
-    EngineOptions opts;
-    opts.contention = policy;
-    opts.seed = 7;
-
-    CycleEngine base_engine(fat_tree_channel_graph(topo, caps), opts);
-    TraceSink base_trace;
-    const EngineResult base = base_engine.run_batched(batches, &base_trace);
-
-    CycleEngine engine(fat_tree_channel_graph(topo, caps), opts);
-    BatchVectorSource source(batches);
-    TraceSink trace;
-    const EngineResult streamed = engine.run_batched_stream(source, &trace);
-    expect_same_result(base, streamed, "run_batched_stream");
-    EXPECT_EQ(event_fingerprint(base_trace), event_fingerprint(trace));
-  }
+  const std::vector<MessageSet> sets{m, m};
+  MessageSetPairs pairs(sets);
+  std::vector<LeafPair> chunk{{1, 2}};
+  std::size_t chunks = 0;
+  while (pairs.next_chunk(chunk)) ++chunks;
+  EXPECT_EQ(chunks, sets.size());
+  EXPECT_TRUE(chunk.empty());
+  EXPECT_FALSE(pairs.next_chunk(chunk));
 }
 
 // route_online and route_online_stream agree for the same messages,
@@ -203,27 +217,6 @@ TEST(Scaleout, StreamsMatchMaterializedGenerators) {
   EXPECT_EQ(i, perm.size());
 }
 
-// Store-and-forward: the streaming entry point matches the route-vector
-// form at any chunk size.
-TEST(Scaleout, StoreForwardStreamMatchesVector) {
-  const auto net = build_mesh2d(6, 6);
-  Rng rng(5);
-  const auto m = uniform_random_traffic(36, 100, rng);
-  const auto routes = route_all_bfs(net, m);
-
-  const auto base = simulate_store_forward(net, routes);
-  for (const std::size_t chunk : {std::size_t{1}, std::size_t{3}}) {
-    RouteChunkSource source(routes, chunk);
-    const auto streamed =
-        simulate_store_forward_stream(net, source, routes.size());
-    EXPECT_EQ(base.rounds, streamed.rounds);
-    EXPECT_EQ(base.delivered, streamed.delivered);
-    EXPECT_EQ(base.total_hops, streamed.total_hops);
-    EXPECT_EQ(base.max_queue, streamed.max_queue);
-    EXPECT_EQ(base.mean_latency, streamed.mean_latency);
-  }
-}
-
 // k-ary: the simulation streams its routes; replicating the old
 // materialize-then-run pipeline by hand from the same generator state
 // must give the same rounds and load statistics.
@@ -254,7 +247,8 @@ TEST(Scaleout, KaryStreamMatchesMaterialized) {
   EngineOptions fifo;
   fifo.contention = ContentionPolicy::Fifo;
   CycleEngine engine(kary_channel_graph(tree), fifo);
-  const EngineResult er = engine.run(kary_path_set(routes));
+  RouteChunkSource source(routes);
+  const EngineResult er = engine.run_stream(source);
 
   EXPECT_EQ(streamed.rounds, er.cycles);
   EXPECT_EQ(streamed.delivered, er.delivered);
@@ -467,43 +461,21 @@ TEST(ChannelGraph, FlatGraphKeepsItsTable) {
   EXPECT_EQ(FaultState(plan, g).num_usable(), 2u);
 }
 
-/// Yields one chunk of leaf pairs per message set.
-class PairBatchSource final : public PairSource {
- public:
-  explicit PairBatchSource(const std::vector<MessageSet>& batches)
-      : batches_(batches) {}
-
-  bool next_chunk(std::vector<LeafPair>& chunk) override {
-    chunk.clear();
-    if (next_ >= batches_.size()) return false;
-    for (const Message& m : batches_[next_]) chunk.push_back({m.src, m.dst});
-    ++next_;
-    return true;
-  }
-
- private:
-  const std::vector<MessageSet>& batches_;
-  std::size_t next_ = 0;
-};
-
-// Leaf pairs route exactly as their compiled tree paths do, streamed all
-// at once or one batch per cycle, self pairs included.
+// Leaf pairs route exactly as their compiled tree paths do: the same
+// messages through FatTreePathSource, whose paths the engine checks
+// against their leaves' tree paths and routes as those pairs, give the
+// same run, self pairs included.
 TEST(Scaleout, LeafPairsMatchCompiledPaths) {
   const std::uint32_t n = 256;
   FatTreeTopology topo(n);
   const auto caps = CapacityProfile::universal(topo, 32);
   Rng gen(67);
-  std::vector<MessageSet> batches;
+  std::vector<MessageSet> sets(1);
+  MessageSet& all = sets[0];
   for (std::uint32_t k = 0; k < 3; ++k) {
-    batches.push_back(stacked_permutations(n, 2, gen));
-    batches.back()[k].dst = batches.back()[k].src;  // a self pair
-  }
-  std::vector<PathSet> path_batches;
-  std::vector<MessageSet> one_batch(1);
-  MessageSet& all = one_batch[0];
-  for (const MessageSet& b : batches) {
-    path_batches.push_back(fat_tree_path_set(topo, b));
-    all.insert(all.end(), b.begin(), b.end());
+    MessageSet part = stacked_permutations(n, 2, gen);
+    part[k].dst = part[k].src;  // a self pair
+    all.insert(all.end(), part.begin(), part.end());
   }
   for (const ContentionPolicy policy :
        {ContentionPolicy::RandomSubset, ContentionPolicy::Tally}) {
@@ -515,23 +487,15 @@ TEST(Scaleout, LeafPairsMatchCompiledPaths) {
       opts.threads = 4;
       const ChannelGraph g = fat_tree_channel_graph(topo, caps, pooled ? 3 : 0);
       TraceSink want_trace, got_trace;
+      MessageSetStream stream(all);
+      FatTreePathSource paths(topo, stream);
       const EngineResult want =
-          CycleEngine(g, opts).run(fat_tree_path_set(topo, all), &want_trace);
-      PairBatchSource all_pairs(one_batch);
+          CycleEngine(g, opts).run_stream(paths, &want_trace);
+      MessageSetPairs pairs(sets);
       const EngineResult got =
-          CycleEngine(g, opts).run_stream(all_pairs, &got_trace);
+          CycleEngine(g, opts).run_stream(pairs, &got_trace);
       expect_same_result(want, got, "run_stream pairs");
       EXPECT_EQ(event_fingerprint(want_trace), event_fingerprint(got_trace));
-
-      TraceSink want_b_trace, got_b_trace;
-      const EngineResult want_b =
-          CycleEngine(g, opts).run_batched(path_batches, &want_b_trace);
-      PairBatchSource batch_pairs(batches);
-      const EngineResult got_b =
-          CycleEngine(g, opts).run_batched_stream(batch_pairs, &got_b_trace);
-      expect_same_result(want_b, got_b, "run_batched_stream pairs");
-      EXPECT_EQ(event_fingerprint(want_b_trace),
-                event_fingerprint(got_b_trace));
     }
   }
 }
@@ -560,7 +524,8 @@ TEST(Scaleout, NarrowWideBoundaryIsSeamless) {
        {kUsed, std::size_t{65535}, std::size_t{65536}, std::size_t{65537}}) {
     CycleEngine engine(
         ChannelGraph::flat(std::vector<std::uint64_t>(channels, 1)), opts);
-    const EngineResult r = engine.run(paths);
+    RouteChunkSource source(paths);
+    const EngineResult r = engine.run_stream(source);
     EXPECT_EQ(r.delivered, paths.size());
     EXPECT_EQ(r.cycles, 3u);  // capacity 1, three contenders per channel
     if (!have_base) {
@@ -575,10 +540,11 @@ TEST(Scaleout, NarrowWideBoundaryIsSeamless) {
   for (const std::size_t channels : {std::size_t{65536}, std::size_t{65537}}) {
     CycleEngine engine(
         ChannelGraph::flat(std::vector<std::uint64_t>(channels, 1)), opts);
-    std::vector<EnginePath> top = {
+    const std::vector<EnginePath> top = {
         {static_cast<std::uint32_t>(channels - 1)},
         {static_cast<std::uint32_t>(channels - 1)}};
-    const EngineResult r = engine.run(top);
+    RouteChunkSource source(top);
+    const EngineResult r = engine.run_stream(source);
     EXPECT_EQ(r.delivered, 2u);
     EXPECT_EQ(r.cycles, 2u);
   }
@@ -596,8 +562,7 @@ TEST(ScaleoutDeathTest, NonTreePathIsRejectedOnTreeGraph) {
   FatTreeTopology topo(n);
   const auto caps = CapacityProfile::universal(topo, 256);
   Rng gen(43);
-  const PathSet good =
-      fat_tree_path_set(topo, random_permutation_traffic(n, gen));
+  const PathSet good = tree_paths(topo, random_permutation_traffic(n, gen));
   ASSERT_GE(good.total_hops(), 4096u);
   const auto chan = [](NodeId v, Direction d) {
     return static_cast<std::uint32_t>(channel_index(ChannelId{v, d}));
@@ -610,7 +575,7 @@ TEST(ScaleoutDeathTest, NonTreePathIsRejectedOnTreeGraph) {
   for (const EnginePath& bad : {swapped, internal}) {
     PathSet paths;
     for (std::size_t p = 0; p < good.size(); ++p) {
-      if (p == good.size() / 2) paths.push_back(bad);
+      if (p == good.size() / 2) paths.append(bad.begin(), bad.end());
       const auto first = good.channels().begin() + good.offset(p);
       paths.append(first, first + good.length(p));
     }
@@ -621,7 +586,8 @@ TEST(ScaleoutDeathTest, NonTreePathIsRejectedOnTreeGraph) {
       EXPECT_DEATH(
           {
             CycleEngine engine(fat_tree_channel_graph(topo, caps, 2), opts);
-            engine.run(paths);
+            PathSetSource source(paths);
+            engine.run_stream(source);
           },
           "path is not its endpoints' tree path")
           << "parallel " << parallel << " path of " << bad.size();
@@ -680,7 +646,9 @@ TEST(ScaleoutDeathTest, RootExternalChannelIsRejectedByEveryExecutor) {
   const auto caps = CapacityProfile::universal(topo, 16);
   const auto root_up = static_cast<std::uint32_t>(
       channel_index(ChannelId{1, Direction::Up}));
-  const std::vector<EnginePath> paths = {{root_up}};
+  PathSet paths;
+  paths.push_channel(root_up);
+  paths.close_path();
   for (const std::uint32_t shard_level : {0u, 2u}) {
     for (const bool parallel : {false, true}) {
       EngineOptions opts;
@@ -690,7 +658,8 @@ TEST(ScaleoutDeathTest, RootExternalChannelIsRejectedByEveryExecutor) {
           {
             CycleEngine engine(fat_tree_channel_graph(topo, caps, shard_level),
                                opts);
-            engine.run(paths);
+            PathSetSource source(paths);
+            engine.run_stream(source);
           },
           "path uses an unknown channel")
           << "shard level " << shard_level << " parallel " << parallel;
@@ -729,8 +698,7 @@ TEST(ScaleoutDeathTest, InvalidPathInPooledBatchIsRejectedByEveryExecutor) {
   FatTreeTopology topo(n);
   const auto caps = CapacityProfile::universal(topo, 256);
   Rng gen(41);
-  const PathSet good =
-      fat_tree_path_set(topo, random_permutation_traffic(n, gen));
+  const PathSet good = tree_paths(topo, random_permutation_traffic(n, gen));
   ASSERT_GE(good.total_hops(), 4096u);
   const auto& chans = good.channels();
   std::size_t mid = good.size() / 2;
@@ -762,7 +730,8 @@ TEST(ScaleoutDeathTest, InvalidPathInPooledBatchIsRejectedByEveryExecutor) {
       EXPECT_DEATH(
           {
             CycleEngine engine(fat_tree_channel_graph(topo, caps, 2), opts);
-            engine.run(paths);
+            PathSetSource source(paths);
+            engine.run_stream(source);
           },
           c.message)
           << "parallel " << parallel;
@@ -793,14 +762,16 @@ TEST(Scaleout, ShardedEngineMatchesSerial) {
   };
 
   for (const auto& w : workloads) {
-    const PathSet paths = fat_tree_path_set(topo, w.m);
+    const std::vector<MessageSet> sets{w.m};
 
     EngineOptions serial_opts;
     serial_opts.seed = 321;
     CycleEngine serial_engine(fat_tree_channel_graph(topo, caps),
                               serial_opts);
     TraceSink serial_trace;
-    const EngineResult serial = serial_engine.run(paths, &serial_trace);
+    MessageSetPairs serial_pairs(sets);
+    const EngineResult serial =
+        serial_engine.run_stream(serial_pairs, &serial_trace);
     EXPECT_FALSE(serial.gave_up) << w.name;
 
     for (const std::uint32_t shard_level : {1u, 2u, 3u}) {
@@ -810,7 +781,8 @@ TEST(Scaleout, ShardedEngineMatchesSerial) {
       CycleEngine engine(fat_tree_channel_graph(topo, caps, shard_level),
                          opts);
       TraceSink trace;
-      const EngineResult sharded = engine.run(paths, &trace);
+      MessageSetPairs pairs(sets);
+      const EngineResult sharded = engine.run_stream(pairs, &trace);
       expect_same_result(serial, sharded, w.name);
       EXPECT_EQ(event_fingerprint(serial_trace), event_fingerprint(trace))
           << w.name << " shard_level " << shard_level;
@@ -825,8 +797,7 @@ TEST(Scaleout, ShardedEngineMatchesSerialUnderFaults) {
   FatTreeTopology topo(n);
   const auto caps = CapacityProfile::universal(topo, 16);
   Rng gen(23);
-  const auto m = stacked_permutations(n, 3, gen);
-  const PathSet paths = fat_tree_path_set(topo, m);
+  const std::vector<MessageSet> sets{stacked_permutations(n, 3, gen)};
 
   FaultPlan plan(404);
   plan.set_domains(fat_tree_subtree_domains(topo, 2));
@@ -839,13 +810,16 @@ TEST(Scaleout, ShardedEngineMatchesSerialUnderFaults) {
   serial_opts.retry.exponential_backoff = true;
   CycleEngine serial_engine(fat_tree_channel_graph(topo, caps), serial_opts);
   TraceSink serial_trace;
-  const EngineResult serial = serial_engine.run(paths, &serial_trace);
+  MessageSetPairs serial_pairs(sets);
+  const EngineResult serial =
+      serial_engine.run_stream(serial_pairs, &serial_trace);
 
   EngineOptions opts = serial_opts;
   opts.parallel = true;
   CycleEngine engine(fat_tree_channel_graph(topo, caps, 2), opts);
   TraceSink trace;
-  const EngineResult sharded = engine.run(paths, &trace);
+  MessageSetPairs pairs(sets);
+  const EngineResult sharded = engine.run_stream(pairs, &trace);
 
   expect_same_result(serial, sharded, "faulted sharded run");
   EXPECT_EQ(serial.fault_down_events, sharded.fault_down_events);
@@ -855,10 +829,11 @@ TEST(Scaleout, ShardedEngineMatchesSerialUnderFaults) {
 }
 
 // Streaming and sharding compose: a streamed sharded parallel run equals
-// the materialized serial run.
+// the serial run of the whole set.
 TEST(Scaleout, StreamedShardedMatchesMaterializedSerial) {
-  // Streamed chunks through the sharded executor against the serial
-  // engine on the materialized set, results and traced event streams.
+  // Streamed path chunks through the sharded executor against the serial
+  // engine on the whole set as leaf pairs, results and traced event
+  // streams.
   const auto check = [](std::uint32_t n, std::uint64_t w, const MessageSet& m,
                         std::size_t chunk_paths, const EngineOptions& base,
                         const char* label) {
@@ -866,8 +841,9 @@ TEST(Scaleout, StreamedShardedMatchesMaterializedSerial) {
     const auto caps = CapacityProfile::universal(topo, w);
     CycleEngine serial_engine(fat_tree_channel_graph(topo, caps), base);
     TraceSink serial_trace;
-    const EngineResult serial =
-        serial_engine.run(fat_tree_path_set(topo, m), &serial_trace);
+    const std::vector<MessageSet> sets{m};
+    MessageSetPairs pairs(sets);
+    const EngineResult serial = serial_engine.run_stream(pairs, &serial_trace);
 
     EngineOptions opts = base;
     opts.parallel = true;
@@ -889,12 +865,12 @@ TEST(Scaleout, StreamedShardedMatchesMaterializedSerial) {
   check(128, 32, random_permutation_traffic(128, gen), 16, opts,
         "streamed sharded");
 
-  // Every chunk injects on the pool: 1,024 paths of a 4096-leaf stacked
-  // permutation carry about 20K hops. Every 97th message is made local,
-  // so each chunk's ranges hold empty paths that take an id but no
-  // message index. Indices and ids must continue across the chunks
-  // exactly as in one materialized batch, and the retries that follow
-  // must back off identically.
+  // Chunks of 1,024 paths of a 4096-leaf stacked permutation, about 20K
+  // hops each, through a four-thread pool. Every 97th message is made
+  // local, so each chunk holds empty paths that take an id but no message
+  // index. Indices and ids must continue across the chunks exactly as in
+  // the one-chunk pair run, and the retries that follow must back off
+  // identically.
   MessageSet stacked = stacked_permutations(4096, 2, gen);
   for (std::size_t k = 0; k < stacked.size(); k += 97) {
     stacked[k].dst = stacked[k].src;
@@ -926,14 +902,16 @@ TEST(Scaleout, FourThreadShardsMatchSerialAtEveryShardLevel) {
   };
 
   for (const auto& w : workloads) {
-    const PathSet paths = fat_tree_path_set(topo, w.m);
+    const std::vector<MessageSet> sets{w.m};
 
     EngineOptions serial_opts;
     serial_opts.seed = 808;
     CycleEngine serial_engine(fat_tree_channel_graph(topo, caps),
                               serial_opts);
     TraceSink serial_trace;
-    const EngineResult serial = serial_engine.run(paths, &serial_trace);
+    MessageSetPairs serial_pairs(sets);
+    const EngineResult serial =
+        serial_engine.run_stream(serial_pairs, &serial_trace);
     EXPECT_FALSE(serial.gave_up) << w.name;
 
     for (const std::uint32_t shard_level : {1u, 2u, 3u}) {
@@ -944,7 +922,8 @@ TEST(Scaleout, FourThreadShardsMatchSerialAtEveryShardLevel) {
       CycleEngine engine(fat_tree_channel_graph(topo, caps, shard_level),
                          opts);
       TraceSink trace;
-      const EngineResult got = engine.run(paths, &trace);
+      MessageSetPairs pairs(sets);
+      const EngineResult got = engine.run_stream(pairs, &trace);
       expect_same_result(serial, got, w.name);
       EXPECT_EQ(event_fingerprint(serial_trace), event_fingerprint(trace))
           << w.name << " shard_level " << shard_level;
@@ -960,8 +939,7 @@ TEST(Scaleout, FourThreadShardsKeepTelemetryFingerprint) {
   FatTreeTopology topo(n);
   const auto caps = CapacityProfile::universal(topo, 32);
   Rng gen(37);
-  const auto m = stacked_permutations(n, 4, gen);
-  const PathSet paths = fat_tree_path_set(topo, m);
+  const std::vector<MessageSet> sets{stacked_permutations(n, 4, gen)};
 
   std::uint64_t fp_serial = 0;
   {
@@ -971,7 +949,8 @@ TEST(Scaleout, FourThreadShardsKeepTelemetryFingerprint) {
     topts.every_k = 2;
     TelemetryProbe probe(topts);
     CycleEngine engine(fat_tree_channel_graph(topo, caps), opts);
-    engine.run(paths, &probe);
+    MessageSetPairs pairs(sets);
+    engine.run_stream(pairs, &probe);
     fp_serial = probe.fingerprint();
   }
 
@@ -984,7 +963,8 @@ TEST(Scaleout, FourThreadShardsKeepTelemetryFingerprint) {
     topts.every_k = 2;
     TelemetryProbe probe(topts);
     CycleEngine engine(fat_tree_channel_graph(topo, caps, shard_level), opts);
-    engine.run(paths, &probe);
+    MessageSetPairs pairs(sets);
+    engine.run_stream(pairs, &probe);
     EXPECT_EQ(fp_serial, probe.fingerprint()) << "shard_level " << shard_level;
   }
 }
@@ -997,8 +977,7 @@ TEST(Scaleout, FourThreadShardsMatchSerialUnderFaultsAndRetries) {
   FatTreeTopology topo(n);
   const auto caps = CapacityProfile::universal(topo, 16);
   Rng gen(41);
-  const auto m = stacked_permutations(n, 3, gen);
-  const PathSet paths = fat_tree_path_set(topo, m);
+  const std::vector<MessageSet> sets{stacked_permutations(n, 3, gen)};
 
   FaultPlan plan(505);
   plan.set_domains(fat_tree_subtree_domains(topo, 2));
@@ -1020,14 +999,17 @@ TEST(Scaleout, FourThreadShardsMatchSerialUnderFaultsAndRetries) {
       CycleEngine serial_engine(fat_tree_channel_graph(topo, caps),
                                 serial_opts);
       TraceSink serial_trace;
-      const EngineResult serial = serial_engine.run(paths, &serial_trace);
+      MessageSetPairs serial_pairs(sets);
+      const EngineResult serial =
+          serial_engine.run_stream(serial_pairs, &serial_trace);
 
       EngineOptions opts = serial_opts;
       opts.parallel = true;
       opts.threads = 4;
       CycleEngine engine(fat_tree_channel_graph(topo, caps, 2), opts);
       TraceSink trace;
-      const EngineResult got = engine.run(paths, &trace);
+      MessageSetPairs pairs(sets);
+      const EngineResult got = engine.run_stream(pairs, &trace);
       expect_same_result(serial, got, "faulted four-thread sharded run");
       EXPECT_EQ(serial.fault_down_events, got.fault_down_events);
       EXPECT_EQ(serial.fault_up_events, got.fault_up_events);

@@ -205,7 +205,7 @@ TEST(Telemetry, SerialShardedParityFingerprint) {
   };
 
   for (const auto& w : workloads) {
-    const PathSet paths = fat_tree_path_set(topo, w.m);
+    const std::vector<MessageSet> sets{w.m};
     for (const std::uint32_t every_k : {1u, 4u}) {
       TelemetryOptions topts;
       topts.every_k = every_k;
@@ -215,8 +215,9 @@ TEST(Telemetry, SerialShardedParityFingerprint) {
       serial_opts.seed = 321;
       CycleEngine serial_engine(fat_tree_channel_graph(topo, caps),
                                 serial_opts);
+      MessageSetPairs serial_pairs(sets);
       const EngineResult serial =
-          serial_engine.run(paths, &serial_probe);
+          serial_engine.run_stream(serial_pairs, &serial_probe);
       EXPECT_FALSE(serial.gave_up) << w.name;
       const std::uint64_t want = serial_probe.fingerprint();
       EXPECT_EQ(serial_probe.cycles_seen(), serial.cycles);
@@ -228,7 +229,8 @@ TEST(Telemetry, SerialShardedParityFingerprint) {
         opts.parallel = true;
         CycleEngine engine(fat_tree_channel_graph(topo, caps, shard_level),
                            opts);
-        const EngineResult sharded = engine.run(paths, &probe);
+        MessageSetPairs pairs(sets);
+        const EngineResult sharded = engine.run_stream(pairs, &probe);
         EXPECT_EQ(sharded.cycles, serial.cycles) << w.name;
         EXPECT_EQ(probe.fingerprint(), want)
             << w.name << " shard_level=" << shard_level
@@ -246,8 +248,7 @@ TEST(Telemetry, SerialShardedParityUnderFaults) {
   FatTreeTopology topo(n);
   const auto caps = CapacityProfile::universal(topo, 16);
   Rng gen(23);
-  const auto m = stacked_permutations(n, 3, gen);
-  const PathSet paths = fat_tree_path_set(topo, m);
+  const std::vector<MessageSet> sets{stacked_permutations(n, 3, gen)};
 
   FaultPlan plan(404);
   plan.set_domains(fat_tree_subtree_domains(topo, 2));
@@ -260,14 +261,17 @@ TEST(Telemetry, SerialShardedParityUnderFaults) {
   serial_opts.fault_plan = &plan;
   serial_opts.retry.exponential_backoff = true;
   CycleEngine serial_engine(fat_tree_channel_graph(topo, caps), serial_opts);
-  const EngineResult serial = serial_engine.run(paths, &serial_probe);
+  MessageSetPairs serial_pairs(sets);
+  const EngineResult serial =
+      serial_engine.run_stream(serial_pairs, &serial_probe);
   EXPECT_GT(serial.fault_down_events, 0u);
 
   TelemetryProbe probe;
   EngineOptions opts = serial_opts;
   opts.parallel = true;
   CycleEngine engine(fat_tree_channel_graph(topo, caps, 2), opts);
-  const EngineResult sharded = engine.run(paths, &probe);
+  MessageSetPairs pairs(sets);
+  const EngineResult sharded = engine.run_stream(pairs, &probe);
 
   EXPECT_EQ(sharded.cycles, serial.cycles);
   EXPECT_EQ(probe.fingerprint(), serial_probe.fingerprint());
@@ -285,17 +289,18 @@ TEST(Telemetry, ProbeDoesNotPerturbEngineResults) {
   FatTreeTopology topo(n);
   const auto caps = CapacityProfile::universal(topo, 32);
   Rng gen(29);
-  const auto m = stacked_permutations(n, 4, gen);
-  const PathSet paths = fat_tree_path_set(topo, m);
+  const std::vector<MessageSet> sets{stacked_permutations(n, 4, gen)};
 
   EngineOptions opts;
   opts.seed = 777;
   CycleEngine bare_engine(fat_tree_channel_graph(topo, caps), opts);
-  const EngineResult bare = bare_engine.run(paths);
+  MessageSetPairs bare_pairs(sets);
+  const EngineResult bare = bare_engine.run_stream(bare_pairs);
 
   TelemetryProbe probe;
   CycleEngine probed_engine(fat_tree_channel_graph(topo, caps), opts);
-  const EngineResult probed = probed_engine.run(paths, &probe);
+  MessageSetPairs probed_pairs(sets);
+  const EngineResult probed = probed_engine.run_stream(probed_pairs, &probe);
 
   EXPECT_EQ(bare.cycles, probed.cycles);
   EXPECT_EQ(bare.delivered, probed.delivered);
@@ -313,8 +318,7 @@ TEST(Telemetry, ScalarSeriesConserveAtAnySamplingRate) {
   FatTreeTopology topo(n);
   const auto caps = CapacityProfile::universal(topo, 16);
   Rng gen(31);
-  const auto m = stacked_permutations(n, 3, gen);
-  const PathSet paths = fat_tree_path_set(topo, m);
+  const std::vector<MessageSet> sets{stacked_permutations(n, 3, gen)};
 
   for (const std::uint32_t every_k : {1u, 5u}) {
     TelemetryOptions topts;
@@ -323,7 +327,8 @@ TEST(Telemetry, ScalarSeriesConserveAtAnySamplingRate) {
     EngineOptions opts;
     opts.seed = 99;
     CycleEngine engine(fat_tree_channel_graph(topo, caps), opts);
-    const EngineResult r = engine.run(paths, &probe);
+    MessageSetPairs pairs(sets);
+    const EngineResult r = engine.run_stream(pairs, &probe);
     probe.finalize();
 
     const TelemetryRing* attempts = probe.series("attempts");
@@ -553,21 +558,22 @@ TEST(Telemetry, ResetAllowsReuse) {
   FatTreeTopology topo(n);
   const auto caps = CapacityProfile::universal(topo, 8);
   Rng gen(61);
-  const auto m = random_permutation_traffic(n, gen);
-  const PathSet paths = fat_tree_path_set(topo, m);
+  const std::vector<MessageSet> sets{random_permutation_traffic(n, gen)};
 
   TelemetryProbe probe;
   EngineOptions opts;
   opts.seed = 5;
   CycleEngine engine(fat_tree_channel_graph(topo, caps), opts);
-  (void)engine.run(paths, &probe);
+  MessageSetPairs pairs(sets);
+  (void)engine.run_stream(pairs, &probe);
   const std::uint64_t first = probe.fingerprint();
 
   probe.reset();
   EXPECT_EQ(probe.cycles_seen(), 0u);
 
   CycleEngine engine2(fat_tree_channel_graph(topo, caps), opts);
-  (void)engine2.run(paths, &probe);
+  MessageSetPairs pairs2(sets);
+  (void)engine2.run_stream(pairs2, &probe);
   EXPECT_EQ(probe.fingerprint(), first);
 }
 
