@@ -22,6 +22,14 @@
 // 2L - 1, and the spine channels fill the band [spine_lo, spine_hi). At
 // k = 1 that band is empty: a crossing message hops from one shard's last
 // up channel straight onto the other's root down channel.
+//
+// Below the turn a message's channel needs its source and cursor; from
+// the turn on it needs only its destination, since the down channel at
+// stage s is the down channel of dst >> (2L - 1 - s), whatever h is. The
+// engine's worklist entries use this: each hop carries a key, its channel
+// on an up stage and its destination node on a down stage, so a down hop
+// finds its channel and its successor without the word. The word's
+// cursor then catches up only where it is read (seek).
 #pragma once
 
 #include <bit>
@@ -42,10 +50,13 @@ struct AddressCodec {
   /// shard_of for a spine channel.
   static constexpr std::uint32_t kSpine = 0xffffffffu;
 
-  /// One hop of a path: its channel and that channel's stage.
+  /// One hop of a path: its channel, that channel's stage and its
+  /// worklist key (the channel on an up stage, the destination node on a
+  /// down stage).
   struct Hop {
     std::uint32_t chan;
     std::uint32_t stage;
+    std::uint32_t key;
   };
 
   /// The codec of a tree of height `tree_height` (ChannelGraph's tag) cut
@@ -77,8 +88,35 @@ struct AddressCodec {
   Hop hop(std::uint64_t v) const {
     const auto k = static_cast<std::uint32_t>(v & kCursorMask);
     const std::uint32_t h = turn(v);
-    if (k < h) return {(src(v) >> k) << 1, k};
-    return {((dst(v) >> (2 * h - 1 - k)) << 1) | 1u, 2 * (height - h) + k};
+    if (k < h) {
+      const std::uint32_t c = (src(v) >> k) << 1;
+      return {c, k, c};
+    }
+    return down_hop(dst(v), 2 * (height - h) + k);
+  }
+  /// The channel of down stage s (height <= s < 2L) on the way to heap
+  /// node d: hop()'s down rule with h cancelled out (2h - 1 - k is
+  /// 2L - 1 - s).
+  std::uint32_t down_chan(std::uint32_t d, std::uint32_t stage) const {
+    return ((d >> (2 * height - 1 - stage)) << 1) | 1u;
+  }
+  /// The hop at down stage s on the way to heap node d.
+  Hop down_hop(std::uint32_t d, std::uint32_t stage) const {
+    return {down_chan(d, stage), stage, d};
+  }
+  /// The hop of word v onto its tree channel c, for an entry that names
+  /// its channel but not its stage. v is read only when c is a down
+  /// channel, whose key is v's destination.
+  Hop hop_onto(std::uint32_t c, const std::uint64_t& v) const {
+    const std::uint32_t s = stage_of(c);
+    return s < height ? Hop{c, s, c} : down_hop(dst(v), s);
+  }
+  /// v with its cursor on its hop at down stage s (s = 2L: past the last
+  /// hop, delivered). A down hop leaves the word as it is, so the engine
+  /// seeks where the cursor is read: at delivery and at a lost or won
+  /// lottery.
+  std::uint64_t seek(std::uint64_t v, std::uint32_t stage) const {
+    return rewind(v) | (stage + 2 * turn(v) - 2 * height);
   }
   /// The stage of tree channel c (heap node c / 2 >= 2).
   std::uint32_t stage_of(std::uint32_t c) const {

@@ -169,17 +169,18 @@ inline std::uint32_t admission_limit(const EngineOptions& opts,
                                         opts.alpha))));
 }
 
-/// Worklist entry layout (see Band::stage_list): (msg, channel)
-/// packed into one 64-bit word. A 16+16-bit packing for small runs was
-/// tried and measured ~10% slower despite halving the stream, so the
+/// Worklist entry layout (see Band::stage_list): (msg, key) packed into
+/// one 64-bit word, the key being the codec's Hop::key (a channel, or on
+/// a down stage a destination node). A 16+16-bit packing for small runs
+/// was tried and measured ~10% slower despite halving the stream, so the
 /// layout is fixed.
-inline std::uint64_t pack_entry(std::uint32_t msg, std::uint32_t chan) {
-  return (static_cast<std::uint64_t>(msg) << 32) | chan;
+inline std::uint64_t pack_entry(std::uint32_t msg, std::uint32_t key) {
+  return (static_cast<std::uint64_t>(msg) << 32) | key;
 }
 inline std::uint32_t entry_msg(std::uint64_t e) {
   return static_cast<std::uint32_t>(e >> 32);
 }
-inline std::uint32_t entry_chan(std::uint64_t e) {
+inline std::uint32_t entry_key(std::uint64_t e) {
   return static_cast<std::uint32_t>(e);
 }
 
@@ -199,6 +200,15 @@ inline void check_path(const ChannelGraph& graph, const AddressCodec& codec,
     FT_CHECK_MSG(next > prev, "path stages must strictly increase");
     prev = next;
   }
+}
+
+/// Grows a shard's outbox to `n` entries. Out of line: inlined into the
+/// shard sweep, this one call cost `contended_t2` 2-4% of its msgs/s.
+#if defined(__GNUC__) || defined(__clang__)
+__attribute__((noinline))
+#endif
+void reserve_outbox(std::vector<std::uint64_t>& outbox, std::size_t n) {
+  outbox.reserve(n);
 }
 
 /// Phase timing (EngineOptions::time_phases) clock. Timing reads happen
@@ -471,18 +481,46 @@ void CycleEngine::fused_stage(const AddressCodec& codec, std::uint32_t cycle,
   band.arena.resize(total);
   std::uint64_t* const ce = ce_.data();
   std::uint32_t* const ar = band.arena.data();
-  list.for_each([&](std::uint64_t e) {
-    const std::uint32_t c = entry_chan(e);
-    const std::uint32_t i = entry_msg(e);
-    const std::uint32_t pos = bp[c];
-    if (pos == kUncontended) {
-      const std::uint64_t v = ++ce[i];
-      if (codec.more(v)) forward(i, codec.hop(v));
-    } else {
-      ar[pos] = i;
-      bp[c] = pos + 1;
-    }
-  });
+  if (stage < codec.height) {
+    // An up entry carries its channel. An up hop is never a path's last
+    // (h up hops precede h down hops), so every survivor forwards.
+    list.for_each([&](std::uint64_t e) {
+      const std::uint32_t c = entry_key(e);
+      const std::uint32_t i = entry_msg(e);
+      const std::uint32_t pos = bp[c];
+      if (pos == kUncontended) {
+        forward(i, codec.hop(++ce[i]));
+      } else {
+        ar[pos] = i;
+        bp[c] = pos + 1;
+      }
+    });
+  } else {
+    // A down entry carries its destination, which names its channel here
+    // and at every later stage, so an uncontended hop leaves the word
+    // alone. The cursor catches up once: at delivery, or on entering a
+    // contended bucket, whose winners advance from it below and whose
+    // losers keep it as their loss hop.
+    const std::uint32_t next = stage + 1;
+    const bool last = next == codec.num_stages();
+    list.for_each([&](std::uint64_t e) {
+      const std::uint32_t d = entry_key(e);
+      const std::uint32_t c = codec.down_chan(d, stage);
+      const std::uint32_t i = entry_msg(e);
+      const std::uint32_t pos = bp[c];
+      if (pos == kUncontended) {
+        if (last) {
+          ce[i] = codec.seek(ce[i], next);
+        } else {
+          forward(i, codec.down_hop(d, next));
+        }
+      } else {
+        ce[i] = codec.seek(ce[i], stage);
+        ar[pos] = i;
+        bp[c] = pos + 1;
+      }
+    });
+  }
   std::uint64_t* const bits = band.sort_bits.data();
   const RoutingPolicy pol = opts_.policy;
   const bool wire_sel = wire_selecting(pol);
@@ -524,9 +562,10 @@ void CycleEngine::fused_stage(const AddressCodec& codec, std::uint32_t cycle,
         std::swap(b[i - 1], b[j]);
       }
     }
-    // Losers need no write: their cursor stops here, short of the path's
-    // end, and everything downstream (compaction, tracing) reads the
-    // delivered state straight off the packed word.
+    // Losers need no write here: their cursor names this hop (an up
+    // cursor by construction, a down one since the fill sweep), short of
+    // the path's end, and everything downstream (compaction, tracing)
+    // reads the loss hop and the delivered state straight off the word.
     for (std::size_t k = 0; k < winners; ++k) {
       const std::uint64_t v = ++ce[b[k]];
       if (codec.more(v)) forward(b[k], codec.hop(v));
@@ -600,7 +639,7 @@ struct CycleEngine::Lander {
       }
     }
     if (bp[hop.chan]++ == 0) touch[hop.stage].push_back(hop.chan);
-    lst[hop.stage].push_back(pack_entry(msg, hop.chan));
+    lst[hop.stage].push_back(pack_entry(msg, hop.key));
   }
 
   AddressCodec codec;
@@ -664,7 +703,8 @@ void CycleEngine::run_cycle(const AddressCodec& codec, std::uint32_t cycle) {
   // in the down band (descent never leaves the subtree); after the up
   // band's turn, anything not ours (spine channels, another shard's down
   // channels) leaves through the outbox, because only the coordinating
-  // thread may land an entry on another band.
+  // thread may land an entry on another band. An outbox entry names its
+  // channel, whose stage the landing recomputes.
   auto run_band = [&](Band& st, std::uint32_t my_shard,
                       std::uint32_t s_begin, std::uint32_t s_end) {
     std::uint32_t* const bp = bucket_pos_.data();
@@ -673,11 +713,17 @@ void CycleEngine::run_cycle(const AddressCodec& codec, std::uint32_t cycle) {
     const bool down = s_begin >= spine_hi;
     for (std::uint32_t s = s_begin; s < s_end; ++s) {
       if (lst[s].empty()) continue;
+      // The shard root's up stage is the only one that forwards across
+      // the shard's edge, at most once per entry: reserving for all of
+      // them keeps the outbox from doubling past its need.
+      if (s + 1 == spine_lo) {
+        reserve_outbox(st.outbox, st.outbox.size() + lst[s].size());
+      }
       fused_stage(codec, cycle, st, s, [&](std::uint32_t i, Hop hop) {
         const std::uint32_t nc = hop.chan;
         if (down || hop.stage < spine_lo || codec.shard_of(nc) == my_shard) {
           if (bp[nc]++ == 0) touch[hop.stage].push_back(nc);
-          lst[hop.stage].push_back(pack_entry(i, nc));
+          lst[hop.stage].push_back(pack_entry(i, hop.key));
         } else {
           st.outbox.push_back(pack_entry(i, nc));
         }
@@ -724,12 +770,14 @@ void CycleEngine::run_cycle(const AddressCodec& codec, std::uint32_t cycle) {
 
   // Outbox landing, serial: each crossing survivor lands on the band that
   // owns its next channel — the global band's spine worklists or its
-  // destination shard's down worklists.
+  // destination shard's down worklists, where its key is its destination,
+  // read from its word.
+  const std::uint64_t* const ce = ce_.data();
   for (std::size_t sh = 0; sh < num_shards; ++sh) {
     std::vector<std::uint64_t>& outbox = shards[sh].outbox;
     for (const std::uint64_t e : outbox) {
-      const std::uint32_t nc = entry_chan(e);
-      land(entry_msg(e), {nc, codec.stage_of(nc)});
+      const std::uint32_t i = entry_msg(e);
+      land(i, codec.hop_onto(entry_key(e), ce[i]));
     }
     outbox.clear();
   }

@@ -264,14 +264,17 @@ class CycleEngine {
     BlockPool<std::uint64_t> list_pool;
     BlockPool<std::uint32_t> touched_pool;
     /// Worklists: stage_list[s] holds the band's live messages whose next
-    /// channel lies in stage s, packed as (msg << 32) | channel so bucket
-    /// building never decodes the channel from the message's word. Seeded
-    /// from each message's first hop (at injection, and by compaction for
-    /// retries); stage s arbitration appends its survivors directly to
-    /// later stages (paths have strictly increasing stages), so a cycle
-    /// costs O(hops) instead of O(stages × pending). List order is
-    /// unobservable: a later bucket either sorts its contenders before the
-    /// lottery or is under limit, where order decides nothing.
+    /// channel lies in stage s, packed as (msg << 32) | key with the
+    /// codec's Hop::key: the channel on an up stage (s < L), the
+    /// destination node on a down stage, where the codec's down_chan
+    /// names the channel. So bucket building never decodes the channel
+    /// from the message's word, and a down hop forwards without it.
+    /// Seeded from each message's first hop (at injection, and by
+    /// compaction for retries); stage s arbitration appends its survivors
+    /// directly to later stages (paths have strictly increasing stages),
+    /// so a cycle costs O(hops) instead of O(stages × pending). List order
+    /// is unobservable: a later bucket either sorts its contenders before
+    /// the lottery or is under limit, where order decides nothing.
     std::vector<BlockList<std::uint64_t>> stage_list;
     /// stage_touched[s] lists the band's distinct stage-s channels with a
     /// nonzero contender count (bucket_pos_).
@@ -284,7 +287,10 @@ class CycleEngine {
     /// contended buckets (engine.cpp sort_by_bitmap). Kept all-zero
     /// between uses: extraction clears each word it reads.
     std::vector<std::uint64_t> sort_bits;
-    std::vector<std::uint64_t> outbox;  ///< packed (msg << 32) | channel
+    /// Survivors of the shard root's up stage bound for another band,
+    /// packed (msg << 32) | channel whatever the stage; reserved before
+    /// that stage runs, so it never grows by doubling.
+    std::vector<std::uint64_t> outbox;
     std::vector<ChannelLoad> loads;     ///< this cycle's arbitrated channels
     std::uint64_t losses = 0;
     std::uint64_t hops = 0;
@@ -396,8 +402,11 @@ class CycleEngine {
   // block they have allocated.
   /// Live messages, injection order, struct-of-arrays. The stage sweeps
   /// index messages randomly but only ever touch the codec's packed word,
-  /// whose low bits are the hop cursor — advance is one 64-bit increment
-  /// — and which names every hop, the first one (reseed) included.
+  /// whose low bits are the hop cursor and which names every hop, the
+  /// first one (reseed) included. An up hop advances it with one 64-bit
+  /// increment; a down hop leaves it, and the cursor is sought once per
+  /// down-band visit: at delivery, or at the contended bucket where the
+  /// message won or lost.
   std::vector<std::uint64_t> ce_;  ///< the codec's word per message
   /// Injection-order message id, written, resized and compacted only in a
   /// traced run: its only readers are the Inject, Attempt, Loss, Deliver,

@@ -10,9 +10,7 @@
 #include <sys/resource.h>
 #endif
 
-#ifndef FT_GIT_SHA
-#define FT_GIT_SHA "unknown"
-#endif
+#include "ft_git_sha.h"  // FT_GIT_SHA, written at build time (git_sha.cmake)
 
 namespace ft {
 

@@ -28,8 +28,8 @@ namespace ft {
 ///  "serial_fraction"}.
 JsonValue phase_profile_json(const EnginePhaseProfile& p);
 
-/// Short git revision baked in at configure time (FT_GIT_SHA), "unknown"
-/// outside a git checkout.
+/// Short git revision of the build (FT_GIT_SHA, restamped whenever a
+/// build runs after a commit), "unknown" outside a git checkout.
 std::string build_git_sha();
 
 /// Current UTC wall-clock time as ISO 8601 ("2026-08-07T12:34:56Z").

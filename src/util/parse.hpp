@@ -3,8 +3,9 @@
 // numeric token must be consumed whole — "4x", "abc", "-3", an empty
 // field or trailing garbage after a compound value all fail instead of
 // silently strtoul-ing to something else. All callers' numeric inputs
-// are non-negative, so a leading '-' (and an explicit '+') is rejected
-// outright.
+// are non-negative, so a token must start with a digit (a double also
+// with '.'): that rejects a sign, and leading whitespace, which strtoull
+// and strtod skip before they read one (" -1" would parse as 2^64 - 1).
 #pragma once
 
 #include <algorithm>
@@ -17,7 +18,7 @@
 namespace ft {
 
 inline bool parse_u64(const char* s, std::uint64_t& out) {
-  if (s == nullptr || *s == '\0' || *s == '-' || *s == '+') return false;
+  if (s == nullptr || *s < '0' || *s > '9') return false;
   errno = 0;
   char* end = nullptr;
   const unsigned long long v = std::strtoull(s, &end, 10);
@@ -72,7 +73,7 @@ inline std::size_t resolve_threads(std::size_t threads) {
 }
 
 inline bool parse_double(const char* s, double& out) {
-  if (s == nullptr || *s == '\0' || *s == '-') return false;
+  if (s == nullptr || ((*s < '0' || *s > '9') && *s != '.')) return false;
   errno = 0;
   char* end = nullptr;
   const double v = std::strtod(s, &end);

@@ -444,7 +444,11 @@ TEST(EngineParity, RoutingPoliciesSerialEqualsParallel) {
 // rather than a backoff schedule that would mask it), must match the
 // serial run in every EngineResult field, the per-cycle deliveries, the
 // traced event stream and per-level carried tallies, the telemetry
-// stream and the EngineMetrics report section.
+// stream and the EngineMetrics report section. Shard level 1 has no spine:
+// every crossing message lands from an outbox straight onto the other
+// shard's root down channel. Every serial run loses messages on down
+// channels (odd ids), so the down band's contended buckets, whose
+// cursors the fill sweep sets, stay exercised.
 TEST(EngineParity, PooledShardsMatchSerialForEveryPolicy) {
   const std::uint32_t n = 4096;
   FatTreeTopology t(n);
@@ -462,6 +466,7 @@ TEST(EngineParity, PooledShardsMatchSerialForEveryPolicy) {
     std::uint64_t trace_fp = 0;
     std::uint64_t telemetry_fp = 0;
     std::string metrics_json;
+    std::uint64_t down_losses = 0;  ///< Loss events on down channels
   };
   const auto run = [&](const EngineOptions& opts, std::uint32_t shard_level,
                        const std::string& at) {
@@ -481,6 +486,11 @@ TEST(EngineParity, PooledShardsMatchSerialForEveryPolicy) {
     r.trace_fp = trace_fingerprint(trace);
     r.telemetry_fp = probe.fingerprint();
     r.metrics_json = metrics.to_json().dump(0);
+    for (const MessageEvent& e : trace.message_events()) {
+      if (e.kind == MessageEventKind::Loss && (e.channel & 1u) != 0) {
+        ++r.down_losses;
+      }
+    }
     expect_invariants_hold(invariants, at);
     return r;
   };
@@ -502,6 +512,7 @@ TEST(EngineParity, PooledShardsMatchSerialForEveryPolicy) {
       EXPECT_EQ(s.result.delivered + s.result.messages_given_up, routed)
           << label;
       EXPECT_GT(s.result.total_losses, 0u) << label;
+      EXPECT_GT(s.down_losses, 0u) << label;
       if (fp != nullptr) {
         EXPECT_GT(s.result.fault_down_events, 0u) << label;
       }
@@ -509,7 +520,7 @@ TEST(EngineParity, PooledShardsMatchSerialForEveryPolicy) {
       opts.parallel = true;
       for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
         opts.threads = threads;
-        for (const std::uint32_t shard_level : {2u, 3u}) {
+        for (const std::uint32_t shard_level : {1u, 2u, 3u}) {
           const std::string at = label + " threads " +
                                  std::to_string(threads) + " shard_level " +
                                  std::to_string(shard_level);

@@ -73,6 +73,9 @@ TEST(FtsimCli, MalformedNumericValuesAreRejected) {
       "--faults -0.1",    // negative probability
       "--faults 1.5",     // probability above 1
       "--faults nan",     // not a probability
+      "--w ' -1'",        // strtoull skips the blank, then wraps the sign
+      "--seed ' 5'",      // leading whitespace
+      "--faults ' 0.5'",  // leading whitespace
       "--parallel=two",   // word where a count belongs
       "--parallel=4096",  // more threads than the ceiling
       "--parallel=18446744073709551615",  // 2^64 - 1 wraps the pool's slots

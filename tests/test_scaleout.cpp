@@ -271,6 +271,11 @@ std::uint32_t builder_stage(const FatTreeTopology& topo, std::uint32_t c) {
 /// tree path: hop k names the path's k-th channel at the builder's stage,
 /// the cursor runs out exactly after the last hop, rewind returns every
 /// cursor to the first hop, and the final channel is the path's last.
+/// Each hop's worklist key is its channel going up and the destination
+/// going down, where the destination alone names the channel at the
+/// hop's stage (down_chan), seek puts the cursor back on the hop, and
+/// seeking the stage past the last is delivery. hop_onto recovers every
+/// hop from its channel.
 void expect_codec_path(const FatTreeTopology& topo, const AddressCodec& codec,
                        Leaf src, Leaf dst) {
   const EnginePath path = fat_tree_engine_path(topo, src, dst);
@@ -283,6 +288,7 @@ void expect_codec_path(const FatTreeTopology& topo, const AddressCodec& codec,
   ASSERT_EQ(AddressCodec::src(w), topo.node_of_leaf(src)) << at();
   ASSERT_EQ(AddressCodec::dst(w), topo.node_of_leaf(dst)) << at();
   ASSERT_EQ(path.size(), 2 * AddressCodec::turn(w)) << at();
+  const std::uint32_t d = AddressCodec::dst(w);
   for (std::size_t k = 0; k < path.size(); ++k) {
     const std::uint64_t v = w + k;
     ASSERT_TRUE(AddressCodec::more(v)) << at() << " hop " << k;
@@ -291,14 +297,30 @@ void expect_codec_path(const FatTreeTopology& topo, const AddressCodec& codec,
     ASSERT_EQ(hop.stage, builder_stage(topo, path[k])) << at() << " hop " << k;
     ASSERT_EQ(AddressCodec::rewind(v), w) << at() << " hop " << k;
     ASSERT_EQ(AddressCodec::last_chan(v), path.back()) << at() << " hop " << k;
+    if (k < path.size() / 2) {
+      ASSERT_LT(hop.stage, topo.height()) << at() << " hop " << k;
+      ASSERT_EQ(hop.key, hop.chan) << at() << " hop " << k;
+    } else {
+      ASSERT_GE(hop.stage, topo.height()) << at() << " hop " << k;
+      ASSERT_EQ(codec.down_chan(d, hop.stage), hop.chan)
+          << at() << " hop " << k;
+      ASSERT_EQ(hop.key, d) << at() << " hop " << k;
+      ASSERT_EQ(codec.seek(w, hop.stage), v) << at() << " hop " << k;
+    }
+    const AddressCodec::Hop onto = codec.hop_onto(hop.chan, v);
+    ASSERT_EQ(onto.chan, hop.chan) << at() << " hop " << k;
+    ASSERT_EQ(onto.stage, hop.stage) << at() << " hop " << k;
+    ASSERT_EQ(onto.key, hop.key) << at() << " hop " << k;
   }
   ASSERT_FALSE(AddressCodec::more(w + path.size())) << at();
   ASSERT_EQ(AddressCodec::rewind(w + path.size()), w) << at();
+  ASSERT_EQ(codec.seek(w, codec.num_stages()), w + path.size()) << at();
 }
 
 // The codec against the independent path compiler, for every leaf pair of
 // every tree up to 256 leaves: each hop's channel is the compiled path's,
-// its stage the builder's rule, and more, rewind and last_chan agree.
+// its stage the builder's rule, and more, rewind and last_chan agree; every
+// down hop's channel follows from the destination and the stage alone.
 // stage_of gives every tree channel the builder's stage; at every shard
 // level each channel's shard is its node's ancestor at that level (the
 // spine above), and the spine band [spine_lo, spine_hi) holds exactly the
