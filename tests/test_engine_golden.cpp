@@ -29,10 +29,13 @@
 #include "core/traffic.hpp"
 #include "engine/engine.hpp"
 #include "engine/fat_tree_model.hpp"
+#include "engine/fault_plan.hpp"
+#include "engine/observer_fanout.hpp"
 #include "kary/kary_sim.hpp"
 #include "nets/builders.hpp"
 #include "nets/routing.hpp"
 #include "nets/store_forward.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace ft {
@@ -604,6 +607,113 @@ TEST(EngineGolden, FifoKary) {
   EXPECT_EQ(r.rounds, 9u);
   EXPECT_EQ(r.max_link_load, 4u);
   EXPECT_EQ(r.max_route_hops, 6u);
+}
+
+/// FNV-1a over 64-bit words: a FIFO run's result fields (given), then its
+/// traced event stream, then the bytes of its EngineMetrics report.
+std::uint64_t fifo_fingerprint(std::initializer_list<std::uint64_t> fields,
+                               const TraceSink& trace,
+                               const EngineMetrics& metrics) {
+  std::uint64_t h = 14695981039346656037ULL;
+  const auto mix = [&h](std::uint64_t v) { h = (h ^ v) * 1099511628211ULL; };
+  for (const std::uint64_t v : fields) mix(v);
+  for (const MessageEvent& e : trace.message_events()) {
+    mix(static_cast<std::uint64_t>(e.kind));
+    mix(e.message);
+    mix(e.cycle);
+    mix(e.channel);
+  }
+  for (const char c : metrics.to_json().dump(0)) {
+    mix(static_cast<unsigned char>(c));
+  }
+  return h;
+}
+
+struct FifoGolden {
+  const char* network;
+  bool pooled;
+  bool faulted;
+  std::uint64_t fingerprint;
+};
+
+constexpr FifoGolden kFifoGolden[] = {
+    {"hypercube6", false, false, 0x70ee7fdabcf406e3ULL},
+    {"hypercube6", false, true, 0x20782e25d34314c5ULL},
+    {"hypercube6", true, false, 0x70ee7fdabcf406e3ULL},
+    {"hypercube6", true, true, 0x20782e25d34314c5ULL},
+    {"kary4x3", false, false, 0x232e721bb602cf2eULL},
+    {"kary4x3", false, true, 0xf81377254332adf4ULL},
+    {"kary4x3", true, false, 0x232e721bb602cf2eULL},
+    {"kary4x3", true, true, 0xf81377254332adf4ULL},
+};
+
+// The FifoStoreForward and FifoKary runs through their public entry
+// points, serial and range-parallel on 4 threads, fault-free and under
+// FifoTraceSerialEqualsParallel's plan (flaps plus a burst). Each row
+// fingerprints every result field (the mean latency's bits included), the
+// traced event stream and the EngineMetrics report.
+TEST(EngineGolden, FifoRunsMatchPinnedFingerprints) {
+  const auto net = build_hypercube(6);
+  Rng traffic(22);
+  const auto routes =
+      route_all_bfs(net, random_permutation_traffic(64, traffic));
+  KaryTree tree(4, 3);  // 64 processors
+  Rng perm_rng(31);
+  std::vector<std::uint32_t> perm(tree.num_processors());
+  std::iota(perm.begin(), perm.end(), 0u);
+  perm_rng.shuffle(perm);
+  FaultPlan plan(82);
+  plan.set_flaps({0.05, 0.3});
+  plan.add_burst({/*at_cycle=*/2, /*duration=*/3, /*count=*/8});
+
+  for (const FifoGolden& g : kFifoGolden) {
+    TraceSink trace;
+    EngineMetrics metrics;
+    ObserverFanout fanout;
+    fanout.add(&trace);
+    fanout.add(&metrics);
+    const bool kary = std::string(g.network) == "kary4x3";
+    std::uint64_t fp = 0;
+    if (kary) {
+      KarySimOptions opts;
+      opts.parallel = g.pooled;
+      opts.threads = 4;
+      opts.observer = &fanout;
+      opts.fault_plan = g.faulted ? &plan : nullptr;
+      Rng rng(33);
+      const auto r = simulate_kary_permutation(tree, perm,
+                                               AscentPolicy::Random, rng, opts);
+      fp = fifo_fingerprint(
+          {r.rounds, r.delivered, r.max_link_load,
+           std::bit_cast<std::uint64_t>(r.mean_link_load),
+           std::uint64_t{r.max_route_hops}, r.fault_down_events,
+           r.fault_up_events, r.subtree_kill_events},
+          trace, metrics);
+    } else {
+      StoreForwardOptions opts;
+      opts.parallel = g.pooled;
+      opts.threads = 4;
+      opts.observer = &fanout;
+      opts.fault_plan = g.faulted ? &plan : nullptr;
+      const auto r = simulate_store_forward(net, routes, opts);
+      fp = fifo_fingerprint(
+          {r.rounds, r.delivered, r.total_hops,
+           std::bit_cast<std::uint64_t>(r.mean_latency),
+           std::uint64_t{r.max_queue}, std::uint64_t{r.gave_up},
+           r.fault_down_events, r.fault_up_events, r.subtree_kill_events},
+          trace, metrics);
+    }
+    if (print_mode()) {
+      std::cout << "    {\"" << g.network << "\", "
+                << (g.pooled ? "true" : "false") << ", "
+                << (g.faulted ? "true" : "false") << ", 0x" << std::hex << fp
+                << std::dec << "ULL},\n";
+      continue;
+    }
+    EXPECT_EQ(fp, g.fingerprint)
+        << g.network << (g.pooled ? " pooled" : " serial")
+        << (g.faulted ? " faulted" : " fault-free");
+  }
 }
 
 }  // namespace
