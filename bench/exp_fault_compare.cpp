@@ -217,7 +217,7 @@ int main(int argc, char** argv) {
           plan_ka.add_subtree_kill({sev.node, 1, kill_duration});
         }
         ft::EngineMetrics metrics;
-        ft::KarySimOptions kopts;
+        ft::StoreForwardOptions kopts;
         kopts.observer = &metrics;
         if (!plan_ka.empty()) kopts.fault_plan = &plan_ka;
         ft::Rng krng(23);

@@ -6,9 +6,10 @@
 // is its level profile (the paper's wires per level, Section IV): each
 // channel's capacity, level and budget membership are functions of its
 // id, so it keeps a per-channel table only when static wire faults
-// override single channels. Network and k-ary links are a flat table. The
-// CycleEngine only ever sees this representation, so one simulation core
-// serves all routers (see DESIGN.md, "Engine architecture").
+// override single channels. Network and k-ary links are a flat table.
+// The fat-tree CycleEngine and store-and-forward rounds both read this
+// representation, and so do the observers (see DESIGN.md, "Engine
+// architecture").
 #pragma once
 
 #include <bit>
@@ -58,21 +59,6 @@ class PathSet {
     channels_.clear();
   }
 
-  /// Appends every path of `other`, rebasing its offsets onto this set.
-  void append_set(const PathSet& other) {
-    const std::uint64_t total =
-        static_cast<std::uint64_t>(channels_.size()) + other.channels_.size();
-    FT_CHECK_MSG(total < 0xffffffffULL,
-                 "PathSet overflows 32-bit hop offsets");
-    const auto base = static_cast<std::uint32_t>(channels_.size());
-    channels_.insert(channels_.end(), other.channels_.begin(),
-                     other.channels_.end());
-    offsets_.reserve(offsets_.size() + other.size());
-    for (std::size_t p = 0; p < other.size(); ++p) {
-      offsets_.push_back(base + other.offsets_[p + 1]);
-    }
-  }
-
   std::size_t size() const { return offsets_.size() - 1; }
   bool empty() const { return size() == 0; }
   std::uint32_t offset(std::size_t i) const { return offsets_[i]; }
@@ -103,7 +89,7 @@ struct ChannelGraph {
   /// CapacityProfile's levels()). Empty on a flat graph.
   std::vector<std::uint64_t> level_capacity;
 
-  /// Subtree shards for the parallel lossy engine: 2^k on a tree-tagged
+  /// Subtree shards for the parallel CycleEngine: 2^k on a tree-tagged
   /// graph sharded at heap level k, 0 otherwise (the engine rejects a
   /// count on an untagged graph). The partition is the tag's: shard s
   /// owns every channel at or below heap node 2^k + s, and the channels
@@ -113,8 +99,8 @@ struct ChannelGraph {
   /// Heap-indexed tree tag, set only by fat_tree_channel_graph: the
   /// height L of a fat-tree whose channel c is the up (c even) or down (c
   /// odd) channel above heap node c / 2, at that node's heap depth. 0 for
-  /// every other graph. The lossy and tally modes run only on a tagged
-  /// graph, where the engine routes every message by address: its path is
+  /// every other graph. The CycleEngine runs only on a tagged graph,
+  /// where it routes every message by address: its path is
   /// a function of its two leaves, so a live message is one 64-bit word
   /// and no hop list exists, and each channel's arbitration stage — the
   /// engine's causal order within a delivery cycle — is a function of its
@@ -122,7 +108,7 @@ struct ChannelGraph {
   /// message may use the tree channels (heap nodes 2 and up, c >= 4),
   /// each of which has a wire (the engine constructor's rule): the root's
   /// external-interface pair is on no internal path. Untagged graphs run
-  /// FIFO only.
+  /// store-and-forward rounds only.
   std::uint32_t tree_height = 0;
   /// Tallest taggable tree: the address word holds two heap nodes of
   /// kMaxTreeHeight + 1 bits and a 6-bit hop cursor.
@@ -155,7 +141,7 @@ struct ChannelGraph {
 
   /// True for a channel a message may use, which is also a channel that
   /// counts against the wire budget: a tree channel on a tagged graph, a
-  /// channel with wires on a flat one. The engine's path checks and the
+  /// channel with wires on a flat one. The path checks and the
   /// utilization observers share this one predicate, so the sets cannot
   /// drift apart.
   bool in_budget(std::size_t c) const {
@@ -187,8 +173,8 @@ struct ChannelGraph {
     return cap;
   }
 
-  /// A flat link graph (Network, k-ary), which runs FIFO: one level,
-  /// every channel with wires in the wire budget.
+  /// A flat link graph (Network, k-ary), which runs store-and-forward
+  /// rounds: one level, every channel with wires in the wire budget.
   static ChannelGraph flat(std::vector<std::uint64_t> caps) {
     ChannelGraph g;
     g.capacity = std::move(caps);

@@ -1,10 +1,11 @@
-// Chunked ring buffer of message ids: the CycleEngine's per-channel FIFO
-// queue. A circular singly-linked list of fixed-size chunks; head and tail
-// chase each other around the ring, and a chunk drained by the head is
-// reused in place by the tail, so a queue that has reached its peak depth
-// performs no further allocation — unlike std::deque, which frees and
-// reallocates its blocks as the queue breathes. Pushes and pops are O(1),
-// FIFO order is exact.
+// Chunked ring buffer of message ids: a store-and-forward round's
+// per-channel FIFO queue (engine/store_forward_rounds.cpp). A circular
+// singly-linked list of fixed-size chunks; head and tail chase each other
+// around the ring, and a chunk drained by the head is reused in place by
+// the tail, so a queue that has reached its peak depth performs no
+// further allocation — unlike std::deque, which frees and reallocates its
+// blocks as the queue breathes. Pushes and pops are O(1), FIFO order is
+// exact.
 #pragma once
 
 #include <cstdint>

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <memory>
 
-#include "engine/chunked_ring.hpp"
 #include "util/check.hpp"
 #include "util/parse.hpp"
 #include "util/prng.hpp"
@@ -147,20 +146,15 @@ std::uint32_t select_policy_winners(RoutingPolicy pol, std::uint32_t* b,
 }
 
 /// A channel's admission limit, a pure function of (policy, alpha,
-/// capacity): floor(alpha * cap) floor 1 (RandomSubset), cap (Fifo),
-/// unlimited (Tally), clamped to 2^32 - 1. The clamp never changes an
-/// admission decision: counts compared against a limit are bounded by the
-/// number of live messages, which is below 2^32.
+/// capacity): floor(alpha * cap) floor 1 (RandomSubset) or unlimited
+/// (Tally), clamped to 2^32 - 1. The clamp never changes an admission
+/// decision: counts compared against a limit are bounded by the number of
+/// live messages, which is below 2^32.
 inline std::uint32_t admission_limit(const EngineOptions& opts,
                                      std::uint64_t cap) {
   constexpr std::uint64_t kMaxLimit = 0xffffffffu;
-  switch (opts.contention) {
-    case ContentionPolicy::Tally:
-      return static_cast<std::uint32_t>(kMaxLimit);
-    case ContentionPolicy::Fifo:
-      return static_cast<std::uint32_t>(std::min(cap, kMaxLimit));
-    case ContentionPolicy::RandomSubset:
-      break;
+  if (opts.contention == ContentionPolicy::Tally) {
+    return static_cast<std::uint32_t>(kMaxLimit);
   }
   return static_cast<std::uint32_t>(std::min(
       kMaxLimit,
@@ -315,64 +309,53 @@ CycleEngine::CycleEngine(ChannelGraph graph, const EngineOptions& opts)
   // An alpha above 1 would admit more than a channel's wires.
   FT_CHECK_MSG(opts_.alpha > 0.0 && opts_.alpha <= 1.0,
                "alpha must be in (0, 1]");
+  // Only the address codec routes a message, and only the tree tag
+  // defines it and the shard partition.
   const std::uint32_t L = graph_.tree_height;
-  if (L != 0) {
-    // The address codec indexes channels, stages and shards by formula, so
-    // the tag must describe this graph: a capacity for each level 0 .. L,
-    // 2^(L+2) channel slots (heap nodes below 2^(L+1), two directions) in
-    // a per-channel table when there is one, and a shard count that is a
-    // power of two below the leaves.
-    FT_CHECK_MSG(L <= ChannelGraph::kMaxTreeHeight &&
-                     graph_.level_capacity.size() == L + 1 &&
-                     (graph_.capacity.empty() ||
-                      graph_.capacity.size() == std::size_t{4} << L) &&
-                     (graph_.num_shards == 0 ||
-                      (std::has_single_bit(graph_.num_shards) &&
-                       graph_.num_shards < (1u << L))),
-                 "tree tag does not match the channel graph");
-  } else {
-    // Only the tag defines a shard partition, and only the address codec
-    // routes a lossy or tally message.
-    FT_CHECK_MSG(graph_.num_shards == 0,
-                 "a shard count needs a tree-tagged channel graph");
-    FT_CHECK_MSG(opts_.contention == ContentionPolicy::Fifo,
-                 "lossy and tally runs need a tree-tagged channel graph");
-  }
+  FT_CHECK_MSG(L != 0, "the engine needs a tree-tagged channel graph");
+  // The address codec indexes channels, stages and shards by formula, so
+  // the tag must describe this graph: a capacity for each level 0 .. L,
+  // 2^(L+2) channel slots (heap nodes below 2^(L+1), two directions) in
+  // a per-channel table when there is one, and a shard count that is a
+  // power of two below the leaves.
+  FT_CHECK_MSG(L <= ChannelGraph::kMaxTreeHeight &&
+                   graph_.level_capacity.size() == L + 1 &&
+                   (graph_.capacity.empty() ||
+                    graph_.capacity.size() == std::size_t{4} << L) &&
+                   (graph_.num_shards == 0 ||
+                    (std::has_single_bit(graph_.num_shards) &&
+                     graph_.num_shards < (1u << L))),
+               "tree tag does not match the channel graph");
   // Every channel a message may use (ChannelGraph::in_budget) has a wire,
-  // so no path or pair needs a capacity check at injection. On a tagged
-  // graph those are the tree channels, levels 1 .. L, which a
-  // CapacityProfile never leaves wireless; a flat graph's in-budget
-  // channels have wires by definition.
+  // so no path or pair needs a capacity check at injection. Those are the
+  // tree channels, levels 1 .. L, which a CapacityProfile never leaves
+  // wireless.
   bool wired = true;
-  if (L != 0) {
-    if (graph_.capacity.empty()) {
-      for (std::uint32_t k = 1; k <= L; ++k) {
-        wired &= graph_.level_capacity[k] != 0;
-      }
-    } else {
-      for (std::size_t c = 4; c < graph_.capacity.size(); ++c) {
-        wired &= graph_.capacity[c] != 0;
-      }
+  if (graph_.capacity.empty()) {
+    for (std::uint32_t k = 1; k <= L; ++k) {
+      wired &= graph_.level_capacity[k] != 0;
+    }
+  } else {
+    for (std::size_t c = 4; c < graph_.capacity.size(); ++c) {
+      wired &= graph_.capacity[c] != 0;
     }
   }
   FT_CHECK_MSG(wired, "a tree channel has no wires");
   // The contention rule is resolved once per level, so the per-cycle loops
   // are integer-only. The dense table exists only where a channel's own
-  // limit is read: FIFO rounds and a per-channel capacity table here, a
-  // fault plan's base at its run's start (begin_run).
+  // limit is read: a per-channel capacity table here, a fault plan's base
+  // at its run's start (begin_run).
   level_limit_.resize(graph_.level_capacity.size());
   for (std::size_t k = 0; k < level_limit_.size(); ++k) {
     level_limit_[k] = admission_limit(opts_, graph_.level_capacity[k]);
   }
-  const bool fifo = opts_.contention == ContentionPolicy::Fifo;
-  if (fifo || !graph_.capacity.empty()) fill_limits();
-  // Subtree sharding is the lossy/tally loop's only parallel executor, and
-  // it needs a shard count: an unsharded graph runs serial, with no pool.
-  // FIFO mode has its own channel-range parallelism. The pool is built
-  // only when it can receive a batch: with one thread the sharded layout
-  // runs its shard loop inline.
-  sharded_ = opts_.parallel && graph_.num_shards > 1 && !fifo;
-  if (opts_.parallel && (sharded_ || fifo)) {
+  if (!graph_.capacity.empty()) fill_limits();
+  // Subtree sharding is the engine's only parallel executor, and it needs
+  // a shard count: an unsharded graph runs serial, with no pool. The pool
+  // is built only when it can receive a batch: with one thread the
+  // sharded layout runs its shard loop inline.
+  sharded_ = opts_.parallel && graph_.num_shards > 1;
+  if (sharded_) {
     // Resolved only here: a serial engine (every ftd job) pays for no
     // hardware_concurrency() system calls.
     const std::size_t threads = resolve_threads(opts_.threads);
@@ -392,35 +375,18 @@ void CycleEngine::fill_limits() {
 
 EngineResult CycleEngine::run_stream(MessageSource& source,
                                      EngineObserver* observer) {
-  if (opts_.contention == ContentionPolicy::Fifo) {
-    // FIFO rounds seed every queue before round 1, so the whole set must
-    // exist at once; ingesting the stream into CSR form still beats a
-    // vector-of-vectors route list by ~6x in bytes per hop.
-    PathSet all;
-    PathSet chunk;
-    while (source.next_chunk(chunk)) all.append_set(chunk);
-    return run_fifo(all, observer);
-  }
   StreamAllFeed<MessageSource, PathSet> feed(source);
   return run_lossy(feed, observer);
 }
 
 EngineResult CycleEngine::run_stream(PairSource& source,
                                      EngineObserver* observer) {
-  // A lossy or tally engine is on a fat-tree graph (the constructor's rule).
-  FT_CHECK_MSG(opts_.contention != ContentionPolicy::Fifo,
-               "leaf pairs require a fat-tree graph and a lossy or tally "
-               "policy");
   StreamAllFeed<PairSource, std::vector<LeafPair>> feed(source);
   return run_lossy(feed, observer);
 }
 
 EngineResult CycleEngine::run_batched_stream(PairSource& source,
                                              EngineObserver* observer) {
-  // A lossy or tally engine is on a fat-tree graph (the constructor's rule).
-  FT_CHECK_MSG(opts_.contention != ContentionPolicy::Fifo,
-               "leaf pairs require a fat-tree graph and a lossy or tally "
-               "policy");
   StreamBatchFeed feed(source);
   return run_lossy(feed, observer);
 }
@@ -815,149 +781,166 @@ void CycleEngine::run_cycle(const AddressCodec& codec, std::uint32_t cycle) {
   }
 }
 
-/// One run's cycle frame: the state begin_run .. end_run share (see their
-/// declarations in engine.hpp).
-struct CycleEngine::Frame {
-  EngineObserver* observer = nullptr;
-  bool trace = false;   ///< the observer wants message events
-  bool lat_on = false;  ///< the observer wants latency samples
-  std::unique_ptr<FaultState> faults;  ///< nullptr without an active plan
-  const FaultState::CycleFaults* cf = nullptr;  ///< this cycle's faults
-  EngineResult result;
-  double coord = 0.0;  ///< serial coordination seconds (time_phases_)
-  PhaseClock::time_point cycle_t0;
-  double sweep_before = 0.0;  ///< sweep seconds before this cycle
-};
-
-CycleEngine::Frame CycleEngine::begin_run(EngineObserver* observer) {
-  Frame f;
-  f.observer = observer;
-  // Message-event tracing and latency sampling are sampled once per run;
-  // when off, the cycle loops pay one predictable branch per use.
-  f.trace = observer != nullptr && observer->wants_message_events();
-  f.lat_on = observer != nullptr && observer->wants_latency_samples();
-  lat_samples_.clear();
-  time_phases_ = opts_.time_phases;
-  ph_up_ = ph_spine_ = ph_down_ = 0.0;
+// The cycle frame (engine/cycle_frame.hpp) is defined here, beside the
+// sweeps, not in a file of its own: code moved in or out of this file
+// shifts the sweeps' placement, which has moved perfbench's contended_t2
+// msgs/s by 2-5%.
+//
+// Message-event tracing and latency sampling are sampled once per run;
+// when off, the cycle loops pay one predictable branch per use.
+CycleFrame::CycleFrame(const ChannelGraph& graph, EngineObserver* observer,
+                       const FaultPlan* plan, std::uint32_t max_cycles,
+                       CycleTotals& totals, std::vector<ChannelLoad>& loads,
+                       std::vector<LatencySample>& latencies)
+    : graph_(graph),
+      observer_(observer),
+      max_cycles_(max_cycles),
+      totals_(totals),
+      loads_(loads),
+      latencies_(latencies),
+      trace_(observer != nullptr && observer->wants_message_events()),
+      lat_on_(observer != nullptr && observer->wants_latency_samples()) {
+  latencies_.clear();
   // Dynamic faults evolve on the coordination path, once per cycle. A
-  // down channel admits (lossy) or forwards (FIFO) nothing that cycle, a
-  // browned-out one less. The FaultState scales each channel's own base
-  // limit, so a faulted run needs the dense table. Without a plan every
-  // limit read stays on limit_, or on the stage's level limit when there
-  // is no dense table: the fault-free hot path.
-  if (opts_.fault_plan != nullptr && !opts_.fault_plan->empty()) {
-    f.faults = std::make_unique<FaultState>(*opts_.fault_plan, graph_);
-    if (limit_.empty()) fill_limits();
+  // down channel admits or forwards nothing that cycle, a browned-out one
+  // less.
+  if (plan != nullptr && !plan->empty()) {
+    faults_ = std::make_unique<FaultState>(*plan, graph_);
   }
-  active_limit_ = limit_.empty() ? nullptr : limit_.data();
-  return f;
 }
 
-std::uint32_t CycleEngine::begin_cycle(Frame& f) {
+CycleStart CycleFrame::begin_cycle(
+    const std::vector<std::uint32_t>& base_limit) {
   // The cycle index seeds the arbitration streams in 32 bits; widening it
-  // would change every golden, so the engine gives up loudly at the
-  // domain edge instead (EngineResult::cycles itself is 64-bit and never
-  // wraps).
-  FT_CHECK_MSG(f.result.cycles < 0xffffffffULL,
+  // would change every golden, so the frame gives up loudly at the domain
+  // edge instead (CycleTotals::cycles itself is 64-bit and never wraps).
+  FT_CHECK_MSG(totals_.cycles < 0xffffffffULL,
                "cycle index overflows the 32-bit arbitration-seed domain");
-  const auto cycle = static_cast<std::uint32_t>(f.result.cycles + 1);
-  if (time_phases_) {
-    f.cycle_t0 = PhaseClock::now();
-    f.sweep_before = ph_up_ + ph_spine_ + ph_down_;
-  }
-  if (f.lat_on) lat_samples_.clear();
+  CycleStart start;
+  start.cycle = static_cast<std::uint32_t>(totals_.cycles + 1);
+  if (lat_on_) latencies_.clear();
   // Channel state is consulted per cycle so a sampling observer only
   // pays for it on the cycles it keeps.
-  want_loads_ =
-      f.observer != nullptr && f.observer->wants_channel_state(cycle);
-  bands_.back().loads.clear();
-  f.cf = nullptr;
-  if (f.faults) {
-    const FaultState::CycleFaults& cf = f.faults->begin_cycle(cycle, limit_);
-    f.cf = &cf;
-    active_limit_ = f.faults->eff_limit().data();
-    EngineResult& r = f.result;
+  start.want_loads = want_loads_ =
+      observer_ != nullptr && observer_->wants_channel_state(start.cycle);
+  loads_.clear();
+  start.limits = base_limit.empty() ? nullptr : base_limit.data();
+  cf_ = nullptr;
+  if (faults_) {
+    // The FaultState scales each channel's own base limit.
+    const FaultState::CycleFaults& cf =
+        faults_->begin_cycle(start.cycle, base_limit);
+    cf_ = &cf;
+    start.limits = faults_->eff_limit().data();
+    CycleTotals& r = totals_;
     r.fault_down_events += cf.went_down.size();
     r.fault_up_events += cf.came_up.size();
     r.subtree_kill_events += cf.killed_nodes.size();
     r.degraded_channel_cycles += cf.degraded_channels;
-    if (f.trace) {
+    if (trace_) {
       for (const std::uint32_t node : cf.killed_nodes) {
-        f.observer->on_message_event(
-            {MessageEventKind::SubtreeKill, kNoMessage, cycle, node});
+        observer_->on_message_event(
+            {MessageEventKind::SubtreeKill, kNoMessage, start.cycle, node});
       }
       for (const std::uint32_t c : cf.went_down) {
-        f.observer->on_message_event(
-            {MessageEventKind::FaultDown, kNoMessage, cycle, c});
+        observer_->on_message_event(
+            {MessageEventKind::FaultDown, kNoMessage, start.cycle, c});
       }
       for (const std::uint32_t c : cf.came_up) {
-        f.observer->on_message_event(
-            {MessageEventKind::FaultUp, kNoMessage, cycle, c});
+        observer_->on_message_event(
+            {MessageEventKind::FaultUp, kNoMessage, start.cycle, c});
       }
     }
   }
-  return cycle;
+  return start;
 }
 
-bool CycleEngine::end_cycle(Frame& f, CycleSnapshot& snap, bool more) {
-  EngineResult& r = f.result;
+bool CycleFrame::end_cycle(CycleSnapshot& snap, bool more) {
+  CycleTotals& r = totals_;
   ++r.cycles;
   r.delivered += snap.delivered;
   r.delivered_per_cycle.push_back(snap.delivered);
-  r.total_attempts += snap.attempts;
-  r.total_losses += snap.losses;
-  r.total_backoffs += snap.backoffs;
-  r.messages_given_up += snap.gave_up;
-  r.max_queue = std::max(r.max_queue, snap.peak_queue);
-  if (f.observer != nullptr) {
+  if (observer_ != nullptr) {
     snap.cycle = static_cast<std::uint32_t>(r.cycles);
-    if (f.cf != nullptr) {
-      snap.faults_down = static_cast<std::uint32_t>(f.cf->went_down.size());
-      snap.faults_up = static_cast<std::uint32_t>(f.cf->came_up.size());
+    if (cf_ != nullptr) {
+      snap.faults_down = static_cast<std::uint32_t>(cf_->went_down.size());
+      snap.faults_up = static_cast<std::uint32_t>(cf_->came_up.size());
       snap.subtree_kills =
-          static_cast<std::uint32_t>(f.cf->killed_nodes.size());
-      snap.channels_down = f.cf->channels_down;
-      snap.degraded_channels = f.cf->degraded_channels;
+          static_cast<std::uint32_t>(cf_->killed_nodes.size());
+      snap.channels_down = cf_->channels_down;
+      snap.degraded_channels = cf_->degraded_channels;
     }
-    snap.loads = want_loads_ ? &bands_.back().loads : nullptr;
-    snap.latencies = f.lat_on ? &lat_samples_ : nullptr;
+    snap.loads = want_loads_ ? &loads_ : nullptr;
+    snap.latencies = lat_on_ ? &latencies_ : nullptr;
     snap.graph = &graph_;
-    f.observer->on_cycle(snap);
+    observer_->on_cycle(snap);
   }
-  if (time_phases_) {
-    // Everything this cycle spent outside the stage sweeps — injection,
-    // compaction, fault bookkeeping, observer callbacks — is serial
-    // coordination. Clamped at zero against clock jitter.
-    const double cyc = phase_delta(f.cycle_t0, PhaseClock::now());
-    const double sweep = (ph_up_ + ph_spine_ + ph_down_) - f.sweep_before;
-    f.coord += std::max(0.0, cyc - sweep);
-  }
-  if (opts_.max_cycles != 0 && r.cycles >= opts_.max_cycles && more) {
+  if (max_cycles_ != 0 && r.cycles >= max_cycles_ && more) {
     r.gave_up = true;
     return false;
   }
   return true;
 }
 
-EngineResult CycleEngine::end_run(Frame& f) {
+void CycleEngine::begin_run(const CycleFrame& f) {
+  time_phases_ = opts_.time_phases;
+  ph_up_ = ph_spine_ = ph_down_ = ph_coord_ = 0.0;
+  // A faulted run scales each channel's own base limit, so it needs the
+  // dense table. Without a plan every limit read stays on limit_, or on
+  // the stage's level limit when there is no dense table: the fault-free
+  // hot path.
+  if (f.faulted() && limit_.empty()) fill_limits();
+  active_limit_ = limit_.empty() ? nullptr : limit_.data();
+}
+
+std::uint32_t CycleEngine::begin_cycle(CycleFrame& f) {
   if (time_phases_) {
-    EnginePhaseProfile& ph = f.result.phases;
+    ph_cycle_t0_ = PhaseClock::now();
+    ph_sweep_before_ = ph_up_ + ph_spine_ + ph_down_;
+  }
+  const CycleStart start = f.begin_cycle(limit_);
+  active_limit_ = start.limits;
+  want_loads_ = start.want_loads;
+  return start.cycle;
+}
+
+bool CycleEngine::end_cycle(CycleFrame& f, EngineResult& r,
+                            CycleSnapshot& snap, bool more) {
+  r.total_attempts += snap.attempts;
+  r.total_losses += snap.losses;
+  r.total_backoffs += snap.backoffs;
+  r.messages_given_up += snap.gave_up;
+  const bool go_on = f.end_cycle(snap, more);
+  if (time_phases_) {
+    // Everything this cycle spent outside the stage sweeps — injection,
+    // compaction, fault bookkeeping, observer callbacks — is serial
+    // coordination. Clamped at zero against clock jitter.
+    const double cyc = phase_delta(ph_cycle_t0_, PhaseClock::now());
+    const double sweep = (ph_up_ + ph_spine_ + ph_down_) - ph_sweep_before_;
+    ph_coord_ += std::max(0.0, cyc - sweep);
+  }
+  return go_on;
+}
+
+void CycleEngine::end_run(EngineResult& r) {
+  if (time_phases_) {
+    EnginePhaseProfile& ph = r.phases;
     ph.up_seconds = ph_up_;
     ph.spine_seconds = ph_spine_;
     ph.down_seconds = ph_down_;
-    ph.coord_seconds = f.coord;
-    ph.timed_cycles = f.result.cycles;
+    ph.coord_seconds = ph_coord_;
+    ph.timed_cycles = r.cycles;
   }
-  return std::move(f.result);
 }
 
 EngineResult CycleEngine::run_lossy(BatchFeed& feed, EngineObserver* observer) {
-  Frame f = begin_run(observer);
-  EngineResult& result = f.result;
-  const bool trace = f.trace;
-  const bool lat_on = f.lat_on;
+  EngineResult result;
+  CycleFrame f(graph_, observer, opts_.fault_plan, opts_.max_cycles, result,
+               bands_.back().loads, lat_samples_);
+  begin_run(f);
+  const bool trace = f.trace();
+  const bool lat_on = f.lat_on();
   const std::size_t num_channels = graph_.num_channels();
-  // The constructor admits a lossy or tally engine on a tagged graph only.
   const AddressCodec codec = tree_codec();
   bucket_pos_.assign(num_channels, 0);
   for (Band& b : bands_) b.reset(codec.num_stages());
@@ -1275,7 +1258,9 @@ EngineResult CycleEngine::run_lossy(BatchFeed& feed, EngineObserver* observer) {
     snap.losses = cycle_losses;
     snap.backoffs = backoffs_now;
     snap.gave_up = gave_up_now;
-    if (!end_cycle(f, snap, !feed.exhausted() || !ce_.empty())) break;
+    if (!end_cycle(f, result, snap, !feed.exhausted() || !ce_.empty())) {
+      break;
+    }
   }
   if (result.gave_up && trace) {
     const auto last_cycle = static_cast<std::uint32_t>(result.cycles);
@@ -1284,202 +1269,8 @@ EngineResult CycleEngine::run_lossy(BatchFeed& feed, EngineObserver* observer) {
           {MessageEventKind::GiveUp, id, last_cycle, kNoChannel});
     }
   }
-  return end_run(f);
-}
-
-EngineResult CycleEngine::run_fifo(const PathSet& paths,
-                                   EngineObserver* observer) {
-  const std::size_t num_channels = graph_.num_channels();
-  const std::uint32_t* chans = paths.channels().data();
-  const std::uint32_t* offs = paths.offsets().data();
-  // Every hop must be a channel a message may use (the lossy injection's
-  // test, ChannelGraph::in_budget), checked once before round 1. FIFO
-  // queues ignore stage order.
-  for (const std::uint32_t c : paths.channels()) {
-    FT_CHECK_MSG(c < num_channels && graph_.in_budget(c),
-                 "path uses an unknown channel");
-  }
-  Frame f = begin_run(observer);
-  EngineResult& result = f.result;
-  const bool trace = f.trace;
-  const bool lat_on = f.lat_on;
-  std::vector<ChunkedRing> queues(num_channels);
-  // Absolute cursor of each message within the CSR buffer; message i is
-  // delivered when its cursor reaches offs[i + 1].
-  std::vector<std::uint32_t> pos(paths.size());
-
-  std::size_t in_flight = 0;
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    const auto id = static_cast<std::uint32_t>(i);
-    pos[i] = offs[i];
-    if (offs[i] == offs[i + 1]) {
-      ++result.delivered;  // local message, finishes at round 0
-      if (trace) {
-        observer->on_message_event(
-            {MessageEventKind::Inject, id, 0, kNoChannel});
-        observer->on_message_event(
-            {MessageEventKind::Deliver, id, 0, kNoChannel});
-      }
-      continue;
-    }
-    queues[chans[offs[i]]].push(id);
-    ++in_flight;
-    if (trace) {
-      observer->on_message_event(
-          {MessageEventKind::Inject, id, 0, chans[offs[i]]});
-    }
-  }
-
-  // Each round every channel forwards up to its capacity in FIFO order;
-  // arrivals are buffered so a message moves at most one hop per round.
-  // When tracing, each range logs its Hop/Deliver events; the serial
-  // merge below replays them in range (= ascending channel) order, so the
-  // event stream is identical at any thread count. Channel state is
-  // logged and merged the same way. Cache-line aligned:
-  // each range's scalars are rewritten by its worker every round, and
-  // adjacent elements of `outs` would otherwise share lines.
-  struct alignas(64) RangeOut {
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> arrivals;
-    std::vector<MessageEvent> events;
-    std::vector<LatencySample> lat;
-    std::vector<ChannelLoad> loads;
-    double latency_sum = 0.0;
-    std::uint32_t finished = 0;
-    std::uint64_t forwards = 0;
-    std::uint32_t max_queue = 0;
-    bool moved = false;
-  };
-
-  // Channel ranges are fixed for the whole run; arrivals are merged in
-  // range order, so queue contents are identical at any thread count.
-  std::size_t num_ranges = 1;
-  if (pool_ != nullptr) {
-    num_ranges = std::min<std::size_t>(pool_->size() * 2,
-                                       std::max<std::size_t>(1, num_channels));
-  }
-  const std::size_t range_len = (num_channels + num_ranges - 1) / num_ranges;
-  std::vector<RangeOut> outs(num_ranges);
-
-  auto process_range = [&](std::size_t r, std::uint32_t round) {
-    RangeOut& out = outs[r];
-    out.arrivals.clear();
-    out.events.clear();
-    out.lat.clear();
-    out.loads.clear();
-    out.latency_sum = 0.0;
-    out.finished = 0;
-    out.forwards = 0;
-    out.max_queue = 0;
-    out.moved = false;
-    const std::size_t lo = r * range_len;
-    const std::size_t hi = std::min(num_channels, lo + range_len);
-    for (std::size_t lid = lo; lid < hi; ++lid) {
-      ChunkedRing& q = queues[lid];
-      const std::uint64_t cap = active_limit_[lid];
-      std::uint32_t forwarded = 0;
-      for (; forwarded < cap && !q.empty(); ++forwarded) {
-        const std::uint32_t msg = q.pop();
-        out.moved = true;
-        ++out.forwards;
-        if (trace) {
-          out.events.push_back({MessageEventKind::Hop, msg, round,
-                                static_cast<std::uint32_t>(lid)});
-        }
-        if (++pos[msg] == offs[msg + 1]) {
-          out.latency_sum += round;
-          ++out.finished;
-          // Finish round vs the path's contention-free round count: a
-          // message that never queued behind anyone has stretch 1.
-          if (lat_on) {
-            out.lat.push_back({round, offs[msg + 1] - offs[msg]});
-          }
-          if (trace) {
-            out.events.push_back({MessageEventKind::Deliver, msg, round,
-                                  static_cast<std::uint32_t>(lid)});
-          }
-        } else {
-          out.arrivals.emplace_back(chans[pos[msg]], msg);
-        }
-      }
-      if (want_loads_ && forwarded > 0) {
-        out.loads.push_back({static_cast<std::uint32_t>(lid), forwarded});
-      }
-      out.max_queue = std::max(out.max_queue,
-                               static_cast<std::uint32_t>(q.size()));
-    }
-  };
-
-
-  while (in_flight > 0) {
-    const std::uint32_t round = begin_cycle(f);
-    PhaseClock::time_point sweep_t0;
-    if (time_phases_) sweep_t0 = PhaseClock::now();
-    if (num_ranges > 1) {
-      pool_->run_tasks(num_ranges,
-                       [&](std::size_t r) { process_range(r, round); });
-    } else {
-      process_range(0, round);
-    }
-    if (time_phases_) {
-      // Pooled range processing is the FIFO mode's parallel band; the
-      // single-range sweep is serial.
-      const double dt = phase_delta(sweep_t0, PhaseClock::now());
-      (num_ranges > 1 ? ph_up_ : ph_spine_) += dt;
-    }
-
-    std::vector<ChannelLoad>& loads = bands_.back().loads;
-    bool moved = false;
-    std::uint32_t finished = 0;
-    std::uint32_t round_peak = 0;
-    std::uint64_t round_forwards = 0;
-    for (std::size_t r = 0; r < num_ranges; ++r) {
-      const RangeOut& out = outs[r];
-      moved = moved || out.moved;
-      finished += out.finished;
-      result.latency_sum += out.latency_sum;
-      round_forwards += out.forwards;
-      round_peak = std::max(round_peak, out.max_queue);
-      for (const auto& [lid, msg] : out.arrivals) queues[lid].push(msg);
-      // Ranges partition channels in ascending order, so this merge
-      // yields one deterministic (ascending final channel) sample order
-      // at any thread count.
-      if (lat_on) {
-        lat_samples_.insert(lat_samples_.end(), out.lat.begin(),
-                            out.lat.end());
-      }
-      loads.insert(loads.end(), out.loads.begin(), out.loads.end());
-      if (trace) {
-        for (const MessageEvent& e : out.events) {
-          observer->on_message_event(e);
-        }
-      }
-    }
-    result.total_hops += round_forwards;
-    // A round may legitimately stall while faults hold channels down; the
-    // no-progress invariant only applies at full health.
-    FT_CHECK_MSG(moved || (f.cf != nullptr && f.cf->channels_down > 0),
-                 "FIFO engine made no progress");
-    in_flight -= finished;
-
-    CycleSnapshot snap;
-    snap.pending_before = in_flight + finished;
-    snap.delivered = finished;
-    snap.attempts = round_forwards;
-    snap.peak_queue = round_peak;
-    if (!end_cycle(f, snap, in_flight > 0)) break;
-  }
-  if (result.gave_up && trace) {
-    const auto last_round = static_cast<std::uint32_t>(result.cycles);
-    for (std::size_t lid = 0; lid < num_channels; ++lid) {
-      ChunkedRing& q = queues[lid];
-      while (!q.empty()) {
-        observer->on_message_event({MessageEventKind::GiveUp, q.pop(),
-                                    last_round,
-                                    static_cast<std::uint32_t>(lid)});
-      }
-    }
-  }
-  return end_run(f);
+  end_run(result);
+  return result;
 }
 
 }  // namespace ft

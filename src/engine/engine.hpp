@@ -1,41 +1,29 @@
-// The unified delivery-cycle engine. One instrumented simulation core runs
-// the paper's batched cycle loop (Section II: contending bit-serial
-// traffic, loss + acknowledgment + retry) for every router in the
-// repository; the per-topology simulators are thin adapters that compile
-// their topology into a ChannelGraph and their messages into EnginePaths,
-// or, on a fat-tree graph, hand over leaf pairs.
+// The fat-tree delivery-cycle engine: the paper's batched cycle loop
+// (Section II: contending bit-serial traffic, loss + acknowledgment +
+// retry) for online routing and offline schedule replay, which hand it
+// leaf pairs on a tree-tagged ChannelGraph (engine/fat_tree_model.hpp).
+// Contention — how a channel resolves more contenders than wires:
+//   RandomSubset  a uniformly random cap-subset survives, the rest are
+//                 lost and retry next cycle (the paper's concentrator +
+//                 acknowledgment mechanism; `alpha` models partial
+//                 concentrators, Section IV);
+//   Tally         no arbitration, pure occupancy accounting (offline
+//                 schedule replay and utilization analytics).
+// The competitor networks' store-and-forward rounds are another model
+// (engine/store_forward_rounds.hpp) that shares the cycle frame
+// (engine/cycle_frame.hpp).
 //
-// Policy points:
-//   * Contention — how a channel resolves more contenders than wires:
-//       RandomSubset  a uniformly random cap-subset survives, the rest are
-//                     lost and retry next cycle (the paper's concentrator
-//                     + acknowledgment mechanism; `alpha` models partial
-//                     concentrators, Section IV);
-//       Fifo          store-and-forward rounds with per-channel FIFO
-//                     queues, up to cap(c) forwards per round (competitor
-//                     networks, k-ary n-trees);
-//       Tally         no arbitration, pure occupancy accounting (offline
-//                     schedule replay and utilization analytics).
-//   * Channel model — the ChannelGraph handed to the constructor
-//     (engine/fat_tree_model.hpp, nets/Network, kary/KaryTree adapters).
-//
-// The lossy and tally modes run on fat-tree graphs only (a tree-tagged
-// ChannelGraph: the constructor rejects them on any other graph), with
-// one stage kernel (fused_stage), one path codec — each message routed by
+// One stage kernel (fused_stage), one path codec — each message routed by
 // address (engine/address_codec.hpp) — and two executors: serial, and —
 // on a graph with a shard count — the sharded executor, whose shards,
 // derived from the tree tag, sweep the up and down stage bands on a
 // persistent thread pool. Injection is one serial pass in arrival order
-// in both. FIFO mode runs on any graph and resolves channel ranges on the
-// pool. Results are identical to serial mode: every random arbitration
+// in both. Results are identical to serial mode: every random arbitration
 // draws from a private stream seeded by (seed, cycle, channel), so no
-// decision depends on thread scheduling, and FIFO arrivals are merged in
-// channel-index order.
-// Lossy cycles and FIFO rounds run in one cycle frame (begin_run ..
-// end_run), so fault transitions, the snapshot and phase timing exist
-// once.
+// decision depends on thread scheduling.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string_view>
@@ -44,6 +32,7 @@
 #include "engine/address_codec.hpp"
 #include "engine/block_list.hpp"
 #include "engine/channel_graph.hpp"
+#include "engine/cycle_frame.hpp"
 #include "engine/fault_plan.hpp"
 #include "engine/message_source.hpp"
 #include "engine/observer.hpp"
@@ -57,7 +46,7 @@ namespace ft {
 /// wrap a MessageSource or a PairSource).
 class BatchFeed;
 
-enum class ContentionPolicy : std::uint8_t { RandomSubset, Fifo, Tally };
+enum class ContentionPolicy : std::uint8_t { RandomSubset, Tally };
 
 /// How a lossy (RandomSubset) channel assigns its wires when contended —
 /// the routing-discipline seam. Every policy resolves an over-limit
@@ -125,25 +114,23 @@ struct EngineOptions {
   /// Wire-assignment discipline for contended RandomSubset channels.
   /// ObliviousRandom reproduces the pre-seam engine bit for bit; the
   /// other disciplines exist to be raced (bench/exp_routing_race).
-  /// Ignored by Fifo and Tally.
+  /// Ignored by Tally.
   RoutingPolicy policy = RoutingPolicy::ObliviousRandom;
-  /// Stop after this many cycles/rounds (0 = unbounded). A lossy run that
-  /// still has pending messages when the cap is hit sets
-  /// EngineResult::gave_up instead of looping forever.
+  /// Stop after this many cycles (0 = unbounded). A run that still has
+  /// pending messages when the cap is hit sets EngineResult::gave_up
+  /// instead of looping forever.
   std::uint32_t max_cycles = 0;
   /// Seed for RandomSubset arbitration streams.
   std::uint64_t seed = 0;
   /// Run on a thread pool: the sharded executor when the graph carries a
-  /// shard count (lossy/tally), channel ranges in FIFO mode. An unsharded
-  /// lossy/tally graph runs serial, with no pool. Identical results to
-  /// serial mode at any thread count.
+  /// shard count. An unsharded graph runs serial, with no pool. Identical
+  /// results to serial mode at any thread count.
   bool parallel = false;
   /// Worker threads for parallel mode (0 = hardware concurrency). A
   /// resolved count of 1 builds no pool: the sharded layout then runs
-  /// its shard loop inline, and FIFO rounds run as one channel range.
+  /// its shard loop inline.
   std::size_t threads = 0;
-  /// Per-message retry policy (lossy/tally modes; FIFO rounds have no
-  /// losses to retry, so it is ignored there). Off by default.
+  /// Per-message retry policy. Off by default.
   RetryPolicy retry;
   /// Transient mid-run faults, consulted once per delivery cycle from the
   /// coordinating thread (see engine/fault_plan.hpp). Not owned; must
@@ -158,41 +145,22 @@ struct EngineOptions {
   bool time_phases = false;
 };
 
-struct EngineResult {
-  /// Delivery cycles (lossy) or rounds (FIFO). 64-bit: a heavily faulted
-  /// or backoff-parked run at n = 2^20 can legitimately exceed what the
-  /// old 32-bit counter assumed; the engine's internal cycle index stays
-  /// 32-bit (the arbitration-stream domain) and is overflow-checked.
-  std::uint64_t cycles = 0;
-  bool gave_up = false;      ///< max_cycles hit with messages undelivered
-  std::uint64_t delivered = 0;
-  std::uint64_t total_attempts = 0;  ///< path attempts (lossy), hops (FIFO)
+/// The frame's totals (cycles, deliveries, faults), and the lossy ones.
+struct EngineResult : CycleTotals {
+  std::uint64_t total_attempts = 0;  ///< path attempts
   std::uint64_t total_losses = 0;    ///< attempts killed by contention
-  /// Successful channel traversals, every mode: each channel a message
-  /// crosses (wins arbitration at, is forwarded over, or tallies on)
-  /// counts one hop. For a completed FIFO or tally run this equals the
-  /// sum of path lengths; lossy runs additionally count the partial
-  /// prefix a message crossed before losing a lottery.
+  /// Successful channel traversals: each channel a message crosses (wins
+  /// arbitration at, or tallies on) counts one hop. For a completed tally
+  /// run this equals the sum of path lengths; lossy runs additionally
+  /// count the partial prefix a message crossed before losing a lottery.
   std::uint64_t total_hops = 0;
-  double latency_sum = 0.0;          ///< FIFO: sum of per-message finish rounds
-  std::uint32_t max_queue = 0;       ///< FIFO: peak queue depth
   /// Messages that exhausted their RetryPolicy (max_attempts or deadline)
   /// and were dropped; disjoint from `delivered`.
   std::uint64_t messages_given_up = 0;
   std::uint64_t total_backoffs = 0;  ///< retry-backoff parkings
-  // Dynamic-fault accounting (zero without an active FaultPlan).
-  std::uint64_t fault_down_events = 0;
-  std::uint64_t fault_up_events = 0;
-  /// Correlated subtree-kill events (scheduled or storm-drawn domain
-  /// strikes); each also contributes its channels to fault_down_events.
-  std::uint64_t subtree_kill_events = 0;
-  /// Channel-cycles spent below full admission limit (down or browned
-  /// out): the time-degraded numerator of availability.
-  std::uint64_t degraded_channel_cycles = 0;
   /// Wall-clock phase decomposition; all-zero unless
   /// EngineOptions::time_phases was set.
   EnginePhaseProfile phases;
-  std::vector<std::uint32_t> delivered_per_cycle;
 };
 
 class CycleEngine {
@@ -203,24 +171,20 @@ class CycleEngine {
   CycleEngine(const CycleEngine&) = delete;
   CycleEngine& operator=(const CycleEngine&) = delete;
 
-  /// Runs a stream of paths to completion. FIFO: synchronous
-  /// store-and-forward rounds; every queue must be seeded before round 1,
-  /// so the stream is ingested into one PathSet first (4 bytes per hop,
-  /// two allocations). Lossy/tally: every path contends from cycle 1 and
-  /// losers retry until delivered (or the engine gives up), consumed chunk
-  /// by chunk in O(chunk) input memory. On the tree-tagged graph a lossy
-  /// or tally path must be its endpoints' tree path, and is routed as that
-  /// leaf pair, so the run is bit-identical to run_stream over the pairs.
+  /// Runs a stream of paths to completion: every path contends from
+  /// cycle 1 and losers retry until delivered (or the engine gives up),
+  /// consumed chunk by chunk in O(chunk) input memory. A path must be its
+  /// endpoints' tree path, and is routed as that leaf pair, so the run is
+  /// bit-identical to run_stream over the pairs.
   EngineResult run_stream(MessageSource& source,
                           EngineObserver* observer = nullptr);
 
-  /// The same all-at-once run over leaf pairs, on a fat-tree graph
-  /// (tree_height != 0) in a lossy or tally mode: each pair is routed on
-  /// its tree path, and a self pair is a local delivery with its own id.
+  /// The same all-at-once run over leaf pairs: each pair is routed on its
+  /// tree path, and a self pair is a local delivery with its own id.
   EngineResult run_stream(PairSource& source,
                           EngineObserver* observer = nullptr);
 
-  /// Leaf pairs in a lossy or tally mode, chunk i injected at cycle i + 1
+  /// Leaf pairs, chunk i injected at cycle i + 1
   /// (the offline schedule replay: one chunk per scheduled delivery
   /// cycle). Losers of chunk i retry alongside chunk i + 1. Every chunk
   /// opens a cycle, so a valid offline schedule replays in exactly
@@ -300,16 +264,12 @@ class CycleEngine {
     void reset(std::uint32_t num_stages);
   };
   using Hop = AddressCodec::Hop;
-  /// The graph's codec, from its tree tag (lossy and tally runs only).
+  /// The graph's codec, from its tree tag.
   AddressCodec tree_codec() const {
     return {graph_.tree_height, graph_.num_shards};
   }
   /// The landing rule over hoisted band pointers (defined in engine.cpp).
   struct Lander;
-  /// The cycle frame run_lossy and run_fifo share (defined in
-  /// engine.cpp): the observer's per-run opt-ins, the run's FaultState,
-  /// the current cycle's fault transitions and the phase accounting.
-  struct Frame;
 
   /// The stage kernel (bucket counting, arbitration, accounting, survivor
   /// forwarding in two sweeps) over one band's stage worklist and scratch.
@@ -336,27 +296,23 @@ class CycleEngine {
   EngineResult run_lossy(BatchFeed& feed, EngineObserver* observer);
   /// Builds the dense limit_: each channel's admission limit.
   void fill_limits();
-  EngineResult run_fifo(const PathSet& paths, EngineObserver* observer);
 
-  /// The cycle frame's four steps. begin_run samples the observer's
-  /// opt-ins and builds the run's FaultState; begin_cycle returns the
-  /// cycle index after applying the cycle's fault transitions (and
-  /// emitting their events); end_cycle folds the snapshot's counters into
-  /// the result, fills its shared fields, hands it to the observer and
-  /// charges the cycle's coordination time — it returns false when
-  /// max_cycles stops a run that has messages left (`more`); end_run
-  /// folds the phase profile into the result.
-  Frame begin_run(EngineObserver* observer);
-  std::uint32_t begin_cycle(Frame& f);
-  bool end_cycle(Frame& f, CycleSnapshot& snap, bool more);
-  EngineResult end_run(Frame& f);
+  /// The engine's side of the cycle frame (engine/cycle_frame.hpp), with
+  /// the phase timing: begin_cycle keeps the frame's limits and
+  /// channel-state wish in active_limit_ and want_loads_, which the
+  /// sweeps read; end_cycle also folds the lossy counters.
+  void begin_run(const CycleFrame& f);
+  std::uint32_t begin_cycle(CycleFrame& f);
+  bool end_cycle(CycleFrame& f, EngineResult& r, CycleSnapshot& snap,
+                 bool more);
+  void end_run(EngineResult& r);
 
   ChannelGraph graph_;
   EngineOptions opts_;
   std::unique_ptr<ThreadPool> pool_;  ///< null unless 2+ threads
 
-  /// The sharded executor: engaged when a tagged graph carries a shard
-  /// count, the engine is parallel and the policy is lossy or tally.
+  /// The sharded executor: engaged when the graph carries a shard count
+  /// and the engine is parallel.
   /// Serial and sharded runs are bit-identical — every channel's
   /// contender set and pinned (seed, cycle, channel) lottery are the same
   /// — so this is purely an execution strategy, not a model change.
@@ -365,20 +321,19 @@ class CycleEngine {
   /// the global band (bands_.back()). Sized once at construction.
   std::vector<Band> bands_;
 
-  /// Admission limit of each level 0 .. L on a tagged graph (empty on a
-  /// flat one): floor(alpha * capacity) floor 1 (RandomSubset), unlimited
-  /// (Tally), capacity (Fifo), all clamped to 2^32 - 1. The clamp is
-  /// lossless: contender counts and queue lengths are bounded by the
-  /// number of live messages, which is below 2^32. Resolved at
-  /// construction so the per-cycle loops never touch doubles.
+  /// Admission limit of each level 0 .. L: floor(alpha * capacity) floor
+  /// 1 (RandomSubset) or unlimited (Tally), clamped to 2^32 - 1. The clamp
+  /// is lossless: contender counts are bounded by the number of live
+  /// messages, which is below 2^32. Resolved at construction so the
+  /// per-cycle loops never touch doubles.
   std::vector<std::uint32_t> level_limit_;
 
   /// The same rule per channel, 32-bit so the table is half as tall.
-  /// Built only where a channel's own limit is read: FIFO rounds and a
-  /// graph with a per-channel capacity table (flat graphs, static wire
-  /// overrides) at construction, and the base of a faulted run's
-  /// FaultState at its start; empty otherwise (a fault-free, override-free
-  /// lossy or tally engine: 16 MiB at n = 2^20 it never reads).
+  /// Built only where a channel's own limit is read: a graph with a
+  /// per-channel capacity table (static wire overrides) at construction,
+  /// and the base of a faulted run's FaultState at its start; empty
+  /// otherwise (a fault-free, override-free engine: 16 MiB at n = 2^20 it
+  /// never reads).
   std::vector<std::uint32_t> limit_;
 
   /// Admission limits in force for the current cycle: limit_.data() when
@@ -444,11 +399,15 @@ class CycleEngine {
   /// Phase-timing accumulators (opts_.time_phases only), reset per run
   /// and folded into EngineResult::phases: the stage sweeps add to
   /// up/spine/down from the coordination path, and end_cycle charges the
-  /// rest of each cycle to the frame's coord.
+  /// rest of each cycle, timed from begin_cycle's ph_cycle_t0_, to
+  /// ph_coord_.
   bool time_phases_ = false;
   double ph_up_ = 0.0;
   double ph_spine_ = 0.0;
   double ph_down_ = 0.0;
+  double ph_coord_ = 0.0;
+  std::chrono::steady_clock::time_point ph_cycle_t0_;
+  double ph_sweep_before_ = 0.0;  ///< sweep seconds before this cycle
 };
 
 }  // namespace ft

@@ -1,15 +1,12 @@
-// k-ary n-tree channel model for the CycleEngine: the tree's dense link
-// ids become engine channel indices one-for-one (unit capacity, as in the
-// E13 contention model), so a KaryRoute is already an EnginePath. Used by
-// the k-ary permutation simulation (FIFO contention).
+// k-ary n-tree channel model: the tree's dense link ids become channel
+// indices one-for-one (unit capacity, as in the E13 contention model), so
+// a KaryRoute is already a path of the flat graph. Used by the k-ary
+// permutation simulation's store-and-forward rounds, and by its fault
+// plans' pod domains.
 #pragma once
-
-#include <algorithm>
 
 #include "engine/channel_graph.hpp"
 #include "engine/fault_plan.hpp"
-#include "engine/message_source.hpp"
-#include "kary/kary_routing.hpp"
 #include "kary/kary_tree.hpp"
 
 namespace ft {
@@ -18,55 +15,6 @@ inline ChannelGraph kary_channel_graph(const KaryTree& tree) {
   return ChannelGraph::flat(
       std::vector<std::uint64_t>(tree.num_links(), 1));
 }
-
-/// Routes a permutation chunk by chunk as the engine consumes it: the
-/// full route vector for the permutation never exists. Routing draws on
-/// the shared `rng` and `tracker` in source order, exactly as the
-/// materialize-then-run path does, so the two are bit-identical for one
-/// generator state. The tracker's load statistics and max_route_hops()
-/// are complete once the source is drained (FIFO ingestion drains it
-/// before the first round).
-class KaryRouteSource final : public MessageSource {
- public:
-  KaryRouteSource(const KaryTree& tree, const std::vector<std::uint32_t>& perm,
-                  AscentPolicy policy, Rng& rng, KaryLoadTracker& tracker,
-                  std::size_t chunk_paths = kDefaultChunkPaths)
-      : tree_(tree),
-        perm_(perm),
-        policy_(policy),
-        rng_(rng),
-        tracker_(tracker),
-        chunk_paths_(chunk_paths == 0 ? 1 : chunk_paths) {}
-
-  bool next_chunk(PathSet& chunk) override {
-    chunk.clear();
-    if (next_ >= perm_.size()) return false;
-    const std::size_t end = std::min<std::size_t>(perm_.size(),
-                                                  next_ + chunk_paths_);
-    for (; next_ < end; ++next_) {
-      const KaryRoute route =
-          kary_route(tree_, static_cast<std::uint32_t>(next_), perm_[next_],
-                     policy_, rng_, tracker_);
-      max_route_hops_ = std::max(max_route_hops_,
-                                 static_cast<std::uint32_t>(route.size()));
-      for (const std::uint32_t c : route) chunk.push_channel(c);
-      chunk.close_path();
-    }
-    return true;
-  }
-
-  std::uint32_t max_route_hops() const { return max_route_hops_; }
-
- private:
-  const KaryTree& tree_;
-  const std::vector<std::uint32_t>& perm_;
-  AscentPolicy policy_;
-  Rng& rng_;
-  KaryLoadTracker& tracker_;
-  std::size_t chunk_paths_;
-  std::size_t next_ = 0;
-  std::uint32_t max_route_hops_ = 0;
-};
 
 /// Correlated-failure domain of the pod whose processors share the
 /// `depth` most-significant base-k digits `prefix` (depth in

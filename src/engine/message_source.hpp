@@ -52,9 +52,9 @@ class PairSource {
 };
 
 /// Adapts an already-materialized PathSet to the streaming interface by
-/// slicing it into chunks: how the tests hand the engine a PathSet built
-/// by hand (FIFO paths, tagged paths the injection checks must reject,
-/// and the chunk-size invariance checks).
+/// slicing it into chunks: how the tests hand the engine a PathSet of
+/// tree paths built by hand (paths the injection checks must reject, and
+/// the runs that must match their leaf pairs).
 class PathSetSource final : public MessageSource {
  public:
   explicit PathSetSource(const PathSet& set,

@@ -1,8 +1,8 @@
-// Instrumentation hooks for the CycleEngine. The engine accumulates one
-// CycleSnapshot per delivery cycle (or store-and-forward round) and hands
-// it to an observer from the coordinating thread — callbacks are always
-// serial and in cycle order, even when the engine resolves contention in
-// parallel, so observers need no locking.
+// Instrumentation hooks for the delivery-cycle models (the CycleEngine and
+// store-and-forward rounds). Each accumulates one CycleSnapshot per
+// delivery cycle (or round) and hands it to an observer from the
+// coordinating thread — callbacks are always serial and in cycle order,
+// even when contention resolves in parallel, so observers need no locking.
 //
 // A cycle's channel state is one {channel, carried} list of the channels
 // arbitrated or forwarded that cycle, so readers pay for busy channels,

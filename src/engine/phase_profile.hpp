@@ -11,11 +11,9 @@ namespace ft {
 /// into its parallelizable and inherently serial parts. In the sharded
 /// executor `up`/`down` cover the shard-parallel sweeps and `spine` the
 /// serial band between them (outbox landing and spine stages); the
-/// serial executor counts its whole stage sweep as `spine`; FIFO
-/// rounds count pooled range processing as `up` and a single-range sweep
-/// as `spine`. `coord` is everything else in the cycle loop — injection,
-/// compaction, fault bookkeeping, observer callbacks — which is serial in
-/// every mode.
+/// serial executor counts its whole stage sweep as `spine`. `coord` is
+/// everything else in the cycle loop — injection, compaction, fault
+/// bookkeeping, observer callbacks — which is serial in every mode.
 struct EnginePhaseProfile {
   double up_seconds = 0.0;
   double spine_seconds = 0.0;

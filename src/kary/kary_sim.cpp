@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "engine/engine.hpp"
 #include "engine/kary_model.hpp"
 
 namespace ft {
@@ -10,29 +9,27 @@ namespace ft {
 KarySimResult simulate_kary_permutation(const KaryTree& tree,
                                         const std::vector<std::uint32_t>& perm,
                                         AscentPolicy policy, Rng& rng,
-                                        const KarySimOptions& opts) {
+                                        const StoreForwardOptions& opts) {
   KarySimResult result;
   KaryLoadTracker tracker(tree);
-
-  EngineOptions eopts;
-  eopts.contention = ContentionPolicy::Fifo;
-  eopts.parallel = opts.parallel;
-  eopts.threads = opts.threads;
-  eopts.fault_plan = opts.fault_plan;
-
-  CycleEngine engine(kary_channel_graph(tree), eopts);
-  // Routes are generated as the engine ingests them; the tracker and
-  // max_route_hops are final once run_stream has drained the source.
-  KaryRouteSource source(tree, perm, policy, rng, tracker);
-  const EngineResult er = engine.run_stream(source, opts.observer);
-  result.max_route_hops = source.max_route_hops();
+  PathSet paths;
+  for (std::uint32_t p = 0; p < perm.size(); ++p) {
+    const KaryRoute route = kary_route(tree, p, perm[p], policy, rng, tracker);
+    result.max_route_hops = std::max(
+        result.max_route_hops, static_cast<std::uint32_t>(route.size()));
+    paths.append(route.begin(), route.end());
+  }
   result.max_link_load = tracker.max_load();
   result.mean_link_load = tracker.mean_positive_load();
-  result.rounds = er.cycles;
-  result.delivered = er.delivered;
-  result.fault_down_events = er.fault_down_events;
-  result.fault_up_events = er.fault_up_events;
-  result.subtree_kill_events = er.subtree_kill_events;
+
+  const RoundsResult rr =
+      store_forward_rounds(kary_channel_graph(tree), paths, opts);
+  result.rounds = rr.cycles;
+  result.delivered = rr.delivered;
+  result.gave_up = rr.gave_up;
+  result.fault_down_events = rr.fault_down_events;
+  result.fault_up_events = rr.fault_up_events;
+  result.subtree_kill_events = rr.subtree_kill_events;
   return result;
 }
 

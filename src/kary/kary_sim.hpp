@@ -3,15 +3,14 @@
 // link-load statistics per ascent policy — the E13 ablation.
 //
 // Routing stays here (it is what the ablation varies); the delivery rounds
-// run on the unified CycleEngine with Fifo contention, a KaryRoute being
-// already an EnginePath over the tree's dense link ids.
+// run in engine/store_forward_rounds.hpp, a KaryRoute being already a path
+// over the tree's dense link ids.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "engine/fault_plan.hpp"
-#include "engine/observer.hpp"
+#include "engine/store_forward_rounds.hpp"
 #include "kary/kary_routing.hpp"
 
 namespace ft {
@@ -23,26 +22,17 @@ struct KarySimResult {
   std::uint64_t max_link_load = 0;
   double mean_link_load = 0.0;
   std::uint32_t max_route_hops = 0;
+  bool gave_up = false;         ///< hit max_rounds with traffic queued
   std::uint64_t fault_down_events = 0;  ///< link down transitions
   std::uint64_t fault_up_events = 0;    ///< link repair transitions
   std::uint64_t subtree_kill_events = 0;  ///< correlated domain strikes
 };
 
-struct KarySimOptions {
-  /// Forward links on a thread pool; results are identical to serial mode.
-  bool parallel = false;
-  std::size_t threads = 0;
-  /// Optional per-round instrumentation (engine/observer.hpp). Not owned.
-  EngineObserver* observer = nullptr;
-  /// Optional transient-fault plan (not owned): a down link forwards
-  /// nothing that round, its queue waits.
-  const FaultPlan* fault_plan = nullptr;
-};
-
-/// Routes the permutation under `policy` and simulates delivery.
+/// Routes the permutation under `policy` (processor p's route drawn p-th
+/// from `rng`) and simulates delivery.
 KarySimResult simulate_kary_permutation(const KaryTree& tree,
                                         const std::vector<std::uint32_t>& perm,
                                         AscentPolicy policy, Rng& rng,
-                                        const KarySimOptions& opts = {});
+                                        const StoreForwardOptions& opts = {});
 
 }  // namespace ft

@@ -1,38 +1,36 @@
 #include "nets/store_forward.hpp"
 
 #include <algorithm>
-
-#include "engine/engine.hpp"
-#include "engine/network_model.hpp"
+#include <utility>
 
 namespace ft {
 
 StoreForwardResult simulate_store_forward(const Network& net,
                                           const std::vector<Route>& routes,
                                           const StoreForwardOptions& opts) {
-  EngineOptions eopts;
-  eopts.contention = ContentionPolicy::Fifo;
-  eopts.parallel = opts.parallel;
-  eopts.threads = opts.threads;
-  eopts.fault_plan = opts.fault_plan;
-  eopts.max_cycles = opts.max_rounds;
-
-  CycleEngine engine(network_channel_graph(net), eopts);
-  RouteChunkSource source(routes);
-  const EngineResult er = engine.run_stream(source, opts.observer);
+  // Link ids are channel ids one-for-one, so a Route is already a path.
+  std::vector<std::uint64_t> caps(net.num_links());
+  for (std::uint32_t lid = 0; lid < net.num_links(); ++lid) {
+    caps[lid] = net.link(lid).capacity;
+  }
+  PathSet paths;
+  for (const Route& r : routes) paths.append(r.begin(), r.end());
+  const RoundsResult rr =
+      store_forward_rounds(ChannelGraph::flat(std::move(caps)), paths, opts);
 
   StoreForwardResult result;
-  result.rounds = er.cycles;
-  result.delivered = er.delivered;
-  result.total_hops = er.total_hops;
-  result.max_queue = er.max_queue;
-  result.gave_up = er.gave_up;
-  result.fault_down_events = er.fault_down_events;
-  result.fault_up_events = er.fault_up_events;
-  result.subtree_kill_events = er.subtree_kill_events;
+  result.rounds = rr.cycles;
+  result.delivered = rr.delivered;
+  result.total_hops = rr.total_hops;
+  result.max_queue = rr.max_queue;
+  result.gave_up = rr.gave_up;
+  result.fault_down_events = rr.fault_down_events;
+  result.fault_up_events = rr.fault_up_events;
+  result.subtree_kill_events = rr.subtree_kill_events;
   result.mean_latency =
-      routes.empty() ? 0.0
-                     : er.latency_sum / static_cast<double>(routes.size());
+      rr.delivered == 0
+          ? 0.0
+          : rr.latency_sum / static_cast<double>(rr.delivered);
   return result;
 }
 

@@ -1,8 +1,8 @@
-// Parity tests for the unified delivery-cycle engine: every old-API entry
-// point must produce identical results in serial and parallel mode (the
-// engine's per-(seed, cycle, channel) arbitration streams and fixed FIFO
-// channel ranges make thread scheduling invisible), and the offline replay
-// must reproduce a schedule exactly.
+// Parity tests for the delivery-cycle engine and store-and-forward rounds:
+// every entry point must produce identical results in serial and parallel
+// mode (the engine's per-(seed, cycle, channel) arbitration streams and
+// the rounds' fixed channel ranges make thread scheduling invisible), and
+// the offline replay must reproduce a schedule exactly.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -15,7 +15,7 @@
 #include "core/traffic.hpp"
 #include "engine/engine.hpp"
 #include "engine/fat_tree_model.hpp"
-#include "engine/network_model.hpp"
+#include "engine/store_forward_rounds.hpp"
 #include "kary/kary_sim.hpp"
 #include "nets/builders.hpp"
 #include "nets/routing.hpp"
@@ -66,7 +66,8 @@ std::uint64_t trace_fingerprint(const TraceSink& trace) {
 /// Per-cycle channel-state invariants: no channel is listed twice in one
 /// cycle, every listed channel exists (capacity > 0), and none carries
 /// more than its admission limit. Both fanouts below run at alpha = 1
-/// (lossy) or in FIFO mode, where that limit is the channel's capacity.
+/// (lossy) or store-and-forward rounds, where that limit is the channel's
+/// capacity.
 class ChannelStateInvariants final : public EngineObserver {
  public:
   void on_cycle(const CycleSnapshot& s) override {
@@ -164,7 +165,7 @@ TEST(EngineParity, KarySerialEqualsParallel) {
   Rng r1(33), r2(33);  // identical routing decisions in both runs
   const auto serial =
       simulate_kary_permutation(tree, perm, AscentPolicy::Random, r1);
-  KarySimOptions popts;
+  StoreForwardOptions popts;
   popts.parallel = true;
   const auto parallel =
       simulate_kary_permutation(tree, perm, AscentPolicy::Random, r2, popts);
@@ -533,8 +534,6 @@ TEST(EngineParity, PooledShardsMatchSerialForEveryPolicy) {
           EXPECT_EQ(a.total_attempts, b.total_attempts) << at;
           EXPECT_EQ(a.total_losses, b.total_losses) << at;
           EXPECT_EQ(a.total_hops, b.total_hops) << at;
-          EXPECT_EQ(a.latency_sum, b.latency_sum) << at;
-          EXPECT_EQ(a.max_queue, b.max_queue) << at;
           EXPECT_EQ(a.messages_given_up, b.messages_given_up) << at;
           EXPECT_EQ(a.total_backoffs, b.total_backoffs) << at;
           EXPECT_EQ(a.fault_down_events, b.fault_down_events) << at;
@@ -796,7 +795,7 @@ TEST(EngineParity, SubtreeKillGoldenTimelines) {
   }
 }
 
-// FIFO rounds share the lossy loop's cycle frame, fault path included:
+// FIFO rounds share the lossy engine's cycle frame, fault path included:
 // without faults and under a FaultPlan (flaps plus a burst), serial and
 // range-parallel runs agree on the traced event stream, the per-level
 // carried tallies, the EngineMetrics report and every fault counter.
@@ -861,97 +860,65 @@ TEST(EngineParity, FifoTraceSerialEqualsParallel) {
   }
 }
 
-// A FIFO path naming a channel the graph lacks is rejected before round
-// 1, with the lossy injection's message, instead of indexing past the
-// per-channel queues.
+// A store-and-forward path naming a channel the graph lacks is rejected
+// before round 1, instead of indexing past the per-channel queues.
 TEST(EngineDeathTest, FifoRejectsUnknownChannel) {
-  EngineOptions opts;
-  opts.contention = ContentionPolicy::Fifo;
-  const std::vector<EnginePath> paths = {{0, 5}};
-  EXPECT_DEATH(
-      {
-        CycleEngine engine(ChannelGraph::flat({1, 1}), opts);
-        RouteChunkSource source(paths);
-        engine.run_stream(source);
-      },
-      "path uses an unknown channel");
+  PathSet paths;  // one path: 0 -> 5
+  paths.push_channel(0);
+  paths.push_channel(5);
+  paths.close_path();
+  EXPECT_DEATH(store_forward_rounds(ChannelGraph::flat({1, 1}), paths),
+               "path uses an unknown channel");
 }
 
-// Leaf pairs are routed by address, which only a lossy or tally engine
-// does: a FIFO engine given either pair entry point aborts, on a flat
-// graph and on a fat-tree graph alike.
-TEST(EngineDeathTest, FifoRejectsLeafPairs) {
-  FatTreeTopology t(4);
-  const ChannelGraph graphs[] = {
-      ChannelGraph::flat({1, 1}),
-      fat_tree_channel_graph(t, CapacityProfile::constant(t, 1))};
-  const std::vector<MessageSet> sets{MessageSet{{0, 1}}};
-  EngineOptions fifo;
-  fifo.contention = ContentionPolicy::Fifo;
+// Only the address codec routes a message, and only the tree tag defines
+// it and the shard partition, so the engine rejects every untagged graph
+// at construction, under both policies, serial or parallel: a flat graph,
+// one that carries a shard count, and a sharded fat-tree graph with its
+// tag cleared.
+TEST(EngineDeathTest, UntaggedGraphIsRejected) {
+  FatTreeTopology t(64);
+  ChannelGraph sharded_flat = ChannelGraph::flat({1, 1, 1, 1});
+  sharded_flat.num_shards = 2;
+  ChannelGraph cleared =
+      fat_tree_channel_graph(t, CapacityProfile::universal(t, 16), 2);
+  cleared.tree_height = 0;
+  const ChannelGraph graphs[] = {ChannelGraph::flat({1, 1}), sharded_flat,
+                                 cleared};
   for (const ChannelGraph& g : graphs) {
-    EXPECT_DEATH(
-        {
-          CycleEngine engine(g, fifo);
-          MessageSetPairs pairs(sets);
-          engine.run_stream(pairs);
-        },
-        "leaf pairs require a fat-tree graph and a lossy or tally policy")
-        << "tree height " << g.tree_height;
-    EXPECT_DEATH(
-        {
-          CycleEngine engine(g, fifo);
-          MessageSetPairs pairs(sets);
-          engine.run_batched_stream(pairs);
-        },
-        "leaf pairs require a fat-tree graph and a lossy or tally policy")
-        << "tree height " << g.tree_height;
-  }
-}
-
-// Only the address codec routes a lossy or tally message, so the engine
-// rejects both on an untagged graph at construction, serial or parallel;
-// FIFO runs on the same graph.
-TEST(EngineDeathTest, LossyAndTallyNeedATreeTaggedGraph) {
-  for (const ContentionPolicy contention :
-       {ContentionPolicy::RandomSubset, ContentionPolicy::Tally}) {
-    for (const bool parallel : {false, true}) {
-      EngineOptions opts;
-      opts.contention = contention;
-      opts.parallel = parallel;
-      opts.threads = 2;
-      EXPECT_DEATH({ CycleEngine engine(ChannelGraph::flat({1, 1}), opts); },
-                   "lossy and tally runs need a tree-tagged channel graph")
-          << "contention " << static_cast<int>(contention) << " parallel "
-          << parallel;
+    for (const ContentionPolicy contention :
+         {ContentionPolicy::RandomSubset, ContentionPolicy::Tally}) {
+      for (const bool parallel : {false, true}) {
+        EngineOptions opts;
+        opts.contention = contention;
+        opts.parallel = parallel;
+        opts.threads = 2;
+        EXPECT_DEATH({ CycleEngine engine(g, opts); },
+                     "the engine needs a tree-tagged channel graph")
+            << "shards " << g.num_shards << " contention "
+            << static_cast<int>(contention) << " parallel " << parallel;
+      }
     }
   }
-  EngineOptions fifo;
-  fifo.contention = ContentionPolicy::Fifo;
-  const std::vector<EnginePath> paths = {{0}, {0, 1}, {1}};
-  RouteChunkSource source(paths);
-  const EngineResult r =
-      CycleEngine(ChannelGraph::flat({1, 1}), fifo).run_stream(source);
-  EXPECT_EQ(r.delivered, paths.size());
-  EXPECT_FALSE(r.gave_up);
 }
 
 // RandomSubset admits floor(alpha * capacity) per channel, so alpha must
 // lie in (0, 1]: above 1 a channel would admit more than its wires, and a
-// huge alpha would overflow the limit's conversion to an integer. Every
-// policy rejects it at construction, with one message.
+// huge alpha would overflow the limit's conversion to an integer. Both
+// policies reject it at construction, with one message.
 TEST(EngineDeathTest, AlphaOutsideUnitIntervalIsRejected) {
+  FatTreeTopology t(4);
+  const ChannelGraph graph =
+      fat_tree_channel_graph(t, CapacityProfile::constant(t, 4));
   for (const double alpha : {0.0, -0.5, 2.0,
                              std::numeric_limits<double>::infinity(),
                              std::numeric_limits<double>::quiet_NaN()}) {
     for (const ContentionPolicy contention :
-         {ContentionPolicy::RandomSubset, ContentionPolicy::Fifo,
-          ContentionPolicy::Tally}) {
+         {ContentionPolicy::RandomSubset, ContentionPolicy::Tally}) {
       EngineOptions opts;
       opts.alpha = alpha;
       opts.contention = contention;
-      EXPECT_DEATH(
-          { CycleEngine engine(ChannelGraph::flat({1, 4}), opts); },
-          "alpha must be in")
+      EXPECT_DEATH({ CycleEngine engine(graph, opts); }, "alpha must be in")
           << "alpha " << alpha;
     }
   }

@@ -133,7 +133,7 @@ TEST(FaultCompare, ConservationAcrossBackends) {
       plan_ka.set_domains(std::move(domains));
       plan_ka.add_subtree_kill({kill_node, 1, 6});
       plan_ka.set_storm({0.02, 1, 4});
-      ft::KarySimOptions kopts;
+      ft::StoreForwardOptions kopts;
       kopts.fault_plan = &plan_ka;
       ft::Rng rng(23 + trial);
       const auto res = ft::simulate_kary_permutation(

@@ -7,12 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <numeric>
 
 #include "core/online_router.hpp"
 #include "core/traffic.hpp"
 #include "engine/fat_tree_model.hpp"
+#include "kary/kary_sim.hpp"
 #include "nets/builders.hpp"
 #include "nets/routing.hpp"
 #include "nets/store_forward.hpp"
@@ -331,6 +333,37 @@ TEST(FaultPlan, StoreForwardRidesOutABurst) {
   EXPECT_EQ(hurt.total_hops, healthy.total_hops);  // same routes, later
   EXPECT_EQ(hurt.fault_down_events, net.num_links() / 4);
   EXPECT_EQ(hurt.fault_up_events, net.num_links() / 4);
+}
+
+// Links that fail and never repair stall every store-and-forward round,
+// so a run under such a plan ends only at max_rounds, gave_up set, on a
+// competitor network and on a k-ary tree alike.
+TEST(FaultPlan, OutageThatNeverRepairsStopsAtMaxRounds) {
+  FaultPlan plan(37);
+  plan.set_flaps({1.0, 0.0});
+  StoreForwardOptions opts;
+  opts.fault_plan = &plan;
+  opts.max_rounds = 64;
+
+  const auto net = build_hypercube(5);
+  Rng traffic(33);
+  const auto routes =
+      route_all_bfs(net, random_permutation_traffic(32, traffic));
+  const auto sf = simulate_store_forward(net, routes, opts);
+  EXPECT_TRUE(sf.gave_up);
+  EXPECT_EQ(sf.rounds, 64u);
+  EXPECT_LT(sf.delivered, routes.size());
+
+  const KaryTree tree(2, 4);
+  std::vector<std::uint32_t> perm(tree.num_processors());
+  std::iota(perm.begin(), perm.end(), 0u);
+  std::reverse(perm.begin(), perm.end());
+  Rng rng(39);
+  const auto ka =
+      simulate_kary_permutation(tree, perm, AscentPolicy::Random, rng, opts);
+  EXPECT_TRUE(ka.gave_up);
+  EXPECT_EQ(ka.rounds, 64u);
+  EXPECT_LT(ka.delivered, perm.size());
 }
 
 TEST(FaultPlan, TraceRecordsFaultAndBackoffLifecycle) {

@@ -103,5 +103,20 @@ TEST(StoreForward, MeanLatencyBelowMakespan) {
   EXPECT_GT(r.mean_latency, 0.0);
 }
 
+// A run that max_rounds stops averages over the messages it delivered:
+// the one-hop message finishes at round 1, and the seven-hop one, queued
+// behind it on the first link, is still in flight at round 3.
+TEST(StoreForward, MeanLatencyCountsDeliveredMessagesOnly) {
+  const auto net = build_mesh2d(1, 8);  // a line
+  StoreForwardOptions opts;
+  opts.max_rounds = 3;
+  const auto r = simulate_store_forward(
+      net, {bfs_route(net, 0, 1), bfs_route(net, 0, 7)}, opts);
+  EXPECT_TRUE(r.gave_up);
+  EXPECT_EQ(r.rounds, 3u);
+  EXPECT_EQ(r.delivered, 1u);
+  EXPECT_DOUBLE_EQ(r.mean_latency, 1.0);
+}
+
 }  // namespace
 }  // namespace ft
