@@ -289,7 +289,7 @@ TEST(FtdE2e, DrainFinishesInflightJobsThenClosesCleanly) {
   for (int k = 0; k < kJobs; ++k) {
     const JsonValue rec = read_record(c);
     EXPECT_EQ(field(rec, "type"), "result");
-    EXPECT_EQ(field(rec, "id"), "d" + std::to_string(k));
+    EXPECT_EQ(field(rec, "id"), std::string("d").append(std::to_string(k)));
   }
   std::string line;
   EXPECT_FALSE(c.read_line(line, 10000));
